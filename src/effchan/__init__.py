@@ -30,9 +30,7 @@ from .linalg import (
     DegenerateChannelError,
     IllConditionedError,
     RngStream,
-    gram_schmidt,
     inner,
-    invert_square,
     normal_solve,
     sample_gaussian,
     sample_isotropic_unit,
@@ -96,9 +94,7 @@ __all__ = [
     "feedback_savings",
     "gamma_cdf",
     "generate_codebook",
-    "gram_schmidt",
     "inner",
-    "invert_square",
     "isotropy_report",
     "ks_statistic",
     "ks_test",

@@ -8,8 +8,8 @@ paired comparison.
 
 Determinism contract: every random draw comes from an RngStream keyed by
 (seed, trial, user, purpose), so results depend only on the config seed and
-are byte-identical for any worker count.  Trials are aggregated in index
-order for the same reason.
+are byte-identical for any worker count.  Trials run in chunks (one batched
+pass each) that start at fixed trial indices, aggregated in index order.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,15 +27,17 @@ from .linalg import (
     PURPOSE_CHANNEL,
     PURPOSE_CODEBOOK,
     PURPOSE_FIXED_CODEBOOK,
-    IllConditionedError,
     RngStream,
     complex_normal,
 )
-from .precoding import perfect_csit_rate, sinr, sum_rate, zfbf_vectors
-from .quantize import MAX_CODEBOOK_BITS, Codebook, generate_codebook, quantize_effective
+from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
+from .quantize import MAX_CODEBOOK_BITS, Codebook, generate_codebook, quantize_stack
 from .stats import mean_ci
 
 CODEBOOK_POLICIES = ("per_block", "fixed")
+# Codebook bytes (users x 2^B x M complex entries a trial) one chunk of
+# trials scans: bounds the kernel's memory, about one trial at M = 8, B = 10.
+_CHUNK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,45 @@ class ExperimentResult:
     warnings: list
 
 
+def _run_chunk(config: ExperimentConfig, power: float, bits: int, streams: list,
+               codebooks: list[Codebook] | None = None) -> list[TrialRecord]:
+    """Simulate the fading blocks named by ``streams`` in one batched pass.
+
+    Per trial, each user's channel (and per-block codebook) is drawn, then
+    each user's benchmark channel.  A trial is dropped when a user's
+    quantization faults or zero-forcing refuses either direction stack.
+    """
+    m, n, users, trials = config.m, config.n, config.users, len(streams)
+
+    def draw(stream, user, purpose, shape):
+        return complex_normal(stream.derive(user=user, purpose=purpose).generator(), shape)
+
+    channels = np.empty((trials, users, m, n), dtype=np.complex128)
+    bench = np.empty((trials, m, users), dtype=np.complex128)  # column u = user u
+    if codebooks is None:
+        books = np.empty((trials, users, 2 ** bits, m), dtype=np.complex128)
+    else:
+        books = np.stack([cb.vectors for cb in codebooks])[None]  # shared by every trial
+    for t, stream in enumerate(streams):
+        for u in range(users):
+            channels[t, u] = draw(stream, u, PURPOSE_CHANNEL, (m, n))
+            if codebooks is None:  # generate_codebook's unit rows
+                raw = draw(stream, u, PURPOSE_CODEBOOK, (2 ** bits, m))
+                books[t, u] = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        for u in range(users):
+            bench[t, :, u] = draw(stream, u, PURPOSE_BENCHMARK, m)
+    fb, fault = quantize_stack(channels, books)
+    # user stacks as (M, M) matrices with one column per user
+    beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
+    sinrs = sinr_stack(np.swapaxes(fb.h_eff, -1, -2), beams, power)
+    rate_zf, zf_cond, zf_residual = perfect_csit_rates(bench, power)
+    dropped = (fault != 0).any(axis=-1) | refused(cond, residual) | refused(zf_cond, zf_residual)
+    sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
+    rate_zf = np.where(dropped, 0.0, rate_zf)
+    return [TrialRecord(s, float(fb_rate), float(zf_rate), bool(drop))
+            for s, fb_rate, zf_rate, drop in zip(sinrs, sum_rate(sinrs), rate_zf, dropped)]
+
+
 def run_trial(config: ExperimentConfig, power: float, bits: int, stream: RngStream,
               codebooks: list[Codebook] | None = None) -> TrialRecord:
     """Simulate one fading block at linear power ``power`` with B = bits.
@@ -156,33 +198,9 @@ def run_trial(config: ExperimentConfig, power: float, bits: int, stream: RngStre
     ``stream`` identifies the block: it must carry the config seed and the
     trial index.  ``codebooks`` overrides per-user codebook generation (used
     by the fixed-codebook policy and by tests that plant codebook entries).
+    A one-trial chunk of the batched pass.
     """
-    users = config.users
-    results = []
-    for u in range(users):
-        chan_gen = stream.derive(user=u, purpose=PURPOSE_CHANNEL).generator()
-        h = complex_normal(chan_gen, (config.m, config.n))
-        if codebooks is not None:
-            cb = codebooks[u]
-        else:
-            cb = generate_codebook(stream.derive(user=u, purpose=PURPOSE_CODEBOOK),
-                                   bits, config.m)
-        results.append(quantize_effective(h, cb))
-
-    bench_cols = [
-        complex_normal(stream.derive(user=u, purpose=PURPOSE_BENCHMARK).generator(), config.m)
-        for u in range(users)
-    ]
-    bench = np.stack(bench_cols, axis=1)
-
-    try:
-        beams = zfbf_vectors(np.stack([r.q_hat for r in results], axis=1))
-        sinrs = np.array([sinr(results[i].h_eff, beams, i, power) for i in range(users)])
-        rate_fb = sum_rate(sinrs)
-        rate_zf = perfect_csit_rate(bench, power)
-    except IllConditionedError:
-        return TrialRecord(sinrs=np.zeros(users), rate_fb=0.0, rate_zf=0.0, dropped=True)
-    return TrialRecord(sinrs=sinrs, rate_fb=rate_fb, rate_zf=rate_zf, dropped=False)
+    return _run_chunk(config, power, bits, [stream], codebooks)[0]
 
 
 def _fixed_codebooks(config: ExperimentConfig, bits: int) -> list[Codebook] | None:
@@ -194,29 +212,21 @@ def _fixed_codebooks(config: ExperimentConfig, bits: int) -> list[Codebook] | No
     ]
 
 
-def _run_chunk(config: ExperimentConfig, power: float, bits: int,
-               start: int, stop: int, codebooks) -> list[TrialRecord]:
-    return [
-        run_trial(config, power, bits, RngStream(config.seed, trial), codebooks)
-        for trial in range(start, stop)
-    ]
-
-
 def _point_records(config: ExperimentConfig, power: float, bits: int,
                    threads: int) -> list[TrialRecord]:
     codebooks = _fixed_codebooks(config, bits)
-    if threads <= 1 or config.trials < 2 * threads:
-        return _run_chunk(config, power, bits, 0, config.trials, codebooks)
-    # contiguous chunks, merged in trial order: the worker count never
-    # changes which records exist or the order they are reduced in
-    bounds = np.linspace(0, config.trials, threads + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_run_chunk, config, power, bits, int(lo), int(hi), codebooks)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        chunks = [f.result() for f in futures]
-    return [record for chunk in chunks for record in chunk]
+    size = max(1, _CHUNK_BYTES // (config.users * 2 ** bits * config.m * 16))
+    # chunk boundaries depend on the config only and workers take whole
+    # chunks, so the worker count never changes any record or their order
+    chunks = [[RngStream(config.seed, t) for t in range(lo, min(lo + size, config.trials))]
+              for lo in range(0, config.trials, size)]
+    run = partial(_run_chunk, config, power, bits, codebooks=codebooks)
+    if threads <= 1 or len(chunks) < 2:
+        parts = map(run, chunks)
+    else:
+        with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+            parts = list(pool.map(run, chunks, chunksize=math.ceil(len(chunks) / threads)))
+    return [record for part in parts for record in part]
 
 
 def _aggregate(config: ExperimentConfig, snr_db: float, bits: int,
@@ -251,9 +261,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     """Run the full SNR grid for one (M, N) cell.
 
     Results are deterministic in (config, seed): the thread count only
-    changes wall-clock time.  Dropped trials (ill-conditioned direction
-    stacks) are excluded from the averages and counted per grid point, with a
-    warning if they exceed one percent.
+    changes wall-clock time.  Dropped trials (a degenerate channel, a codeword
+    orthogonal to the span, or an ill-conditioned direction stack) are
+    excluded from the averages and counted per grid point, with a warning if
+    they exceed one percent.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

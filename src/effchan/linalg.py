@@ -1,9 +1,8 @@
 """Complex linear-algebra kernel and seeded random sampling.
 
 Everything here operates on plain numpy complex128 arrays: vectors are 1-D,
-matrices are 2-D (rows, cols).  Problem sizes are tiny (a handful of antennas),
-so the per-call routines favor clarity; the Monte Carlo layers batch where
-throughput matters.
+matrices are 2-D (rows, cols), and a stack of matrices carries its leading
+axes first.
 """
 
 from __future__ import annotations
@@ -12,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# A Gram-Schmidt pivot below this is treated as a rank drop.
+# A QR pivot |R_kk| below this is treated as a rank drop.
 RANK_TOL = 1e-12
-# Condition-number estimate above this refuses inversion.
+# A max/min QR pivot ratio above this refuses inversion.
 COND_LIMIT = 1e8
 
 # Stream purposes (fourth component of a stream id).  Keeping them in one
@@ -122,81 +121,22 @@ def sample_isotropic_unit(stream: RngStream, dim: int) -> np.ndarray:
             return v / norm
 
 
-def _gram_schmidt_pivots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt on columns with one re-orthogonalization pass.
-
-    Returns (q, pivots) where q has orthonormal columns spanning the column
-    space and pivots[k] is the residual norm at step k (the R diagonal in QR
-    terms).  Raises DegenerateChannelError when a pivot falls below RANK_TOL.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    m, n = a.shape
-    if n < 1 or n > m:
-        raise ValueError(f"need 1 <= cols <= rows, got shape {a.shape}")
-    q = np.zeros((m, n), dtype=np.complex128)
-    pivots = np.zeros(n)
-    for k in range(n):
-        v = a[:, k].copy()
-        # second pass restores orthogonality lost to cancellation
-        for _ in range(2):
-            for j in range(k):
-                v -= q[:, j] * np.vdot(q[:, j], v)
-        norm = np.linalg.norm(v)
-        if norm < RANK_TOL:
-            raise DegenerateChannelError(
-                f"column {k} is numerically dependent on earlier columns (pivot {norm:.3e})")
-        pivots[k] = norm
-        q[:, k] = v / norm
-    return q, pivots
-
-
-def gram_schmidt(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column space of a (columns of the result)."""
-    q, _ = _gram_schmidt_pivots(a)
-    return q
-
-
-def condition_estimate(a: np.ndarray) -> float:
-    """Cheap conditioning proxy: max/min Gram-Schmidt pivot ratio over columns."""
-    try:
-        _, pivots = _gram_schmidt_pivots(a)
-    except DegenerateChannelError:
-        return np.inf
-    return float(pivots.max() / pivots.min())
-
-
-def invert_square(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix, refusing near-singular inputs.
-
-    Raises IllConditionedError when the pivot-ratio condition estimate
-    exceeds COND_LIMIT (or the matrix is outright rank deficient).
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    cond = condition_estimate(a)
-    if cond > COND_LIMIT:
-        raise IllConditionedError("matrix too ill-conditioned to invert", cond)
-    return np.linalg.inv(a)
-
-
 def normal_solve(h: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Solve the normal equations (H^H H) v = H^H s.
+    """Solve the normal equations (H^H H) v = H^H s, for one system or a stack.
 
-    For full-column-rank H this is the least-squares coefficient vector of s
-    in the columns of H; when s lies in the column span, H v reconstructs s
-    exactly.
+    h is (..., M, N) and s is (..., M).  For full-column-rank H this is the
+    least-squares coefficient vector of s in the columns of H; when s lies in
+    the column span, H v reconstructs s exactly.
     """
     h = np.asarray(h, dtype=np.complex128)
     s = np.asarray(s, dtype=np.complex128)
-    if h.ndim != 2 or s.ndim != 1 or h.shape[0] != s.shape[0]:
+    if h.ndim < 2 or s.shape != h.shape[:-1]:
         raise ValueError(f"shape mismatch: H {h.shape}, s {s.shape}")
-    gram = h.conj().T @ h
-    rhs = h.conj().T @ s
+    gram = np.einsum("...mi,...mj->...ij", h.conj(), h)
+    rhs = np.einsum("...mi,...m->...i", h.conj(), s)
     try:
-        v = np.linalg.solve(gram, rhs)
+        # trailing singleton keeps solve in stacked-matrix mode on every numpy
+        v = np.linalg.solve(gram, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateChannelError(f"normal equations are singular: {exc}") from exc
     if not np.all(np.isfinite(v)):

@@ -8,27 +8,38 @@ Three quantizers share one result type:
   codebook vector closest to the column span is chosen, its projection onto
   the span is the reported direction, and a receive combining vector is
   computed so that the resulting scalar effective channel points exactly
-  along the chosen codebook vector's in-span shadow.
+  along the chosen codebook vector's in-span shadow.  It is the one-channel
+  view of the batched kernel ``quantize_stack``.
 * ``quantize_antenna_selection``: per-receive-antenna single-vector
   quantization followed by selection of the best antenna.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import (
+    RANK_TOL,
+    DegenerateChannelError,
     RngStream,
     complex_normal,
-    gram_schmidt,
     normal_solve,
 )
 
 # Refuse codebooks that would not fit in memory; 2^24 vectors is already
 # ~2 GiB at M = 8.
 MAX_CODEBOOK_BITS = 24
+
+# Per-channel fault codes of quantize_stack (0: valid), with the error the
+# one-channel views raise for each.
+FAULT_RANK, FAULT_ORTHOGONAL, FAULT_COMBINER = 1, 2, 3
+_FAULT_ERRORS = {
+    FAULT_RANK: (DegenerateChannelError, "channel is numerically rank deficient"),
+    FAULT_ORTHOGONAL: (ValueError, "codebook vector orthogonal to the channel span; cannot orient"),
+    FAULT_COMBINER: (DegenerateChannelError, "combiner breaks |H gamma|^2 = 1/|v|^2"),
+}
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,9 @@ class Codebook:
 @dataclass(frozen=True)
 class QuantizationResult:
     """Outcome of quantizing one user's channel.
+
+    ``quantize_stack`` returns the same fields for a stack of channels, each
+    with the stack's leading axes in front.
 
     Attributes
     ----------
@@ -135,54 +149,76 @@ def quantize_single(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
     )
 
 
-def quantize_effective(h_matrix: np.ndarray, codebook: Codebook) -> QuantizationResult:
-    """Quantize the column span of an M x N channel and derive the combiner.
+def quantize_stack(channels: np.ndarray,
+                   books: np.ndarray) -> tuple[QuantizationResult, np.ndarray]:
+    """Subspace quantization of a stack of (M, N) channels, one codebook each.
 
-    Steps: (1) pick the codebook vector maximizing its squared projection onto
-    span(H); (2) normalize that projection to get the in-span direction
-    s_proj; (3) solve the normal equations H v = s_proj for the combining
-    coefficients, so the effective channel H gamma is a positive multiple of
-    s_proj with squared norm 1 / ||v||^2.
+    channels is (..., M, N); books is (..., 2^B, M) with unit-norm rows, its
+    leading axes broadcast against the channels' (a shared codebook is passed
+    once, not tiled).  Picks the row with the largest squared projection onto
+    span(H), normalizes that projection to the in-span direction s_proj, and
+    solves H v = s_proj in the least-squares sense for the combiner, so that
+    H gamma is a positive multiple of s_proj with squared norm 1 / ||v||^2.
+    Returns the result (fields stacked) and a fault code per channel; faulty
+    entries hold finite placeholders.
     """
-    h_matrix = np.asarray(h_matrix, dtype=np.complex128)
-    if h_matrix.ndim != 2:
-        raise ValueError(f"expected an M x N channel matrix, got shape {h_matrix.shape}")
-    m, n = h_matrix.shape
-    if m != codebook.dim:
-        raise ValueError(f"channel rows {m} do not match codebook dim {codebook.dim}")
-    q = gram_schmidt(h_matrix)  # raises DegenerateChannelError on rank loss
+    q, r = np.linalg.qr(channels)  # reduced: (..., M, N), orthonormal columns
+    rank_loss = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) < RANK_TOL).any(axis=-1)
+    # conj(<w_j, q_k>), without a conjugated copy of the codebook
+    overlap = books @ q.conj()
+    metric = np.einsum("...jk,...jk->...j", overlap, overlap.conj()).real
+    index = np.argmax(metric, axis=-1)  # lowest index on ties
+    cos_sq = np.clip(np.take_along_axis(metric, index[..., None], axis=-1)[..., 0], 0.0, 1.0)
+    q_hat = np.take_along_axis(books, index[..., None, None], axis=-2)[..., 0, :]
 
-    # squared projection of each codebook row onto the span
-    overlap = codebook.vectors.conj() @ q  # (2^B, N), entry (j, k) = <w_j, q_k>
-    metric = np.einsum("jk,jk->j", overlap, overlap.conj()).real
-    index = int(np.argmax(metric))
-    cos_sq = float(np.clip(metric[index], 0.0, 1.0))
-    q_hat = codebook.vectors[index]
+    shadow = np.einsum("...mk,...k->...m", q, np.einsum("...mk,...m->...k", q.conj(), q_hat))
+    shadow_norm = np.linalg.norm(shadow, axis=-1)
+    orthogonal = shadow_norm < RANK_TOL  # no direction left to orient by
+    unusable = (rank_loss | orthogonal)[..., None]
+    s_proj = np.where(unusable, q[..., 0], shadow / np.where(unusable, 1.0, shadow_norm[..., None]))
+    # a rank-deficient channel is solved on its unitary Q, so that it cannot
+    # make the whole stack's solve singular
+    h = np.where(rank_loss[..., None, None], q, channels)
+    v = normal_solve(h, s_proj)
+    v_norm_sq = np.einsum("...i,...i->...", v, v.conj()).real
+    gamma = v / np.sqrt(v_norm_sq)[..., None]
+    h_eff = np.einsum("...mi,...i->...m", h, gamma)
+    eff_norm_sq = 1.0 / v_norm_sq
+    identity_err = np.abs(eff_norm_sq - np.einsum("...m,...m->...", h_eff, h_eff.conj()).real)
+    fault = np.select(
+        [rank_loss, orthogonal, identity_err > 1e-8 * np.maximum(1.0, eff_norm_sq)],
+        [FAULT_RANK, FAULT_ORTHOGONAL, FAULT_COMBINER], 0)
+    return QuantizationResult(index=index, q_hat=q_hat, cos_sq=cos_sq, sin_sq=1.0 - cos_sq,
+                              s_proj=s_proj, gamma=gamma, h_eff=h_eff,
+                              eff_norm_sq=eff_norm_sq), fault
 
-    coeffs = q.conj().T @ q_hat  # span coordinates of the projection
-    shadow = q @ coeffs
-    shadow_norm = np.linalg.norm(shadow)
-    if shadow_norm <= 0.0:
-        raise ValueError("codebook vector orthogonal to the channel span; cannot orient")
-    s_proj = shadow / shadow_norm
 
-    v = normal_solve(h_matrix, s_proj)
-    v_norm = np.linalg.norm(v)
-    gamma = v / v_norm
-    h_eff = h_matrix @ gamma
-    eff_norm_sq = float(1.0 / v_norm**2)
-    # the combiner must reproduce the norm identity; cheap cross-check in debug runs
-    assert abs(eff_norm_sq - float(np.real(np.vdot(h_eff, h_eff)))) <= 1e-8 * max(1.0, eff_norm_sq)
-    return QuantizationResult(
-        index=index,
-        q_hat=q_hat,
-        cos_sq=cos_sq,
-        sin_sq=1.0 - cos_sq,
-        s_proj=s_proj,
-        gamma=gamma,
-        h_eff=h_eff,
-        eff_norm_sq=eff_norm_sq,
-    )
+def raise_fault(fault: np.ndarray) -> None:
+    """Raise the error of the first faulty entry of a quantize_stack fault array."""
+    bad = np.flatnonzero(fault)
+    if bad.size:
+        error, message = _FAULT_ERRORS[int(np.ravel(fault)[bad[0]])]
+        raise error(f"{message} ({bad.size} of {np.size(fault)} channels)")
+
+
+def _channel_matrix(h_matrix: np.ndarray, m: int) -> np.ndarray:
+    h = np.asarray(h_matrix, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != m or not 1 <= h.shape[1] <= m:
+        raise ValueError(f"expected an {m} x N channel matrix with 1 <= N <= {m}, "
+                         f"got shape {h.shape}")
+    return h
+
+
+def quantize_effective(h_matrix: np.ndarray, codebook: Codebook) -> QuantizationResult:
+    """Quantize the column span of one M x N channel and derive the combiner.
+
+    The one-channel view of ``quantize_stack``.  Raises
+    DegenerateChannelError for a rank-deficient channel and ValueError when
+    the chosen codeword is orthogonal to the span.
+    """
+    r, fault = quantize_stack(_channel_matrix(h_matrix, codebook.dim), codebook.vectors)
+    raise_fault(fault)
+    return replace(r, index=int(r.index))
 
 
 def quantize_antenna_selection(h_matrix: np.ndarray,
@@ -228,8 +264,8 @@ def quantization_error_of(h_matrix: np.ndarray, w: np.ndarray) -> float:
     norm_sq = float(np.real(np.vdot(w, w)))
     if norm_sq <= 0.0:
         raise ValueError("zero vector has no direction")
-    q = gram_schmidt(h_matrix)
-    if q.shape[0] != w.shape[0]:
-        raise ValueError(f"dimension mismatch: span in C^{q.shape[0]}, w in C^{w.shape[0]}")
-    proj_sq = float(np.sum(np.abs(q.conj().T @ w) ** 2))
-    return float(np.clip(1.0 - proj_sq / norm_sq, 0.0, 1.0))
+    # w as a one-row codebook; only a rank-deficient channel is an error here
+    r, fault = quantize_stack(_channel_matrix(h_matrix, w.shape[0]), w[None, :] / np.sqrt(norm_sq))
+    if fault == FAULT_RANK:
+        raise_fault(fault)
+    return float(r.sin_sq)

@@ -1,9 +1,9 @@
 """Distributional validation of the quantizer against its closed-form laws.
 
 The checks need on the order of 1e5 independent quantizations, so samples are
-drawn by a batched collector (stacked QR + einsum over chunks) rather than by
-looping the per-channel operators.  The collectors are exact replicas of the
-operators' math; an equivalence test pins them together sample by sample.
+drawn in chunks and quantized by the same batched kernel the sweep runs
+(``quantize_stack``); an equivalence test pins the collector to the scalar
+operator sample by sample.
 
 Laws checked:
 * squared cosine of the quantization angle ~ max of 2^B iid Beta(N, M-N);
@@ -22,6 +22,7 @@ import numpy as np
 
 from .formulas import quant_error_approx
 from .linalg import PURPOSE_VALIDATION, RngStream, complex_normal
+from .quantize import quantize_stack, raise_fault
 from .stats import FitReport, gamma_cdf, isotropy_report, ks_test, max_beta_cdf
 
 _CHUNK_TARGET = 2 ** 22  # soft cap on gaussians per chunk, keeps memory flat
@@ -36,40 +37,20 @@ class QuantizationSamples:
     directions: np.ndarray  # (n_samples, m) normalized effective channels
 
 
-def _draw_block(gen: np.random.Generator, count: int, m: int, n: int,
-                bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk of channels (count, m, n) and codebooks (count, 2^bits, m).
-
-    Channel block first, then codebook block; the equivalence tests replay
-    this exact order.
-    """
-    channels = complex_normal(gen, (count, m, n))
-    raw = complex_normal(gen, (count, 2 ** bits, m))
-    codebooks = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-    return channels, codebooks
+def _chunks(n_samples: int, gaussians_per_sample: int) -> list[int]:
+    """Sizes of the chunks n_samples are drawn in, about _CHUNK_TARGET gaussians each."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    size = max(1, _CHUNK_TARGET // gaussians_per_sample)
+    return [min(size, n_samples - done) for done in range(0, n_samples, size)]
 
 
-def _quantize_block(channels: np.ndarray, codebooks: np.ndarray) -> QuantizationSamples:
-    """Vectorized subspace quantization of one chunk; mirrors the scalar operator."""
-    count, m, n = channels.shape
-    q, _ = np.linalg.qr(channels)  # reduced: (count, m, n), orthonormal columns
-    overlap = codebooks.conj() @ q  # (count, 2^B, n)
-    metric = np.einsum("cjk,cjk->cj", overlap, overlap.conj()).real
-    index = np.argmax(metric, axis=1)  # first max, same tie-break as the operator
-    rows = np.arange(count)
-    cos_sq = np.clip(metric[rows, index], 0.0, 1.0)
-    chosen = codebooks[rows, index]  # (count, m)
-
-    coeffs = np.einsum("cmk,cm->ck", q.conj(), chosen)
-    shadow = np.einsum("cmk,ck->cm", q, coeffs)
-    s_proj = shadow / np.linalg.norm(shadow, axis=1, keepdims=True)
-
-    gram = np.einsum("cmi,cmj->cij", channels.conj(), channels)
-    rhs = np.einsum("cmi,cm->ci", channels.conj(), s_proj)
-    # trailing singleton keeps solve in stacked-matrix mode on every numpy
-    v = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    eff_norm_sq = 1.0 / np.einsum("ci,ci->c", v, v.conj()).real
-    return QuantizationSamples(cos_sq=cos_sq, eff_norm_sq=eff_norm_sq, directions=s_proj)
+def _quantize_block(channels: np.ndarray, raw: np.ndarray) -> QuantizationSamples:
+    """Quantize one chunk by the batched kernel; raw rows are normalized in place."""
+    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)  # no second codebook-sized array
+    r, fault = quantize_stack(channels, raw)
+    raise_fault(fault)
+    return QuantizationSamples(cos_sq=r.cos_sq, eff_norm_sq=r.eff_norm_sq, directions=r.s_proj)
 
 
 @lru_cache(maxsize=4)
@@ -77,24 +58,20 @@ def collect_effective_samples(m: int, n: int, bits: int, n_samples: int,
                               seed: int) -> QuantizationSamples:
     """Pool n_samples independent subspace quantizations (fresh codebook each).
 
-    Recent results are memoized (the suite reads the same pool several times);
-    treat the returned arrays as read-only.
+    Recent results are memoized (the suite reads the same pool several times)
+    and shared by every caller, so the returned arrays are read-only.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     gen = RngStream(seed, purpose=PURPOSE_VALIDATION).generator()
-    chunk = max(1, min(n_samples, _CHUNK_TARGET // ((2 ** bits + n) * m)))
     parts = []
-    done = 0
-    while done < n_samples:
-        take = min(chunk, n_samples - done)
-        parts.append(_quantize_block(*_draw_block(gen, take, m, n, bits)))
-        done += take
-    return QuantizationSamples(
-        cos_sq=np.concatenate([p.cos_sq for p in parts]),
-        eff_norm_sq=np.concatenate([p.eff_norm_sq for p in parts]),
-        directions=np.concatenate([p.directions for p in parts]),
-    )
+    for take in _chunks(n_samples, (2 ** bits + n) * m):
+        # channels, then codebooks: the equivalence tests replay this order
+        channels = complex_normal(gen, (take, m, n))
+        parts.append(_quantize_block(channels, complex_normal(gen, (take, 2 ** bits, m))))
+    samples = QuantizationSamples(*(np.concatenate([getattr(p, name) for p in parts])
+                                    for name in ("cos_sq", "eff_norm_sq", "directions")))
+    for array in (samples.cos_sq, samples.eff_norm_sq, samples.directions):
+        array.flags.writeable = False
+    return samples
 
 
 def collect_best_cosine_samples(m: int, n: int, bits: int, n_samples: int, seed: int,
@@ -104,33 +81,20 @@ def collect_best_cosine_samples(m: int, n: int, bits: int, n_samples: int, seed:
     per_antenna=True: each of the N columns gets its own 2^bits codebook and
     the best antenna is kept (antenna-selection upper layer).  False: one
     channel vector against a single codebook of N * 2^bits entries, the
-    matched-size flat quantizer.  Both mirror the scalar operators' metric.
+    matched-size flat quantizer.  Each column is a one-column channel for
+    the batched kernel.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     gen = RngStream(seed, purpose=PURPOSE_VALIDATION).generator()
-    size = n * 2 ** bits
-    chunk = max(1, min(n_samples, _CHUNK_TARGET // (size * m)))
     out = []
-    done = 0
-    while done < n_samples:
-        take = min(chunk, n_samples - done)
-        if per_antenna:
-            channels = complex_normal(gen, (take, m, n))
+    for take in _chunks(n_samples, n * 2 ** bits * m):
+        if per_antenna:  # column k of each channel against its own codebook
+            columns = np.swapaxes(complex_normal(gen, (take, m, n)), 1, 2)[..., None]
             raw = complex_normal(gen, (take, n, 2 ** bits, m))
-            books = raw / np.linalg.norm(raw, axis=3, keepdims=True)
-            dots = np.einsum("ckjm,cmk->ckj", books.conj(), channels)
-            metric = np.abs(dots) ** 2 / np.sum(np.abs(channels) ** 2, axis=1)[:, :, None]
-            out.append(metric.max(axis=(1, 2)))
         else:
-            channels = complex_normal(gen, (take, m))
-            raw = complex_normal(gen, (take, size, m))
-            books = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-            dots = np.einsum("cjm,cm->cj", books.conj(), channels)
-            metric = np.abs(dots) ** 2 / np.sum(np.abs(channels) ** 2, axis=1)[:, None]
-            out.append(metric.max(axis=1))
-        done += take
-    return np.clip(np.concatenate(out), 0.0, 1.0)
+            columns = complex_normal(gen, (take, 1, m, 1))
+            raw = complex_normal(gen, (take, 1, n * 2 ** bits, m))
+        out.append(_quantize_block(columns, raw).cos_sq.max(axis=1))
+    return np.concatenate(out)
 
 
 def quantization_angle_report(m: int, n: int, bits: int, n_samples: int, seed: int,

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import effchan.experiment as experiment
 from effchan.experiment import (
     BitsRule,
     ExperimentConfig,
@@ -108,6 +111,23 @@ def test_run_trial_with_planted_directions_matches_perfect_zf():
     expected = perfect_csit_rate(np.stack(channels, axis=1), 10.0)
     assert not record.dropped
     assert record.rate_fb == pytest.approx(expected, rel=1e-9)
+
+
+def test_run_trial_drops_codeword_orthogonal_to_channel():
+    # every codeword of every user is orthogonal to that user's channel, so
+    # no user can orient a combiner and the trial must be dropped
+    config = small_config(seed=1234)
+    stream = RngStream(config.seed, 0)
+    codebooks = []
+    for u in range(config.users):
+        h = complex_normal(stream.derive(user=u, purpose=PURPOSE_CHANNEL).generator(),
+                           (2, 1))[:, 0]
+        direction = h / np.linalg.norm(h)
+        other = np.array([-np.conj(direction[1]), np.conj(direction[0])])
+        codebooks.append(Codebook(vectors=np.stack([other, other]), bits=1))
+    record = run_trial(config, 10.0, 1, stream, codebooks=codebooks)
+    assert record.dropped
+    assert record.rate_fb == 0.0 and record.rate_zf == 0.0
 
 
 def test_run_trial_drops_parallel_reported_directions():
@@ -235,6 +255,44 @@ def test_run_experiment_thread_count_does_not_change_results():
     parallel = run_experiment(config, threads=3)
     assert serial.points == parallel.points
     assert serial.warnings == parallel.warnings
+
+
+def test_run_experiment_worker_count_with_many_chunks(monkeypatch):
+    # a tiny chunk budget splits the trials into one-trial chunks, so the
+    # workers share the chunks unevenly
+    monkeypatch.setattr(experiment, "_CHUNK_BYTES", 1)
+    config = small_config(trials=7, codebook_policy="fixed")
+    serial = run_experiment(config, threads=1)
+    assert serial.points == run_experiment(config, threads=2).points
+    assert serial.points == run_experiment(config, threads=3).points
+
+
+# Recorded from the trial-at-a-time implementation (Gram-Schmidt quantizer,
+# per-user SINR) on the same streams: (N, policy, SNR) -> (rate_fb_mean,
+# rate_zf_mean, gap, dropped) at M = 3, B = 3, 50 trials, seed 2024.
+RECORDED_POINTS = {
+    (1, "per_block", 0.0): (0.8735873920295114, 1.1145550578510803, 0.24096766582156892, 0),
+    (1, "per_block", 10.0): (2.4800407390218773, 5.364528379166904, 2.884487640145027, 0),
+    (1, "fixed", 0.0): (0.8465658509786975, 1.1145550578510803, 0.2679892068723828, 0),
+    (1, "fixed", 10.0): (2.3549803343612314, 5.364528379166904, 3.0095480448056726, 0),
+    (2, "per_block", 0.0): (0.7530677655767904, 1.1145550578510803, 0.3614872922742899, 0),
+    (2, "per_block", 10.0): (3.517774277811087, 5.364528379166904, 1.8467541013558169, 0),
+    (2, "fixed", 0.0): (0.6818053964684557, 1.1145550578510803, 0.4327496613826246, 0),
+    (2, "fixed", 10.0): (3.251644857973079, 5.364528379166904, 2.112883521193825, 0),
+}
+
+
+def test_run_experiment_matches_recorded_values():
+    for n, policy in itertools.product((1, 2), ("per_block", "fixed")):
+        config = ExperimentConfig(m=3, n=n, snr_db_grid=(0.0, 10.0),
+                                  bits_rule=BitsRule.fixed(3), trials=50, seed=2024,
+                                  codebook_policy=policy)
+        for point in run_experiment(config).points:
+            fb, zf, gap, dropped = RECORDED_POINTS[(n, policy, point.snr_db)]
+            assert point.rate_fb_mean == pytest.approx(fb, rel=1e-12)
+            assert point.rate_zf_mean == pytest.approx(zf, rel=1e-12)
+            assert point.gap == pytest.approx(gap, rel=1e-12)
+            assert point.dropped == dropped
 
 
 def test_run_experiment_single_trial():

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from effchan.linalg import (
-    COND_LIMIT,
     DegenerateChannelError,
-    IllConditionedError,
     RngStream,
     complex_normal,
-    condition_estimate,
-    gram_schmidt,
     inner,
-    invert_square,
     normal_solve,
     sample_gaussian,
     sample_isotropic_unit,
@@ -81,52 +76,11 @@ def test_inner_rejects_mismatched_lengths():
         inner(np.ones(3), np.ones(4))
 
 
-# ------------------------------------------------------------- gram_schmidt
-
-
-def test_gram_schmidt_identity_passthrough():
-    cols = np.stack([basis(0, 3), basis(1, 3)], axis=1)
-    assert np.allclose(gram_schmidt(cols), cols, atol=1e-14)
-
-
-def test_gram_schmidt_hand_case():
-    # [2e1, e1+e2] orthonormalizes to [e1, e2]
-    cols = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    expected = np.stack([basis(0, 3), basis(1, 3)], axis=1)
-    assert np.allclose(gram_schmidt(cols), expected, atol=1e-14)
-
-
-def test_gram_schmidt_orthonormal_and_span_preserving():
-    for t in range(20):
-        a = complex_normal(RngStream(11, trial=t).generator(), (4, 2))
-        q = gram_schmidt(a)
-        assert np.abs(q.conj().T @ q - np.eye(2)).max() < 1e-10
-        # every input column reconstructs from the basis
-        for k in range(2):
-            resid = a[:, k] - q @ (q.conj().T @ a[:, k])
-            assert np.linalg.norm(resid) < 1e-10
-        # column k of q stays inside the span of the first k+1 inputs
-        first = a[:, :1]
-        proj = first @ np.linalg.lstsq(first, q[:, :1], rcond=None)[0]
-        assert np.linalg.norm(q[:, :1] - proj) < 1e-10
-
-
-def test_gram_schmidt_rejects_rank_deficiency():
-    col = complex_normal(RngStream(3).generator(), (4, 1))
-    with pytest.raises(DegenerateChannelError):
-        gram_schmidt(np.concatenate([col, col], axis=1))
-
-
-def test_gram_schmidt_rejects_wide_matrix():
-    with pytest.raises(ValueError):
-        gram_schmidt(np.ones((2, 3), dtype=complex))
-
-
 # -------------------------------------------------------------- normal_solve
 
 
 def test_normal_solve_orthonormal_columns():
-    q = gram_schmidt(complex_normal(RngStream(5).generator(), (5, 3)))
+    q, _ = np.linalg.qr(complex_normal(RngStream(5).generator(), (5, 3)))
     coeffs = np.array([1.0 + 1j, -0.5, 2.0])
     s = q @ coeffs
     assert np.allclose(normal_solve(q, s), q.conj().T @ s, atol=1e-12)
@@ -150,49 +104,27 @@ def test_normal_solve_recovers_constructed_solution():
         assert np.linalg.norm(h @ v - h @ v0) < 1e-10
 
 
+def test_normal_solve_stack_matches_single_systems():
+    gen = RngStream(23).generator()
+    h = complex_normal(gen, (6, 5, 3))
+    s = complex_normal(gen, (6, 5))
+    stacked = normal_solve(h, s)
+    assert stacked.shape == (6, 3)
+    for i in range(6):
+        assert np.allclose(stacked[i], normal_solve(h[i], s[i]), rtol=0, atol=1e-12)
+
+
+def test_normal_solve_rejects_singular_system():
+    col = complex_normal(RngStream(3).generator(), (4, 1))
+    with pytest.raises(DegenerateChannelError):
+        normal_solve(np.concatenate([col, col], axis=1), np.ones(4, dtype=complex))
+
+
 def test_normal_solve_shape_checks():
     with pytest.raises(ValueError):
         normal_solve(np.ones((4, 2), dtype=complex), np.ones(3, dtype=complex))
-
-
-# ------------------------------------------------------------- invert_square
-
-
-def test_invert_identity_and_diagonal():
-    assert np.allclose(invert_square(np.eye(3, dtype=complex)), np.eye(3))
-    inv = invert_square(np.diag([2.0, 4.0]).astype(complex))
-    assert np.allclose(inv, np.diag([0.5, 0.25]), atol=1e-14)
-
-
-def test_invert_random_multiply_back():
-    for t in range(20):
-        a = complex_normal(RngStream(31, trial=t).generator(), (4, 4))
-        inv = invert_square(a)
-        assert np.abs(a @ inv - np.eye(4)).max() < 1e-8
-        # row i of the inverse is orthogonal to column j != i of the input
-        prod = inv @ a
-        off = prod - np.diag(np.diag(prod))
-        assert np.abs(off).max() < 1e-8
-
-
-def test_invert_rejects_near_singular():
-    gen = RngStream(37).generator()
-    a = complex_normal(gen, (3, 3))
-    a[:, 2] = a[:, 1] + 1e-12 * complex_normal(gen, 3)
-    with pytest.raises(IllConditionedError) as info:
-        invert_square(a)
-    assert info.value.condition_estimate > COND_LIMIT
-
-
-def test_condition_estimate_scales():
-    assert condition_estimate(np.eye(4, dtype=complex)) == pytest.approx(1.0)
-    skewed = np.diag([1.0, 1e-6]).astype(complex)
-    assert condition_estimate(skewed) == pytest.approx(1e6, rel=1e-9)
-
-
-def test_invert_rejects_non_square():
     with pytest.raises(ValueError):
-        invert_square(np.ones((2, 3), dtype=complex))
+        normal_solve(np.ones((2, 4, 2), dtype=complex), np.ones(4, dtype=complex))
 
 
 # ------------------------------------------------------------------ sampling

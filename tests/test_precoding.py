@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from effchan.linalg import IllConditionedError, RngStream, complex_normal
-from effchan.precoding import BeamformerSet, perfect_csit_rate, sinr, sum_rate, zfbf_vectors
+from effchan.linalg import COND_LIMIT, IllConditionedError, RngStream, complex_normal
+from effchan.precoding import (
+    BeamformerSet,
+    perfect_csit_rate,
+    perfect_csit_rates,
+    refused,
+    sinr,
+    sinr_stack,
+    sum_rate,
+    zero_force,
+    zfbf_vectors,
+)
 
 
 def unit_cols(a):
@@ -54,8 +64,36 @@ def test_zfbf_rejects_near_parallel_directions():
     d = unit_cols(complex_normal(gen, (3, 3)))
     d[:, 2] = d[:, 1] + 1e-13 * complex_normal(gen, 3)
     d = unit_cols(d)
-    with pytest.raises(IllConditionedError):
+    with pytest.raises(IllConditionedError) as info:
         zfbf_vectors(d)
+    assert info.value.condition_estimate > COND_LIMIT
+
+
+def test_zfbf_refusal_reports_the_pivot_ratio():
+    # rows d_i^H = (1, 0) and (1, eps): QR pivots sqrt(2) and eps / sqrt(2),
+    # a pivot ratio of 2 / eps
+    for eps, refuse in ((1e-9, True), (1e-6, False)):
+        d = np.array([[1.0, 1.0], [0.0, eps]], dtype=complex)
+        _, cond, _ = zero_force(d)
+        assert cond == pytest.approx(2.0 / eps, rel=1e-9)
+        if refuse:
+            with pytest.raises(IllConditionedError) as info:
+                zfbf_vectors(d)
+            assert info.value.condition_estimate == pytest.approx(2.0 / eps, rel=1e-9)
+        else:
+            zfbf_vectors(d)
+
+
+def test_zero_force_stack_matches_views_and_masks_refusals():
+    gen = RngStream(87).generator()
+    d = unit_cols(complex_normal(gen, (5, 4, 4)))
+    d[2, :, 3] = d[2, :, 0]  # one singular stack among good ones
+    vectors, cond, residual = zero_force(d)
+    assert list(refused(cond, residual)) == [False, False, True, False, False]
+    for i in (0, 1, 3, 4):
+        assert np.allclose(vectors[i], zfbf_vectors(d[i]).vectors, rtol=0, atol=1e-12)
+    with pytest.raises(IllConditionedError):
+        zfbf_vectors(d[2])
 
 
 def test_zfbf_rejects_non_square():
@@ -93,6 +131,17 @@ def test_sinr_guards():
         sinr(np.ones(2), beams, 0, -1.0)
 
 
+def test_sinr_stack_matches_scalar_view():
+    gen = RngStream(91).generator()
+    beams = [zfbf_vectors(unit_cols(complex_normal(gen, (3, 3)))) for _ in range(4)]
+    h_eff = complex_normal(gen, (4, 3, 3))
+    stacked = sinr_stack(h_eff, np.stack([b.vectors for b in beams]), 7.0)
+    for t in range(4):
+        for user in range(3):
+            assert stacked[t, user] == pytest.approx(
+                sinr(h_eff[t, :, user], beams[t], user, 7.0), rel=1e-13)
+
+
 def test_sinr_increases_with_power():
     gen = RngStream(97).generator()
     d = unit_cols(complex_normal(gen, (4, 4)))
@@ -108,6 +157,10 @@ def test_sinr_increases_with_power():
 def test_sum_rate_hand_case():
     assert sum_rate(np.array([1.0, 3.0])) == pytest.approx(3.0, abs=1e-12)
     assert sum_rate(np.array([0.0, 0.0])) == 0.0
+
+
+def test_sum_rate_over_last_axis():
+    assert np.allclose(sum_rate(np.array([[1.0, 3.0], [0.0, 7.0]])), [3.0, 3.0], atol=1e-12)
 
 
 def test_sum_rate_rejects_negative():
@@ -137,6 +190,14 @@ def test_perfect_rate_beats_any_fixed_interference():
             for i in range(3)
         ]
         assert rate == pytest.approx(sum(per_user), rel=1e-12)
+
+
+def test_perfect_rates_stack_matches_scalar_view():
+    h = complex_normal(RngStream(105).generator(), (6, 4, 4))
+    rates, cond, residual = perfect_csit_rates(h, 3.0)
+    assert not refused(cond, residual).any()
+    for t in range(6):
+        assert rates[t] == pytest.approx(perfect_csit_rate(h[t], 3.0), rel=1e-13)
 
 
 def test_perfect_rate_phase_invariant():

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from effchan.linalg import DegenerateChannelError, RngStream, complex_normal, gram_schmidt
+from effchan.linalg import DegenerateChannelError, RngStream, complex_normal
 from effchan.quantize import (
+    FAULT_ORTHOGONAL,
+    FAULT_RANK,
     Codebook,
     generate_codebook,
     quantization_error_of,
     quantize_antenna_selection,
     quantize_effective,
     quantize_single,
+    quantize_stack,
 )
 
 
@@ -156,6 +159,19 @@ def test_effective_identities_random():
         assert r.eff_norm_sq == pytest.approx(np.linalg.norm(r.h_eff) ** 2, rel=1e-9)
 
 
+def test_effective_hand_case():
+    # span(2 e1, e1 + e2) is the e1-e2 plane: e2 lies in it, the others do not
+    h = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    s = 1.0 / np.sqrt(2.0)
+    r = quantize_effective(h, book([[0, 0, 1], [s, 0, s], [0, 1, 0], [0, 0, 1]]))
+    assert r.index == 2
+    assert r.cos_sq == pytest.approx(1.0, abs=1e-14)
+    assert abs(abs(r.s_proj[1]) - 1.0) < 1e-14
+    # H v = e2 gives v = (-1/2, 1), so the gain is 1 / ||v||^2 = 0.8
+    assert r.eff_norm_sq == pytest.approx(0.8, abs=1e-14)
+    assert np.allclose(r.h_eff, h @ r.gamma, atol=1e-14)
+
+
 def test_effective_planted_in_span_codeword():
     gen = RngStream(37).generator()
     for _ in range(10):
@@ -213,6 +229,59 @@ def test_effective_rejects_bad_input():
     col = complex_normal(RngStream(2).generator(), (4, 1))
     with pytest.raises(DegenerateChannelError):
         quantize_effective(np.concatenate([col, col], axis=1), cb)
+    with pytest.raises(ValueError):
+        quantize_effective(np.ones((2, 3), dtype=complex),
+                           generate_codebook(RngStream(1), 2, 2))  # wider than tall
+
+
+def test_effective_rejects_codeword_orthogonal_to_span():
+    h = np.eye(3, dtype=complex)[:, :2]
+    with pytest.raises(ValueError, match="orthogonal"):
+        quantize_effective(h, book([[0, 0, 1], [0, 0, 1]]))
+
+
+# ------------------------------------------------------------ quantize_stack
+
+
+def test_stack_matches_one_channel_views():
+    gen = RngStream(79).generator()
+    channels = complex_normal(gen, (3, 5, 4, 2))
+    raw = complex_normal(gen, (3, 5, 16, 4))
+    books = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    r, fault = quantize_stack(channels, books)
+    assert fault.shape == (3, 5) and not fault.any()
+    for t in range(3):
+        for u in range(5):
+            one = quantize_effective(channels[t, u], Codebook(vectors=books[t, u], bits=4))
+            assert r.index[t, u] == one.index
+            assert r.cos_sq[t, u] == pytest.approx(one.cos_sq, rel=1e-13)
+            assert r.eff_norm_sq[t, u] == pytest.approx(one.eff_norm_sq, rel=1e-13)
+            assert np.allclose(r.h_eff[t, u], one.h_eff, rtol=0, atol=1e-13)
+
+
+def test_stack_broadcasts_a_shared_codebook():
+    gen = RngStream(83).generator()
+    channels = complex_normal(gen, (6, 3, 4, 2))
+    books = np.stack([generate_codebook(RngStream(83, user=u), 3, 4).vectors
+                      for u in range(3)])
+    shared, _ = quantize_stack(channels, books[None])
+    tiled, _ = quantize_stack(channels, np.broadcast_to(books, (6, 3, 8, 4)).copy())
+    assert np.array_equal(shared.index, tiled.index)
+    assert np.allclose(shared.eff_norm_sq, tiled.eff_norm_sq, rtol=1e-14, atol=0)
+
+
+def test_stack_faults_are_per_channel():
+    gen = RngStream(89).generator()
+    good = complex_normal(gen, (4, 2))
+    col = complex_normal(gen, (4, 1))
+    channels = np.stack([good, np.concatenate([col, col], axis=1), np.eye(4, dtype=complex)[:, :2]])
+    books = np.stack([generate_codebook(RngStream(89), 2, 4).vectors] * 2
+                     + [np.tile(np.eye(4, dtype=complex)[3], (4, 1))])
+    r, fault = quantize_stack(channels, books)
+    assert list(fault) == [0, FAULT_RANK, FAULT_ORTHOGONAL]
+    one = quantize_effective(good, Codebook(vectors=books[0], bits=2))
+    assert r.eff_norm_sq[0] == pytest.approx(one.eff_norm_sq, rel=1e-13)
+    assert np.all(np.isfinite(r.h_eff)) and np.all(np.isfinite(r.eff_norm_sq))
 
 
 # ------------------------------------------------- quantize_antenna_selection

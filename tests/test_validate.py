@@ -72,6 +72,13 @@ def test_collector_memoizes_repeated_requests():
     assert a is b
 
 
+def test_collector_returns_read_only_arrays():
+    pooled = collect_effective_samples(4, 2, 4, 120, 555)
+    for array in (pooled.cos_sq, pooled.eff_norm_sq, pooled.directions):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_collector_chunked_path(monkeypatch):
     # shrink the chunk budget so a small request spans many chunks
     monkeypatch.setattr(validate, "_CHUNK_TARGET", 2000)
