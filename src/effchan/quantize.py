@@ -169,6 +169,8 @@ def quantize_stack(channels: np.ndarray,
     metric = np.einsum("...jk,...jk->...j", overlap, overlap.conj()).real
     index = np.argmax(metric, axis=-1)  # lowest index on ties
     cos_sq = np.clip(np.take_along_axis(metric, index[..., None], axis=-1)[..., 0], 0.0, 1.0)
+    # a view of books with the stack's full leading shape, for take_along_axis
+    books = np.broadcast_to(books, index.shape + books.shape[-2:])
     q_hat = np.take_along_axis(books, index[..., None, None], axis=-2)[..., 0, :]
 
     shadow = np.einsum("...mk,...k->...m", q, np.einsum("...mk,...m->...k", q.conj(), q_hat))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from effchan.linalg import (
+    COND_LIMIT,
     DegenerateChannelError,
+    IllConditionedError,
     RngStream,
     complex_normal,
     inner,
@@ -10,6 +12,8 @@ from effchan.linalg import (
     sample_gaussian,
     sample_isotropic_unit,
 )
+from effchan.precoding import refused, zero_force, zfbf_vectors
+from effchan.quantize import FAULT_RANK, Codebook, quantization_error_of, quantize_effective, quantize_stack
 
 
 def basis(k, dim):
@@ -125,6 +129,115 @@ def test_normal_solve_shape_checks():
         normal_solve(np.ones((4, 2), dtype=complex), np.ones(3, dtype=complex))
     with pytest.raises(ValueError):
         normal_solve(np.ones((2, 4, 2), dtype=complex), np.ones(4, dtype=complex))
+
+
+# ------------------------------------------------- orthonormal span basis
+# The span basis is the batched QR inside quantize_stack; these tests reach
+# it through the quantizer's outputs.
+
+
+def test_gram_schmidt_identity_passthrough():
+    # identity columns are already an orthonormal basis: every codeword in
+    # their span is its own in-span direction, reached with unit gain
+    cols = np.stack([basis(0, 3), basis(1, 3)], axis=1)
+    s = 1.0 / np.sqrt(2.0)
+    words = np.array([basis(0, 3), basis(1, 3), [s, 1j * s, 0.0]])
+    r, fault = quantize_stack(np.stack([cols] * 3), words[:, None, :])
+    assert list(fault) == [0, 0, 0]
+    assert np.allclose(r.cos_sq, 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(r.s_proj, words, rtol=0, atol=1e-14)
+    assert np.allclose(r.gamma, words[:, :2], rtol=0, atol=1e-14)
+    assert np.allclose(r.eff_norm_sq, 1.0, rtol=0, atol=1e-14)
+
+
+def test_gram_schmidt_orthonormal_and_span_preserving():
+    channels = np.stack([complex_normal(RngStream(11, trial=t).generator(), (4, 2))
+                         for t in range(20)])
+    # every input column, as a codeword, lies wholly inside the basis' span
+    cols = np.swapaxes(channels, -1, -2)
+    cols = cols / np.linalg.norm(cols, axis=-1, keepdims=True)
+    for k in range(2):
+        r, fault = quantize_stack(channels, cols[:, k:k + 1, :])
+        assert not fault.any()
+        assert np.abs(r.sin_sq).max() < 1e-10
+        assert np.abs(r.s_proj - cols[:, k]).max() < 1e-10
+    # a codeword off the span: the metric is its squared projection onto the
+    # span of the inputs, so the basis is orthonormal and spans the inputs
+    w = complex_normal(RngStream(11, purpose=1).generator(), (20, 1, 4))
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    r, _ = quantize_stack(channels, w)
+    for t in range(20):
+        proj = channels[t] @ np.linalg.lstsq(channels[t], w[t, 0], rcond=None)[0]
+        assert r.cos_sq[t] == pytest.approx(np.linalg.norm(proj) ** 2, abs=1e-10)
+
+
+def test_gram_schmidt_rejects_rank_deficiency():
+    col = complex_normal(RngStream(3).generator(), (4, 1))
+    deficient = np.concatenate([col, col], axis=1)
+    book = Codebook(vectors=np.eye(4, dtype=complex), bits=2)
+    with pytest.raises(DegenerateChannelError):
+        quantize_effective(deficient, book)
+    with pytest.raises(DegenerateChannelError):
+        quantization_error_of(deficient, basis(0, 4))
+    _, fault = quantize_stack(np.stack([np.eye(4, dtype=complex)[:, :2], deficient]), book.vectors)
+    assert list(fault) == [0, FAULT_RANK]
+
+
+def test_gram_schmidt_rejects_wide_matrix():
+    with pytest.raises(ValueError):
+        quantize_effective(np.ones((2, 3), dtype=complex),
+                           Codebook(vectors=np.eye(2, dtype=complex), bits=1))
+    with pytest.raises(ValueError):
+        quantization_error_of(np.ones((2, 3), dtype=complex), basis(0, 2))
+
+
+# ------------------------------------------------------ zero-forcing inverse
+# The guarded inverse is the batched one inside zero_force.
+
+
+def test_invert_identity_and_diagonal():
+    vectors, cond, residual = zero_force(np.eye(3, dtype=complex))
+    assert np.allclose(vectors, np.eye(3), rtol=0, atol=1e-14)
+    assert cond == pytest.approx(1.0) and residual == 0.0
+    # the inverse of diag(2, 4) is diag(1/2, 1/4): unit beams e1, e2, ratio 2
+    vectors, cond, residual = zero_force(np.diag([2.0, 4.0]).astype(complex))
+    assert np.allclose(vectors, np.eye(2), rtol=0, atol=1e-14)
+    assert cond == pytest.approx(2.0, rel=1e-14) and residual == 0.0
+
+
+def test_invert_random_multiply_back():
+    d = np.stack([complex_normal(RngStream(31, trial=t).generator(), (4, 4)) for t in range(20)])
+    vectors, cond, residual = zero_force(d)
+    assert not refused(cond, residual).any()
+    assert np.allclose(np.linalg.norm(vectors, axis=-2), 1.0, rtol=0, atol=1e-12)
+    # rows d_i^H times the beams is diagonal: beam j is the inverse's column
+    # j, scaled, so it is orthogonal to every direction i != j
+    prod = np.swapaxes(d, -1, -2).conj() @ vectors
+    diag = np.diagonal(prod, axis1=-2, axis2=-1)
+    assert np.abs(diag).min() > 1e-3
+    assert np.abs(prod / diag[:, None, :] - np.eye(4)).max() < 1e-8
+    assert residual.max() < 1e-8
+
+
+def test_invert_rejects_near_singular():
+    gen = RngStream(37).generator()
+    a = complex_normal(gen, (3, 3))
+    a[:, 2] = a[:, 1] + 1e-12 * complex_normal(gen, 3)
+    with pytest.raises(IllConditionedError) as info:
+        zfbf_vectors(a)
+    assert info.value.condition_estimate > COND_LIMIT
+    # in a stack, only the near-singular entry is refused
+    vectors, cond, residual = zero_force(np.stack([np.eye(3, dtype=complex), a]))
+    assert cond[1] > COND_LIMIT
+    assert list(refused(cond, residual)) == [False, True]
+    assert np.allclose(vectors[0], np.eye(3), rtol=0, atol=1e-14)
+
+
+def test_invert_rejects_non_square():
+    with pytest.raises(ValueError):
+        zfbf_vectors(np.ones((2, 3), dtype=complex))
+    with pytest.raises(ValueError):
+        zfbf_vectors(np.ones((2, 2, 2), dtype=complex))
 
 
 # ------------------------------------------------------------------ sampling
