@@ -28,7 +28,10 @@ from .linalg import (
     PURPOSE_CODEBOOK,
     PURPOSE_FIXED_CODEBOOK,
     RngStream,
+    complex_from_parts,
     complex_normal,
+    rewind,
+    stream_keys,
 )
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
 from .quantize import MAX_CODEBOOK_BITS, Codebook, generate_codebook, quantize_stack
@@ -152,33 +155,36 @@ class ExperimentResult:
     warnings: list
 
 
-def _run_chunk(config: ExperimentConfig, power: float, bits: int, streams: list,
+def _run_chunk(config: ExperimentConfig, power: float, bits: int, seed: int, trials: range,
                codebooks: list[Codebook] | None = None) -> list[TrialRecord]:
-    """Simulate the fading blocks named by ``streams`` in one batched pass.
+    """Simulate the fading blocks ``trials`` of stream seed ``seed`` in one batched pass.
 
-    Per trial, each user's channel (and per-block codebook) is drawn, then
-    each user's benchmark channel.  A trial is dropped when a user's
-    quantization faults or zero-forcing refuses either direction stack.
+    Each trial draws every user's channel, per-block codebook and benchmark
+    channel from its own stream; the chunk derives all their keys at once and
+    rewinds one generator to each, so every draw equals the stream's own.  A
+    trial is dropped when a user's quantization faults or zero-forcing
+    refuses either direction stack.
     """
-    m, n, users, trials = config.m, config.n, config.users, len(streams)
-
-    def draw(stream, user, purpose, shape):
-        return complex_normal(stream.derive(user=user, purpose=purpose).generator(), shape)
-
-    channels = np.empty((trials, users, m, n), dtype=np.complex128)
-    bench = np.empty((trials, m, users), dtype=np.complex128)  # column u = user u
+    m, n, users = config.m, config.n, config.users
+    keys = stream_keys(seed, np.asarray(trials)[:, None, None], np.arange(users)[:, None],
+                       np.array([PURPOSE_CHANNEL, PURPOSE_CODEBOOK, PURPOSE_BENCHMARK]))
+    gen = np.random.Generator(np.random.Philox(0))  # rewound to a key before each draw
+    channel_parts = np.empty((len(trials), users, 2, m, n))
+    bench_parts = np.empty((len(trials), users, 2, m))
     if codebooks is None:
-        books = np.empty((trials, users, 2 ** bits, m), dtype=np.complex128)
+        books = np.empty((len(trials), users, 2 ** bits, m), dtype=np.complex128)
     else:
         books = np.stack([cb.vectors for cb in codebooks])[None]  # shared by every trial
-    for t, stream in enumerate(streams):
-        for u in range(users):
-            channels[t, u] = draw(stream, u, PURPOSE_CHANNEL, (m, n))
+    for t, trial_keys in enumerate(keys):
+        for u, (channel_key, codebook_key, bench_key) in enumerate(trial_keys):
+            rewind(gen, channel_key).standard_normal(out=channel_parts[t, u])
             if codebooks is None:  # generate_codebook's unit rows
-                raw = draw(stream, u, PURPOSE_CODEBOOK, (2 ** bits, m))
+                raw = complex_normal(rewind(gen, codebook_key), (2 ** bits, m))
                 books[t, u] = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-        for u in range(users):
-            bench[t, :, u] = draw(stream, u, PURPOSE_BENCHMARK, m)
+            rewind(gen, bench_key).standard_normal(out=bench_parts[t, u])
+    channels = complex_from_parts(np.moveaxis(channel_parts, 2, 0))
+    # (trials, M, users), contiguous: column u = user u
+    bench = complex_from_parts(bench_parts.transpose(2, 0, 3, 1))
     fb, fault = quantize_stack(channels, books)
     # user stacks as (M, M) matrices with one column per user
     beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
@@ -195,12 +201,13 @@ def run_trial(config: ExperimentConfig, power: float, bits: int, stream: RngStre
               codebooks: list[Codebook] | None = None) -> TrialRecord:
     """Simulate one fading block at linear power ``power`` with B = bits.
 
-    ``stream`` identifies the block: it must carry the config seed and the
-    trial index.  ``codebooks`` overrides per-user codebook generation (used
-    by the fixed-codebook policy and by tests that plant codebook entries).
-    A one-trial chunk of the batched pass.
+    ``stream`` identifies the block by its seed and trial index (its user and
+    purpose are not used).  ``codebooks`` overrides per-user codebook
+    generation (used by the fixed-codebook policy and by tests that plant
+    codebook entries).  A one-trial chunk of the batched pass.
     """
-    return _run_chunk(config, power, bits, [stream], codebooks)[0]
+    trials = range(stream.trial, stream.trial + 1)
+    return _run_chunk(config, power, bits, stream.seed, trials, codebooks)[0]
 
 
 def _fixed_codebooks(config: ExperimentConfig, bits: int) -> list[Codebook] | None:
@@ -218,9 +225,8 @@ def _point_records(config: ExperimentConfig, power: float, bits: int,
     size = max(1, _CHUNK_BYTES // (config.users * 2 ** bits * config.m * 16))
     # chunk boundaries depend on the config only and workers take whole
     # chunks, so the worker count never changes any record or their order
-    chunks = [[RngStream(config.seed, t) for t in range(lo, min(lo + size, config.trials))]
-              for lo in range(0, config.trials, size)]
-    run = partial(_run_chunk, config, power, bits, codebooks=codebooks)
+    chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
+    run = partial(_run_chunk, config, power, bits, config.seed, codebooks=codebooks)
     if threads <= 1 or len(chunks) < 2:
         parts = map(run, chunks)
     else:

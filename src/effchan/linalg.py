@@ -7,6 +7,7 @@ axes first.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,14 @@ PURPOSE_BENCHMARK = 2
 PURPOSE_FIXED_CODEBOOK = 3
 PURPOSE_PROBE = 4
 PURPOSE_VALIDATION = 5
+
+# numpy's SeedSequence hash constants (stream_keys) and the zero Philox
+# counter and buffer a stream starts from (rewind).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+_PHILOX_ZEROS.setflags(write=False)
 
 
 class DegenerateChannelError(ValueError):
@@ -81,6 +90,61 @@ class RngStream:
         return replace(self, **updates)
 
 
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix with its running hash constant, on uint32 arrays."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        return _xorshift(value * np.uint32(const))
+    return hashmix
+
+
+def _xorshift(value):
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y):
+    return _xorshift(_MIX_L * x - _MIX_R * y)
+
+
+def stream_keys(seed: int, trial, user, purpose) -> np.ndarray:
+    """Philox keys (..., 2) of the streams (seed, trial, user, purpose).
+
+    The ids are integer arrays (or ints) in [0, 2**32) that broadcast
+    together.  Each key equals ``SeedSequence([seed, trial, user,
+    purpose]).generate_state(2, np.uint64)``, the key
+    ``RngStream(...).generator()`` starts from: this redoes numpy's entropy
+    mixing (a pool of four words) and generate_state on whole arrays.
+    """
+    ids = [np.asarray(v) for v in (trial, user, purpose)]
+    if seed < 0 or any(v.dtype.kind not in "iu" or np.any((v < 0) | (v > _MASK32)) for v in ids):
+        raise ValueError(f"need a nonnegative seed and integer ids in [0, 2**32), got "
+                         f"{seed!r}, {trial!r}, {user!r}, {purpose!r}")
+    seed = int(seed)  # split into 32-bit words, low word first
+    entropy = [np.uint32(seed >> shift & _MASK32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [v.astype(np.uint32) for v in ids]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    with np.errstate(over="ignore"):  # uint32 arithmetic wraps mod 2**32
+        pool = [hashmix(word) for word in entropy[:4]]
+        for src, dst in itertools.permutations(range(4), 2):  # src outer, dst inner
+            pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            pool = [_mix(value, hashmix(word)) for value in pool]
+        state = np.stack(np.broadcast_arrays(*map(_hasher(_INIT_B, _MULT_B), pool)), axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def rewind(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
+    """Put Philox-backed ``gen`` at the start of the stream with this key: it
+    then draws what ``RngStream(...).generator()`` draws for that key."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _PHILOX_ZEROS, "key": key},
+        "buffer": _PHILOX_ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hermitian inner product <a, b> = sum_k conj(a_k) b_k (conjugate-linear in a)."""
     a = np.asarray(a)
@@ -97,9 +161,21 @@ def complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
     block then imaginary block) is fixed; it is part of the determinism
     contract relied on by tests that replay streams.
     """
-    re = gen.standard_normal(shape)
-    im = gen.standard_normal(shape)
-    return (re + 1j * im) * np.sqrt(0.5)
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    return complex_from_parts(gen.standard_normal((2, *shape)))
+
+
+def complex_from_parts(parts: np.ndarray) -> np.ndarray:
+    """(parts[0] + i parts[1]) / sqrt(2) as a new contiguous complex array.
+
+    ``parts`` (leading axis of length 2, any strides) holds standard normals
+    and is scaled in place.
+    """
+    parts *= np.sqrt(0.5)
+    out = np.empty(parts.shape[1:], dtype=np.complex128)
+    out.real = parts[0]
+    out.imag = parts[1]
+    return out
 
 
 def sample_gaussian(stream: RngStream, dim: int) -> np.ndarray:

@@ -5,18 +5,26 @@ import pytest
 
 import effchan.experiment as experiment
 from effchan.experiment import (
+    CODEBOOK_POLICIES,
     BitsRule,
     ExperimentConfig,
     TrialRecord,
     _aggregate,
     _fixed_codebooks,
+    _run_chunk,
     run_experiment,
     run_trial,
 )
 from effchan.formulas import InfeasibleTargetError
-from effchan.linalg import PURPOSE_CHANNEL, RngStream, complex_normal
-from effchan.precoding import perfect_csit_rate
-from effchan.quantize import Codebook
+from effchan.linalg import (
+    PURPOSE_BENCHMARK,
+    PURPOSE_CHANNEL,
+    PURPOSE_CODEBOOK,
+    RngStream,
+    complex_normal,
+)
+from effchan.precoding import perfect_csit_rate, perfect_csit_rates
+from effchan.quantize import Codebook, generate_codebook, quantize_stack
 from effchan.stats import mean_ci
 
 
@@ -138,6 +146,51 @@ def test_run_trial_drops_parallel_reported_directions():
     assert record.dropped
     assert record.rate_fb == 0.0 and record.rate_zf == 0.0
     assert np.all(record.sinrs == 0.0)
+
+
+@pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
+@pytest.mark.parametrize("seed", [5, 2 ** 40 + 9])
+def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
+    # the chunk derives its stream keys at once and rewinds one generator;
+    # every draw must still be the one its own RngStream generator makes
+    config = ExperimentConfig(m=3, n=2, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(3),
+                              trials=20, seed=seed, codebook_policy=policy)
+    seen = {}
+
+    def spy_quantize(channels, books):
+        seen["channels"], seen["books"] = channels, books
+        return quantize_stack(channels, books)
+
+    def spy_rates(bench, power):
+        seen["bench"] = bench
+        return perfect_csit_rates(bench, power)
+
+    monkeypatch.setattr(experiment, "quantize_stack", spy_quantize)
+    monkeypatch.setattr(experiment, "perfect_csit_rates", spy_rates)
+    trials = range(11, 17)
+    codebooks = _fixed_codebooks(config, 3)
+    records = _run_chunk(config, 10.0, 3, seed, trials, codebooks)
+    monkeypatch.undo()
+
+    def oracle(t, u, purpose, shape):
+        return complex_normal(RngStream(seed, t, u, purpose).generator(), shape)
+
+    assert seen["bench"].shape == (6, 3, 3) and seen["bench"].flags.c_contiguous
+    for i, t in enumerate(trials):
+        for u in range(config.users):
+            channel = oracle(t, u, PURPOSE_CHANNEL, (3, 2))
+            assert seen["channels"][i, u].tobytes() == channel.tobytes()
+            assert seen["bench"][i, :, u].tobytes() == oracle(t, u, PURPOSE_BENCHMARK, 3).tobytes()
+            if policy == "per_block":
+                book = generate_codebook(RngStream(seed, t, u, PURPOSE_CODEBOOK), 3, 3)
+                assert seen["books"][i, u].tobytes() == book.vectors.tobytes()
+            else:
+                assert seen["books"][0, u].tobytes() == codebooks[u].vectors.tobytes()
+    singles = [run_trial(config, 10.0, 3, RngStream(seed, t), codebooks) for t in trials]
+    for record, single in zip(records, singles):
+        assert np.array_equal(record.sinrs, single.sinrs)
+        assert (record.rate_fb, record.rate_zf, record.dropped) == (
+            single.rate_fb, single.rate_zf, single.dropped)
 
 
 def test_run_trial_feedback_loses_to_perfect_knowledge_on_average():

@@ -9,8 +9,10 @@ from effchan.linalg import (
     complex_normal,
     inner,
     normal_solve,
+    rewind,
     sample_gaussian,
     sample_isotropic_unit,
+    stream_keys,
 )
 from effchan.precoding import refused, zero_force, zfbf_vectors
 from effchan.quantize import FAULT_RANK, Codebook, quantization_error_of, quantize_effective, quantize_stack
@@ -50,6 +52,71 @@ def test_stream_rejects_bad_fields():
         RngStream(1, trial=-2)
     with pytest.raises(ValueError):
         RngStream(1.5)
+
+
+def seed_sequence_key(seed, trial, user, purpose):
+    return np.random.SeedSequence([seed, trial, user, purpose]).generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3])
+def test_stream_keys_match_seed_sequence(seed):
+    rng = np.random.default_rng(211)
+    trial = rng.integers(0, 2 ** 32, 300)
+    trial[:2] = (0, 2 ** 32 - 1)
+    user = rng.integers(0, 64, 300)
+    purpose = rng.integers(0, 6, 300)
+    keys = stream_keys(seed, trial, user, purpose)
+    assert keys.shape == (300, 2) and keys.dtype == np.uint64
+    expected = [seed_sequence_key(seed, int(t), int(u), int(p))
+                for t, u, p in zip(trial, user, purpose)]
+    assert np.array_equal(keys, expected)
+
+
+def test_stream_keys_broadcast_over_ids():
+    keys = stream_keys(7, np.arange(3)[:, None, None], np.arange(4)[:, None], np.array([0, 2]))
+    assert keys.shape == (3, 4, 2, 2)
+    for t, u, (i, p) in [(0, 0, (0, 0)), (2, 1, (1, 2)), (1, 3, (0, 0))]:
+        assert np.array_equal(keys[t, u, i], seed_sequence_key(7, t, u, p))
+    one = stream_keys(7, 2, 1, 2)
+    assert one.shape == (2,)
+    # the key a fresh stream generator starts from
+    start = RngStream(7, 2, 1, 2).generator().bit_generator.state
+    assert np.array_equal(one, start["state"]["key"])
+
+
+def test_stream_keys_reject_out_of_range_ids():
+    for ids in [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (2 ** 32, 0, 0), (0, 0, 2 ** 32),
+                (np.array([0, 2 ** 32]), 0, 0), (1.5, 0, 0)]:
+        with pytest.raises(ValueError):
+            stream_keys(1, *ids)
+    with pytest.raises(ValueError):
+        stream_keys(-1, 0, 0, 0)
+
+
+def test_rewind_replays_stream_from_its_start():
+    gen = np.random.Generator(np.random.Philox(0))
+    gen.random(3)  # leave it mid-buffer
+    for ids in [(7, 2, 1, 2), (2 ** 40 + 9, 11, 0, 0)]:
+        expected = RngStream(*ids).generator()
+        key = stream_keys(*ids)
+        assert np.array_equal(rewind(gen, key).standard_normal(9), expected.standard_normal(9))
+        assert np.array_equal(gen.integers(0, 100, 5), expected.integers(0, 100, 5))
+
+
+# ------------------------------------------------------------ complex_normal
+
+
+@pytest.mark.parametrize("shape", [5, (), (3, 4, 2)])
+def test_complex_normal_matches_two_draw_formula(shape):
+    reference, gen = RngStream(13).generator(), RngStream(13).generator()
+    re = reference.standard_normal(shape)
+    im = reference.standard_normal(shape)
+    expected = np.asarray((re + 1j * im) * np.sqrt(0.5))
+    got = complex_normal(gen, shape)
+    assert got.dtype == np.complex128 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    # both generators end at the same position
+    assert np.array_equal(gen.standard_normal(3), reference.standard_normal(3))
 
 
 # --------------------------------------------------------------------- inner
