@@ -26,24 +26,16 @@ from .experiment import (
     run_experiment,
     run_trial,
 )
-from .linalg import (
-    DegenerateChannelError,
-    IllConditionedError,
-    RngStream,
-    inner,
-    normal_solve,
-    sample_gaussian,
-    sample_isotropic_unit,
-)
-from .precoding import BeamformerSet, perfect_csit_rate, sinr, sum_rate, zfbf_vectors
+from .linalg import DegenerateChannelError, RngStream, normal_solve
+from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
 from .quantize import (
     Codebook,
     QuantizationResult,
     generate_codebook,
-    quantization_error_of,
     quantize_antenna_selection,
     quantize_effective,
     quantize_single,
+    quantize_stack,
 )
 from .stats import (
     FitReport,
@@ -69,7 +61,6 @@ from .validate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamformerSet",
     "BitsRule",
     "Codebook",
     "DegenerateChannelError",
@@ -77,7 +68,6 @@ __all__ = [
     "ExperimentResult",
     "FitReport",
     "GridPointResult",
-    "IllConditionedError",
     "InfeasibleTargetError",
     "QuantizationResult",
     "QuantizationSamples",
@@ -94,28 +84,26 @@ __all__ = [
     "feedback_savings",
     "gamma_cdf",
     "generate_codebook",
-    "inner",
     "isotropy_report",
     "ks_statistic",
     "ks_test",
     "max_beta_cdf",
     "mean_ci",
     "normal_solve",
-    "perfect_csit_rate",
+    "perfect_csit_rates",
     "quant_error_approx",
     "quant_error_mean_report",
     "quantization_angle_report",
-    "quantization_error_of",
     "quantize_antenna_selection",
     "quantize_effective",
     "quantize_single",
+    "quantize_stack",
     "rate_gap_bound",
+    "refused",
     "run_experiment",
     "run_trial",
     "run_validation_suite",
-    "sample_gaussian",
-    "sample_isotropic_unit",
-    "sinr",
+    "sinr_stack",
     "sum_rate",
-    "zfbf_vectors",
+    "zero_force",
 ]

@@ -30,6 +30,7 @@ from .linalg import (
     RngStream,
     complex_from_parts,
     complex_normal,
+    is_stream_id,
     rewind,
     stream_keys,
 )
@@ -111,8 +112,8 @@ class ExperimentConfig:
             raise ValueError("SNR grid is empty")
         if self.trials < 1:
             raise ValueError(f"need at least 1 trial, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not is_stream_id(self.seed):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.codebook_policy not in CODEBOOK_POLICIES:
             raise ValueError(
                 f"codebook policy must be one of {CODEBOOK_POLICIES}, got {self.codebook_policy!r}")
@@ -268,9 +269,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
     Results are deterministic in (config, seed): the thread count only
     changes wall-clock time.  Dropped trials (a degenerate channel, a codeword
-    orthogonal to the span, or an ill-conditioned direction stack) are
-    excluded from the averages and counted per grid point, with a warning if
-    they exceed one percent.
+    orthogonal to the span, a combiner that fails its norm identity, or a
+    direction stack or perfect-CSIT benchmark stack that zero-forcing
+    refuses) are excluded from the averages and counted per grid point, with
+    a warning if they exceed one percent.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -39,16 +39,9 @@ class DegenerateChannelError(ValueError):
     """Matrix is numerically rank deficient where full rank is required."""
 
 
-class IllConditionedError(ValueError):
-    """Square matrix is too ill-conditioned to invert reliably.
-
-    Carries the condition estimate that triggered the refusal so callers can
-    log it or count the event (trial-drop accounting).
-    """
-
-    def __init__(self, message: str, condition_estimate: float):
-        super().__init__(f"{message} (condition estimate {condition_estimate:.3e})")
-        self.condition_estimate = float(condition_estimate)
+def is_stream_id(value) -> bool:
+    """Whether value may be a stream id component: a nonnegative integer."""
+    return isinstance(value, (int, np.integer)) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class RngStream:
     def __post_init__(self):
         for field in ("seed", "trial", "user", "purpose"):
             value = getattr(self, field)
-            if not isinstance(value, (int, np.integer)) or value < 0:
+            if not is_stream_id(value):
                 raise ValueError(f"stream {field} must be a nonnegative integer, got {value!r}")
 
     def generator(self) -> np.random.Generator:
@@ -111,15 +104,16 @@ def _mix(x, y):
 def stream_keys(seed: int, trial, user, purpose) -> np.ndarray:
     """Philox keys (..., 2) of the streams (seed, trial, user, purpose).
 
-    The ids are integer arrays (or ints) in [0, 2**32) that broadcast
-    together.  Each key equals ``SeedSequence([seed, trial, user,
-    purpose]).generate_state(2, np.uint64)``, the key
-    ``RngStream(...).generator()`` starts from: this redoes numpy's entropy
-    mixing (a pool of four words) and generate_state on whole arrays.
+    seed is a nonnegative integer and the ids are integer arrays (or ints)
+    in [0, 2**32) that broadcast together.  Each key equals
+    ``SeedSequence([seed, trial, user, purpose]).generate_state(2, np.uint64)``,
+    the key ``RngStream(...).generator()`` starts from: this redoes numpy's
+    entropy mixing (a pool of four words) and generate_state on whole arrays.
     """
     ids = [np.asarray(v) for v in (trial, user, purpose)]
-    if seed < 0 or any(v.dtype.kind not in "iu" or np.any((v < 0) | (v > _MASK32)) for v in ids):
-        raise ValueError(f"need a nonnegative seed and integer ids in [0, 2**32), got "
+    if not is_stream_id(seed) or any(
+            v.dtype.kind not in "iu" or np.any((v < 0) | (v > _MASK32)) for v in ids):
+        raise ValueError(f"need a nonnegative integer seed and integer ids in [0, 2**32), got "
                          f"{seed!r}, {trial!r}, {user!r}, {purpose!r}")
     seed = int(seed)  # split into 32-bit words, low word first
     entropy = [np.uint32(seed >> shift & _MASK32)
@@ -145,15 +139,6 @@ def rewind(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
     return gen
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hermitian inner product <a, b> = sum_k conj(a_k) b_k (conjugate-linear in a)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"inner expects 1-D vectors of equal length, got {a.shape} and {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
     """iid circularly-symmetric complex Gaussian entries, unit variance.
 
@@ -176,25 +161,6 @@ def complex_from_parts(parts: np.ndarray) -> np.ndarray:
     out.real = parts[0]
     out.imag = parts[1]
     return out
-
-
-def sample_gaussian(stream: RngStream, dim: int) -> np.ndarray:
-    """One complex Gaussian vector CN(0, I_dim) from the given stream."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return complex_normal(stream.generator(), dim)
-
-
-def sample_isotropic_unit(stream: RngStream, dim: int) -> np.ndarray:
-    """Uniform random unit vector on the complex sphere in C^dim."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    gen = stream.generator()
-    while True:
-        v = complex_normal(gen, dim)
-        norm = np.linalg.norm(v)
-        if norm > RANK_TOL:  # zero draw has probability 0; guard anyway
-            return v / norm
 
 
 def normal_solve(h: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -5,39 +5,21 @@ the receiver noise is unit variance, so P is also the transmit SNR.  Rates
 are in bits per channel use (log base 2).
 
 ``zero_force``, ``sinr_stack`` and ``perfect_csit_rates`` work on stacks of
-(M, M) matrices and report refusals instead of raising; ``zfbf_vectors``,
-``sinr`` and ``perfect_csit_rate`` are their one-matrix views.
+(M, M) matrices, leading axes first, column i serving user i (one matrix is a
+stack with no leading axes).  A stack zero-forcing cannot invert reliably is
+reported through ``refused`` instead of raising, so one bad fading block
+never stops the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import COND_LIMIT, RANK_TOL, IllConditionedError
+from .linalg import COND_LIMIT, RANK_TOL
 
 # Post-inversion residual cross-gain above this means the inverse was not
 # trustworthy; treat like an ill-conditioned stack.
 _ORTHO_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class BeamformerSet:
-    """Unit-norm beamforming vectors, one per user (column i serves user i)."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = self.vectors
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"expected a square vector stack, got shape {v.shape}")
-        if not np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-9):
-            raise ValueError("beamformers must be unit norm")
-
-    @property
-    def users(self) -> int:
-        return self.vectors.shape[1]
 
 
 def zero_force(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -68,31 +50,6 @@ def refused(cond: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return ~((cond <= COND_LIMIT) & (residual <= _ORTHO_TOL))
 
 
-def _raise_if_refused(cond: float, residual: float) -> None:
-    if not cond <= COND_LIMIT:
-        raise IllConditionedError("matrix too ill-conditioned to invert", cond)
-    if not residual <= _ORTHO_TOL:
-        raise IllConditionedError(
-            f"zero-forcing residual {residual:.3e} exceeds {_ORTHO_TOL:.0e}",
-            residual / _ORTHO_TOL)
-
-
-def zfbf_vectors(directions: np.ndarray) -> BeamformerSet:
-    """Zero-forcing beamformers for M unit-norm user directions.
-
-    directions is (M, M) with column i the reported direction of user i.  The
-    returned beamformer v_j is orthogonal to every other user's direction:
-    <d_i, v_j> = 0 for i != j.  Raises IllConditionedError when the direction
-    stack is too close to singular (the caller drops the trial).
-    """
-    d = np.asarray(directions, dtype=np.complex128)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError(f"expected M x M direction stack, got shape {d.shape}")
-    vectors, cond, residual = zero_force(d)
-    _raise_if_refused(cond, residual)
-    return BeamformerSet(vectors=vectors)
-
-
 def sinr_stack(h_eff: np.ndarray, vectors: np.ndarray, power: float) -> np.ndarray:
     """SINR of every user for a stack of (..., M, M) channel and beam matrices.
 
@@ -106,23 +63,6 @@ def sinr_stack(h_eff: np.ndarray, vectors: np.ndarray, power: float) -> np.ndarr
     return scale * signal / (1.0 + scale * (gains.sum(axis=-2) - signal))
 
 
-def sinr(h_eff: np.ndarray, beams: BeamformerSet, user: int, power: float) -> float:
-    """SINR of one user under equal power allocation P/M and unit noise.
-
-    h_eff is that user's true effective channel; interference comes from the
-    other users' beams evaluated on the same channel.
-    """
-    h_eff = np.asarray(h_eff, dtype=np.complex128)
-    m = beams.users
-    if not 0 <= user < m:
-        raise ValueError(f"user index {user} out of range for {m} users")
-    if power < 0:
-        raise ValueError(f"power must be nonnegative, got {power}")
-    # every user's column holds h_eff: entry ``user`` is the SINR asked for
-    channels = np.broadcast_to(h_eff[:, None], (h_eff.shape[0], m))
-    return float(sinr_stack(channels, beams.vectors, power)[user])
-
-
 def sum_rate(sinrs: np.ndarray) -> float | np.ndarray:
     """Sum rate sum_i log2(1 + SINR_i) in bits per channel use, over the last axis."""
     s = np.asarray(sinrs, dtype=float)
@@ -133,27 +73,14 @@ def sum_rate(sinrs: np.ndarray) -> float | np.ndarray:
 
 def perfect_csit_rates(channels: np.ndarray,
                        power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``perfect_csit_rate`` for a stack of (..., M, M) channels: (rates, cond, residual)."""
+    """Zero-forcing sum rate with perfect channel knowledge at the transmitter.
+
+    channels is (..., M, M) with column i the true channel vector of user i
+    (one receive antenna each).  Beams are zero-forced on the true
+    directions, so interference vanishes and the rate is
+    sum_i log2(1 + P/M |<h_i, v_i>|^2).  Returns (rates, cond, residual) as
+    ``zero_force`` does; see ``refused``.
+    """
     directions = channels / np.linalg.norm(channels, axis=-2, keepdims=True)
     vectors, cond, residual = zero_force(directions)
     return sum_rate(sinr_stack(channels, vectors, power)), cond, residual
-
-
-def perfect_csit_rate(channels: np.ndarray, power: float) -> float:
-    """Zero-forcing sum rate with perfect channel knowledge at the transmitter.
-
-    channels is (M, M) with column i the true channel vector of user i (one
-    receive antenna each).  Beams are zero-forced on the true directions, so
-    interference vanishes and the rate is sum_i log2(1 + P/M |<h_i, v_i>|^2).
-    Raises IllConditionedError when the directions are too close to singular.
-    """
-    h = np.asarray(channels, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected M x M channel stack, got shape {h.shape}")
-    if power < 0:
-        raise ValueError(f"power must be nonnegative, got {power}")
-    if np.any(np.linalg.norm(h, axis=0) <= 0):
-        raise ValueError("zero channel column")
-    rate, cond, residual = perfect_csit_rates(h, power)
-    _raise_if_refused(cond, residual)
-    return float(rate)

@@ -32,8 +32,8 @@ from .linalg import (
 # ~2 GiB at M = 8.
 MAX_CODEBOOK_BITS = 24
 
-# Per-channel fault codes of quantize_stack (0: valid), with the error the
-# one-channel views raise for each.
+# Per-channel fault codes of quantize_stack (0: valid), with the error
+# raise_fault raises for each.
 FAULT_RANK, FAULT_ORTHOGONAL, FAULT_COMBINER = 1, 2, 3
 _FAULT_ERRORS = {
     FAULT_RANK: (DegenerateChannelError, "channel is numerically rank deficient"),
@@ -203,14 +203,6 @@ def raise_fault(fault: np.ndarray) -> None:
         raise error(f"{message} ({bad.size} of {np.size(fault)} channels)")
 
 
-def _channel_matrix(h_matrix: np.ndarray, m: int) -> np.ndarray:
-    h = np.asarray(h_matrix, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != m or not 1 <= h.shape[1] <= m:
-        raise ValueError(f"expected an {m} x N channel matrix with 1 <= N <= {m}, "
-                         f"got shape {h.shape}")
-    return h
-
-
 def quantize_effective(h_matrix: np.ndarray, codebook: Codebook) -> QuantizationResult:
     """Quantize the column span of one M x N channel and derive the combiner.
 
@@ -218,7 +210,12 @@ def quantize_effective(h_matrix: np.ndarray, codebook: Codebook) -> Quantization
     DegenerateChannelError for a rank-deficient channel and ValueError when
     the chosen codeword is orthogonal to the span.
     """
-    r, fault = quantize_stack(_channel_matrix(h_matrix, codebook.dim), codebook.vectors)
+    h = np.asarray(h_matrix, dtype=np.complex128)
+    m = codebook.dim
+    if h.ndim != 2 or h.shape[0] != m or not 1 <= h.shape[1] <= m:
+        raise ValueError(f"expected an {m} x N channel matrix with 1 <= N <= {m}, "
+                         f"got shape {h.shape}")
+    r, fault = quantize_stack(h, codebook.vectors)
     raise_fault(fault)
     return replace(r, index=int(r.index))
 
@@ -256,18 +253,3 @@ def quantize_antenna_selection(h_matrix: np.ndarray,
         h_eff=h_matrix[:, best_k],
         eff_norm_sq=best.eff_norm_sq,
     )
-
-
-def quantization_error_of(h_matrix: np.ndarray, w: np.ndarray) -> float:
-    """Squared sine of the angle between vector w and the column span of H."""
-    w = np.asarray(w, dtype=np.complex128)
-    if w.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {w.shape}")
-    norm_sq = float(np.real(np.vdot(w, w)))
-    if norm_sq <= 0.0:
-        raise ValueError("zero vector has no direction")
-    # w as a one-row codebook; only a rank-deficient channel is an error here
-    r, fault = quantize_stack(_channel_matrix(h_matrix, w.shape[0]), w[None, :] / np.sqrt(norm_sq))
-    if fault == FAULT_RANK:
-        raise_fault(fault)
-    return float(r.sin_sq)

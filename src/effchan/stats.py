@@ -15,9 +15,12 @@ import numpy as np
 
 from .linalg import PURPOSE_PROBE, RngStream
 
-# default stream for the isotropy probe direction; fixed so reports are
+# stream seed of the isotropy probe direction; fixed so reports are
 # reproducible without configuration
 _PROBE_SEED = 715517
+# isotropy_report's thresholds on the covariance deviation and the KS statistic
+_ISOTROPY_COV_MAX = 0.01
+_ISOTROPY_KS_MAX = 0.02
 
 # conventional two-sided 95 percent normal quantile
 _Z95 = 1.96
@@ -139,16 +142,15 @@ def ks_test(samples: np.ndarray, cdf, *, name: str = "ks",
     )
 
 
-def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy",
-                    cov_threshold: float = 0.01, ks_threshold: float = 0.02,
-                    probe_stream: RngStream | None = None) -> FitReport:
+def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy") -> FitReport:
     """Check that unit vectors in C^m look uniform on the sphere.
 
     Three diagnostics: the empirical mean vector norm (should shrink like
     1/sqrt(n); threshold 5/sqrt(n)), the empirical covariance against I/m in
-    max absolute entry, and a KS test of squared projections onto one fixed
-    probe direction against Beta(1, m-1).  The probe is drawn once from a
-    dedicated stream and recorded in the report details.
+    max absolute entry (at most 0.01), and a KS test of squared projections
+    onto one fixed probe direction against Beta(1, m-1) (statistic at most
+    0.02).  The probe is drawn once from a dedicated stream and recorded in
+    the report details.
     """
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
@@ -167,15 +169,13 @@ def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy",
     cov = (v.T @ v.conj()) / n  # entry (j, k) = E[v_j conj(v_k)]
     cov_dev = float(np.abs(cov - np.eye(m) / m).max())
 
-    stream = probe_stream if probe_stream is not None else RngStream(
-        _PROBE_SEED, purpose=PURPOSE_PROBE)
-    gen = stream.generator()
+    gen = RngStream(_PROBE_SEED, purpose=PURPOSE_PROBE).generator()
     probe = (gen.standard_normal(m) + 1j * gen.standard_normal(m)) * np.sqrt(0.5)
     probe = probe / np.linalg.norm(probe)
     proj_sq = np.abs(v.conj() @ probe) ** 2
     stat = ks_statistic(proj_sq, lambda x: beta_cdf(x, 1, m - 1))
 
-    passed = mean_norm <= mean_limit and cov_dev <= cov_threshold and stat <= ks_threshold
+    passed = mean_norm <= mean_limit and cov_dev <= _ISOTROPY_COV_MAX and stat <= _ISOTROPY_KS_MAX
     return FitReport(
         name=name,
         n_samples=n,
@@ -185,8 +185,8 @@ def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy",
         passed=bool(passed),
         thresholds={
             "mean_vector_norm": mean_limit,
-            "cov_max_deviation": float(cov_threshold),
-            "ks_statistic": float(ks_threshold),
+            "cov_max_deviation": _ISOTROPY_COV_MAX,
+            "ks_statistic": _ISOTROPY_KS_MAX,
         },
         details={
             "cov_max_deviation": cov_dev,
@@ -195,14 +195,12 @@ def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy",
     )
 
 
-def mean_ci(samples: np.ndarray, level: float = 0.95) -> tuple[float, float]:
-    """Sample mean and normal-approximation confidence half-width z * s / sqrt(n).
+def mean_ci(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and 95 percent normal-approximation half-width 1.96 s / sqrt(n).
 
     Uses the unbiased (ddof = 1) standard deviation.  A single sample gets a
-    zero half-width.  Only the default 95 percent level is supported.
+    zero half-width.
     """
-    if abs(level - 0.95) > 1e-12:
-        raise ValueError("only level = 0.95 is supported")
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise ValueError("need at least one sample")

@@ -26,6 +26,8 @@ from .quantize import quantize_stack, raise_fault
 from .stats import FitReport, gamma_cdf, isotropy_report, ks_test, max_beta_cdf
 
 _CHUNK_TARGET = 2 ** 22  # soft cap on gaussians per chunk, keeps memory flat
+# largest relative error of the mean quantization error against its approximation
+_QUANT_ERROR_RTOL = 0.15
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,8 @@ def collect_best_cosine_samples(m: int, n: int, bits: int, n_samples: int, seed:
     return np.concatenate(out)
 
 
-def quantization_angle_report(m: int, n: int, bits: int, n_samples: int, seed: int,
-                              ks_threshold: float = 0.02) -> FitReport:
-    """Squared quantization cosine vs the max-of-Beta(N, M-N) law."""
+def quantization_angle_report(m: int, n: int, bits: int, n_samples: int, seed: int) -> FitReport:
+    """Squared quantization cosine vs the max-of-Beta(N, M-N) law (ks_test's default threshold)."""
     if not 1 <= n <= m - 1:
         raise ValueError(f"the angle law needs 1 <= N <= M-1, got N={n}, M={m}")
     samples = collect_effective_samples(m, n, bits, n_samples, seed)
@@ -112,7 +113,6 @@ def quantization_angle_report(m: int, n: int, bits: int, n_samples: int, seed: i
         samples.cos_sq,
         lambda x: max_beta_cdf(x, n, m - n, count),
         name=f"angle_law_m{m}_n{n}_b{bits}",
-        ks_threshold=ks_threshold,
         mean_ref=mean_ref,
         mean_rtol=0.02,
     )
@@ -126,8 +126,8 @@ def direction_isotropy_report(m: int, n: int, bits: int, n_samples: int,
 
 
 def effective_gain_report(m: int, n: int, bits: int, n_samples: int, seed: int,
-                          ks_threshold: float = 0.02, shape_offset: int = 0) -> FitReport:
-    """Squared effective-channel norm vs Gamma(M-N+1, 1).
+                          shape_offset: int = 0) -> FitReport:
+    """Squared effective-channel norm vs Gamma(M-N+1, 1) (ks_test's default threshold).
 
     shape_offset shifts the reference shape parameter; nonzero values exist
     so a deliberately wrong reference can be shown to fail (power check).
@@ -140,14 +140,12 @@ def effective_gain_report(m: int, n: int, bits: int, n_samples: int, seed: int,
         samples.eff_norm_sq,
         lambda x: gamma_cdf(x, shape),
         name=f"effective_gain_m{m}_n{n}_b{bits}",
-        ks_threshold=ks_threshold,
         mean_ref=float(shape),
         mean_rtol=0.01,
     )
 
 
-def quant_error_mean_report(m: int, n: int, bits: int, n_samples: int, seed: int,
-                            rtol: float = 0.15) -> FitReport:
+def quant_error_mean_report(m: int, n: int, bits: int, n_samples: int, seed: int) -> FitReport:
     """Mean quantization error vs its closed-form approximation."""
     samples = collect_effective_samples(m, n, bits, n_samples, seed)
     mean_obs = float(np.mean(1.0 - samples.cos_sq))
@@ -159,8 +157,8 @@ def quant_error_mean_report(m: int, n: int, bits: int, n_samples: int, seed: int
         ks_statistic=float("nan"),
         mean_obs=mean_obs,
         mean_ref=approx,
-        passed=bool(rel <= rtol),
-        thresholds={"mean_rel_error": rtol},
+        passed=bool(rel <= _QUANT_ERROR_RTOL),
+        thresholds={"mean_rel_error": _QUANT_ERROR_RTOL},
         details={"mean_rel_error": rel},
     )
 

@@ -18,13 +18,12 @@ from effchan.formulas import InfeasibleTargetError, ScalingInputs, bits_required
 from effchan.linalg import (
     PURPOSE_CHANNEL,
     PURPOSE_CODEBOOK,
-    IllConditionedError,
     RngStream,
     complex_normal,
 )
 from effchan.cli import main, scaling_table_rows
-from effchan.precoding import zfbf_vectors
-from effchan.quantize import generate_codebook, quantize_effective
+from effchan.precoding import refused, zero_force
+from effchan.quantize import generate_codebook, quantize_effective, quantize_stack
 from effchan.validate import (
     collect_best_cosine_samples,
     direction_isotropy_report,
@@ -185,27 +184,28 @@ def test_quant_error_approximation_grid(m, n, bits):
 
 
 def test_zfbf_invariants_over_many_trials():
-    trials, users, dropped = 10_000, 4, 0
+    trials, users = 10_000, 4
+    channels = np.empty((trials, users, 4, 2), dtype=complex)
+    books = np.empty((trials, users, 16, 4), dtype=complex)
     for trial in range(trials):
         stream = RngStream(606, trial)
-        directions = []
         for u in range(users):
-            h = complex_normal(stream.derive(user=u, purpose=PURPOSE_CHANNEL).generator(),
-                               (4, 2))
-            cb = generate_codebook(stream.derive(user=u, purpose=PURPOSE_CODEBOOK), 4, 4)
-            directions.append(quantize_effective(h, cb).q_hat)
-        stack = np.stack(directions, axis=1)
-        try:
-            beams = zfbf_vectors(stack)
-        except IllConditionedError:
-            dropped += 1
-            continue
-        norms = np.linalg.norm(beams.vectors, axis=0)
-        assert np.all(np.abs(norms - 1.0) < 1e-10)
-        cross = np.abs(stack.conj().T @ beams.vectors)
-        np.fill_diagonal(cross, 0.0)
-        assert cross.max() < 1e-8
-    assert dropped < 0.001 * trials
+            channels[trial, u] = complex_normal(
+                stream.derive(user=u, purpose=PURPOSE_CHANNEL).generator(), (4, 2))
+            books[trial, u] = generate_codebook(
+                stream.derive(user=u, purpose=PURPOSE_CODEBOOK), 4, 4).vectors
+    fb, fault = quantize_stack(channels, books)
+    assert not fault.any()
+    stacks = np.swapaxes(fb.q_hat, -1, -2)  # column u = user u's direction
+    vectors, cond, residual = zero_force(stacks)
+    kept = ~refused(cond, residual)
+    stacks, vectors = stacks[kept], vectors[kept]
+    norms = np.linalg.norm(vectors, axis=-2)
+    assert np.all(np.abs(norms - 1.0) < 1e-10)
+    cross = np.abs(np.swapaxes(stacks, -1, -2).conj() @ vectors)
+    cross[:, np.arange(users), np.arange(users)] = 0.0
+    assert cross.max() < 1e-8
+    assert trials - kept.sum() < 0.001 * trials
 
 
 # 9 --------------------------------------- antenna selection equals flat RVQ

@@ -23,7 +23,7 @@ from effchan.linalg import (
     RngStream,
     complex_normal,
 )
-from effchan.precoding import perfect_csit_rate, perfect_csit_rates
+from effchan.precoding import perfect_csit_rates
 from effchan.quantize import Codebook, generate_codebook, quantize_stack
 from effchan.stats import mean_ci
 
@@ -83,6 +83,15 @@ def test_config_guards():
         small_config(codebook_policy="daily")
 
 
+@pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
+def test_config_rejects_non_integer_seed(policy):
+    # refused by the stream rule under either policy, never truncated
+    for seed in (1.5, 2.0):
+        with pytest.raises(ValueError):
+            small_config(seed=seed, codebook_policy=policy)
+    assert small_config(seed=np.int64(99), codebook_policy=policy).seed == 99
+
+
 def test_config_users_equals_transmit_antennas():
     assert small_config(m=4, n=2).users == 4
 
@@ -116,7 +125,7 @@ def test_run_trial_with_planted_directions_matches_perfect_zf():
         codebooks.append(Codebook(vectors=np.stack([direction, other]), bits=1))
         channels.append(h)
     record = run_trial(config, 10.0, 1, stream, codebooks=codebooks)
-    expected = perfect_csit_rate(np.stack(channels, axis=1), 10.0)
+    expected, _, _ = perfect_csit_rates(np.stack(channels, axis=1), 10.0)
     assert not record.dropped
     assert record.rate_fb == pytest.approx(expected, rel=1e-9)
 

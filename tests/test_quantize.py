@@ -7,7 +7,6 @@ from effchan.quantize import (
     FAULT_RANK,
     Codebook,
     generate_codebook,
-    quantization_error_of,
     quantize_antenna_selection,
     quantize_effective,
     quantize_single,
@@ -141,7 +140,8 @@ def test_effective_identities_random():
         metric = brute_metric(h, cb.vectors)
         assert r.index == int(np.argmax(metric))
         assert r.cos_sq == pytest.approx(metric[r.index], abs=1e-10)
-        assert r.sin_sq == pytest.approx(quantization_error_of(h, r.q_hat), abs=1e-10)
+        proj = h @ np.linalg.lstsq(h, r.q_hat, rcond=None)[0]  # q_hat's shadow on span(H)
+        assert r.sin_sq == pytest.approx(1.0 - np.linalg.norm(proj) ** 2, abs=1e-10)
 
         # s_proj: unit norm, inside the span, aligned with q_hat's shadow
         assert abs(np.linalg.norm(r.s_proj) - 1.0) < 1e-12
@@ -325,24 +325,15 @@ def test_antenna_selection_needs_one_codebook_per_antenna():
         quantize_antenna_selection(np.ones((4, 2), dtype=complex), [cb])
 
 
-# ------------------------------------------------------ quantization_error_of
+# ----------------------------------------------- quantization error of a vector
+# A unit vector's quantization error is the sin^2 quantize_stack reports for
+# it as a one-row codebook.
 
 
 def test_error_of_in_span_and_orthogonal_vectors():
     h = np.eye(4, dtype=complex)[:, :2]  # span of e1, e2
-    assert quantization_error_of(h, np.array([1.0, 1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
-    assert quantization_error_of(h, np.array([0.0, 0.0, 0.0, 3.0])) == pytest.approx(1.0, abs=1e-14)
-    assert quantization_error_of(h, np.array([1.0, 0.0, 1.0, 0.0])) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_error_of_scale_invariant():
-    gen = RngStream(73).generator()
-    h = complex_normal(gen, (4, 2))
-    w = complex_normal(gen, 4)
-    assert quantization_error_of(h, w) == pytest.approx(
-        quantization_error_of(h, w * (0.3 + 2j)), abs=1e-12)
-
-
-def test_error_of_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        quantization_error_of(np.eye(3, dtype=complex)[:, :2], np.zeros(3, dtype=complex))
+    rows = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 3.0], [1.0, 0.0, 1.0, 0.0]])
+    books = (rows / np.linalg.norm(rows, axis=1, keepdims=True))[:, None, :]
+    r, fault = quantize_stack(np.stack([h] * 3), books)
+    assert r.sin_sq == pytest.approx([0.0, 1.0, 0.5], abs=1e-14)
+    assert list(fault) == [0, FAULT_ORTHOGONAL, 0]  # nothing in the span to orient by

@@ -195,9 +195,8 @@ def test_isotropy_fails_on_biased_directions():
 
 
 def test_isotropy_probe_is_deterministic_and_recorded():
-    stream = RngStream(41, purpose=4)
-    a = isotropy_report(isotropic_stack(37, 2000, 3), probe_stream=stream)
-    b = isotropy_report(isotropic_stack(43, 2000, 3), probe_stream=stream)
+    a = isotropy_report(isotropic_stack(37, 2000, 3))
+    b = isotropy_report(isotropic_stack(43, 2000, 3))
     assert a.details["probe"] == b.details["probe"]
     probe = np.array([complex(re, im) for re, im in a.details["probe"]])
     assert probe.shape == (3,)
@@ -232,8 +231,6 @@ def test_mean_ci_single_sample_and_constant():
 def test_mean_ci_guards():
     with pytest.raises(ValueError):
         mean_ci(np.array([]))
-    with pytest.raises(ValueError):
-        mean_ci(np.array([1.0, 2.0]), level=0.9)
 
 
 def test_mean_ci_coverage_near_nominal():
