@@ -29,7 +29,6 @@ from .linalg import (
     PURPOSE_FIXED_CODEBOOK,
     RngStream,
     complex_from_parts,
-    complex_normal,
     is_stream_id,
     rewind,
     stream_keys,
@@ -39,8 +38,8 @@ from .quantize import MAX_CODEBOOK_BITS, Codebook, generate_codebook, quantize_s
 from .stats import mean_ci
 
 CODEBOOK_POLICIES = ("per_block", "fixed")
-# Codebook bytes (users x 2^B x M complex entries a trial) one chunk of
-# trials scans: bounds the kernel's memory, about one trial at M = 8, B = 10.
+# Codebook bytes (users x 2^B x M entries a trial, two float64 parts each) one
+# chunk of trials scans: bounds the kernel's memory, one trial at M = 8, B = 10.
 _CHUNK_BYTES = 2 ** 20
 
 
@@ -59,8 +58,9 @@ class BitsRule:
 
     def __post_init__(self):
         if self.kind == "fixed":
-            if self.bits is None or not 1 <= self.bits <= MAX_CODEBOOK_BITS:
-                raise ValueError(f"fixed bits must be in [1, {MAX_CODEBOOK_BITS}], got {self.bits}")
+            if not is_stream_id(self.bits) or not 1 <= self.bits <= MAX_CODEBOOK_BITS:
+                raise ValueError(f"fixed bits must be an integer in [1, {MAX_CODEBOOK_BITS}], "
+                                 f"got {self.bits!r}")
         elif self.kind == "scaling":
             if self.target_gap is None or self.target_gap <= 0:
                 raise ValueError(f"scaling rule needs a positive target gap, got {self.target_gap}")
@@ -104,6 +104,10 @@ class ExperimentConfig:
     codebook_policy: str = "per_block"
 
     def __post_init__(self):
+        for field in ("m", "n", "trials", "seed"):
+            value = getattr(self, field)
+            if not is_stream_id(value):
+                raise ValueError(f"{field} must be a nonnegative integer, got {value!r}")
         if self.m < 2:
             raise ValueError(f"need at least 2 transmit antennas, got M={self.m}")
         if not 1 <= self.n <= self.m:
@@ -112,8 +116,6 @@ class ExperimentConfig:
             raise ValueError("SNR grid is empty")
         if self.trials < 1:
             raise ValueError(f"need at least 1 trial, got {self.trials}")
-        if not is_stream_id(self.seed):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.codebook_policy not in CODEBOOK_POLICIES:
             raise ValueError(
                 f"codebook policy must be one of {CODEBOOK_POLICIES}, got {self.codebook_policy!r}")
@@ -162,8 +164,9 @@ def _run_chunk(config: ExperimentConfig, power: float, bits: int, seed: int, tri
 
     Each trial draws every user's channel, per-block codebook and benchmark
     channel from its own stream; the chunk derives all their keys at once and
-    rewinds one generator to each, so every draw equals the stream's own.  A
-    trial is dropped when a user's quantization faults or zero-forcing
+    rewinds one generator to each, so every draw equals the stream's own;
+    the kernel scores per-block codebooks straight from their drawn normals.
+    A trial is dropped when a user's quantization faults or zero-forcing
     refuses either direction stack.
     """
     m, n, users = config.m, config.n, config.users
@@ -173,15 +176,15 @@ def _run_chunk(config: ExperimentConfig, power: float, bits: int, seed: int, tri
     channel_parts = np.empty((len(trials), users, 2, m, n))
     bench_parts = np.empty((len(trials), users, 2, m))
     if codebooks is None:
-        books = np.empty((len(trials), users, 2 ** bits, m), dtype=np.complex128)
+        book_parts = np.empty((len(trials), users, 2, 2 ** bits, m))
+        books = (book_parts[:, :, 0], book_parts[:, :, 1])
     else:
         books = np.stack([cb.vectors for cb in codebooks])[None]  # shared by every trial
     for t, trial_keys in enumerate(keys):
         for u, (channel_key, codebook_key, bench_key) in enumerate(trial_keys):
             rewind(gen, channel_key).standard_normal(out=channel_parts[t, u])
-            if codebooks is None:  # generate_codebook's unit rows
-                raw = complex_normal(rewind(gen, codebook_key), (2 ** bits, m))
-                books[t, u] = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+            if codebooks is None:  # generate_codebook's draw
+                rewind(gen, codebook_key).standard_normal(out=book_parts[t, u])
             rewind(gen, bench_key).standard_normal(out=bench_parts[t, u])
     channels = complex_from_parts(np.moveaxis(channel_parts, 2, 0))
     # (trials, M, users), contiguous: column u = user u
@@ -223,7 +226,7 @@ def _fixed_codebooks(config: ExperimentConfig, bits: int) -> list[Codebook] | No
 def _point_records(config: ExperimentConfig, power: float, bits: int,
                    threads: int) -> list[TrialRecord]:
     codebooks = _fixed_codebooks(config, bits)
-    size = max(1, _CHUNK_BYTES // (config.users * 2 ** bits * config.m * 16))
+    size = max(1, _CHUNK_BYTES // (config.users * 2 ** bits * config.m * 2 * 8))
     # chunk boundaries depend on the config only and workers take whole
     # chunks, so the worker count never changes any record or their order
     chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]

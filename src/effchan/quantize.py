@@ -24,7 +24,7 @@ from .linalg import (
     RANK_TOL,
     DegenerateChannelError,
     RngStream,
-    complex_normal,
+    complex_from_parts,
     normal_solve,
 )
 
@@ -111,9 +111,13 @@ def generate_codebook(stream: RngStream, bits: int, dim: int) -> Codebook:
         raise ValueError(f"bits must be in [1, {MAX_CODEBOOK_BITS}], got {bits}")
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    raw = complex_normal(stream.generator(), (2 ** bits, dim))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    return Codebook(vectors=raw / norms, bits=bits)
+    return Codebook(_unit_rows(stream.generator().standard_normal((2, 2 ** bits, dim))), bits)
+
+
+def _unit_rows(parts: np.ndarray) -> np.ndarray:
+    """Unit-norm complex rows (..., M) from standard-normal parts (2, ..., M)."""
+    rows = complex_from_parts(parts)
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
 def quantize_single(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
@@ -149,29 +153,37 @@ def quantize_single(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
     )
 
 
-def quantize_stack(channels: np.ndarray,
-                   books: np.ndarray) -> tuple[QuantizationResult, np.ndarray]:
+def quantize_stack(channels: np.ndarray, books) -> tuple[QuantizationResult, np.ndarray]:
     """Subspace quantization of a stack of (M, N) channels, one codebook each.
 
-    channels is (..., M, N); books is (..., 2^B, M) with unit-norm rows, its
-    leading axes broadcast against the channels' (a shared codebook is passed
-    once, not tiled).  Picks the row with the largest squared projection onto
-    span(H), normalizes that projection to the in-span direction s_proj, and
-    solves H v = s_proj in the least-squares sense for the combiner, so that
-    H gamma is a positive multiple of s_proj with squared norm 1 / ||v||^2.
-    Returns the result (fields stacked) and a fault code per channel; faulty
-    entries hold finite placeholders.
+    channels is (..., M, N).  books is a complex codebook (..., 2^B, M) with
+    unit-norm rows, or the pair (re, im) of real (..., 2^B, M) standard
+    normals a random codebook is drawn from; its leading axes broadcast
+    against the channels' (a shared codebook is passed once, not tiled).
+    Rows are scored from their real parts by |<w, span(H)>|^2 / ||w||^2, which
+    ignores their scale, and only the winning row q_hat is formed (as
+    generate_codebook forms it).  Its projection onto span(H), normalized, is
+    the in-span direction s_proj; H v = s_proj solved in the least-squares
+    sense gives the combiner: H gamma is a positive multiple of s_proj with
+    squared norm 1 / ||v||^2.  Returns the result (fields stacked) and a fault
+    code per channel; faulty entries hold finite placeholders.
     """
     q, r = np.linalg.qr(channels)  # reduced: (..., M, N), orthonormal columns
     rank_loss = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) < RANK_TOL).any(axis=-1)
-    # conj(<w_j, q_k>), without a conjugated copy of the codebook
-    overlap = books @ q.conj()
-    metric = np.einsum("...jk,...jk->...j", overlap, overlap.conj()).real
+    parts = isinstance(books, tuple)
+    re, im = books if parts else (books.real, books.imag)
+    # [Re | Im] of conj(<w_j, q_k>): books @ q.conj() in its real embedding
+    overlap = re @ np.concatenate([q.real, -q.imag], axis=-1)
+    overlap += im @ np.concatenate([q.imag, q.real], axis=-1)
+    metric = np.einsum("...jk,...jk->...j", overlap, overlap) / (
+        np.einsum("...jm,...jm->...j", re, re) + np.einsum("...jm,...jm->...j", im, im))
     index = np.argmax(metric, axis=-1)  # lowest index on ties
     cos_sq = np.clip(np.take_along_axis(metric, index[..., None], axis=-1)[..., 0], 0.0, 1.0)
-    # a view of books with the stack's full leading shape, for take_along_axis
-    books = np.broadcast_to(books, index.shape + books.shape[-2:])
-    q_hat = np.take_along_axis(books, index[..., None, None], axis=-2)[..., 0, :]
+
+    def winner(book):  # row index of a book broadcast to the stack's leading shape
+        book = np.broadcast_to(book, index.shape + book.shape[-2:])
+        return np.take_along_axis(book, index[..., None, None], axis=-2)[..., 0, :]
+    q_hat = _unit_rows(np.stack([winner(re), winner(im)])) if parts else winner(books)
 
     shadow = np.einsum("...mk,...k->...m", q, np.einsum("...mk,...m->...k", q.conj(), q_hat))
     shadow_norm = np.linalg.norm(shadow, axis=-1)

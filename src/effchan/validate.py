@@ -2,7 +2,8 @@
 
 The checks need on the order of 1e5 independent quantizations, so samples are
 drawn in chunks and quantized by the same batched kernel the sweep runs
-(``quantize_stack``); an equivalence test pins the collector to the scalar
+(``quantize_stack``), which scores each random codebook straight from its
+drawn standard normals; an equivalence test pins the collector to the scalar
 operator sample by sample.
 
 Laws checked:
@@ -48,9 +49,8 @@ def _chunks(n_samples: int, gaussians_per_sample: int) -> list[int]:
 
 
 def _quantize_block(channels: np.ndarray, raw: np.ndarray) -> QuantizationSamples:
-    """Quantize one chunk by the batched kernel; raw rows are normalized in place."""
-    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)  # no second codebook-sized array
-    r, fault = quantize_stack(channels, raw)
+    """Quantize one chunk by the batched kernel; raw (2, ..., 2^B, M) holds codebook normals."""
+    r, fault = quantize_stack(channels, (raw[0], raw[1]))
     raise_fault(fault)
     return QuantizationSamples(cos_sq=r.cos_sq, eff_norm_sq=r.eff_norm_sq, directions=r.s_proj)
 
@@ -68,7 +68,7 @@ def collect_effective_samples(m: int, n: int, bits: int, n_samples: int,
     for take in _chunks(n_samples, (2 ** bits + n) * m):
         # channels, then codebooks: the equivalence tests replay this order
         channels = complex_normal(gen, (take, m, n))
-        parts.append(_quantize_block(channels, complex_normal(gen, (take, 2 ** bits, m))))
+        parts.append(_quantize_block(channels, gen.standard_normal((2, take, 2 ** bits, m))))
     samples = QuantizationSamples(*(np.concatenate([getattr(p, name) for p in parts])
                                     for name in ("cos_sq", "eff_norm_sq", "directions")))
     for array in (samples.cos_sq, samples.eff_norm_sq, samples.directions):
@@ -91,10 +91,10 @@ def collect_best_cosine_samples(m: int, n: int, bits: int, n_samples: int, seed:
     for take in _chunks(n_samples, n * 2 ** bits * m):
         if per_antenna:  # column k of each channel against its own codebook
             columns = np.swapaxes(complex_normal(gen, (take, m, n)), 1, 2)[..., None]
-            raw = complex_normal(gen, (take, n, 2 ** bits, m))
+            raw = gen.standard_normal((2, take, n, 2 ** bits, m))
         else:
             columns = complex_normal(gen, (take, 1, m, 1))
-            raw = complex_normal(gen, (take, 1, n * 2 ** bits, m))
+            raw = gen.standard_normal((2, take, 1, n * 2 ** bits, m))
         out.append(_quantize_block(columns, raw).cos_sq.max(axis=1))
     return np.concatenate(out)
 

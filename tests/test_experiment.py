@@ -92,6 +92,22 @@ def test_config_rejects_non_integer_seed(policy):
     assert small_config(seed=np.int64(99), codebook_policy=policy).seed == 99
 
 
+@pytest.mark.parametrize("field, value", [("trials", 5.5), ("m", 2.0), ("n", 1.0)])
+def test_config_rejects_non_integer_counts(field, value):
+    # refused at construction, not by a TypeError from range/np.empty mid-run
+    with pytest.raises(ValueError, match=field):
+        small_config(**{field: value})
+    assert small_config(m=np.int64(2), n=np.int64(1), trials=np.int64(5)).trials == 5
+
+
+def test_bits_rule_fixed_rejects_non_integer_bits():
+    # never truncated to the bit count below
+    for bits in (2.5, 2.0):
+        with pytest.raises(ValueError):
+            BitsRule.fixed(bits)
+    assert BitsRule.fixed(np.int64(3)).resolve(4, 2, 10.0) == 3
+
+
 def test_config_users_equals_transmit_antennas():
     assert small_config(m=4, n=2).users == 4
 
@@ -168,7 +184,8 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
 
     def spy_quantize(channels, books):
         seen["channels"], seen["books"] = channels, books
-        return quantize_stack(channels, books)
+        seen["fb"], fault = quantize_stack(channels, books)
+        return seen["fb"], fault
 
     def spy_rates(bench, power):
         seen["bench"] = bench
@@ -191,8 +208,15 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
             assert seen["channels"][i, u].tobytes() == channel.tobytes()
             assert seen["bench"][i, :, u].tobytes() == oracle(t, u, PURPOSE_BENCHMARK, 3).tobytes()
             if policy == "per_block":
-                book = generate_codebook(RngStream(seed, t, u, PURPOSE_CODEBOOK), 3, 3)
-                assert seen["books"][i, u].tobytes() == book.vectors.tobytes()
+                # the kernel gets the codebook's normal parts; its winning row
+                # is the row generate_codebook forms from them
+                stream = RngStream(seed, t, u, PURPOSE_CODEBOOK)
+                normals = stream.generator().standard_normal((2, 2 ** 3, 3))
+                assert seen["books"][0][i, u].tobytes() == normals[0].tobytes()
+                assert seen["books"][1][i, u].tobytes() == normals[1].tobytes()
+                book = generate_codebook(stream, 3, 3)
+                index = seen["fb"].index[i, u]
+                assert seen["fb"].q_hat[i, u].tobytes() == book.vectors[index].tobytes()
             else:
                 assert seen["books"][0, u].tobytes() == codebooks[u].vectors.tobytes()
     singles = [run_trial(config, 10.0, 3, RngStream(seed, t), codebooks) for t in trials]

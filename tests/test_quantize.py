@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from effchan.linalg import DegenerateChannelError, RngStream, complex_normal
+from effchan.linalg import DegenerateChannelError, RngStream, complex_from_parts, complex_normal
 from effchan.quantize import (
     FAULT_ORTHOGONAL,
     FAULT_RANK,
@@ -282,6 +282,66 @@ def test_stack_faults_are_per_channel():
     one = quantize_effective(good, Codebook(vectors=books[0], bits=2))
     assert r.eff_norm_sq[0] == pytest.approx(one.eff_norm_sq, rel=1e-13)
     assert np.all(np.isfinite(r.h_eff)) and np.all(np.isfinite(r.eff_norm_sq))
+
+
+# ------------------------------------------ quantize_stack on codebook normals
+# The kernel scores a codebook given as its (re, im) standard normals without
+# forming it; the oracle forms and normalizes every row, as generate_codebook
+# does, and scores the rows by complex products.
+
+
+def normalized(parts):
+    """The complex codebook of standard-normal parts, every row normalized."""
+    rows = complex_from_parts(parts.copy())
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+def complex_metric(channels, books):
+    """|<w_j, span(H)>|^2 of unit rows from the complex product books @ Q*."""
+    q = np.linalg.qr(channels)[0]
+    return (np.abs(books @ q.conj()) ** 2).sum(axis=-1)
+
+
+@pytest.mark.parametrize("policy", ["per_block", "fixed"])
+def test_stack_scores_normal_parts_like_the_normalized_codebook(policy):
+    m, n, bits, chunk = 4, 2, 4, 20_000
+    gen = RngStream(97).generator()
+    for c in range(5):  # 10^5 channels
+        channels = complex_normal(gen, (chunk, m, n))
+        if policy == "per_block":
+            parts = RngStream(97, trial=c, purpose=1).generator().standard_normal(
+                (2, chunk, 2 ** bits, m))
+            books = normalized(parts)
+        else:  # one shared codebook, passed as itself
+            stream = RngStream(97, trial=c, purpose=3)
+            parts = stream.generator().standard_normal((2, 2 ** bits, m))
+            books = generate_codebook(stream, bits, m).vectors
+            assert books.tobytes() == normalized(parts).tobytes()
+        fast, fast_fault = quantize_stack(channels, (parts[0], parts[1]))
+        slow, slow_fault = quantize_stack(channels, books)
+        metric = complex_metric(channels, books)
+        assert np.array_equal(fast.index, np.argmax(metric, axis=-1))
+        assert np.array_equal(fast.index, slow.index)
+        assert fast.q_hat.tobytes() == slow.q_hat.tobytes()
+        assert np.allclose(fast.cos_sq, slow.cos_sq, rtol=0, atol=1e-14)
+        assert np.allclose(fast.cos_sq, metric.max(axis=-1), rtol=0, atol=1e-14)
+        assert np.array_equal(fast_fault, slow_fault) and not fast_fault.any()
+
+
+def test_stack_parts_ignore_row_scale():
+    gen = RngStream(101).generator()
+    channels = complex_normal(gen, (20_000, 4, 2))
+    re, im = gen.standard_normal((2, 20_000, 16, 4))
+    r, _ = quantize_stack(channels, (re, im))
+    # powers of two scale exactly, so q_hat keeps every byte
+    exact = np.ldexp(1.0, gen.integers(-30, 30, size=(20_000, 16, 1)))
+    scaled, _ = quantize_stack(channels, (re * exact, im * exact))
+    assert np.array_equal(scaled.index, r.index)
+    assert scaled.q_hat.tobytes() == r.q_hat.tobytes()
+    scale = gen.uniform(0.01, 100.0, size=(20_000, 16, 1))
+    scaled, _ = quantize_stack(channels, (re * scale, im * scale))
+    assert np.array_equal(scaled.index, r.index)
+    assert np.allclose(scaled.q_hat, r.q_hat, rtol=0, atol=1e-15)
 
 
 # ------------------------------------------------- quantize_antenna_selection
