@@ -26,7 +26,7 @@ from .experiment import (
     run_experiment,
     run_trial,
 )
-from .linalg import DegenerateChannelError, RngStream, normal_solve
+from .linalg import DegenerateChannelError, RngStream
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
 from .quantize import (
     Codebook,
@@ -89,7 +89,6 @@ __all__ = [
     "ks_test",
     "max_beta_cdf",
     "mean_ci",
-    "normal_solve",
     "perfect_csit_rates",
     "quant_error_approx",
     "quant_error_mean_report",

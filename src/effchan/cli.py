@@ -32,6 +32,7 @@ from .formulas import (
     bits_required,
     feedback_savings,
 )
+from .quantize import MAX_CODEBOOK_BITS
 from .validate import run_validation_suite
 
 SWEEP_CSV_HEADER = "snr_db,n_rx,bits,rate_fb_mean,rate_fb_ci,rate_zf_mean,rate_zf_ci,gap,dropped"
@@ -353,6 +354,10 @@ def cmd_validate(args) -> int:
         raise ConfigError(f"validation laws need n_rx <= m - 1 = {m - 1}")
     if samples < 1000:
         raise ConfigError(f"the suite needs at least 1000 samples, got {samples}")
+    if not 1 <= bits <= MAX_CODEBOOK_BITS:
+        raise ConfigError(f"bits must be in [1, {MAX_CODEBOOK_BITS}], got {bits}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
     start = time.perf_counter()
     reports = run_validation_suite(m, n, bits, samples, seed,

@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"need 1 <= N <= M, got N={self.n} with M={self.m}")
         if len(self.snr_db_grid) == 0:
             raise ValueError("SNR grid is empty")
+        if not all(math.isfinite(p) for p in self.snr_db_grid):
+            raise ValueError(f"SNR grid entries must be finite, got {self.snr_db_grid}")
         if self.trials < 1:
             raise ValueError(f"need at least 1 trial, got {self.trials}")
         if self.codebook_policy not in CODEBOOK_POLICIES:

@@ -1,8 +1,9 @@
-"""Complex linear-algebra kernel and seeded random sampling.
+"""Seeded random sampling and the numerical tolerances the kernels share.
 
-Everything here operates on plain numpy complex128 arrays: vectors are 1-D,
-matrices are 2-D (rows, cols), and a stack of matrices carries its leading
-axes first.
+Streams, their Philox keys and complex Gaussian draws live here, with the
+rank and conditioning tolerances.  No solver does: the receive combiner is
+solved on the channel's own QR factor inside ``quantize.quantize_stack``, and
+the zero-forcing inverse is ``precoding.zero_force``.
 """
 
 from __future__ import annotations
@@ -162,25 +163,3 @@ def complex_from_parts(parts: np.ndarray) -> np.ndarray:
     out.imag = parts[1]
     return out
 
-
-def normal_solve(h: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Solve the normal equations (H^H H) v = H^H s, for one system or a stack.
-
-    h is (..., M, N) and s is (..., M).  For full-column-rank H this is the
-    least-squares coefficient vector of s in the columns of H; when s lies in
-    the column span, H v reconstructs s exactly.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
-    if h.ndim < 2 or s.shape != h.shape[:-1]:
-        raise ValueError(f"shape mismatch: H {h.shape}, s {s.shape}")
-    gram = np.einsum("...mi,...mj->...ij", h.conj(), h)
-    rhs = np.einsum("...mi,...m->...i", h.conj(), s)
-    try:
-        # trailing singleton keeps solve in stacked-matrix mode on every numpy
-        v = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateChannelError(f"normal equations are singular: {exc}") from exc
-    if not np.all(np.isfinite(v)):
-        raise DegenerateChannelError("normal equations produced non-finite solution")
-    return v

@@ -25,7 +25,6 @@ from .linalg import (
     DegenerateChannelError,
     RngStream,
     complex_from_parts,
-    normal_solve,
 )
 
 # Refuse codebooks that would not fit in memory; 2^24 vectors is already
@@ -162,11 +161,13 @@ def quantize_stack(channels: np.ndarray, books) -> tuple[QuantizationResult, np.
     against the channels' (a shared codebook is passed once, not tiled).
     Rows are scored from their real parts by |<w, span(H)>|^2 / ||w||^2, which
     ignores their scale, and only the winning row q_hat is formed (as
-    generate_codebook forms it).  Its projection onto span(H), normalized, is
-    the in-span direction s_proj; H v = s_proj solved in the least-squares
-    sense gives the combiner: H gamma is a positive multiple of s_proj with
-    squared norm 1 / ||v||^2.  Returns the result (fields stacked) and a fault
-    code per channel; faulty entries hold finite placeholders.
+    generate_codebook forms it).  With H = QR and c = Q^H q_hat, the in-span
+    direction is s_proj = Q c / ||c||, and H v = s_proj is the triangular
+    system R v = c / ||c||, solved exactly (no normal equations, whose squared
+    condition number would turn a full-rank channel singular).  The combiner
+    gamma = v / ||v|| makes H gamma a positive multiple of s_proj with squared
+    norm 1 / ||v||^2.  Returns the result (fields stacked) and a fault code
+    per channel; faulty entries hold finite placeholders.
     """
     q, r = np.linalg.qr(channels)  # reduced: (..., M, N), orthonormal columns
     rank_loss = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) < RANK_TOL).any(axis=-1)
@@ -185,18 +186,20 @@ def quantize_stack(channels: np.ndarray, books) -> tuple[QuantizationResult, np.
         return np.take_along_axis(book, index[..., None, None], axis=-2)[..., 0, :]
     q_hat = _unit_rows(np.stack([winner(re), winner(im)])) if parts else winner(books)
 
-    shadow = np.einsum("...mk,...k->...m", q, np.einsum("...mk,...m->...k", q.conj(), q_hat))
-    shadow_norm = np.linalg.norm(shadow, axis=-1)
-    orthogonal = shadow_norm < RANK_TOL  # no direction left to orient by
+    coords = np.einsum("...mk,...m->...k", q.conj(), q_hat)
+    coords_norm = np.linalg.norm(coords, axis=-1)
+    orthogonal = coords_norm < RANK_TOL  # no direction left to orient by
     unusable = (rank_loss | orthogonal)[..., None]
-    s_proj = np.where(unusable, q[..., 0], shadow / np.where(unusable, 1.0, shadow_norm[..., None]))
-    # a rank-deficient channel is solved on its unitary Q, so that it cannot
-    # make the whole stack's solve singular
-    h = np.where(rank_loss[..., None, None], q, channels)
-    v = normal_solve(h, s_proj)
+    eye = np.eye(r.shape[-1])
+    coords = np.where(unusable, eye[0], coords / np.where(unusable, 1.0, coords_norm[..., None]))
+    s_proj = np.einsum("...mk,...k->...m", q, coords)
+    # a rank-deficient channel is solved on I, so that it cannot make the
+    # whole stack's solve singular (the trailing axis keeps solve stacked)
+    r = np.where(rank_loss[..., None, None], eye, r)
+    v = np.linalg.solve(r, coords[..., None])[..., 0]
     v_norm_sq = np.einsum("...i,...i->...", v, v.conj()).real
     gamma = v / np.sqrt(v_norm_sq)[..., None]
-    h_eff = np.einsum("...mi,...i->...m", h, gamma)
+    h_eff = np.einsum("...mi,...i->...m", channels, gamma)
     eff_norm_sq = 1.0 / v_norm_sq
     identity_err = np.abs(eff_norm_sq - np.einsum("...m,...m->...", h_eff, h_eff.conj()).real)
     fault = np.select(

@@ -13,6 +13,8 @@ from effchan.cli import (
     parse_config,
     scaling_table_rows,
 )
+from effchan.quantize import MAX_CODEBOOK_BITS
+from effchan.validate import collect_effective_samples
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -118,6 +120,7 @@ def test_sweep_flag_overrides(tmp_path, capsys):
     ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = two\n", "bits must be int"),
     ("m = 4\nn_rx = 3\nsnr_db = 10\ngap_target = 1.0\n", "not reachable"),
     ("m = 6\nn_rx = 1\nsnr_db = 30\ngap_target = 1.0\n", "codebook limit"),
+    ("m = 2\nn_rx = 1\nsnr_db = nan, inf\nbits = 2\n", "must be finite"),
 ])
 def test_sweep_config_errors(tmp_path, capsys, cfg_text, fragment):
     cfg = write_config(tmp_path, cfg_text)
@@ -218,6 +221,25 @@ def test_validate_guards(tmp_path, capsys):
     cfg2 = write_config(tmp_path, "m = 4\nn_rx = 2\nbits = 4\n", "s.cfg")
     assert main(["validate", "--config", cfg2, "--samples", "500"]) == 1
     assert "at least 1000 samples" in capsys.readouterr().err
+    # refused before anything is drawn: no traceback, no huge allocation
+    for bits in (-1, 0, MAX_CODEBOOK_BITS + 1, 40):
+        bad = write_config(tmp_path, f"m = 4\nn_rx = 2\nbits = {bits}\n", "b.cfg")
+        assert main(["validate", "--config", bad, "--samples", "2000"]) == 1
+        assert f"bits must be in [1, {MAX_CODEBOOK_BITS}]" in capsys.readouterr().err
+    assert main(["validate", "--config", cfg2, "--samples", "2000", "--seed", "-1"]) == 1
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_validate_is_deterministic(tmp_path, capsys):
+    cfg = write_config(tmp_path, "m = 4\nn_rx = 2\nbits = 5\nseed = 21\n")
+    written = []
+    for name in ("first", "second"):
+        collect_effective_samples.cache_clear()  # recompute, never read the memo
+        out = tmp_path / name
+        assert main(["validate", "--config", cfg, "--out", str(out), "--samples", "4000"]) == 0
+        written.append((out / "validation.json").read_bytes())
+    capsys.readouterr()
+    assert written[0] == written[1]
 
 
 # ------------------------------------------------------------- shared plumbing

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +76,9 @@ def test_config_guards():
         small_config(n=3)  # N > M
     with pytest.raises(ValueError):
         small_config(snr_db_grid=())
+    for snr_db in (math.nan, math.inf, -math.inf):  # would run to all-NaN rows
+        with pytest.raises(ValueError, match="finite"):
+            small_config(snr_db_grid=(0.0, snr_db))
     with pytest.raises(ValueError):
         small_config(trials=0)
     with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from effchan.linalg import (
     DegenerateChannelError,
     RngStream,
     complex_normal,
-    normal_solve,
     rewind,
     stream_keys,
 )
@@ -126,57 +125,6 @@ def test_complex_normal_matches_two_draw_formula(shape):
     assert got.tobytes() == expected.tobytes()
     # both generators end at the same position
     assert np.array_equal(gen.standard_normal(3), reference.standard_normal(3))
-
-
-# -------------------------------------------------------------- normal_solve
-
-
-def test_normal_solve_orthonormal_columns():
-    q, _ = np.linalg.qr(complex_normal(RngStream(5).generator(), (5, 3)))
-    coeffs = np.array([1.0 + 1j, -0.5, 2.0])
-    s = q @ coeffs
-    assert np.allclose(normal_solve(q, s), q.conj().T @ s, atol=1e-12)
-
-
-def test_normal_solve_scalar_case():
-    h = np.zeros((4, 1), dtype=complex)
-    h[0, 0] = 2.0
-    v = normal_solve(h, basis(0, 4))
-    assert v.shape == (1,)
-    assert v[0] == pytest.approx(0.5, abs=1e-14)
-
-
-def test_normal_solve_recovers_constructed_solution():
-    for t in range(20):
-        gen = RngStream(21, trial=t).generator()
-        h = complex_normal(gen, (5, 3))
-        v0 = complex_normal(gen, 3)
-        v = normal_solve(h, h @ v0)
-        assert np.linalg.norm(v - v0) < 1e-9
-        assert np.linalg.norm(h @ v - h @ v0) < 1e-10
-
-
-def test_normal_solve_stack_matches_single_systems():
-    gen = RngStream(23).generator()
-    h = complex_normal(gen, (6, 5, 3))
-    s = complex_normal(gen, (6, 5))
-    stacked = normal_solve(h, s)
-    assert stacked.shape == (6, 3)
-    for i in range(6):
-        assert np.allclose(stacked[i], normal_solve(h[i], s[i]), rtol=0, atol=1e-12)
-
-
-def test_normal_solve_rejects_singular_system():
-    col = complex_normal(RngStream(3).generator(), (4, 1))
-    with pytest.raises(DegenerateChannelError):
-        normal_solve(np.concatenate([col, col], axis=1), np.ones(4, dtype=complex))
-
-
-def test_normal_solve_shape_checks():
-    with pytest.raises(ValueError):
-        normal_solve(np.ones((4, 2), dtype=complex), np.ones(3, dtype=complex))
-    with pytest.raises(ValueError):
-        normal_solve(np.ones((2, 4, 2), dtype=complex), np.ones(4, dtype=complex))
 
 
 # ------------------------------------------------- orthonormal span basis

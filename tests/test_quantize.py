@@ -284,6 +284,29 @@ def test_stack_faults_are_per_channel():
     assert np.all(np.isfinite(r.h_eff)) and np.all(np.isfinite(r.eff_norm_sq))
 
 
+def test_stack_solves_full_rank_channels_whose_gram_matrix_is_singular():
+    # second QR pivot eps is above RANK_TOL, but eps^2 is lost next to 1 in
+    # H^H H; the combiner is solved on R, whose condition is only ~1/eps
+    eps = (1e-8, 1e-10, 1e-11)
+    channels = np.zeros((3, 4, 2), dtype=complex)
+    channels[:, 0] = 1.0
+    channels[:, 1, 1] = eps
+    cb = generate_codebook(RngStream(97), 3, 4)
+    r, fault = quantize_stack(channels, cb.vectors)
+    assert list(fault) == [0, 0, 0]
+    h_eff = np.einsum("tmi,ti->tm", channels, r.gamma)
+    gain = np.linalg.norm(h_eff, axis=-1) ** 2
+    assert np.all(np.abs(gain - r.eff_norm_sq) <= 1e-8 * np.maximum(1.0, r.eff_norm_sq))
+    # H gamma is a positive multiple of s_proj; forming H gamma cancels, so
+    # its part off s_proj is bounded absolutely, about eps ||H|| ||gamma||
+    along = np.einsum("tm,tm->t", r.s_proj.conj(), h_eff)
+    assert np.allclose(along.real, np.sqrt(gain), rtol=1e-6, atol=0)
+    assert np.linalg.norm(h_eff - along[:, None] * r.s_proj, axis=-1).max() < 1e-14
+    for t in range(3):
+        one = quantize_effective(channels[t], cb)
+        assert one.index == r.index[t]
+
+
 # ------------------------------------------ quantize_stack on codebook normals
 # The kernel scores a codebook given as its (re, im) standard normals without
 # forming it; the oracle forms and normalizes every row, as generate_codebook
