@@ -25,7 +25,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .experiment import CODEBOOK_POLICIES, BitsRule, ExperimentConfig, run_experiment
+from .experiment import (CODEBOOK_POLICIES, STREAM_VERSION, BitsRule, ExperimentConfig,
+                         run_experiment)
 from .formulas import (
     InfeasibleTargetError,
     ScalingInputs,
@@ -245,6 +246,7 @@ def cmd_sweep(args) -> int:
         },
         "rows": [dataclasses.asdict(r) for r in rows],
         "outputs": {"csv": "sweep.csv"},
+        "stream_version": STREAM_VERSION,
         "warnings": warnings,
     }
     manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -310,6 +312,8 @@ def cmd_scaling_table(args) -> int:
         raise ConfigError(f"the bit budget needs n_rx <= m - 1 = {m - 1}")
     if gap <= 0:
         raise ConfigError(f"gap_target must be positive, got {gap}")
+    if not all(math.isfinite(p) for p in snr_db):
+        raise ConfigError(f"snr_db entries must be finite, got {snr_db}")
 
     rows = scaling_table_rows(m, n_list, snr_db, gap)
     lines = [SCALING_CSV_HEADER]

@@ -6,10 +6,12 @@ the true SINRs.  A matching perfect-knowledge benchmark (independent M-user
 single-antenna draw) runs on the same trial index so the reported gap is a
 paired comparison.
 
-Determinism contract: every random draw comes from an RngStream keyed by
-(seed, trial, user, purpose), so results depend only on the config seed and
-are byte-identical for any worker count.  Trials run in chunks (one batched
-pass each) that start at fixed trial indices, aggregated in index order.
+Determinism contract, stream version 2 (``STREAM_VERSION``, in the sweep
+manifest): block b, trials [64 b, 64 b + 64), draws its channels, benchmarks
+and per-block codebooks in trial order from one Philox stream per purpose,
+keyed by (seed, b, 0, purpose).  A normal takes a variable number of Philox
+words, so the block, not the trial, is the unit of replay.  Chunks are whole
+blocks, so no draw depends on the chunk size or the worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .linalg import (
     RngStream,
     complex_from_parts,
     is_stream_id,
-    rewind,
     stream_keys,
 )
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
@@ -38,8 +39,12 @@ from .quantize import MAX_CODEBOOK_BITS, Codebook, generate_codebook, quantize_s
 from .stats import mean_ci
 
 CODEBOOK_POLICIES = ("per_block", "fixed")
-# Codebook bytes (users x 2^B x M entries a trial, two float64 parts each) one
-# chunk of trials scans: bounds the kernel's memory, one trial at M = 8, B = 10.
+# Version of the sweep's stream contract (module docstring), and the trials
+# per stream block, the contract's unit of replay.
+STREAM_VERSION = 2
+_BLOCK = 64
+# Codebook bytes (users x 2^B x M entries a trial, two float64 parts each) a
+# chunk scans or a per-block codebook slice holds: one trial at M = 8, B = 10.
 _CHUNK_BYTES = 2 ** 20
 
 
@@ -160,41 +165,51 @@ class ExperimentResult:
     warnings: list
 
 
+def _budget_trials(config: ExperimentConfig, bits: int) -> int:
+    """Trials whose codebooks fit in _CHUNK_BYTES (at least one)."""
+    return max(1, _CHUNK_BYTES // (config.users * 2 ** bits * config.m * 2 * 8))
+
+
 def _run_chunk(config: ExperimentConfig, power: float, bits: int, seed: int, trials: range,
                codebooks: list[Codebook] | None = None) -> list[TrialRecord]:
     """Simulate the fading blocks ``trials`` of stream seed ``seed`` in one batched pass.
 
-    Each trial draws every user's channel, per-block codebook and benchmark
-    channel from its own stream; the chunk derives all their keys at once and
-    rewinds one generator to each, so every draw equals the stream's own;
-    the kernel scores per-block codebooks straight from their drawn normals.
-    A trial is dropped when a user's quantization faults or zero-forcing
-    refuses either direction stack.
+    ``trials`` starts at a stream block's first trial; a block the range ends
+    inside draws a prefix of its streams.  Each block draws its channels and
+    benchmarks with one call per purpose; its per-block codebooks are drawn
+    in order, a slice of at most _CHUNK_BYTES at a time, each slice scored
+    from its normals as soon as it is drawn.  A trial is dropped when a
+    user's quantization faults or zero-forcing refuses either direction stack.
     """
-    m, n, users = config.m, config.n, config.users
-    keys = stream_keys(seed, np.asarray(trials)[:, None, None], np.arange(users)[:, None],
-                       np.array([PURPOSE_CHANNEL, PURPOSE_CODEBOOK, PURPOSE_BENCHMARK]))
-    gen = np.random.Generator(np.random.Philox(0))  # rewound to a key before each draw
-    channel_parts = np.empty((len(trials), users, 2, m, n))
-    bench_parts = np.empty((len(trials), users, 2, m))
-    if codebooks is None:
-        book_parts = np.empty((len(trials), users, 2, 2 ** bits, m))
-        books = (book_parts[:, :, 0], book_parts[:, :, 1])
-    else:
-        books = np.stack([cb.vectors for cb in codebooks])[None]  # shared by every trial
-    for t, trial_keys in enumerate(keys):
-        for u, (channel_key, codebook_key, bench_key) in enumerate(trial_keys):
-            rewind(gen, channel_key).standard_normal(out=channel_parts[t, u])
-            if codebooks is None:  # generate_codebook's draw
-                rewind(gen, codebook_key).standard_normal(out=book_parts[t, u])
-            rewind(gen, bench_key).standard_normal(out=bench_parts[t, u])
+    m, n, users, count = config.m, config.n, config.users, len(trials)
+    blocks = np.arange(trials.start // _BLOCK, (trials.stop - 1) // _BLOCK + 1)
+    purposes = [PURPOSE_CHANNEL, PURPOSE_BENCHMARK] + [PURPOSE_CODEBOOK] * (codebooks is None)
+    gens = [[np.random.Generator(np.random.Philox(key=key)) for key in block_keys]
+            for block_keys in stream_keys(seed, blocks[:, None], 0, np.array(purposes))]
+    channel_parts = np.empty((count, users, 2, m, n))
+    bench_parts = np.empty((count, users, 2, m))
+    starts = range(0, count, _BLOCK)
+    for lo, (channel_gen, bench_gen, *_) in zip(starts, gens):
+        channel_gen.standard_normal(out=channel_parts[lo:lo + _BLOCK])
+        bench_gen.standard_normal(out=bench_parts[lo:lo + _BLOCK])
     channels = complex_from_parts(np.moveaxis(channel_parts, 2, 0))
     # (trials, M, users), contiguous: column u = user u
     bench = complex_from_parts(bench_parts.transpose(2, 0, 3, 1))
-    fb, fault = quantize_stack(channels, books)
+    if codebooks is not None:  # shared by every trial
+        scored = [quantize_stack(channels, np.stack([cb.vectors for cb in codebooks])[None])]
+    else:  # generate_codebook's draw, trial after trial, a slice at a time
+        scored, step = [], _budget_trials(config, bits)
+        for lo, (_, _, gen) in zip(starts, gens):
+            end = min(lo + _BLOCK, count)
+            for i in range(lo, end, step):
+                normals = gen.standard_normal((min(step, end - i), users, 2, 2 ** bits, m))
+                books = (normals[:, :, 0], normals[:, :, 1])
+                scored.append(quantize_stack(channels[i:i + len(normals)], books))
+    q_hat, h_eff, fault = (np.concatenate(parts) for parts in
+                           zip(*((fb.q_hat, fb.h_eff, f) for fb, f in scored)))
     # user stacks as (M, M) matrices with one column per user
-    beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
-    sinrs = sinr_stack(np.swapaxes(fb.h_eff, -1, -2), beams, power)
+    beams, cond, residual = zero_force(np.swapaxes(q_hat, -1, -2))
+    sinrs = sinr_stack(np.swapaxes(h_eff, -1, -2), beams, power)
     rate_zf, zf_cond, zf_residual = perfect_csit_rates(bench, power)
     dropped = (fault != 0).any(axis=-1) | refused(cond, residual) | refused(zf_cond, zf_residual)
     sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
@@ -210,10 +225,11 @@ def run_trial(config: ExperimentConfig, power: float, bits: int, stream: RngStre
     ``stream`` identifies the block by its seed and trial index (its user and
     purpose are not used).  ``codebooks`` overrides per-user codebook
     generation (used by the fixed-codebook policy and by tests that plant
-    codebook entries).  A one-trial chunk of the batched pass.
+    codebook entries).  A view of the batched pass: it runs the trial's
+    stream block up to the trial and returns the trial's record.
     """
-    trials = range(stream.trial, stream.trial + 1)
-    return _run_chunk(config, power, bits, stream.seed, trials, codebooks)[0]
+    trials = range(stream.trial // _BLOCK * _BLOCK, stream.trial + 1)
+    return _run_chunk(config, power, bits, stream.seed, trials, codebooks)[-1]
 
 
 def _fixed_codebooks(config: ExperimentConfig, bits: int) -> list[Codebook] | None:
@@ -228,9 +244,9 @@ def _fixed_codebooks(config: ExperimentConfig, bits: int) -> list[Codebook] | No
 def _point_records(config: ExperimentConfig, power: float, bits: int,
                    threads: int) -> list[TrialRecord]:
     codebooks = _fixed_codebooks(config, bits)
-    size = max(1, _CHUNK_BYTES // (config.users * 2 ** bits * config.m * 2 * 8))
-    # chunk boundaries depend on the config only and workers take whole
-    # chunks, so the worker count never changes any record or their order
+    size = max(1, _budget_trials(config, bits) // _BLOCK) * _BLOCK
+    # chunks are whole stream blocks and workers take whole chunks, so
+    # neither the chunk size nor the worker count changes any record or order
     chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
     run = partial(_run_chunk, config, power, bits, config.seed, codebooks=codebooks)
     if threads <= 1 or len(chunks) < 2:

@@ -27,13 +27,10 @@ PURPOSE_FIXED_CODEBOOK = 3
 PURPOSE_PROBE = 4
 PURPOSE_VALIDATION = 5
 
-# numpy's SeedSequence hash constants (stream_keys) and the zero Philox
-# counter and buffer a stream starts from (rewind).
+# numpy's SeedSequence hash constants (stream_keys).
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
-_PHILOX_ZEROS.setflags(write=False)
 
 
 class DegenerateChannelError(ValueError):
@@ -108,8 +105,10 @@ def stream_keys(seed: int, trial, user, purpose) -> np.ndarray:
     seed is a nonnegative integer and the ids are integer arrays (or ints)
     in [0, 2**32) that broadcast together.  Each key equals
     ``SeedSequence([seed, trial, user, purpose]).generate_state(2, np.uint64)``,
-    the key ``RngStream(...).generator()`` starts from: this redoes numpy's
-    entropy mixing (a pool of four words) and generate_state on whole arrays.
+    the key ``RngStream(...).generator()`` starts from, so
+    ``Generator(Philox(key=key))`` draws what that generator draws.  This
+    redoes numpy's entropy mixing (a pool of four words) and generate_state
+    on whole arrays.
     """
     ids = [np.asarray(v) for v in (trial, user, purpose)]
     if not is_stream_id(seed) or any(
@@ -129,15 +128,6 @@ def stream_keys(seed: int, trial, user, purpose) -> np.ndarray:
             pool = [_mix(value, hashmix(word)) for value in pool]
         state = np.stack(np.broadcast_arrays(*map(_hasher(_INIT_B, _MULT_B), pool)), axis=-1)
     return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def rewind(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
-    """Put Philox-backed ``gen`` at the start of the stream with this key: it
-    then draws what ``RngStream(...).generator()`` draws for that key."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": _PHILOX_ZEROS, "key": key},
-        "buffer": _PHILOX_ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gen
 
 
 def complex_normal(gen: np.random.Generator, shape) -> np.ndarray:

@@ -86,6 +86,7 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert len(manifest["rows"]) == 2
     assert manifest["rows"][0]["rate_zf_mean"] > 0
     assert "outputs" in manifest and "warnings" in manifest
+    assert manifest["stream_version"] == 2
 
 
 def test_sweep_reports_default_seed(tmp_path, capsys):
@@ -181,6 +182,11 @@ def test_scaling_table_guards(tmp_path, capsys):
     cfg2 = write_config(tmp_path, "m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = -1\n", "g.cfg")
     assert main(["scaling-table", "--config", cfg2]) == 1
     assert "gap_target must be positive" in capsys.readouterr().err
+    for snr_db in ("nan, 10", "10, inf", "-inf"):  # refused, not a math.ceil traceback
+        cfg3 = write_config(tmp_path, f"m = 4\nn_rx = 2\nsnr_db = {snr_db}\ngap_target = 1.0\n",
+                            "s.cfg")
+        assert main(["scaling-table", "--config", cfg3]) == 1
+        assert "error: snr_db entries must be finite" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ validate

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from effchan.experiment import (
     TrialRecord,
     _aggregate,
     _fixed_codebooks,
+    _point_records,
     _run_chunk,
     run_experiment,
     run_trial,
@@ -22,7 +24,7 @@ from effchan.linalg import (
     PURPOSE_CHANNEL,
     PURPOSE_CODEBOOK,
     RngStream,
-    complex_normal,
+    complex_from_parts,
 )
 from effchan.precoding import perfect_csit_rates
 from effchan.quantize import Codebook, generate_codebook, quantize_stack
@@ -34,6 +36,26 @@ def small_config(**overrides):
                 trials=20, seed=99)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def block_draw(seed, block, purpose, shape):
+    """Stream block ``block``'s standard normals for ``purpose``, drawn from its start."""
+    return RngStream(seed, block, 0, purpose).generator().standard_normal(shape)
+
+
+def block_channels(config, block, trials):
+    """Complex channels (trials, users, M, N) of a stream block's first trials."""
+    parts = block_draw(config.seed, block, PURPOSE_CHANNEL,
+                       (trials, config.users, 2, config.m, config.n))
+    return complex_from_parts(np.moveaxis(parts, 2, 0))
+
+
+def assert_same_records(records, others):
+    assert len(records) == len(others)
+    for record, other in zip(records, others):
+        assert np.array_equal(record.sinrs, other.sinrs)
+        assert (record.rate_fb, record.rate_zf, record.dropped) == (
+            other.rate_fb, other.rate_zf, other.dropped)
 
 
 # ------------------------------------------------------------------ BitsRule
@@ -135,17 +157,14 @@ def test_run_trial_with_planted_directions_matches_perfect_zf():
     # true channels
     config = small_config(seed=1234)
     stream = RngStream(config.seed, 0)
-    channels = []
+    channels = block_channels(config, 0, 1)[0, :, :, 0]  # trial 0 of block 0: (users, M)
     codebooks = []
-    for u in range(config.users):
-        h = complex_normal(stream.derive(user=u, purpose=PURPOSE_CHANNEL).generator(),
-                           (2, 1))[:, 0]
+    for h in channels:
         direction = h / np.linalg.norm(h)
         other = np.array([-np.conj(direction[1]), np.conj(direction[0])])
         codebooks.append(Codebook(vectors=np.stack([direction, other]), bits=1))
-        channels.append(h)
     record = run_trial(config, 10.0, 1, stream, codebooks=codebooks)
-    expected, _, _ = perfect_csit_rates(np.stack(channels, axis=1), 10.0)
+    expected, _, _ = perfect_csit_rates(channels.T, 10.0)
     assert not record.dropped
     assert record.rate_fb == pytest.approx(expected, rel=1e-9)
 
@@ -156,9 +175,7 @@ def test_run_trial_drops_codeword_orthogonal_to_channel():
     config = small_config(seed=1234)
     stream = RngStream(config.seed, 0)
     codebooks = []
-    for u in range(config.users):
-        h = complex_normal(stream.derive(user=u, purpose=PURPOSE_CHANNEL).generator(),
-                           (2, 1))[:, 0]
+    for h in block_channels(config, 0, 1)[0, :, :, 0]:
         direction = h / np.linalg.norm(h)
         other = np.array([-np.conj(direction[1]), np.conj(direction[0])])
         codebooks.append(Codebook(vectors=np.stack([other, other]), bits=1))
@@ -177,19 +194,38 @@ def test_run_trial_drops_parallel_reported_directions():
     assert np.all(record.sinrs == 0.0)
 
 
+class Replay:
+    """Stand-in stream whose generator hands out given normals once."""
+
+    def __init__(self, normals):
+        self.normals = normals
+
+    def generator(self):
+        return self
+
+    def standard_normal(self, shape):
+        assert shape == self.normals.shape
+        return self.normals.copy()
+
+
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 @pytest.mark.parametrize("seed", [5, 2 ** 40 + 9])
 def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
-    # the chunk derives its stream keys at once and rewinds one generator;
-    # every draw must still be the one its own RngStream generator makes
+    # a chunk of two stream blocks, the second cut short: every draw must be
+    # the block stream's own, drawn from its start with the block's shapes,
+    # and per-block codebooks drawn in slices of 5 trials must be the block
+    # stream's codebook draw in trial order
     config = ExperimentConfig(m=3, n=2, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(3),
-                              trials=20, seed=seed, codebook_policy=policy)
-    seen = {}
+                              trials=200, seed=seed, codebook_policy=policy)
+    seen = {"books": []}
 
     def spy_quantize(channels, books):
-        seen["channels"], seen["books"] = channels, books
-        seen["fb"], fault = quantize_stack(channels, books)
-        return seen["fb"], fault
+        seen["channels"] = channels  # the last slice's
+        seen["books"].append(books)
+        fb, fault = quantize_stack(channels, books)
+        seen.setdefault("q_hat", []).append(fb.q_hat)
+        seen.setdefault("index", []).append(fb.index)
+        return fb, fault
 
     def spy_rates(bench, power):
         seen["bench"] = bench
@@ -197,37 +233,39 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
 
     monkeypatch.setattr(experiment, "quantize_stack", spy_quantize)
     monkeypatch.setattr(experiment, "perfect_csit_rates", spy_rates)
-    trials = range(11, 17)
+    monkeypatch.setattr(experiment, "_CHUNK_BYTES", 5 * 3 * 2 ** 3 * 3 * 2 * 8)
+    trials = range(64, 134)
     codebooks = _fixed_codebooks(config, 3)
     records = _run_chunk(config, 10.0, 3, seed, trials, codebooks)
     monkeypatch.undo()
 
-    def oracle(t, u, purpose, shape):
-        return complex_normal(RngStream(seed, t, u, purpose).generator(), shape)
-
-    assert seen["bench"].shape == (6, 3, 3) and seen["bench"].flags.c_contiguous
-    for i, t in enumerate(trials):
+    assert seen["bench"].shape == (70, 3, 3) and seen["bench"].flags.c_contiguous
+    channels = np.concatenate([block_channels(config, 1, 64), block_channels(config, 2, 6)])
+    bench = np.concatenate([block_draw(seed, b, PURPOSE_BENCHMARK, (k, 3, 2, 3))
+                            for b, k in ((1, 64), (2, 6))])
+    assert seen["bench"].tobytes() == complex_from_parts(bench.transpose(2, 0, 3, 1)).tobytes()
+    if policy == "per_block":
+        # the kernel gets the codebooks' normal parts; each winning row is
+        # the row generate_codebook forms from them
+        assert [len(re) for re, _ in seen["books"]] == [5] * 12 + [4, 5, 1]
+        assert seen["channels"].tobytes() == channels[-1:].tobytes()
+        normals = np.concatenate([block_draw(seed, b, PURPOSE_CODEBOOK, (k, 3, 2, 2 ** 3, 3))
+                                  for b, k in ((1, 64), (2, 6))])
+        assert np.concatenate([re for re, _ in seen["books"]]).tobytes() == (
+            normals[:, :, 0].tobytes())
+        assert np.concatenate([im for _, im in seen["books"]]).tobytes() == (
+            normals[:, :, 1].tobytes())
+        index, q_hat = np.concatenate(seen["index"]), np.concatenate(seen["q_hat"])
+        for i, u in itertools.product(range(70), range(3)):
+            book = generate_codebook(Replay(normals[i, u]), 3, 3)
+            assert q_hat[i, u].tobytes() == book.vectors[index[i, u]].tobytes()
+    else:
+        [books] = seen["books"]
+        assert seen["channels"].tobytes() == channels.tobytes()
         for u in range(config.users):
-            channel = oracle(t, u, PURPOSE_CHANNEL, (3, 2))
-            assert seen["channels"][i, u].tobytes() == channel.tobytes()
-            assert seen["bench"][i, :, u].tobytes() == oracle(t, u, PURPOSE_BENCHMARK, 3).tobytes()
-            if policy == "per_block":
-                # the kernel gets the codebook's normal parts; its winning row
-                # is the row generate_codebook forms from them
-                stream = RngStream(seed, t, u, PURPOSE_CODEBOOK)
-                normals = stream.generator().standard_normal((2, 2 ** 3, 3))
-                assert seen["books"][0][i, u].tobytes() == normals[0].tobytes()
-                assert seen["books"][1][i, u].tobytes() == normals[1].tobytes()
-                book = generate_codebook(stream, 3, 3)
-                index = seen["fb"].index[i, u]
-                assert seen["fb"].q_hat[i, u].tobytes() == book.vectors[index].tobytes()
-            else:
-                assert seen["books"][0, u].tobytes() == codebooks[u].vectors.tobytes()
+            assert books[0, u].tobytes() == codebooks[u].vectors.tobytes()
     singles = [run_trial(config, 10.0, 3, RngStream(seed, t), codebooks) for t in trials]
-    for record, single in zip(records, singles):
-        assert np.array_equal(record.sinrs, single.sinrs)
-        assert (record.rate_fb, record.rate_zf, record.dropped) == (
-            single.rate_fb, single.rate_zf, single.dropped)
+    assert_same_records(records, singles)
 
 
 def test_run_trial_feedback_loses_to_perfect_knowledge_on_average():
@@ -348,27 +386,76 @@ def test_run_experiment_thread_count_does_not_change_results():
 
 
 def test_run_experiment_worker_count_with_many_chunks(monkeypatch):
-    # a tiny chunk budget splits the trials into one-trial chunks, so the
-    # workers share the chunks unevenly
+    # a tiny chunk budget splits the trials into one-block chunks (the last
+    # cut short), so the workers share the chunks unevenly
     monkeypatch.setattr(experiment, "_CHUNK_BYTES", 1)
-    config = small_config(trials=7, codebook_policy="fixed")
+    config = small_config(trials=200, codebook_policy="fixed")
     serial = run_experiment(config, threads=1)
     assert serial.points == run_experiment(config, threads=2).points
     assert serial.points == run_experiment(config, threads=3).points
 
 
-# Recorded from the trial-at-a-time implementation (Gram-Schmidt quantizer,
-# per-user SINR) on the same streams: (N, policy, SNR) -> (rate_fb_mean,
-# rate_zf_mean, gap, dropped) at M = 3, B = 3, 50 trials, seed 2024.
+@pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
+def test_run_experiment_worker_count_with_multi_block_chunks(monkeypatch, policy):
+    # two-block chunks (M = 2, B = 2: 256 codebook bytes a trial): 128, 128, 44
+    monkeypatch.setattr(experiment, "_CHUNK_BYTES", 128 * 256)
+    config = small_config(trials=300, codebook_policy=policy)
+    serial = run_experiment(config, threads=1)
+    assert serial.points == run_experiment(config, threads=2).points
+    assert serial.points == run_experiment(config, threads=3).points
+
+
+@pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
+def test_run_experiment_does_not_depend_on_chunk_bytes(monkeypatch, policy):
+    # M = 4, B = 7: 32 KiB of codebook a trial, so at the default budget
+    # per-block codebooks are drawn in two slices a block, at 1 byte in 64
+    config = ExperimentConfig(m=4, n=2, snr_db_grid=(0.0, 10.0), bits_rule=BitsRule.fixed(7),
+                              trials=150, seed=77, codebook_policy=policy)
+    points = run_experiment(config).points
+    for chunk_bytes in (1, 2 ** 30):
+        monkeypatch.setattr(experiment, "_CHUNK_BYTES", chunk_bytes)
+        assert run_experiment(config).points == points
+
+
+@pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
+def test_records_of_fewer_trials_are_a_prefix(policy):
+    # a run that stops inside a stream block draws a prefix of its streams
+    config = ExperimentConfig(m=3, n=2, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(3),
+                              trials=130, seed=8, codebook_policy=policy)
+    short = dataclasses.replace(config, trials=70)
+    assert_same_records(_point_records(short, 10.0, 3, 1),
+                        _point_records(config, 10.0, 3, 1)[:70])
+
+
+@pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
+@pytest.mark.parametrize("chunk_bytes", [1, 2 ** 14, 2 ** 20, 2 ** 30])
+def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
+    chunks = []
+
+    def spy_chunk(config, power, bits, seed, trials, codebooks=None):
+        chunks.append(trials)
+        return _run_chunk(config, power, bits, seed, trials, codebooks)
+
+    monkeypatch.setattr(experiment, "_run_chunk", spy_chunk)
+    monkeypatch.setattr(experiment, "_CHUNK_BYTES", chunk_bytes)
+    config = small_config(m=3, n=2, trials=333, codebook_policy=policy)
+    _point_records(config, 10.0, 4, 1)
+    assert all(chunk.start % experiment._BLOCK == 0 for chunk in chunks)
+    assert [t for chunk in chunks for t in chunk] == list(range(333))
+
+
+# Recorded on stream contract v2 (block-keyed streams) when it replaced the
+# per-trial streams: (N, policy, SNR) -> (rate_fb_mean, rate_zf_mean, gap,
+# dropped) at M = 3, B = 3, 50 trials, seed 2024.
 RECORDED_POINTS = {
-    (1, "per_block", 0.0): (0.8735873920295114, 1.1145550578510803, 0.24096766582156892, 0),
-    (1, "per_block", 10.0): (2.4800407390218773, 5.364528379166904, 2.884487640145027, 0),
-    (1, "fixed", 0.0): (0.8465658509786975, 1.1145550578510803, 0.2679892068723828, 0),
-    (1, "fixed", 10.0): (2.3549803343612314, 5.364528379166904, 3.0095480448056726, 0),
-    (2, "per_block", 0.0): (0.7530677655767904, 1.1145550578510803, 0.3614872922742899, 0),
-    (2, "per_block", 10.0): (3.517774277811087, 5.364528379166904, 1.8467541013558169, 0),
-    (2, "fixed", 0.0): (0.6818053964684557, 1.1145550578510803, 0.4327496613826246, 0),
-    (2, "fixed", 10.0): (3.251644857973079, 5.364528379166904, 2.112883521193825, 0),
+    (1, "per_block", 0.0): (0.9491327151656006, 1.1988785494948067, 0.24974583432920605, 0),
+    (1, "per_block", 10.0): (2.6884445938243506, 5.468691378912033, 2.7802467850876824, 0),
+    (1, "fixed", 0.0): (0.8948443849904986, 1.1988785494948067, 0.3040341645043081, 0),
+    (1, "fixed", 10.0): (2.630336143120577, 5.468691378912033, 2.838355235791456, 0),
+    (2, "per_block", 0.0): (0.8100139655182049, 1.1988785494948067, 0.38886458397660173, 0),
+    (2, "per_block", 10.0): (3.6574942248998408, 5.468691378912033, 1.8111971540121923, 0),
+    (2, "fixed", 0.0): (0.6483567439807087, 1.1988785494948067, 0.5505218055140979, 0),
+    (2, "fixed", 10.0): (3.102234070906017, 5.468691378912033, 2.366457308006016, 0),
 }
 
 

@@ -6,7 +6,6 @@ from effchan.linalg import (
     DegenerateChannelError,
     RngStream,
     complex_normal,
-    rewind,
     stream_keys,
 )
 from effchan.precoding import refused, zero_force
@@ -101,14 +100,20 @@ def test_stream_keys_reject_non_integer_seed():
     assert np.array_equal(stream_keys(np.int64(7), 2, 1, 2), stream_keys(7, 2, 1, 2))
 
 
-def test_rewind_replays_stream_from_its_start():
-    gen = np.random.Generator(np.random.Philox(0))
-    gen.random(3)  # leave it mid-buffer
-    for ids in [(7, 2, 1, 2), (2 ** 40 + 9, 11, 0, 0)]:
-        expected = RngStream(*ids).generator()
-        key = stream_keys(*ids)
-        assert np.array_equal(rewind(gen, key).standard_normal(9), expected.standard_normal(9))
-        assert np.array_equal(gen.integers(0, 100, 5), expected.integers(0, 100, 5))
+def test_philox_on_stream_key_draws_what_stream_generator_draws():
+    # a generator built straight on a stream's key is the stream's own
+    rng = np.random.default_rng(211)
+    trial = rng.integers(0, 2 ** 32, 300)
+    trial[:2] = (0, 2 ** 32 - 1)
+    user = rng.integers(0, 64, 300)
+    purpose = rng.integers(0, 6, 300)
+    for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3):
+        keys = stream_keys(seed, trial, user, purpose)
+        for key, *ids in zip(keys, trial, user, purpose):
+            gen = np.random.Generator(np.random.Philox(key=key))
+            expected = RngStream(seed, *map(int, ids)).generator()
+            assert gen.standard_normal(9).tobytes() == expected.standard_normal(9).tobytes()
+            assert np.array_equal(gen.integers(0, 100, 5), expected.integers(0, 100, 5))
 
 
 # ------------------------------------------------------------ complex_normal
