@@ -310,8 +310,8 @@ def cmd_scaling_table(args) -> int:
     _check_geometry(m, n_list)
     if any(n > m - 1 for n in n_list):
         raise ConfigError(f"the bit budget needs n_rx <= m - 1 = {m - 1}")
-    if gap <= 0:
-        raise ConfigError(f"gap_target must be positive, got {gap}")
+    if not 0 < gap < math.inf:  # NaN fails too
+        raise ConfigError(f"gap_target must be positive and finite, got {gap}")
     if not all(math.isfinite(p) for p in snr_db):
         raise ConfigError(f"snr_db entries must be finite, got {snr_db}")
 

@@ -8,10 +8,10 @@ paired comparison.
 
 Determinism contract, stream version 2 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws its channels, benchmarks
-and per-block codebooks in trial order from one Philox stream per purpose,
-keyed by (seed, b, 0, purpose).  A normal takes a variable number of Philox
-words, so the block, not the trial, is the unit of replay.  Chunks are whole
-blocks, so no draw depends on the chunk size or the worker count.
+and per-block codebooks in trial order from one stream per purpose,
+``RngStream(seed, b, 0, purpose)``.  A normal takes a variable number of
+Philox words, so the block, not the trial, is the unit of replay.  Chunks are
+whole blocks, so no draw depends on the chunk size or the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .linalg import (
     RngStream,
     complex_from_parts,
     is_stream_id,
-    stream_keys,
 )
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
 from .quantize import MAX_CODEBOOK_BITS, Codebook, generate_codebook, quantize_stack
@@ -67,8 +66,9 @@ class BitsRule:
                 raise ValueError(f"fixed bits must be an integer in [1, {MAX_CODEBOOK_BITS}], "
                                  f"got {self.bits!r}")
         elif self.kind == "scaling":
-            if self.target_gap is None or self.target_gap <= 0:
-                raise ValueError(f"scaling rule needs a positive target gap, got {self.target_gap}")
+            if self.target_gap is None or not 0 < self.target_gap < math.inf:  # NaN fails too
+                raise ValueError(
+                    f"scaling rule needs a positive finite target gap, got {self.target_gap}")
         else:
             raise ValueError(f"unknown bits rule kind {self.kind!r}")
 
@@ -182,16 +182,15 @@ def _run_chunk(config: ExperimentConfig, power: float, bits: int, seed: int, tri
     user's quantization faults or zero-forcing refuses either direction stack.
     """
     m, n, users, count = config.m, config.n, config.users, len(trials)
-    blocks = np.arange(trials.start // _BLOCK, (trials.stop - 1) // _BLOCK + 1)
-    purposes = [PURPOSE_CHANNEL, PURPOSE_BENCHMARK] + [PURPOSE_CODEBOOK] * (codebooks is None)
-    gens = [[np.random.Generator(np.random.Philox(key=key)) for key in block_keys]
-            for block_keys in stream_keys(seed, blocks[:, None], 0, np.array(purposes))]
+    first_block, starts = trials.start // _BLOCK, range(0, count, _BLOCK)
     channel_parts = np.empty((count, users, 2, m, n))
     bench_parts = np.empty((count, users, 2, m))
-    starts = range(0, count, _BLOCK)
-    for lo, (channel_gen, bench_gen, *_) in zip(starts, gens):
-        channel_gen.standard_normal(out=channel_parts[lo:lo + _BLOCK])
-        bench_gen.standard_normal(out=bench_parts[lo:lo + _BLOCK])
+    for lo in starts:
+        block = first_block + lo // _BLOCK
+        RngStream(seed, block, 0, PURPOSE_CHANNEL).generator().standard_normal(
+            out=channel_parts[lo:lo + _BLOCK])
+        RngStream(seed, block, 0, PURPOSE_BENCHMARK).generator().standard_normal(
+            out=bench_parts[lo:lo + _BLOCK])
     channels = complex_from_parts(np.moveaxis(channel_parts, 2, 0))
     # (trials, M, users), contiguous: column u = user u
     bench = complex_from_parts(bench_parts.transpose(2, 0, 3, 1))
@@ -199,7 +198,8 @@ def _run_chunk(config: ExperimentConfig, power: float, bits: int, seed: int, tri
         scored = [quantize_stack(channels, np.stack([cb.vectors for cb in codebooks])[None])]
     else:  # generate_codebook's draw, trial after trial, a slice at a time
         scored, step = [], _budget_trials(config, bits)
-        for lo, (_, _, gen) in zip(starts, gens):
+        for lo in starts:
+            gen = RngStream(seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK).generator()
             end = min(lo + _BLOCK, count)
             for i in range(lo, end, step):
                 normals = gen.standard_normal((min(step, end - i), users, 2, 2 ** bits, m))

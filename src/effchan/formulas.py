@@ -87,8 +87,8 @@ class ScalingInputs:
 
     def __post_init__(self):
         _check_antennas(self.m, self.n)
-        if self.target_gap <= 0:
-            raise ValueError(f"target gap must be positive, got {self.target_gap}")
+        if not 0 < self.target_gap < math.inf:  # NaN fails too
+            raise ValueError(f"target gap must be positive and finite, got {self.target_gap}")
 
     def gap_headroom(self) -> float:
         """c = 2**r * exp(-sum 1/l) - 1; must be positive for the target to be reachable."""

@@ -1,14 +1,13 @@
 """Seeded random sampling and the numerical tolerances the kernels share.
 
-Streams, their Philox keys and complex Gaussian draws live here, with the
-rank and conditioning tolerances.  No solver does: the receive combiner is
-solved on the channel's own QR factor inside ``quantize.quantize_stack``, and
-the zero-forcing inverse is ``precoding.zero_force``.
+Random streams and complex Gaussian draws live here, with the rank and
+conditioning tolerances.  No solver does: the receive combiner is solved on
+the channel's own QR factor inside ``quantize.quantize_stack``, and the
+zero-forcing inverse is ``precoding.zero_force``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,11 +25,6 @@ PURPOSE_BENCHMARK = 2
 PURPOSE_FIXED_CODEBOOK = 3
 PURPOSE_PROBE = 4
 PURPOSE_VALIDATION = 5
-
-# numpy's SeedSequence hash constants (stream_keys).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 class DegenerateChannelError(ValueError):
@@ -79,55 +73,6 @@ class RngStream:
         if purpose is not None:
             updates["purpose"] = purpose
         return replace(self, **updates)
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix with its running hash constant, on uint32 arrays."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        return _xorshift(value * np.uint32(const))
-    return hashmix
-
-
-def _xorshift(value):
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x, y):
-    return _xorshift(_MIX_L * x - _MIX_R * y)
-
-
-def stream_keys(seed: int, trial, user, purpose) -> np.ndarray:
-    """Philox keys (..., 2) of the streams (seed, trial, user, purpose).
-
-    seed is a nonnegative integer and the ids are integer arrays (or ints)
-    in [0, 2**32) that broadcast together.  Each key equals
-    ``SeedSequence([seed, trial, user, purpose]).generate_state(2, np.uint64)``,
-    the key ``RngStream(...).generator()`` starts from, so
-    ``Generator(Philox(key=key))`` draws what that generator draws.  This
-    redoes numpy's entropy mixing (a pool of four words) and generate_state
-    on whole arrays.
-    """
-    ids = [np.asarray(v) for v in (trial, user, purpose)]
-    if not is_stream_id(seed) or any(
-            v.dtype.kind not in "iu" or np.any((v < 0) | (v > _MASK32)) for v in ids):
-        raise ValueError(f"need a nonnegative integer seed and integer ids in [0, 2**32), got "
-                         f"{seed!r}, {trial!r}, {user!r}, {purpose!r}")
-    seed = int(seed)  # split into 32-bit words, low word first
-    entropy = [np.uint32(seed >> shift & _MASK32)
-               for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [v.astype(np.uint32) for v in ids]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    with np.errstate(over="ignore"):  # uint32 arithmetic wraps mod 2**32
-        pool = [hashmix(word) for word in entropy[:4]]
-        for src, dst in itertools.permutations(range(4), 2):  # src outer, dst inner
-            pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[4:]:
-            pool = [_mix(value, hashmix(word)) for value in pool]
-        state = np.stack(np.broadcast_arrays(*map(_hasher(_INIT_B, _MULT_B), pool)), axis=-1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def complex_normal(gen: np.random.Generator, shape) -> np.ndarray:

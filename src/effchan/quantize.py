@@ -57,10 +57,6 @@ class Codebook:
             raise ValueError("codebook rows must be unit norm")
 
     @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.vectors.shape[1]
 

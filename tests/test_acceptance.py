@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from effchan import experiment
 from effchan.experiment import BitsRule, ExperimentConfig, run_experiment
 from effchan.formulas import InfeasibleTargetError, ScalingInputs, bits_required, delta_a
 from effchan.linalg import (
@@ -232,15 +233,27 @@ def test_full_rank_square_channel_quantizes_exactly():
 # 11 ------------------------------------------------------ CLI determinism
 
 
-def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys):
+def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class CountingPool(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    # at M = 4, B = 4 a chunk holds 256 trials, so each grid point is two
+    # chunks (256 + 44) and --threads 3 really hands them to a pool
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("m = 4\nn_rx = 1, 2\nsnr_db = 0, 10\nbits = 4\n"
-                   "trials = 60\nseed = 31\n")
+                   "trials = 300\nseed = 31\n")
     out1, out2 = tmp_path / "serial", tmp_path / "parallel"
     assert main(["sweep", "--config", str(cfg), "--out", str(out1),
                  "--threads", "1"]) == 0
+    assert pools == []
     assert main(["sweep", "--config", str(cfg), "--out", str(out2),
                  "--threads", "3"]) == 0
+    assert pools == [2] * 4  # one two-worker pool per grid point
     capsys.readouterr()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()

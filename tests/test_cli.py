@@ -122,6 +122,8 @@ def test_sweep_flag_overrides(tmp_path, capsys):
     ("m = 4\nn_rx = 3\nsnr_db = 10\ngap_target = 1.0\n", "not reachable"),
     ("m = 6\nn_rx = 1\nsnr_db = 30\ngap_target = 1.0\n", "codebook limit"),
     ("m = 2\nn_rx = 1\nsnr_db = nan, inf\nbits = 2\n", "must be finite"),
+    ("m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = nan\n", "positive finite target gap"),
+    ("m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = inf\n", "positive finite target gap"),
 ])
 def test_sweep_config_errors(tmp_path, capsys, cfg_text, fragment):
     cfg = write_config(tmp_path, cfg_text)
@@ -182,6 +184,11 @@ def test_scaling_table_guards(tmp_path, capsys):
     cfg2 = write_config(tmp_path, "m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = -1\n", "g.cfg")
     assert main(["scaling-table", "--config", cfg2]) == 1
     assert "gap_target must be positive" in capsys.readouterr().err
+    for gap in ("nan", "inf"):  # refused, not a math.ceil traceback or a silent 0 bits
+        cfg_gap = write_config(tmp_path, f"m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = {gap}\n",
+                               "g.cfg")
+        assert main(["scaling-table", "--config", cfg_gap]) == 1
+        assert "error: gap_target must be positive and finite" in capsys.readouterr().err
     for snr_db in ("nan, 10", "10, inf", "-inf"):  # refused, not a math.ceil traceback
         cfg3 = write_config(tmp_path, f"m = 4\nn_rx = 2\nsnr_db = {snr_db}\ngap_target = 1.0\n",
                             "s.cfg")

@@ -76,8 +76,9 @@ def test_bits_rule_scaling_resolves_known_sequence():
 
 
 def test_bits_rule_scaling_guards():
-    with pytest.raises(ValueError):
-        BitsRule.scaling(0.0)
+    for gap in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            BitsRule.scaling(gap)
     with pytest.raises(ValueError):
         BitsRule(kind="other")
     # a 50-bit budget is beyond the codebook limit

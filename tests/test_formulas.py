@@ -187,8 +187,9 @@ def test_gap_headroom_sign_tracks_floor():
 def test_scaling_inputs_guards():
     with pytest.raises(ValueError):
         ScalingInputs(m=4, n=4, p_db=10.0, target_gap=1.0)
-    with pytest.raises(ValueError):
-        ScalingInputs(m=4, n=2, p_db=10.0, target_gap=0.0)
+    for gap in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ScalingInputs(m=4, n=2, p_db=10.0, target_gap=gap)
 
 
 # ---------------------------------------------------------- feedback_savings

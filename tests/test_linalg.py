@@ -6,7 +6,6 @@ from effchan.linalg import (
     DegenerateChannelError,
     RngStream,
     complex_normal,
-    stream_keys,
 )
 from effchan.precoding import refused, zero_force
 from effchan.quantize import FAULT_RANK, Codebook, quantize_effective, quantize_stack
@@ -49,71 +48,13 @@ def test_stream_rejects_bad_fields():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(1, trial=-2)
-    with pytest.raises(ValueError):
-        RngStream(1.5)
-
-
-def seed_sequence_key(seed, trial, user, purpose):
-    return np.random.SeedSequence([seed, trial, user, purpose]).generate_state(2, np.uint64)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3])
-def test_stream_keys_match_seed_sequence(seed):
-    rng = np.random.default_rng(211)
-    trial = rng.integers(0, 2 ** 32, 300)
-    trial[:2] = (0, 2 ** 32 - 1)
-    user = rng.integers(0, 64, 300)
-    purpose = rng.integers(0, 6, 300)
-    keys = stream_keys(seed, trial, user, purpose)
-    assert keys.shape == (300, 2) and keys.dtype == np.uint64
-    expected = [seed_sequence_key(seed, int(t), int(u), int(p))
-                for t, u, p in zip(trial, user, purpose)]
-    assert np.array_equal(keys, expected)
-
-
-def test_stream_keys_broadcast_over_ids():
-    keys = stream_keys(7, np.arange(3)[:, None, None], np.arange(4)[:, None], np.array([0, 2]))
-    assert keys.shape == (3, 4, 2, 2)
-    for t, u, (i, p) in [(0, 0, (0, 0)), (2, 1, (1, 2)), (1, 3, (0, 0))]:
-        assert np.array_equal(keys[t, u, i], seed_sequence_key(7, t, u, p))
-    one = stream_keys(7, 2, 1, 2)
-    assert one.shape == (2,)
-    # the key a fresh stream generator starts from
-    start = RngStream(7, 2, 1, 2).generator().bit_generator.state
-    assert np.array_equal(one, start["state"]["key"])
-
-
-def test_stream_keys_reject_out_of_range_ids():
-    for ids in [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (2 ** 32, 0, 0), (0, 0, 2 ** 32),
-                (np.array([0, 2 ** 32]), 0, 0), (1.5, 0, 0)]:
-        with pytest.raises(ValueError):
-            stream_keys(1, *ids)
-    with pytest.raises(ValueError):
-        stream_keys(-1, 0, 0, 0)
-
-
-def test_stream_keys_reject_non_integer_seed():
-    # a float seed is refused, as RngStream refuses it, not truncated
+    # a float seed is refused, not truncated, even when it is integral
     for seed in (1.5, 1.0, np.float64(2.0)):
         with pytest.raises(ValueError):
-            stream_keys(seed, 0, 0, 0)
-    assert np.array_equal(stream_keys(np.int64(7), 2, 1, 2), stream_keys(7, 2, 1, 2))
-
-
-def test_philox_on_stream_key_draws_what_stream_generator_draws():
-    # a generator built straight on a stream's key is the stream's own
-    rng = np.random.default_rng(211)
-    trial = rng.integers(0, 2 ** 32, 300)
-    trial[:2] = (0, 2 ** 32 - 1)
-    user = rng.integers(0, 64, 300)
-    purpose = rng.integers(0, 6, 300)
-    for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3):
-        keys = stream_keys(seed, trial, user, purpose)
-        for key, *ids in zip(keys, trial, user, purpose):
-            gen = np.random.Generator(np.random.Philox(key=key))
-            expected = RngStream(seed, *map(int, ids)).generator()
-            assert gen.standard_normal(9).tobytes() == expected.standard_normal(9).tobytes()
-            assert np.array_equal(gen.integers(0, 100, 5), expected.integers(0, 100, 5))
+            RngStream(seed)
+    # a numpy integer seed is the same stream id as the int
+    assert (RngStream(np.int64(7), 2, 1, 2).generator().standard_normal(9).tobytes()
+            == RngStream(7, 2, 1, 2).generator().standard_normal(9).tobytes())
 
 
 # ------------------------------------------------------------ complex_normal

