@@ -22,9 +22,7 @@ from .experiment import (
     ExperimentConfig,
     ExperimentResult,
     GridPointResult,
-    TrialRecord,
     run_experiment,
-    run_trial,
 )
 from .linalg import DegenerateChannelError, RngStream
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
@@ -73,7 +71,6 @@ __all__ = [
     "QuantizationSamples",
     "RngStream",
     "ScalingInputs",
-    "TrialRecord",
     "beta_cdf",
     "bits_required",
     "collect_best_cosine_samples",
@@ -100,7 +97,6 @@ __all__ = [
     "rate_gap_bound",
     "refused",
     "run_experiment",
-    "run_trial",
     "run_validation_suite",
     "sinr_stack",
     "sum_rate",

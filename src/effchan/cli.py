@@ -167,6 +167,8 @@ def _write_outputs(out_dir: str | None, files: dict) -> int:
 
 
 def _fmt(value: float) -> str:
+    if isinstance(value, int):  # bools as 1/0, never in exponent form
+        return str(int(value))
     if isinstance(value, float) and math.isnan(value):
         return "nan"
     return f"{value:.10g}"
@@ -176,10 +178,13 @@ def _fmt(value: float) -> str:
 
 
 def _sweep_rows(config_common: dict, n_list: list, threads: int):
+    configs = [ExperimentConfig(n=n, **config_common) for n in n_list]
+    for cfg in configs:  # refuse an unreachable cell before any trial runs
+        for snr_db in cfg.snr_db_grid:
+            cfg.bits_rule.resolve(cfg.m, cfg.n, snr_db)
     rows = []
     warnings: list = []
-    for n in n_list:
-        cfg = ExperimentConfig(n=n, **config_common)
+    for cfg in configs:
         result = run_experiment(cfg, threads=threads)
         warnings.extend(result.warnings)
         rows.extend(result.points)
@@ -220,14 +225,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(str(exc)) from exc
     elapsed = time.perf_counter() - start
 
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r.snr_db), str(r.n_rx), str(r.bits),
-            _fmt(r.rate_fb_mean), _fmt(r.rate_fb_ci),
-            _fmt(r.rate_zf_mean), _fmt(r.rate_zf_ci),
-            _fmt(r.gap), str(r.dropped),
-        ]))
+    names = SWEEP_CSV_HEADER.split(",")
+    lines = [SWEEP_CSV_HEADER] + [",".join(_fmt(getattr(r, k)) for k in names) for r in rows]
     csv_text = "\n".join(lines) + "\n"
 
     # no wall-clock or worker count in here: the manifest must be
@@ -316,15 +315,8 @@ def cmd_scaling_table(args) -> int:
         raise ConfigError(f"snr_db entries must be finite, got {snr_db}")
 
     rows = scaling_table_rows(m, n_list, snr_db, gap)
-    lines = [SCALING_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r["snr_db"]), str(r["n_rx"]), _fmt(r["bits_exact"]),
-            str(r["bits_ceil"]) if r["feasible"] else "nan",
-            str(r["bits_round"]) if r["feasible"] else "nan",
-            _fmt(r["savings_bits_exact"]), _fmt(r["savings_bits_approx"]),
-            "1" if r["feasible"] else "0",
-        ]))
+    names = SCALING_CSV_HEADER.split(",")
+    lines = [SCALING_CSV_HEADER] + [",".join(_fmt(r[k]) for k in names) for r in rows]
     csv_text = "\n".join(lines) + "\n"
 
     print(f"# feedback bits for target gap {gap:g} bits per user, M = {m}")

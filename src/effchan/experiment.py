@@ -133,16 +133,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One fading block's outcome; dropped trials carry zero rates."""
-
-    sinrs: np.ndarray
-    rate_fb: float
-    rate_zf: float
-    dropped: bool
-
-
-@dataclass(frozen=True)
 class GridPointResult:
     """Aggregated rates at one (SNR, N) grid point; ci fields are half-widths."""
 
@@ -171,7 +161,8 @@ def _budget_trials(config: ExperimentConfig, bits: int) -> int:
 
 
 def _run_chunk(config: ExperimentConfig, power: float, bits: int, seed: int, trials: range,
-               codebooks: list[Codebook] | None = None) -> list[TrialRecord]:
+               codebooks: list[Codebook] | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate the fading blocks ``trials`` of stream seed ``seed`` in one batched pass.
 
     ``trials`` starts at a stream block's first trial; a block the range ends
@@ -180,6 +171,8 @@ def _run_chunk(config: ExperimentConfig, power: float, bits: int, seed: int, tri
     in order, a slice of at most _CHUNK_BYTES at a time, each slice scored
     from its normals as soon as it is drawn.  A trial is dropped when a
     user's quantization faults or zero-forcing refuses either direction stack.
+    Returns ``(rate_fb, rate_zf, dropped)``, arrays over ``trials``; a dropped
+    trial carries zero rates.
     """
     m, n, users, count = config.m, config.n, config.users, len(trials)
     first_block, starts = trials.start // _BLOCK, range(0, count, _BLOCK)
@@ -214,22 +207,7 @@ def _run_chunk(config: ExperimentConfig, power: float, bits: int, seed: int, tri
     dropped = (fault != 0).any(axis=-1) | refused(cond, residual) | refused(zf_cond, zf_residual)
     sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
     rate_zf = np.where(dropped, 0.0, rate_zf)
-    return [TrialRecord(s, float(fb_rate), float(zf_rate), bool(drop))
-            for s, fb_rate, zf_rate, drop in zip(sinrs, sum_rate(sinrs), rate_zf, dropped)]
-
-
-def run_trial(config: ExperimentConfig, power: float, bits: int, stream: RngStream,
-              codebooks: list[Codebook] | None = None) -> TrialRecord:
-    """Simulate one fading block at linear power ``power`` with B = bits.
-
-    ``stream`` identifies the block by its seed and trial index (its user and
-    purpose are not used).  ``codebooks`` overrides per-user codebook
-    generation (used by the fixed-codebook policy and by tests that plant
-    codebook entries).  A view of the batched pass: it runs the trial's
-    stream block up to the trial and returns the trial's record.
-    """
-    trials = range(stream.trial // _BLOCK * _BLOCK, stream.trial + 1)
-    return _run_chunk(config, power, bits, stream.seed, trials, codebooks)[-1]
+    return sum_rate(sinrs), rate_zf, dropped
 
 
 def _fixed_codebooks(config: ExperimentConfig, bits: int) -> list[Codebook] | None:
@@ -242,11 +220,11 @@ def _fixed_codebooks(config: ExperimentConfig, bits: int) -> list[Codebook] | No
 
 
 def _point_records(config: ExperimentConfig, power: float, bits: int,
-                   threads: int) -> list[TrialRecord]:
+                   threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     codebooks = _fixed_codebooks(config, bits)
     size = max(1, _budget_trials(config, bits) // _BLOCK) * _BLOCK
     # chunks are whole stream blocks and workers take whole chunks, so
-    # neither the chunk size nor the worker count changes any record or order
+    # neither the chunk size nor the worker count changes any rate or order
     chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
     run = partial(_run_chunk, config, power, bits, config.seed, codebooks=codebooks)
     if threads <= 1 or len(chunks) < 2:
@@ -254,23 +232,22 @@ def _point_records(config: ExperimentConfig, power: float, bits: int,
     else:
         with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
             parts = list(pool.map(run, chunks, chunksize=math.ceil(len(chunks) / threads)))
-    return [record for part in parts for record in part]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _aggregate(config: ExperimentConfig, snr_db: float, bits: int,
-               records: list[TrialRecord], warnings: list) -> GridPointResult:
-    kept = [r for r in records if not r.dropped]
-    dropped = len(records) - len(kept)
-    if dropped > 0.01 * len(records):
-        warnings.append(
-            f"snr_db={snr_db:g} n_rx={config.n}: dropped {dropped}/{len(records)} trials")
-    if not kept:
+               records: tuple[np.ndarray, np.ndarray, np.ndarray],
+               warnings: list) -> GridPointResult:
+    rate_fb, rate_zf, drops = records
+    kept, trials, dropped = ~drops, len(drops), int(drops.sum())
+    if dropped > 0.01 * trials:
+        warnings.append(f"snr_db={snr_db:g} n_rx={config.n}: dropped {dropped}/{trials} trials")
+    if dropped == trials:
         warnings.append(f"snr_db={snr_db:g} n_rx={config.n}: all trials dropped")
         nan = float("nan")
-        return GridPointResult(snr_db, config.n, bits, nan, nan, nan, nan, nan,
-                               dropped, len(records))
-    fb_mean, fb_ci = mean_ci(np.array([r.rate_fb for r in kept]))
-    zf_mean, zf_ci = mean_ci(np.array([r.rate_zf for r in kept]))
+        return GridPointResult(snr_db, config.n, bits, nan, nan, nan, nan, nan, dropped, trials)
+    fb_mean, fb_ci = mean_ci(rate_fb[kept])
+    zf_mean, zf_ci = mean_ci(rate_zf[kept])
     return GridPointResult(
         snr_db=snr_db,
         n_rx=config.n,
@@ -281,7 +258,7 @@ def _aggregate(config: ExperimentConfig, snr_db: float, bits: int,
         rate_zf_ci=zf_ci,
         gap=zf_mean - fb_mean,
         dropped=dropped,
-        trials=len(records),
+        trials=trials,
     )
 
 

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import effchan
+import effchan.experiment as experiment
 from effchan.cli import (
     SCALING_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -57,6 +58,9 @@ def test_fmt():
     assert _fmt(float("nan")) == "nan"
     assert _fmt(30.0) == "30"
     assert _fmt(0.12345678901234) == "0.123456789"
+    # ints print whole (as str does), bools as 1/0
+    assert [_fmt(26), _fmt(33333333333), _fmt(True), _fmt(False)] == [
+        "26", "33333333333", "1", "0"]
 
 
 # --------------------------------------------------------------------- sweep
@@ -129,6 +133,23 @@ def test_sweep_config_errors(tmp_path, capsys, cfg_text, fragment):
     cfg = write_config(tmp_path, cfg_text)
     assert main(["sweep", "--config", cfg]) == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg_text,fragment", [
+    ("m = 4\nn_rx = 1, 2, 3\nsnr_db = 0, 10\ngap_target = 1.0\ntrials = 3000\n",
+     "target gap 1.0 is not reachable for M=4, N=3"),
+    ("m = 4\nn_rx = 1\nsnr_db = 0, 10, 60\ngap_target = 1.0\ntrials = 3000\n",
+     "codebook limit"),
+])
+def test_sweep_refuses_unreachable_cell_before_any_trial(monkeypatch, tmp_path, capsys,
+                                                         cfg_text, fragment):
+    # the bad cell is the last one: every earlier (N, SNR) cell is feasible
+    calls = []
+    monkeypatch.setattr(experiment, "_point_records", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, cfg_text)
+    assert main(["sweep", "--config", cfg]) == 1
+    assert fragment in capsys.readouterr().err
+    assert calls == []
 
 
 def test_sweep_missing_config_file(tmp_path, capsys):

@@ -10,13 +10,11 @@ from effchan.experiment import (
     CODEBOOK_POLICIES,
     BitsRule,
     ExperimentConfig,
-    TrialRecord,
     _aggregate,
     _fixed_codebooks,
     _point_records,
     _run_chunk,
     run_experiment,
-    run_trial,
 )
 from effchan.formulas import InfeasibleTargetError
 from effchan.linalg import (
@@ -50,12 +48,16 @@ def block_channels(config, block, trials):
     return complex_from_parts(np.moveaxis(parts, 2, 0))
 
 
+def trial_record(config, power, bits, t, codebooks=None):
+    """Trial t's (rate_fb, rate_zf, dropped): the last entry of its block's prefix."""
+    block_start = t // experiment._BLOCK * experiment._BLOCK
+    columns = _run_chunk(config, power, bits, config.seed, range(block_start, t + 1), codebooks)
+    return tuple(column[-1] for column in columns)
+
+
 def assert_same_records(records, others):
-    assert len(records) == len(others)
-    for record, other in zip(records, others):
-        assert np.array_equal(record.sinrs, other.sinrs)
-        assert (record.rate_fb, record.rate_zf, record.dropped) == (
-            other.rate_fb, other.rate_zf, other.dropped)
+    for column, other in zip(records, others, strict=True):
+        assert column.dtype == other.dtype and column.tobytes() == other.tobytes()
 
 
 # ------------------------------------------------------------------ BitsRule
@@ -139,60 +141,74 @@ def test_config_users_equals_transmit_antennas():
     assert small_config(m=4, n=2).users == 4
 
 
-# ----------------------------------------------------------------- run_trial
+# ---------------------------------------------------------------- _run_chunk
 
 
-def test_run_trial_deterministic():
+def test_trial_deterministic():
     config = small_config()
-    a = run_trial(config, 10.0, 2, RngStream(config.seed, 3))
-    b = run_trial(config, 10.0, 2, RngStream(config.seed, 3))
-    c = run_trial(config, 10.0, 2, RngStream(config.seed, 4))
-    assert a.rate_fb == b.rate_fb and a.rate_zf == b.rate_zf
-    assert np.array_equal(a.sinrs, b.sinrs)
-    assert a.rate_fb != c.rate_fb
+    a = trial_record(config, 10.0, 2, 3)
+    b = trial_record(config, 10.0, 2, 3)
+    c = trial_record(config, 10.0, 2, 4)
+    assert a == b
+    assert a[0] != c[0]
 
 
-def test_run_trial_with_planted_directions_matches_perfect_zf():
+def test_trial_with_planted_directions_matches_perfect_zf():
     # give each user a codebook containing its exact channel direction: the
     # feedback link is then lossless and the rate equals zero-forcing on the
     # true channels
     config = small_config(seed=1234)
-    stream = RngStream(config.seed, 0)
     channels = block_channels(config, 0, 1)[0, :, :, 0]  # trial 0 of block 0: (users, M)
     codebooks = []
     for h in channels:
         direction = h / np.linalg.norm(h)
         other = np.array([-np.conj(direction[1]), np.conj(direction[0])])
         codebooks.append(Codebook(vectors=np.stack([direction, other]), bits=1))
-    record = run_trial(config, 10.0, 1, stream, codebooks=codebooks)
+    rate_fb, _, dropped = trial_record(config, 10.0, 1, 0, codebooks)
     expected, _, _ = perfect_csit_rates(channels.T, 10.0)
-    assert not record.dropped
-    assert record.rate_fb == pytest.approx(expected, rel=1e-9)
+    assert not dropped
+    assert rate_fb == pytest.approx(expected, rel=1e-9)
 
 
-def test_run_trial_drops_codeword_orthogonal_to_channel():
-    # every codeword of every user is orthogonal to that user's channel, so
-    # no user can orient a combiner and the trial must be dropped
-    config = small_config(seed=1234)
-    stream = RngStream(config.seed, 0)
+def orthogonal_codebooks(config):
+    """Per-user codebooks whose every codeword is orthogonal to trial 0's channel."""
     codebooks = []
     for h in block_channels(config, 0, 1)[0, :, :, 0]:
         direction = h / np.linalg.norm(h)
         other = np.array([-np.conj(direction[1]), np.conj(direction[0])])
         codebooks.append(Codebook(vectors=np.stack([other, other]), bits=1))
-    record = run_trial(config, 10.0, 1, stream, codebooks=codebooks)
-    assert record.dropped
-    assert record.rate_fb == 0.0 and record.rate_zf == 0.0
+    return codebooks
 
 
-def test_run_trial_drops_parallel_reported_directions():
+def test_trial_drops_codeword_orthogonal_to_channel():
+    # every codeword of every user is orthogonal to that user's channel, so
+    # no user can orient a combiner and the trial must be dropped
+    config = small_config(seed=1234)
+    rate_fb, rate_zf, dropped = trial_record(config, 10.0, 1, 0, orthogonal_codebooks(config))
+    assert dropped
+    assert rate_fb == 0.0 and rate_zf == 0.0
+
+
+def test_run_chunk_returns_rate_and_drop_arrays():
+    # trial 0 is dropped (orthogonal codebooks); the chunk still reports
+    # every trial, as float64 rates and a bool drop mask
+    config = small_config(seed=1234)
+    trials = range(0, 5)
+    rate_fb, rate_zf, dropped = _run_chunk(config, 10.0, 1, config.seed, trials,
+                                           orthogonal_codebooks(config))
+    assert [len(rate_fb), len(rate_zf), len(dropped)] == [len(trials)] * 3
+    assert (rate_fb.dtype, rate_zf.dtype, dropped.dtype) == (np.float64, np.float64, np.bool_)
+    assert dropped[0]
+    assert rate_fb[0] == 0.0 and rate_zf[0] == 0.0
+
+
+def test_trial_drops_parallel_reported_directions():
     # both users report the same codeword, so the direction stack is singular
     e1 = np.array([1.0, 0.0], dtype=complex)
     cb = Codebook(vectors=np.stack([e1, e1]), bits=1)
-    record = run_trial(small_config(), 10.0, 1, RngStream(99, 0), codebooks=[cb, cb])
-    assert record.dropped
-    assert record.rate_fb == 0.0 and record.rate_zf == 0.0
-    assert np.all(record.sinrs == 0.0)
+    rate_fb, rate_zf, dropped = trial_record(small_config(), 10.0, 1, 0, [cb, cb])
+    assert dropped
+    assert rate_fb == 0.0 and rate_zf == 0.0  # rate_fb is 0 only if every SINR is 0
 
 
 class Replay:
@@ -265,17 +281,16 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
         assert seen["channels"].tobytes() == channels.tobytes()
         for u in range(config.users):
             assert books[0, u].tobytes() == codebooks[u].vectors.tobytes()
-    singles = [run_trial(config, 10.0, 3, RngStream(seed, t), codebooks) for t in trials]
-    assert_same_records(records, singles)
+    singles = [trial_record(config, 10.0, 3, t, codebooks) for t in trials]
+    assert_same_records(records, tuple(np.array(column) for column in zip(*singles)))
 
 
-def test_run_trial_feedback_loses_to_perfect_knowledge_on_average():
+def test_trial_feedback_loses_to_perfect_knowledge_on_average():
     config = small_config(trials=200)
-    records = [run_trial(config, 10.0, 2, RngStream(config.seed, t))
-               for t in range(200)]
-    kept = [r for r in records if not r.dropped]
-    fb = np.mean([r.rate_fb for r in kept])
-    zf = np.mean([r.rate_zf for r in kept])
+    records = [trial_record(config, 10.0, 2, t) for t in range(200)]
+    kept = [r for r in records if not r[2]]
+    fb = np.mean([r[0] for r in kept])
+    zf = np.mean([r[1] for r in kept])
     assert zf > fb + 0.5
 
 
@@ -323,8 +338,8 @@ def test_fixed_policy_changes_results_but_stays_deterministic():
 
 def test_aggregate_matches_mean_ci():
     config = small_config()
-    records = [TrialRecord(sinrs=np.ones(2), rate_fb=float(v), rate_zf=float(2 * v),
-                           dropped=False) for v in (1.0, 2.0, 3.0, 4.0)]
+    rates = np.array([1.0, 2.0, 3.0, 4.0])
+    records = (rates, 2 * rates, np.zeros(4, dtype=bool))
     warnings = []
     point = _aggregate(config, 5.0, 2, records, warnings)
     fb_mean, fb_ci = mean_ci(np.array([1.0, 2.0, 3.0, 4.0]))
@@ -336,18 +351,31 @@ def test_aggregate_matches_mean_ci():
 
 def test_aggregate_excludes_dropped_and_warns():
     config = small_config()
-    good = [TrialRecord(np.ones(2), 2.0, 3.0, False) for _ in range(8)]
-    bad = [TrialRecord(np.zeros(2), 0.0, 0.0, True) for _ in range(2)]
+    records = (np.array([2.0] * 8 + [0.0] * 2), np.array([3.0] * 8 + [0.0] * 2),
+               np.array([False] * 8 + [True] * 2))
     warnings = []
-    point = _aggregate(config, 0.0, 2, good + bad, warnings)
+    point = _aggregate(config, 0.0, 2, records, warnings)
     assert point.rate_fb_mean == 2.0  # zeros from dropped trials never dilute
     assert point.dropped == 2 and point.trials == 10
     assert len(warnings) == 1 and "dropped 2/10" in warnings[0]
 
 
+def test_aggregate_masks_dropped_trials_whatever_their_rates():
+    # placeholder rates on dropped trials: the mask, not their zeros, excludes them
+    config = small_config()
+    records = (np.array([1.0, 3.0, 50.0]), np.array([2.0, 4.0, 70.0]),
+               np.array([False, False, True]))
+    warnings = []
+    point = _aggregate(config, 0.0, 2, records, warnings)
+    assert (point.rate_fb_mean, point.rate_fb_ci) == mean_ci(np.array([1.0, 3.0]))
+    assert (point.rate_zf_mean, point.rate_zf_ci) == mean_ci(np.array([2.0, 4.0]))
+    assert point.dropped == 1 and point.trials == 3
+    assert type(point.dropped) is int and type(point.trials) is int
+
+
 def test_aggregate_all_dropped_yields_nan_row():
     config = small_config()
-    records = [TrialRecord(np.zeros(2), 0.0, 0.0, True) for _ in range(3)]
+    records = (np.zeros(3), np.zeros(3), np.ones(3, dtype=bool))
     warnings = []
     point = _aggregate(config, 0.0, 2, records, warnings)
     assert np.isnan(point.rate_fb_mean) and np.isnan(point.gap)
@@ -361,10 +389,8 @@ def test_aggregate_all_dropped_yields_nan_row():
 def test_run_experiment_matches_manual_loop():
     config = small_config(trials=50, snr_db_grid=(5.0,))
     result = run_experiment(config)
-    records = [run_trial(config, 10.0 ** 0.5, 2, RngStream(config.seed, t))
-               for t in range(50)]
-    kept = [r for r in records if not r.dropped]
-    fb_mean, fb_ci = mean_ci(np.array([r.rate_fb for r in kept]))
+    rate_fb, _, dropped = _run_chunk(config, 10.0 ** 0.5, 2, config.seed, range(50))
+    fb_mean, fb_ci = mean_ci(rate_fb[~dropped])
     point = result.points[0]
     assert point.rate_fb_mean == fb_mean and point.rate_fb_ci == fb_ci
     assert point.trials == 50
@@ -425,7 +451,7 @@ def test_records_of_fewer_trials_are_a_prefix(policy):
                               trials=130, seed=8, codebook_policy=policy)
     short = dataclasses.replace(config, trials=70)
     assert_same_records(_point_records(short, 10.0, 3, 1),
-                        _point_records(config, 10.0, 3, 1)[:70])
+                        [column[:70] for column in _point_records(config, 10.0, 3, 1)])
 
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
