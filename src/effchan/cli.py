@@ -177,20 +177,6 @@ def _fmt(value: float) -> str:
 # --------------------------------------------------------------------- sweep
 
 
-def _sweep_rows(config_common: dict, n_list: list, threads: int):
-    configs = [ExperimentConfig(n=n, **config_common) for n in n_list]
-    for cfg in configs:  # refuse an unreachable cell before any trial runs
-        for snr_db in cfg.snr_db_grid:
-            cfg.bits_rule.resolve(cfg.m, cfg.n, snr_db)
-    rows = []
-    warnings: list = []
-    for cfg in configs:
-        result = run_experiment(cfg, threads=threads)
-        warnings.extend(result.warnings)
-        rows.extend(result.points)
-    return rows, warnings
-
-
 def cmd_sweep(args) -> int:
     cfg = _Config(_load_config(args.config))
     m = cfg.get("m", int, required=True)
@@ -216,14 +202,16 @@ def cmd_sweep(args) -> int:
     if policy not in CODEBOOK_POLICIES:
         raise ConfigError(f"codebook_policy must be one of {CODEBOOK_POLICIES}, got {policy!r}")
 
-    common = dict(m=m, snr_db_grid=tuple(snr_db), bits_rule=rule,
-                  trials=trials, seed=seed, codebook_policy=policy)
     start = time.perf_counter()
     try:
-        rows, warnings = _sweep_rows(common, n_list, args.threads)
+        result = run_experiment(
+            ExperimentConfig(m=m, n_rx=tuple(n_list), snr_db_grid=tuple(snr_db), bits_rule=rule,
+                             trials=trials, seed=seed, codebook_policy=policy),
+            threads=args.threads)
     except (InfeasibleTargetError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     elapsed = time.perf_counter() - start
+    rows, warnings = result.points, result.warnings
 
     names = SWEEP_CSV_HEADER.split(",")
     lines = [SWEEP_CSV_HEADER] + [",".join(_fmt(getattr(r, k)) for k in names) for r in rows]

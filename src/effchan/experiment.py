@@ -6,6 +6,12 @@ the true SINRs.  A matching perfect-knowledge benchmark (independent M-user
 single-antenna draw) runs on the same trial index so the reported gap is a
 paired comparison.
 
+A sweep's whole (N, SNR) grid runs in one pass over chunks per bit count.
+No stream id carries N or SNR, so a chunk draws the benchmark, the codebooks
+and the largest N's channels (a smaller N's are a prefix of them) once for the
+whole grid, zero-forces the benchmark and each N's feedback once, and rates
+every SNR point from the same beams.
+
 Determinism contract, stream version 2 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws its channels, benchmarks
 and per-block codebooks in trial order from one stream per purpose,
@@ -34,7 +40,7 @@ from .linalg import (
     is_stream_id,
 )
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
-from .quantize import MAX_CODEBOOK_BITS, Codebook, generate_codebook, quantize_stack
+from .quantize import MAX_CODEBOOK_BITS, generate_codebook, quantize_stack
 from .stats import mean_ci
 
 CODEBOOK_POLICIES = ("per_block", "fixed")
@@ -93,15 +99,23 @@ class BitsRule:
         return bits
 
 
+def _power(snr_db: float) -> float:
+    """Linear transmit power of an SNR in dB (inf where a float overflows)."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one sweep cell: geometry, grid, bits, trials, seed.
+    """Full description of one sweep: geometry, (N, SNR) grid, bits, trials, seed.
 
     The number of users always equals the number of transmit antennas M.
     """
 
     m: int
-    n: int
+    n_rx: tuple
     snr_db_grid: tuple
     bits_rule: BitsRule
     trials: int
@@ -109,18 +123,20 @@ class ExperimentConfig:
     codebook_policy: str = "per_block"
 
     def __post_init__(self):
-        for field in ("m", "n", "trials", "seed"):
+        for field in ("m", "trials", "seed"):
             value = getattr(self, field)
             if not is_stream_id(value):
                 raise ValueError(f"{field} must be a nonnegative integer, got {value!r}")
         if self.m < 2:
             raise ValueError(f"need at least 2 transmit antennas, got M={self.m}")
-        if not 1 <= self.n <= self.m:
-            raise ValueError(f"need 1 <= N <= M, got N={self.n} with M={self.m}")
+        if not self.n_rx or not all(is_stream_id(n) and 1 <= n <= self.m for n in self.n_rx):
+            raise ValueError(
+                f"n_rx must hold integers N, 1 <= N <= M = {self.m}, got {self.n_rx!r}")
         if len(self.snr_db_grid) == 0:
             raise ValueError("SNR grid is empty")
-        if not all(math.isfinite(p) for p in self.snr_db_grid):
-            raise ValueError(f"SNR grid entries must be finite, got {self.snr_db_grid}")
+        if not all(math.isfinite(p) and math.isfinite(_power(p)) for p in self.snr_db_grid):
+            raise ValueError("SNR grid entries must be finite, and so must their linear "
+                             f"powers, got {self.snr_db_grid}")
         if self.trials < 1:
             raise ValueError(f"need at least 1 trial, got {self.trials}")
         if self.codebook_policy not in CODEBOOK_POLICIES:
@@ -160,125 +176,126 @@ def _budget_trials(config: ExperimentConfig, bits: int) -> int:
     return max(1, _CHUNK_BYTES // (config.users * 2 ** bits * config.m * 2 * 8))
 
 
-def _run_chunk(config: ExperimentConfig, power: float, bits: int, seed: int, trials: range,
-               codebooks: list[Codebook] | None = None
+def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float]],
+               trials: range, codebooks: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate the fading blocks ``trials`` of stream seed ``seed`` in one batched pass.
+    """Simulate the fading blocks ``trials`` at every (N, SNR) cell of ``cells``.
 
     ``trials`` starts at a stream block's first trial; a block the range ends
-    inside draws a prefix of its streams.  Each block draws its channels and
-    benchmarks with one call per purpose; its per-block codebooks are drawn
-    in order, a slice of at most _CHUNK_BYTES at a time, each slice scored
-    from its normals as soon as it is drawn.  A trial is dropped when a
-    user's quantization faults or zero-forcing refuses either direction stack.
-    Returns ``(rate_fb, rate_zf, dropped)``, arrays over ``trials``; a dropped
-    trial carries zero rates.
+    inside draws a prefix of its streams.  A block draws its benchmarks, its
+    channels for the largest N and its per-block codebooks from one stream
+    per purpose, the codebooks a slice of at most _CHUNK_BYTES at a time,
+    each slice scored for every N before the next is drawn.  An N drops a
+    trial at all its SNRs when a quantization faults or zero-forcing refuses
+    its stack or the benchmark's.  Returns ``(rate_fb, rate_zf, dropped)``,
+    each ``(len(cells), len(trials))``; a dropped trial carries zero rates.
     """
-    m, n, users, count = config.m, config.n, config.users, len(trials)
+    m, users, seed, count = config.m, config.users, config.seed, len(trials)
     first_block, starts = trials.start // _BLOCK, range(0, count, _BLOCK)
-    channel_parts = np.empty((count, users, 2, m, n))
+    n_rx = list(dict.fromkeys(n for n, _ in cells))
+    channel_parts = {n: np.empty((count, users, 2, m, n)) for n in n_rx}
     bench_parts = np.empty((count, users, 2, m))
     for lo in starts:
-        block = first_block + lo // _BLOCK
-        RngStream(seed, block, 0, PURPOSE_CHANNEL).generator().standard_normal(
-            out=channel_parts[lo:lo + _BLOCK])
+        block, size = first_block + lo // _BLOCK, min(_BLOCK, count - lo)
+        # an N's draw, (size, users, 2, M, N), is a prefix of the largest N's
+        normals = RngStream(seed, block, 0, PURPOSE_CHANNEL).generator().standard_normal(
+            size * users * 2 * m * max(n_rx))
+        for n in n_rx:
+            channel_parts[n][lo:lo + size] = normals[:size * users * 2 * m * n].reshape(
+                size, users, 2, m, n)
         RngStream(seed, block, 0, PURPOSE_BENCHMARK).generator().standard_normal(
             out=bench_parts[lo:lo + _BLOCK])
-    channels = complex_from_parts(np.moveaxis(channel_parts, 2, 0))
+    channels = {n: complex_from_parts(np.moveaxis(parts, 2, 0))
+                for n, parts in channel_parts.items()}
     # (trials, M, users), contiguous: column u = user u
     bench = complex_from_parts(bench_parts.transpose(2, 0, 3, 1))
+    powers = {snr_db: _power(snr_db) for _, snr_db in cells}
+    zf_rates, zf_cond, zf_residual = perfect_csit_rates(bench, np.array(list(powers.values())))
+    rate_zf, zf_refused = dict(zip(powers, zf_rates)), refused(zf_cond, zf_residual)
     if codebooks is not None:  # shared by every trial
-        scored = [quantize_stack(channels, np.stack([cb.vectors for cb in codebooks])[None])]
+        scored = {n: [quantize_stack(channels[n], codebooks)] for n in n_rx}
     else:  # generate_codebook's draw, trial after trial, a slice at a time
-        scored, step = [], _budget_trials(config, bits)
+        scored, step = {n: [] for n in n_rx}, _budget_trials(config, bits)
         for lo in starts:
             gen = RngStream(seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK).generator()
             end = min(lo + _BLOCK, count)
             for i in range(lo, end, step):
                 normals = gen.standard_normal((min(step, end - i), users, 2, 2 ** bits, m))
                 books = (normals[:, :, 0], normals[:, :, 1])
-                scored.append(quantize_stack(channels[i:i + len(normals)], books))
-    q_hat, h_eff, fault = (np.concatenate(parts) for parts in
-                           zip(*((fb.q_hat, fb.h_eff, f) for fb, f in scored)))
-    # user stacks as (M, M) matrices with one column per user
-    beams, cond, residual = zero_force(np.swapaxes(q_hat, -1, -2))
-    sinrs = sinr_stack(np.swapaxes(h_eff, -1, -2), beams, power)
-    rate_zf, zf_cond, zf_residual = perfect_csit_rates(bench, power)
-    dropped = (fault != 0).any(axis=-1) | refused(cond, residual) | refused(zf_cond, zf_residual)
-    sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
-    rate_zf = np.where(dropped, 0.0, rate_zf)
-    return sum_rate(sinrs), rate_zf, dropped
+                for n in n_rx:
+                    scored[n].append(quantize_stack(channels[n][i:i + len(normals)], books))
+    records = {}
+    for n in n_rx:
+        q_hat, h_eff, fault = (np.concatenate(parts) for parts in
+                               zip(*((fb.q_hat, fb.h_eff, f) for fb, f in scored[n])))
+        # user stacks as (M, M) matrices with one column per user
+        beams, cond, residual = zero_force(np.swapaxes(q_hat, -1, -2))
+        dropped = (fault != 0).any(axis=-1) | refused(cond, residual) | zf_refused
+        own = [snr_db for k, snr_db in cells if k == n]
+        sinrs = sinr_stack(np.swapaxes(h_eff, -1, -2), beams, np.array([powers[s] for s in own]))
+        sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
+        for snr_db, rate_fb in zip(own, sum_rate(sinrs)):
+            records[n, snr_db] = rate_fb, np.where(dropped, 0.0, rate_zf[snr_db]), dropped
+    return tuple(np.stack(column) for column in zip(*(records[cell] for cell in cells)))
 
 
-def _fixed_codebooks(config: ExperimentConfig, bits: int) -> list[Codebook] | None:
+def _fixed_codebooks(config: ExperimentConfig, bits: int) -> np.ndarray | None:
+    """Every user's fixed codebook, stacked (1, users, 2^B, M); None under per_block."""
     if config.codebook_policy != "fixed":
         return None
-    return [
-        generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK), bits, config.m)
-        for u in range(config.users)
-    ]
+    books = [generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK), bits,
+                               config.m) for u in range(config.users)]
+    return np.stack([cb.vectors for cb in books])[None]
 
 
-def _point_records(config: ExperimentConfig, power: float, bits: int,
-                   threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    codebooks = _fixed_codebooks(config, bits)
-    size = max(1, _budget_trials(config, bits) // _BLOCK) * _BLOCK
-    # chunks are whole stream blocks and workers take whole chunks, so
-    # neither the chunk size nor the worker count changes any rate or order
-    chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
-    run = partial(_run_chunk, config, power, bits, config.seed, codebooks=codebooks)
-    if threads <= 1 or len(chunks) < 2:
-        parts = map(run, chunks)
-    else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            parts = list(pool.map(run, chunks, chunksize=math.ceil(len(chunks) / threads)))
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def _aggregate(config: ExperimentConfig, snr_db: float, bits: int,
+def _aggregate(n_rx: int, snr_db: float, bits: int,
                records: tuple[np.ndarray, np.ndarray, np.ndarray],
                warnings: list) -> GridPointResult:
     rate_fb, rate_zf, drops = records
     kept, trials, dropped = ~drops, len(drops), int(drops.sum())
     if dropped > 0.01 * trials:
-        warnings.append(f"snr_db={snr_db:g} n_rx={config.n}: dropped {dropped}/{trials} trials")
+        warnings.append(f"snr_db={snr_db:g} n_rx={n_rx}: dropped {dropped}/{trials} trials")
     if dropped == trials:
-        warnings.append(f"snr_db={snr_db:g} n_rx={config.n}: all trials dropped")
+        warnings.append(f"snr_db={snr_db:g} n_rx={n_rx}: all trials dropped")
         nan = float("nan")
-        return GridPointResult(snr_db, config.n, bits, nan, nan, nan, nan, nan, dropped, trials)
+        return GridPointResult(snr_db, n_rx, bits, nan, nan, nan, nan, nan, dropped, trials)
     fb_mean, fb_ci = mean_ci(rate_fb[kept])
     zf_mean, zf_ci = mean_ci(rate_zf[kept])
-    return GridPointResult(
-        snr_db=snr_db,
-        n_rx=config.n,
-        bits=bits,
-        rate_fb_mean=fb_mean,
-        rate_fb_ci=fb_ci,
-        rate_zf_mean=zf_mean,
-        rate_zf_ci=zf_ci,
-        gap=zf_mean - fb_mean,
-        dropped=dropped,
-        trials=trials,
-    )
+    return GridPointResult(snr_db, n_rx, bits, fb_mean, fb_ci, zf_mean, zf_ci, zf_mean - fb_mean,
+                           dropped, trials)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Run the full SNR grid for one (M, N) cell.
+    """Run the full grid: a point for each N of n_rx, for each SNR.
 
-    Results are deterministic in (config, seed): the thread count only
-    changes wall-clock time.  Dropped trials (a degenerate channel, a codeword
-    orthogonal to the span, a combiner that fails its norm identity, or a
-    direction stack or perfect-CSIT benchmark stack that zero-forcing
-    refuses) are excluded from the averages and counted per grid point, with
-    a warning if they exceed one percent.
+    Every point's bits are resolved before any trial runs; points of equal
+    bits share one pass over chunks.  Results are deterministic in (config,
+    seed): the thread count only changes wall-clock time.  Dropped trials (a
+    degenerate channel, a codeword orthogonal to the span, a combiner that
+    fails its norm identity, or a refused direction or benchmark stack) are
+    excluded from the averages and counted per grid point, with a warning if
+    they exceed one percent.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    grid = [(n, snr_db, config.bits_rule.resolve(config.m, n, snr_db))
+            for n in config.n_rx for snr_db in config.snr_db_grid]
+    records = {}
+    for bits in dict.fromkeys(bits for *_, bits in grid):
+        cells = list(dict.fromkeys((n, snr_db) for n, snr_db, b in grid if b == bits))
+        size = max(1, _budget_trials(config, bits) // _BLOCK) * _BLOCK
+        # chunks are whole stream blocks and workers take whole chunks, so
+        # neither the chunk size nor the worker count changes any rate or order
+        chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
+        run = partial(_run_chunk, config, bits, cells, codebooks=_fixed_codebooks(config, bits))
+        if threads <= 1 or len(chunks) < 2:
+            parts = map(run, chunks)
+        else:
+            with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+                parts = list(pool.map(run, chunks, chunksize=math.ceil(len(chunks) / threads)))
+        columns = (np.concatenate(column, axis=-1) for column in zip(*parts))
+        records.update(zip(cells, zip(*columns)))  # cell -> (rate_fb, rate_zf, dropped)
     warnings: list = []
-    points = []
-    for snr_db in config.snr_db_grid:
-        power = 10.0 ** (snr_db / 10.0)
-        bits = config.bits_rule.resolve(config.m, config.n, snr_db)
-        records = _point_records(config, power, bits, threads)
-        points.append(_aggregate(config, snr_db, bits, records, warnings))
+    points = [_aggregate(n, snr_db, bits, records[n, snr_db], warnings)
+              for n, snr_db, bits in grid]
     return ExperimentResult(config=config, points=points, warnings=warnings)

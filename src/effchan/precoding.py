@@ -50,16 +50,19 @@ def refused(cond: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return ~((cond <= COND_LIMIT) & (residual <= _ORTHO_TOL))
 
 
-def sinr_stack(h_eff: np.ndarray, vectors: np.ndarray, power: float) -> np.ndarray:
+def sinr_stack(h_eff: np.ndarray, vectors: np.ndarray,
+               power: float | np.ndarray) -> np.ndarray:
     """SINR of every user for a stack of (..., M, M) channel and beam matrices.
 
     Column i of h_eff is user i's effective channel, column j of vectors
-    user j's beam; power P/M per user, unit noise.
+    user j's beam; power P/M per user, unit noise.  An array of powers
+    leads the result's axes: one stack of SINRs per power, from one set of
+    gains.
     """
     m = vectors.shape[-1]
     gains = np.abs(np.swapaxes(vectors, -1, -2).conj() @ h_eff) ** 2  # (j, i) = |<v_j, h_i>|^2
     signal = np.diagonal(gains, axis1=-2, axis2=-1)
-    scale = power / m
+    scale = np.reshape(power, np.shape(power) + (1,) * signal.ndim) / m
     return scale * signal / (1.0 + scale * (gains.sum(axis=-2) - signal))
 
 
@@ -72,14 +75,15 @@ def sum_rate(sinrs: np.ndarray) -> float | np.ndarray:
 
 
 def perfect_csit_rates(channels: np.ndarray,
-                       power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       power: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zero-forcing sum rate with perfect channel knowledge at the transmitter.
 
     channels is (..., M, M) with column i the true channel vector of user i
     (one receive antenna each).  Beams are zero-forced on the true
     directions, so interference vanishes and the rate is
     sum_i log2(1 + P/M |<h_i, v_i>|^2).  Returns (rates, cond, residual) as
-    ``zero_force`` does; see ``refused``.
+    ``zero_force`` does; see ``refused``.  An array of powers leads the
+    rates' axes, as in ``sinr_stack``: the stack is zero-forced once.
     """
     directions = channels / np.linalg.norm(channels, axis=-2, keepdims=True)
     vectors, cond, residual = zero_force(directions)

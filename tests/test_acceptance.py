@@ -79,7 +79,7 @@ SHIFT_SEED = 20260816
 
 
 def shift_sweep(n, target=1.0):
-    config = ExperimentConfig(m=4, n=n, snr_db_grid=SHIFT_GRID,
+    config = ExperimentConfig(m=4, n_rx=(n,), snr_db_grid=SHIFT_GRID,
                               bits_rule=BitsRule.scaling(target),
                               trials=SHIFT_TRIALS, seed=SHIFT_SEED)
     return run_experiment(config, threads=4)
@@ -242,8 +242,8 @@ def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatc
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
-    # at M = 4, B = 4 a chunk holds 256 trials, so each grid point is two
-    # chunks (256 + 44) and --threads 3 really hands them to a pool
+    # at M = 4, B = 4 a chunk holds 256 trials, so the grid's one bit count
+    # is two chunks (256 + 44) and --threads 3 really hands them to a pool
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("m = 4\nn_rx = 1, 2\nsnr_db = 0, 10\nbits = 4\n"
                    "trials = 300\nseed = 31\n")
@@ -253,7 +253,7 @@ def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatc
     assert pools == []
     assert main(["sweep", "--config", str(cfg), "--out", str(out2),
                  "--threads", "3"]) == 0
-    assert pools == [2] * 4  # one two-worker pool per grid point
+    assert pools == [2]  # one two-worker pool per bit count
     capsys.readouterr()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()

@@ -126,6 +126,8 @@ def test_sweep_flag_overrides(tmp_path, capsys):
     ("m = 4\nn_rx = 3\nsnr_db = 10\ngap_target = 1.0\n", "not reachable"),
     ("m = 6\nn_rx = 1\nsnr_db = 30\ngap_target = 1.0\n", "codebook limit"),
     ("m = 2\nn_rx = 1\nsnr_db = nan, inf\nbits = 2\n", "must be finite"),
+    # 10^(4000/10) overflows a float
+    ("m = 4\nn_rx = 2\nsnr_db = 4000\nbits = 2\ntrials = 10\n", "must be finite"),
     ("m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = nan\n", "positive finite target gap"),
     ("m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = inf\n", "positive finite target gap"),
 ])
@@ -145,7 +147,7 @@ def test_sweep_refuses_unreachable_cell_before_any_trial(monkeypatch, tmp_path, 
                                                          cfg_text, fragment):
     # the bad cell is the last one: every earlier (N, SNR) cell is feasible
     calls = []
-    monkeypatch.setattr(experiment, "_point_records", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiment, "_run_chunk", lambda *args, **kwargs: calls.append(args))
     cfg = write_config(tmp_path, cfg_text)
     assert main(["sweep", "--config", cfg]) == 1
     assert fragment in capsys.readouterr().err

@@ -118,6 +118,10 @@ def test_sinr_stack_matches_scalar_view():
             interference = sum(g for j, g in enumerate(gains) if j != user)
             assert stacked[t, user] == pytest.approx(
                 gains[user] / (1.0 + interference), rel=1e-13)
+    # an array of powers leads the axes, each slice equal to its scalar call
+    powers = np.array([0.5, 7.0, 30.0])
+    assert sinr_stack(h_eff, beams, powers).tobytes() == (
+        np.stack([sinr_stack(h_eff, beams, p) for p in powers]).tobytes())
 
 
 def test_sinr_increases_with_power():
@@ -177,6 +181,8 @@ def test_perfect_rates_stack_matches_scalar_view():
     assert not refused(cond, residual).any()
     for t in range(6):
         assert rates[t] == pytest.approx(perfect_rate(h[t], 3.0), rel=1e-13)
+    swept, _, _ = perfect_csit_rates(h, np.array([0.5, 3.0]))
+    assert swept.shape == (2, 6) and swept[1].tobytes() == rates.tobytes()
 
 
 def test_perfect_rate_phase_invariant():
