@@ -11,7 +11,7 @@ comma separated.  Exit codes: 0 success, 1 config error, 2 validation
 failure, 3 output I/O error.
 
 Everything written to --out is byte-deterministic in the config and seed;
-wall-clock timing goes to stdout only.
+wall-clock timing and the validation worker count go to stderr only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .formulas import (
     feedback_savings,
 )
 from .quantize import MAX_CODEBOOK_BITS
-from .validate import run_validation_suite
+from .validate import STREAM_VERSION as VALIDATION_STREAM_VERSION
+from .validate import run_validation_suite, suite_workers
 
 SWEEP_CSV_HEADER = "snr_db,n_rx,bits,rate_fb_mean,rate_fb_ci,rate_zf_mean,rate_zf_ci,gap,dropped"
 
@@ -356,11 +357,13 @@ def cmd_validate(args) -> int:
                    "wrong_reference": bool(args.wrong_reference)},
         "reports": [dataclasses.asdict(r) for r in reports],
         "passed": all_passed,
+        "stream_version": VALIDATION_STREAM_VERSION,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     print(text, end="")
-    print(f"# validation {'passed' if all_passed else 'FAILED'} in {elapsed:.1f}s",
-          file=sys.stderr)
+    workers = suite_workers(m, n, bits, samples)
+    print(f"# validation {'passed' if all_passed else 'FAILED'} in {elapsed:.1f}s "
+          f"({workers} worker{'s' * (workers != 1)})", file=sys.stderr)
     code = _write_outputs(args.out, {"validation.json": text})
     if code != 0:
         return code

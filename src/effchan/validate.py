@@ -1,10 +1,20 @@
 """Distributional validation of the quantizer against its closed-form laws.
 
-The checks need on the order of 1e5 independent quantizations, so samples are
-drawn in chunks and quantized by the same batched kernel the sweep runs
+The checks need on the order of 1e5 independent quantizations.  Samples are
+drawn in fixed blocks: with g complex normals per sample (channel plus
+codebook), block b holds samples [b*k, (b+1)*k) for k = max(1,
+_BLOCK_GAUSSIANS // g), and draws them from its own stream,
+``RngStream(seed, b, 0, PURPOSE_VALIDATION)``, channels first and then
+codebooks.  Each block is quantized by the same batched kernel the sweep runs
 (``quantize_stack``), which scores each random codebook straight from its
-drawn standard normals; an equivalence test pins the collector to the scalar
-operator sample by sample.
+drawn standard normals; equivalence tests replay the blocks and pin the
+collectors to the scalar operators sample by sample.
+
+Blocks run on a thread pool, one worker per core the process may run on (the
+normal sampler, the BLAS products, ``einsum`` and ``np.linalg`` release the
+GIL).  No sample depends on the worker count, so the results are
+byte-identical whatever it is.  This is validation stream contract version 2
+(``STREAM_VERSION``); version 1 drew every sample from one stream.
 
 Laws checked:
 * squared cosine of the quantization angle ~ max of 2^B iid Beta(N, M-N);
@@ -16,6 +26,8 @@ Laws checked:
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -26,7 +38,9 @@ from .linalg import PURPOSE_VALIDATION, RngStream, complex_normal
 from .quantize import quantize_stack, raise_fault
 from .stats import FitReport, gamma_cdf, isotropy_report, ks_test, max_beta_cdf
 
-_CHUNK_TARGET = 2 ** 22  # soft cap on gaussians per chunk, keeps memory flat
+STREAM_VERSION = 2  # validation stream contract: one stream per sample block
+_BLOCK_GAUSSIANS = 2 ** 19  # complex normals per sample block; fixes the streams
+_INFLIGHT_GAUSSIANS = 2 ** 22  # cap on the normals all workers hold at once
 # largest relative error of the mean quantization error against its approximation
 _QUANT_ERROR_RTOL = 0.15
 
@@ -40,16 +54,52 @@ class QuantizationSamples:
     directions: np.ndarray  # (n_samples, m) normalized effective channels
 
 
-def _chunks(n_samples: int, gaussians_per_sample: int) -> list[int]:
-    """Sizes of the chunks n_samples are drawn in, about _CHUNK_TARGET gaussians each."""
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _plan(n_samples: int, gaussians_per_sample: int) -> tuple[list[int], int]:
+    """Sample count of every block, and the worker threads that run them.
+
+    Workers are capped by the block count and by memory: together they hold
+    at most _INFLIGHT_GAUSSIANS normals, or one block when a block is larger.
+    """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    size = max(1, _CHUNK_TARGET // gaussians_per_sample)
-    return [min(size, n_samples - done) for done in range(0, n_samples, size)]
+    size = max(1, _BLOCK_GAUSSIANS // gaussians_per_sample)
+    takes = [min(size, n_samples - start) for start in range(0, n_samples, size)]
+    in_flight = max(1, _INFLIGHT_GAUSSIANS // (size * gaussians_per_sample))
+    return takes, min(_cores(), len(takes), in_flight)
+
+
+def _run_blocks(n_samples: int, gaussians_per_sample: int, seed: int, draw) -> list:
+    """draw(gen, take) for every sample block on its own stream, in block order."""
+    takes, workers = _plan(n_samples, gaussians_per_sample)
+
+    def run(block: int):
+        return draw(RngStream(seed, block, 0, PURPOSE_VALIDATION).generator(), takes[block])
+
+    if workers == 1:
+        return [run(block) for block in range(len(takes))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(len(takes))))
+
+
+def _effective_gaussians(m: int, n: int, bits: int) -> int:
+    return (2 ** bits + n) * m
+
+
+def suite_workers(m: int, n: int, bits: int, n_samples: int) -> int:
+    """Worker threads that run_validation_suite's sample collection uses."""
+    return _plan(n_samples, _effective_gaussians(m, n, bits))[1]
 
 
 def _quantize_block(channels: np.ndarray, raw: np.ndarray) -> QuantizationSamples:
-    """Quantize one chunk by the batched kernel; raw (2, ..., 2^B, M) holds codebook normals."""
+    """Quantize one block by the batched kernel; raw (2, ..., 2^B, M) holds codebook normals."""
     r, fault = quantize_stack(channels, (raw[0], raw[1]))
     raise_fault(fault)
     return QuantizationSamples(cos_sq=r.cos_sq, eff_norm_sq=r.eff_norm_sq, directions=r.s_proj)
@@ -63,12 +113,11 @@ def collect_effective_samples(m: int, n: int, bits: int, n_samples: int,
     Recent results are memoized (the suite reads the same pool several times)
     and shared by every caller, so the returned arrays are read-only.
     """
-    gen = RngStream(seed, purpose=PURPOSE_VALIDATION).generator()
-    parts = []
-    for take in _chunks(n_samples, (2 ** bits + n) * m):
-        # channels, then codebooks: the equivalence tests replay this order
+    def draw(gen, take):  # channels, then codebooks: the equivalence tests replay this order
         channels = complex_normal(gen, (take, m, n))
-        parts.append(_quantize_block(channels, gen.standard_normal((2, take, 2 ** bits, m))))
+        return _quantize_block(channels, gen.standard_normal((2, take, 2 ** bits, m)))
+
+    parts = _run_blocks(n_samples, _effective_gaussians(m, n, bits), seed, draw)
     samples = QuantizationSamples(*(np.concatenate([getattr(p, name) for p in parts])
                                     for name in ("cos_sq", "eff_norm_sq", "directions")))
     for array in (samples.cos_sq, samples.eff_norm_sq, samples.directions):
@@ -86,17 +135,16 @@ def collect_best_cosine_samples(m: int, n: int, bits: int, n_samples: int, seed:
     matched-size flat quantizer.  Each column is a one-column channel for
     the batched kernel.
     """
-    gen = RngStream(seed, purpose=PURPOSE_VALIDATION).generator()
-    out = []
-    for take in _chunks(n_samples, n * 2 ** bits * m):
+    def draw(gen, take):
         if per_antenna:  # column k of each channel against its own codebook
             columns = np.swapaxes(complex_normal(gen, (take, m, n)), 1, 2)[..., None]
             raw = gen.standard_normal((2, take, n, 2 ** bits, m))
         else:
             columns = complex_normal(gen, (take, 1, m, 1))
             raw = gen.standard_normal((2, take, 1, n * 2 ** bits, m))
-        out.append(_quantize_block(columns, raw).cos_sq.max(axis=1))
-    return np.concatenate(out)
+        return _quantize_block(columns, raw).cos_sq.max(axis=1)
+
+    return np.concatenate(_run_blocks(n_samples, n * 2 ** bits * m, seed, draw))
 
 
 def quantization_angle_report(m: int, n: int, bits: int, n_samples: int, seed: int) -> FitReport:

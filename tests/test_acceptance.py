@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from effchan import experiment
+from effchan import experiment, validate
 from effchan.experiment import BitsRule, ExperimentConfig, run_experiment
 from effchan.formulas import InfeasibleTargetError, ScalingInputs, bits_required, delta_a
 from effchan.linalg import (
@@ -27,6 +27,7 @@ from effchan.precoding import refused, zero_force
 from effchan.quantize import generate_codebook, quantize_effective, quantize_stack
 from effchan.validate import (
     collect_best_cosine_samples,
+    collect_effective_samples,
     direction_isotropy_report,
     effective_gain_report,
     quant_error_mean_report,
@@ -261,3 +262,31 @@ def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatc
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert len(manifest["rows"]) == 4
     assert all(math.isfinite(row["rate_fb_mean"]) for row in manifest["rows"])
+
+
+def test_validate_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class CountingPool(validate.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(validate, "ThreadPoolExecutor", CountingPool)
+    # (32 + 2) * 4 = 136 normals a sample: 20,000 samples are 5 blocks of 4000
+    monkeypatch.setattr(validate, "_BLOCK_GAUSSIANS", 4000 * 136)
+    cfg = tmp_path / "val.cfg"
+    cfg.write_text("m = 4\nn_rx = 2\nbits = 5\nsamples = 20000\nseed = 32\n")
+    written, logs = [], []
+    for cores in (1, 3):
+        monkeypatch.setattr(validate, "_cores", lambda: cores)
+        collect_effective_samples.cache_clear()  # recompute, never read the memo
+        out = tmp_path / f"cores{cores}"
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+        written.append((out / "validation.json").read_bytes())
+        logs.append(capsys.readouterr().err)
+    collect_effective_samples.cache_clear()  # drop samples of the shrunken blocks
+    assert pools == [3]  # the 1-worker run starts no pool
+    assert written[0] == written[1]
+    assert logs[0].rstrip().endswith("(1 worker)")
+    assert logs[1].rstrip().endswith("(3 workers)")

@@ -234,6 +234,7 @@ def test_validate_end_to_end(tmp_path, capsys):
     assert payload["config"] == {"m": 4, "n_rx": 2, "bits": 6, "samples": 8000,
                                  "seed": 11, "wrong_reference": False}
     assert len(payload["reports"]) == 4
+    assert payload["stream_version"] == 2  # one stream per sample block
     stdout = capsys.readouterr().out
     assert json.loads(stdout)["passed"] is True
 

@@ -15,52 +15,66 @@ from effchan.validate import (
 )
 
 
-def replay_effective_draw(seed, count, m, n, bits):
-    """Replicate the batched collector's draw order with the scalar operators."""
-    gen = RngStream(seed, purpose=PURPOSE_VALIDATION).generator()
-    channels = complex_normal(gen, (count, m, n))
-    raw = complex_normal(gen, (count, 2**bits, m))
-    books = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-    return channels, books
+def replay_blocks(seed, count, size, shapes):
+    """Replay the collectors' sample blocks with complex_normal, one sample at a time.
+
+    Block b holds samples [b*size, (b+1)*size) and draws one array per entry
+    of shapes (channels, then codebooks) from RngStream(seed, b, 0, purpose).
+    """
+    for block, start in enumerate(range(0, count, size)):
+        gen = RngStream(seed, block, 0, PURPOSE_VALIDATION).generator()
+        take = min(size, count - start)
+        yield from zip(*[complex_normal(gen, (take, *shape)) for shape in shapes])
+
+
+def unit_rows(raw):
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+
+def split_into_blocks(monkeypatch, count, gaussians_per_sample, size):
+    """Shrink the block target so count samples span several blocks, the last ragged."""
+    monkeypatch.setattr(validate, "_BLOCK_GAUSSIANS", size * gaussians_per_sample)
+    assert count // size >= 3 and count % size
+    return size
 
 
 # -------------------------------------------------- batched/scalar equivalence
 
 
-def test_effective_collector_matches_scalar_operator():
+def test_effective_collector_matches_scalar_operator(monkeypatch):
     m, n, bits, count, seed = 4, 2, 3, 50, 9191
-    pooled = collect_effective_samples(m, n, bits, count, seed)
-    channels, books = replay_effective_draw(seed, count, m, n, bits)
-    for i in range(count):
-        r = quantize_effective(channels[i], Codebook(vectors=books[i], bits=bits))
+    size = split_into_blocks(monkeypatch, count, (2**bits + n) * m, 16)
+    pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
+    samples = replay_blocks(seed, count, size, [(m, n), (2**bits, m)])
+    for i, (channel, raw) in enumerate(samples):
+        r = quantize_effective(channel, Codebook(vectors=unit_rows(raw), bits=bits))
         assert pooled.cos_sq[i] == pytest.approx(r.cos_sq, abs=1e-12)
         assert pooled.eff_norm_sq[i] == pytest.approx(r.eff_norm_sq, rel=1e-9)
         assert np.allclose(pooled.directions[i], r.s_proj, atol=1e-9)
+    assert i == count - 1
 
 
-def test_antenna_collector_matches_scalar_operator():
+def test_antenna_collector_matches_scalar_operator(monkeypatch):
     m, n, bits, count, seed = 4, 2, 3, 40, 9292
+    size = split_into_blocks(monkeypatch, count, n * 2**bits * m, 12)
     pooled = collect_best_cosine_samples(m, n, bits, count, seed, per_antenna=True)
-    gen = RngStream(seed, purpose=PURPOSE_VALIDATION).generator()
-    channels = complex_normal(gen, (count, m, n))
-    raw = complex_normal(gen, (count, n, 2**bits, m))
-    books = raw / np.linalg.norm(raw, axis=3, keepdims=True)
-    for i in range(count):
-        cbs = [Codebook(vectors=books[i, k], bits=bits) for k in range(n)]
-        r = quantize_antenna_selection(channels[i], cbs)
+    samples = replay_blocks(seed, count, size, [(m, n), (n, 2**bits, m)])
+    for i, (channel, raw) in enumerate(samples):
+        cbs = [Codebook(vectors=book, bits=bits) for book in unit_rows(raw)]
+        r = quantize_antenna_selection(channel, cbs)
         assert pooled[i] == pytest.approx(r.cos_sq, abs=1e-12)
+    assert i == count - 1
 
 
-def test_flat_collector_matches_scalar_operator():
+def test_flat_collector_matches_scalar_operator(monkeypatch):
     m, n, bits, count, seed = 4, 2, 3, 40, 9393
+    size = split_into_blocks(monkeypatch, count, n * 2**bits * m, 12)
     pooled = collect_best_cosine_samples(m, n, bits, count, seed, per_antenna=False)
-    gen = RngStream(seed, purpose=PURPOSE_VALIDATION).generator()
-    channels = complex_normal(gen, (count, m))
-    raw = complex_normal(gen, (count, n * 2**bits, m))
-    books = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-    for i in range(count):
-        r = quantize_single(channels[i], Codebook(vectors=books[i], bits=bits + 1))
+    samples = replay_blocks(seed, count, size, [(m,), (n * 2**bits, m)])
+    for i, (channel, raw) in enumerate(samples):
+        r = quantize_single(channel, Codebook(vectors=unit_rows(raw), bits=bits + 1))
         assert pooled[i] == pytest.approx(r.cos_sq, abs=1e-12)
+    assert i == count - 1
 
 
 # ----------------------------------------------------------------- collectors
@@ -80,8 +94,8 @@ def test_collector_returns_read_only_arrays():
 
 
 def test_collector_chunked_path(monkeypatch):
-    # shrink the chunk budget so a small request spans many chunks
-    monkeypatch.setattr(validate, "_CHUNK_TARGET", 2000)
+    # shrink the block target so a small request spans many blocks
+    monkeypatch.setattr(validate, "_BLOCK_GAUSSIANS", 2000)
     pooled = collect_effective_samples.__wrapped__(4, 2, 6, 300, 616)
     assert pooled.cos_sq.shape == (300,)
     assert pooled.eff_norm_sq.shape == (300,)
@@ -89,6 +103,46 @@ def test_collector_chunked_path(monkeypatch):
     assert np.all((pooled.cos_sq >= 0.0) & (pooled.cos_sq <= 1.0))
     assert np.all(pooled.eff_norm_sq > 0.0)
     assert np.allclose(np.linalg.norm(pooled.directions, axis=1), 1.0, atol=1e-9)
+
+
+def test_collectors_identical_across_worker_counts(monkeypatch):
+    pools = []
+
+    class CountingPool(validate.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(validate, "ThreadPoolExecutor", CountingPool)
+    # (16 + 2) * 4 = 72 normals a sample: 300 samples are 10 blocks of 30
+    monkeypatch.setattr(validate, "_BLOCK_GAUSSIANS", 30 * 72)
+    runs = []
+    for cores in (1, 3):
+        monkeypatch.setattr(validate, "_cores", lambda: cores)
+        pooled = collect_effective_samples.__wrapped__(4, 2, 4, 300, 818)
+        runs.append([pooled.cos_sq, pooled.eff_norm_sq, pooled.directions,
+                     collect_best_cosine_samples(4, 2, 4, 300, 819, per_antenna=True),
+                     collect_best_cosine_samples(4, 2, 4, 300, 820, per_antenna=False)])
+    assert pools == [3, 3, 3]  # the 1-worker runs start no pool
+    for serial, threaded in zip(*runs):
+        assert serial.tobytes() == threaded.tobytes()
+
+
+def test_workers_capped_by_cores_blocks_and_memory(monkeypatch):
+    monkeypatch.setattr(validate, "_cores", lambda: 64)
+    # validate_b8's shape: (256 + 2) * 4 normals a sample, 508 samples a block,
+    # and 8 blocks hold 2^22 normals
+    takes, workers = validate._plan(100_000, (2**8 + 2) * 4)
+    assert len(takes) == 197 and set(takes[:-1]) == {508} and sum(takes) == 100_000
+    assert workers == 8
+    monkeypatch.setattr(validate, "_cores", lambda: 2)
+    assert validate._plan(100_000, (2**8 + 2) * 4)[1] == 2
+    monkeypatch.setattr(validate, "_cores", lambda: 64)
+    assert validate._plan(1000, (2**8 + 2) * 4)[1] == 2  # two blocks
+    # B >= 17 at M = 4: a block is one sample, and workers hold at most 2^22 normals
+    assert validate._plan(50, (2**17 + 2) * 4) == ([1] * 50, 7)
+    assert validate._plan(50, (2**24 + 2) * 4) == ([1] * 50, 1)
+    assert validate.suite_workers(4, 2, 24, 100_000) == 1
 
 
 def test_collector_guards():
