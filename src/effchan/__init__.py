@@ -3,8 +3,8 @@
 A receiver with N antennas does not quantize its M x N channel matrix; it
 quantizes the best direction *inside* the channel's column span and applies a
 combining vector that turns the array into a single effective antenna pointed
-along the quantized direction.  This package provides the quantizers, the
-zero-forcing downlink simulation around them, the closed-form feedback-bit
+along the quantized direction.  This package provides the quantizer, the
+zero-forcing downlink simulation around it, the closed-form feedback-bit
 scaling laws, and distributional validation of the quantizer's statistics.
 """
 
@@ -27,12 +27,8 @@ from .experiment import (
 from .linalg import DegenerateChannelError, RngStream
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
 from .quantize import (
-    Codebook,
     QuantizationResult,
     generate_codebook,
-    quantize_antenna_selection,
-    quantize_effective,
-    quantize_single,
     quantize_stack,
 )
 from .stats import (
@@ -60,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitsRule",
-    "Codebook",
     "DegenerateChannelError",
     "ExperimentConfig",
     "ExperimentResult",
@@ -90,9 +85,6 @@ __all__ = [
     "quant_error_approx",
     "quant_error_mean_report",
     "quantization_angle_report",
-    "quantize_antenna_selection",
-    "quantize_effective",
-    "quantize_single",
     "quantize_stack",
     "rate_gap_bound",
     "refused",

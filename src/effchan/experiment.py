@@ -48,7 +48,7 @@ CODEBOOK_POLICIES = ("per_block", "fixed")
 # per stream block, the contract's unit of replay.
 STREAM_VERSION = 2
 _BLOCK = 64
-# Codebook bytes (users x 2^B x M entries a trial, two float64 parts each) a
+# Bytes (users x 2^B x M codebook entries a trial, two float64 parts each) a
 # chunk scans or a per-block codebook slice holds: one trial at M = 8, B = 10.
 _CHUNK_BYTES = 2 ** 20
 
@@ -243,9 +243,8 @@ def _fixed_codebooks(config: ExperimentConfig, bits: int) -> np.ndarray | None:
     """Every user's fixed codebook, stacked (1, users, 2^B, M); None under per_block."""
     if config.codebook_policy != "fixed":
         return None
-    books = [generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK), bits,
-                               config.m) for u in range(config.users)]
-    return np.stack([cb.vectors for cb in books])[None]
+    return np.stack([generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK),
+                                       bits, config.m) for u in range(config.users)])[None]
 
 
 def _aggregate(n_rx: int, snr_db: float, bits: int,

@@ -8,7 +8,7 @@ zero-forcing inverse is ``precoding.zero_force``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,18 +61,6 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         ss = np.random.SeedSequence([self.seed, self.trial, self.user, self.purpose])
         return np.random.Generator(np.random.Philox(ss))
-
-    def derive(self, *, trial: int | None = None, user: int | None = None,
-               purpose: int | None = None) -> "RngStream":
-        """Copy of this stream with some id components replaced."""
-        updates = {}
-        if trial is not None:
-            updates["trial"] = trial
-        if user is not None:
-            updates["user"] = user
-        if purpose is not None:
-            updates["purpose"] = purpose
-        return replace(self, **updates)
 
 
 def complex_normal(gen: np.random.Generator, shape) -> np.ndarray:

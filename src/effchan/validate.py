@@ -8,7 +8,7 @@ _BLOCK_GAUSSIANS // g), and draws them from its own stream,
 codebooks.  Each block is quantized by the same batched kernel the sweep runs
 (``quantize_stack``), which scores each random codebook straight from its
 drawn standard normals; equivalence tests replay the blocks and pin the
-collectors to the scalar operators sample by sample.
+collectors to the test oracle sample by sample.
 
 Blocks run on a thread pool, one worker per core the process may run on (the
 normal sampler, the BLAS products, ``einsum`` and ``np.linalg`` release the

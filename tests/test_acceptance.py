@@ -24,7 +24,7 @@ from effchan.linalg import (
 )
 from effchan.cli import main, scaling_table_rows
 from effchan.precoding import refused, zero_force
-from effchan.quantize import generate_codebook, quantize_effective, quantize_stack
+from effchan.quantize import generate_codebook, quantize_stack
 from effchan.validate import (
     collect_best_cosine_samples,
     collect_effective_samples,
@@ -190,12 +190,10 @@ def test_zfbf_invariants_over_many_trials():
     channels = np.empty((trials, users, 4, 2), dtype=complex)
     books = np.empty((trials, users, 16, 4), dtype=complex)
     for trial in range(trials):
-        stream = RngStream(606, trial)
         for u in range(users):
             channels[trial, u] = complex_normal(
-                stream.derive(user=u, purpose=PURPOSE_CHANNEL).generator(), (4, 2))
-            books[trial, u] = generate_codebook(
-                stream.derive(user=u, purpose=PURPOSE_CODEBOOK), 4, 4).vectors
+                RngStream(606, trial, u, PURPOSE_CHANNEL).generator(), (4, 2))
+            books[trial, u] = generate_codebook(RngStream(606, trial, u, PURPOSE_CODEBOOK), 4, 4)
     fb, fault = quantize_stack(channels, books)
     assert not fault.any()
     stacks = np.swapaxes(fb.q_hat, -1, -2)  # column u = user u's direction
@@ -224,11 +222,13 @@ def test_antenna_selection_matches_flat_codebook_in_distribution():
 
 
 def test_full_rank_square_channel_quantizes_exactly():
-    for trial in range(100):
-        gen = RngStream(707, trial).generator()
-        h = complex_normal(gen, (2, 2))
-        cb = generate_codebook(RngStream(707, trial, purpose=PURPOSE_CODEBOOK), 3, 2)
-        assert quantize_effective(h, cb).sin_sq < 1e-10
+    channels = np.stack([complex_normal(RngStream(707, trial).generator(), (2, 2))
+                         for trial in range(100)])
+    books = np.stack([generate_codebook(RngStream(707, trial, purpose=PURPOSE_CODEBOOK), 3, 2)
+                      for trial in range(100)])
+    r, fault = quantize_stack(channels, books)
+    assert (fault == 0).all()
+    assert (r.sin_sq < 1e-10).all()
 
 
 # 11 ------------------------------------------------------ CLI determinism

@@ -28,7 +28,7 @@ from effchan.linalg import (
     complex_from_parts,
 )
 from effchan.precoding import perfect_csit_rates
-from effchan.quantize import Codebook, generate_codebook, quantize_stack
+from effchan.quantize import generate_codebook, quantize_stack
 from effchan.stats import mean_ci
 
 
@@ -52,8 +52,8 @@ def block_channels(config, block, trials):
 
 
 def stacked(codebooks):
-    """Per-user Codebooks as the (1, users, 2^B, M) stack that _run_chunk scans."""
-    return np.stack([cb.vectors for cb in codebooks])[None]
+    """Per-user (2^B, M) codebooks as the (1, users, 2^B, M) stack that _run_chunk scans."""
+    return np.stack(codebooks)[None]
 
 
 def trial_record(config, snr_db, bits, t, codebooks=None):
@@ -182,7 +182,7 @@ def test_trial_with_planted_directions_matches_perfect_zf():
     for h in channels:
         direction = h / np.linalg.norm(h)
         other = np.array([-np.conj(direction[1]), np.conj(direction[0])])
-        codebooks.append(Codebook(vectors=np.stack([direction, other]), bits=1))
+        codebooks.append(np.stack([direction, other]))
     rate_fb, _, dropped = trial_record(config, 10.0, 1, 0, stacked(codebooks))
     expected, _, _ = perfect_csit_rates(channels.T, 10.0)
     assert not dropped
@@ -195,7 +195,7 @@ def orthogonal_codebooks(config):
     for h in block_channels(config, 0, 1)[0, :, :, 0]:
         direction = h / np.linalg.norm(h)
         other = np.array([-np.conj(direction[1]), np.conj(direction[0])])
-        codebooks.append(Codebook(vectors=np.stack([other, other]), bits=1))
+        codebooks.append(np.stack([other, other]))
     return stacked(codebooks)
 
 
@@ -241,7 +241,7 @@ def test_refused_benchmark_drops_its_trial_at_every_cell(monkeypatch):
 def test_trial_drops_parallel_reported_directions():
     # both users report the same codeword, so the direction stack is singular
     e1 = np.array([1.0, 0.0], dtype=complex)
-    cb = Codebook(vectors=np.stack([e1, e1]), bits=1)
+    cb = np.stack([e1, e1])
     rate_fb, rate_zf, dropped = trial_record(small_config(), 10.0, 1, 0, stacked([cb, cb]))
     assert dropped
     assert rate_fb == 0.0 and rate_zf == 0.0  # rate_fb is 0 only if every SINR is 0
@@ -311,13 +311,13 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
         index, q_hat = np.concatenate(seen["index"]), np.concatenate(seen["q_hat"])
         for i, u in itertools.product(range(70), range(3)):
             book = generate_codebook(Replay(normals[i, u]), 3, 3)
-            assert q_hat[i, u].tobytes() == book.vectors[index[i, u]].tobytes()
+            assert q_hat[i, u].tobytes() == book[index[i, u]].tobytes()
     else:
         [books] = seen["books"]
         assert seen["channels"].tobytes() == channels.tobytes()
         for u in range(config.users):
             book = generate_codebook(RngStream(seed, 0, u, PURPOSE_FIXED_CODEBOOK), 3, 3)
-            assert books[0, u].tobytes() == book.vectors.tobytes()
+            assert books[0, u].tobytes() == book.tobytes()
     singles = [trial_record(config, 10.0, 3, t, codebooks) for t in trials]
     assert_same_records([column[0] for column in records],
                         tuple(np.array(column) for column in zip(*singles)))

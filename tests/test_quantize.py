@@ -5,20 +5,16 @@ from effchan.linalg import DegenerateChannelError, RngStream, complex_from_parts
 from effchan.quantize import (
     FAULT_ORTHOGONAL,
     FAULT_RANK,
-    Codebook,
     generate_codebook,
-    quantize_antenna_selection,
-    quantize_effective,
-    quantize_single,
     quantize_stack,
+    raise_fault,
 )
+from oracles import span_metric, vector_oracle
 
 
 def book(rows):
-    """Codebook from explicit unit rows (bits inferred from the row count)."""
-    v = np.asarray(rows, dtype=np.complex128)
-    bits = int(np.log2(v.shape[0]))
-    return Codebook(vectors=v, bits=bits)
+    """A codebook (2^B, M) from explicit unit rows."""
+    return np.asarray(rows, dtype=np.complex128)
 
 
 def unit(v):
@@ -26,21 +22,35 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def basis(k, dim):
+    e = np.zeros(dim, dtype=complex)
+    e[k] = 1.0
+    return e
+
+
+def select_antenna(h, books):
+    """Antenna selection on the kernel: column k of h (M, N) is a one-column
+    channel against books[k]; returns the per-column results, their faults and
+    the column of largest cos^2 (lowest on ties)."""
+    r, fault = quantize_stack(np.swapaxes(h, -1, -2)[..., None], books)
+    return r, fault, int(np.argmax(r.cos_sq))
+
+
 # ---------------------------------------------------------- codebook drawing
 
 
 def test_generate_codebook_shape_and_norms():
     cb = generate_codebook(RngStream(5), bits=4, dim=3)
-    assert cb.dim == 3 and cb.bits == 4
-    assert np.allclose(np.linalg.norm(cb.vectors, axis=1), 1.0, atol=1e-12)
+    assert cb.shape == (16, 3) and cb.dtype == np.complex128
+    assert np.allclose(np.linalg.norm(cb, axis=1), 1.0, atol=1e-12)
 
 
 def test_generate_codebook_deterministic_per_stream():
     a = generate_codebook(RngStream(5, trial=1), 3, 4)
     b = generate_codebook(RngStream(5, trial=1), 3, 4)
     c = generate_codebook(RngStream(5, trial=2), 3, 4)
-    assert np.array_equal(a.vectors, b.vectors)
-    assert not np.array_equal(a.vectors, c.vectors)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_generate_codebook_guards():
@@ -52,28 +62,24 @@ def test_generate_codebook_guards():
         generate_codebook(RngStream(1), 2, 1)
 
 
-def test_codebook_validates_rows():
-    with pytest.raises(ValueError):
-        Codebook(vectors=np.ones((3, 2), dtype=complex), bits=2)  # wrong count
-    with pytest.raises(ValueError):
-        Codebook(vectors=np.ones((2, 2), dtype=complex), bits=1)  # not unit norm
-
-
-# ----------------------------------------------------------- quantize_single
+# ------------------------------------------- one channel vector (N = 1)
+# A channel vector is a one-column channel with no leading axes.
 
 
 def test_single_hand_case():
     cb = book([[1.0, 0.0], [0.0, 1.0]])
     h = np.array([0.6, 0.8j])
-    r = quantize_single(h, cb)
+    r, fault = quantize_stack(h[:, None], cb)
+    assert fault == 0
     assert r.index == 1
     assert r.cos_sq == pytest.approx(0.64, abs=1e-12)
     assert r.sin_sq == pytest.approx(0.36, abs=1e-12)
     # reported in-span direction lies on the h line
     assert abs(abs(np.vdot(unit(h), r.s_proj)) - 1.0) < 1e-12
     assert r.eff_norm_sq == pytest.approx(1.0, abs=1e-12)
-    assert np.array_equal(r.h_eff, h)
-    assert r.gamma.shape == (1,)
+    # one receive antenna: the combiner is a unit phase that h_eff carries
+    assert r.gamma.shape == (1,) and abs(abs(r.gamma[0]) - 1.0) < 1e-12
+    assert np.allclose(r.h_eff, h * r.gamma[0], rtol=0, atol=1e-15)
 
 
 def test_single_planted_codeword_is_exact():
@@ -83,22 +89,15 @@ def test_single_planted_codeword_is_exact():
         rows = complex_normal(gen, (4, 4))
         rows[2] = h  # plant the true direction
         cb = book(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-        r = quantize_single(h, cb)
+        r, _ = quantize_stack(h[:, None], cb)
         assert r.index == 2
         assert r.cos_sq == pytest.approx(1.0, abs=1e-10)
 
 
 def test_single_tie_takes_lowest_index():
     cb = book([[1.0, 0.0], [0.0, 1.0]])
-    r = quantize_single(np.array([1.0, 1.0]) / np.sqrt(2), cb)
+    r, _ = quantize_stack(np.array([[1.0], [1.0]]) / np.sqrt(2), cb)
     assert r.index == 0
-
-
-def test_single_orthogonal_codeword_falls_back_to_channel_direction():
-    cb = book([[0.0, 1.0], [0.0, 1.0]])
-    r = quantize_single(np.array([2.0, 0.0]), cb)
-    assert r.cos_sq == 0.0
-    assert np.allclose(r.s_proj, [1.0, 0.0])
 
 
 def test_single_scale_invariant_selection():
@@ -106,28 +105,25 @@ def test_single_scale_invariant_selection():
     gen = RngStream(29).generator()
     for _ in range(20):
         h = complex_normal(gen, 3)
-        base = quantize_single(h, cb)
-        scaled = quantize_single(h * (2.0 - 1.5j), cb)
+        base, _ = quantize_stack(h[:, None], cb)
+        scaled, _ = quantize_stack(h[:, None] * (2.0 - 1.5j), cb)
         assert scaled.index == base.index
         assert scaled.cos_sq == pytest.approx(base.cos_sq, abs=1e-12)
 
 
 def test_single_rejects_bad_input():
     cb = generate_codebook(RngStream(1), 2, 3)
+    _, fault = quantize_stack(np.zeros((3, 1), dtype=complex), cb)
+    assert fault == FAULT_RANK  # a zero channel is a fault of its entry, not a raise
     with pytest.raises(ValueError):
-        quantize_single(np.zeros(3, dtype=complex), cb)
-    with pytest.raises(ValueError):
-        quantize_single(np.ones(4, dtype=complex), cb)
+        raise_fault(fault)
+    with pytest.raises(ValueError, match=r"got shape \(4, 1\)"):
+        quantize_stack(np.ones((4, 1), dtype=complex), cb)
 
 
-# -------------------------------------------------------- quantize_effective
-
-
-def brute_metric(h_matrix, vectors):
-    """Independent recompute: squared projection of each row onto span(H)."""
-    q, _ = np.linalg.qr(h_matrix)
-    proj = q @ (q.conj().T @ vectors.T)  # (m, 2^B)
-    return np.sum(np.abs(proj) ** 2, axis=0)
+# ------------------------------------------------------ one M x N channel
+# One channel is a call with no leading axes; raise_fault turns its fault
+# code into the error.
 
 
 def test_effective_identities_random():
@@ -135,9 +131,10 @@ def test_effective_identities_random():
         gen = RngStream(31, trial=t).generator()
         h = complex_normal(gen, (4, 2))
         cb = generate_codebook(RngStream(31, trial=t, purpose=1), 4, 4)
-        r = quantize_effective(h, cb)
+        r, fault = quantize_stack(h, cb)
+        assert fault == 0
 
-        metric = brute_metric(h, cb.vectors)
+        metric = span_metric(h, cb)
         assert r.index == int(np.argmax(metric))
         assert r.cos_sq == pytest.approx(metric[r.index], abs=1e-10)
         proj = h @ np.linalg.lstsq(h, r.q_hat, rcond=None)[0]  # q_hat's shadow on span(H)
@@ -163,7 +160,8 @@ def test_effective_hand_case():
     # span(2 e1, e1 + e2) is the e1-e2 plane: e2 lies in it, the others do not
     h = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
     s = 1.0 / np.sqrt(2.0)
-    r = quantize_effective(h, book([[0, 0, 1], [s, 0, s], [0, 1, 0], [0, 0, 1]]))
+    r, fault = quantize_stack(h, book([[0, 0, 1], [s, 0, s], [0, 1, 0], [0, 0, 1]]))
+    assert fault == 0
     assert r.index == 2
     assert r.cos_sq == pytest.approx(1.0, abs=1e-14)
     assert abs(abs(r.s_proj[1]) - 1.0) < 1e-14
@@ -180,7 +178,8 @@ def test_effective_planted_in_span_codeword():
         rows = complex_normal(gen, (8, 5))
         rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         rows[5] = target
-        r = quantize_effective(h, book(rows))
+        r, fault = quantize_stack(h, book(rows))
+        assert fault == 0
         assert r.index == 5
         assert r.sin_sq < 1e-12
         # with no quantization error the reported direction is the codeword
@@ -192,8 +191,9 @@ def test_effective_single_column_matches_vector_quantizer():
     cb = generate_codebook(RngStream(43), 5, 4)
     for _ in range(20):
         h = complex_normal(gen, 4)
-        single = quantize_single(h, cb)
-        eff = quantize_effective(h[:, None], cb)
+        single = vector_oracle(h, cb)
+        eff, fault = quantize_stack(h[:, None], cb)
+        assert fault == 0
         assert eff.index == single.index
         assert eff.cos_sq == pytest.approx(single.cos_sq, abs=1e-12)
         # one receive antenna: combining cannot change the gain
@@ -206,7 +206,8 @@ def test_effective_full_rank_square_channel_has_no_error():
     cb = generate_codebook(RngStream(53), 3, 3)
     for _ in range(10):
         h = complex_normal(gen, (3, 3))
-        r = quantize_effective(h, cb)
+        r, fault = quantize_stack(h, cb)
+        assert fault == 0
         # the span is all of C^M, so every codeword fits perfectly
         assert r.sin_sq < 1e-10
         assert abs(np.vdot(r.s_proj, r.q_hat) - 1.0) < 1e-8
@@ -215,29 +216,31 @@ def test_effective_full_rank_square_channel_has_no_error():
 def test_effective_more_bits_never_hurt():
     # nested codebooks: the small one is a prefix of the large one
     big = generate_codebook(RngStream(59), 6, 4)
-    small = Codebook(vectors=big.vectors[:32], bits=5)
+    small = big[:32]
     gen = RngStream(61).generator()
     for _ in range(30):
         h = complex_normal(gen, (4, 2))
-        assert quantize_effective(h, big).cos_sq >= quantize_effective(h, small).cos_sq
+        (r_big, f_big), (r_small, f_small) = quantize_stack(h, big), quantize_stack(h, small)
+        assert f_big == 0 and f_small == 0
+        assert r_big.cos_sq >= r_small.cos_sq
 
 
 def test_effective_rejects_bad_input():
     cb = generate_codebook(RngStream(1), 2, 4)
-    with pytest.raises(ValueError):
-        quantize_effective(np.ones((3, 2), dtype=complex), cb)  # dim mismatch
+    with pytest.raises(ValueError, match=r"\(\.\.\., 4, N\) channels .* got shape \(3, 2\)"):
+        quantize_stack(np.ones((3, 2), dtype=complex), cb)  # dim mismatch
     col = complex_normal(RngStream(2).generator(), (4, 1))
     with pytest.raises(DegenerateChannelError):
-        quantize_effective(np.concatenate([col, col], axis=1), cb)
-    with pytest.raises(ValueError):
-        quantize_effective(np.ones((2, 3), dtype=complex),
-                           generate_codebook(RngStream(1), 2, 2))  # wider than tall
+        raise_fault(quantize_stack(np.concatenate([col, col], axis=1), cb)[1])
+    with pytest.raises(ValueError, match=r"1 <= N <= 2, got shape \(2, 3\)"):
+        quantize_stack(np.ones((2, 3), dtype=complex),
+                       generate_codebook(RngStream(1), 2, 2))  # wider than tall
 
 
 def test_effective_rejects_codeword_orthogonal_to_span():
     h = np.eye(3, dtype=complex)[:, :2]
     with pytest.raises(ValueError, match="orthogonal"):
-        quantize_effective(h, book([[0, 0, 1], [0, 0, 1]]))
+        raise_fault(quantize_stack(h, book([[0, 0, 1], [0, 0, 1]]))[1])
 
 
 # ------------------------------------------------------------ quantize_stack
@@ -252,7 +255,8 @@ def test_stack_matches_one_channel_views():
     assert fault.shape == (3, 5) and not fault.any()
     for t in range(3):
         for u in range(5):
-            one = quantize_effective(channels[t, u], Codebook(vectors=books[t, u], bits=4))
+            one, one_fault = quantize_stack(channels[t, u], books[t, u])
+            assert one_fault == 0
             assert r.index[t, u] == one.index
             assert r.cos_sq[t, u] == pytest.approx(one.cos_sq, rel=1e-13)
             assert r.eff_norm_sq[t, u] == pytest.approx(one.eff_norm_sq, rel=1e-13)
@@ -262,8 +266,7 @@ def test_stack_matches_one_channel_views():
 def test_stack_broadcasts_a_shared_codebook():
     gen = RngStream(83).generator()
     channels = complex_normal(gen, (6, 3, 4, 2))
-    books = np.stack([generate_codebook(RngStream(83, user=u), 3, 4).vectors
-                      for u in range(3)])
+    books = np.stack([generate_codebook(RngStream(83, user=u), 3, 4) for u in range(3)])
     shared, _ = quantize_stack(channels, books[None])
     tiled, _ = quantize_stack(channels, np.broadcast_to(books, (6, 3, 8, 4)).copy())
     assert np.array_equal(shared.index, tiled.index)
@@ -275,11 +278,11 @@ def test_stack_faults_are_per_channel():
     good = complex_normal(gen, (4, 2))
     col = complex_normal(gen, (4, 1))
     channels = np.stack([good, np.concatenate([col, col], axis=1), np.eye(4, dtype=complex)[:, :2]])
-    books = np.stack([generate_codebook(RngStream(89), 2, 4).vectors] * 2
+    books = np.stack([generate_codebook(RngStream(89), 2, 4)] * 2
                      + [np.tile(np.eye(4, dtype=complex)[3], (4, 1))])
     r, fault = quantize_stack(channels, books)
     assert list(fault) == [0, FAULT_RANK, FAULT_ORTHOGONAL]
-    one = quantize_effective(good, Codebook(vectors=books[0], bits=2))
+    one, _ = quantize_stack(good, books[0])
     assert r.eff_norm_sq[0] == pytest.approx(one.eff_norm_sq, rel=1e-13)
     assert np.all(np.isfinite(r.h_eff)) and np.all(np.isfinite(r.eff_norm_sq))
 
@@ -292,7 +295,7 @@ def test_stack_solves_full_rank_channels_whose_gram_matrix_is_singular():
     channels[:, 0] = 1.0
     channels[:, 1, 1] = eps
     cb = generate_codebook(RngStream(97), 3, 4)
-    r, fault = quantize_stack(channels, cb.vectors)
+    r, fault = quantize_stack(channels, cb)
     assert list(fault) == [0, 0, 0]
     h_eff = np.einsum("tmi,ti->tm", channels, r.gamma)
     gain = np.linalg.norm(h_eff, axis=-1) ** 2
@@ -303,8 +306,63 @@ def test_stack_solves_full_rank_channels_whose_gram_matrix_is_singular():
     assert np.allclose(along.real, np.sqrt(gain), rtol=1e-6, atol=0)
     assert np.linalg.norm(h_eff - along[:, None] * r.s_proj, axis=-1).max() < 1e-14
     for t in range(3):
-        one = quantize_effective(channels[t], cb)
-        assert one.index == r.index[t]
+        one, one_fault = quantize_stack(channels[t], cb)
+        assert one_fault == 0 and one.index == r.index[t]
+
+
+# ----------------------------------------------- span basis of quantize_stack
+# The span basis is the batched QR inside quantize_stack; these tests reach
+# it through the quantizer's outputs.
+
+
+def test_stack_identity_passthrough():
+    # identity columns are already an orthonormal basis: every codeword in
+    # their span is its own in-span direction, reached with unit gain
+    cols = np.stack([basis(0, 3), basis(1, 3)], axis=1)
+    s = 1.0 / np.sqrt(2.0)
+    words = np.array([basis(0, 3), basis(1, 3), [s, 1j * s, 0.0]])
+    r, fault = quantize_stack(np.stack([cols] * 3), words[:, None, :])
+    assert list(fault) == [0, 0, 0]
+    assert np.allclose(r.cos_sq, 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(r.s_proj, words, rtol=0, atol=1e-14)
+    assert np.allclose(r.gamma, words[:, :2], rtol=0, atol=1e-14)
+    assert np.allclose(r.eff_norm_sq, 1.0, rtol=0, atol=1e-14)
+
+
+def test_stack_orthonormal_and_span_preserving():
+    channels = np.stack([complex_normal(RngStream(11, trial=t).generator(), (4, 2))
+                         for t in range(20)])
+    # every input column, as a codeword, lies wholly inside the basis' span
+    cols = np.swapaxes(channels, -1, -2)
+    cols = cols / np.linalg.norm(cols, axis=-1, keepdims=True)
+    for k in range(2):
+        r, fault = quantize_stack(channels, cols[:, k:k + 1, :])
+        assert not fault.any()
+        assert np.abs(r.sin_sq).max() < 1e-10
+        assert np.abs(r.s_proj - cols[:, k]).max() < 1e-10
+    # a codeword off the span: the metric is its squared projection onto the
+    # span of the inputs, so the basis is orthonormal and spans the inputs
+    w = complex_normal(RngStream(11, purpose=1).generator(), (20, 1, 4))
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    r, _ = quantize_stack(channels, w)
+    for t in range(20):
+        proj = channels[t] @ np.linalg.lstsq(channels[t], w[t, 0], rcond=None)[0]
+        assert r.cos_sq[t] == pytest.approx(np.linalg.norm(proj) ** 2, abs=1e-10)
+
+
+def test_stack_rejects_rank_deficiency():
+    col = complex_normal(RngStream(3).generator(), (4, 1))
+    deficient = np.concatenate([col, col], axis=1)
+    book = np.eye(4, dtype=complex)
+    with pytest.raises(DegenerateChannelError):
+        raise_fault(quantize_stack(deficient, book)[1])
+    _, fault = quantize_stack(np.stack([np.eye(4, dtype=complex)[:, :2], deficient]), book)
+    assert list(fault) == [0, FAULT_RANK]
+
+
+def test_stack_rejects_wide_matrix():
+    with pytest.raises(ValueError, match=r"1 <= N <= 2, got shape \(2, 3\)"):
+        quantize_stack(np.ones((2, 3), dtype=complex), np.eye(2, dtype=complex))
 
 
 # ------------------------------------------ quantize_stack on codebook normals
@@ -317,12 +375,6 @@ def normalized(parts):
     """The complex codebook of standard-normal parts, every row normalized."""
     rows = complex_from_parts(parts.copy())
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
-
-
-def complex_metric(channels, books):
-    """|<w_j, span(H)>|^2 of unit rows from the complex product books @ Q*."""
-    q = np.linalg.qr(channels)[0]
-    return (np.abs(books @ q.conj()) ** 2).sum(axis=-1)
 
 
 @pytest.mark.parametrize("policy", ["per_block", "fixed"])
@@ -338,11 +390,11 @@ def test_stack_scores_normal_parts_like_the_normalized_codebook(policy):
         else:  # one shared codebook, passed as itself
             stream = RngStream(97, trial=c, purpose=3)
             parts = stream.generator().standard_normal((2, 2 ** bits, m))
-            books = generate_codebook(stream, bits, m).vectors
+            books = generate_codebook(stream, bits, m)
             assert books.tobytes() == normalized(parts).tobytes()
         fast, fast_fault = quantize_stack(channels, (parts[0], parts[1]))
         slow, slow_fault = quantize_stack(channels, books)
-        metric = complex_metric(channels, books)
+        metric = span_metric(channels, books)
         assert np.array_equal(fast.index, np.argmax(metric, axis=-1))
         assert np.array_equal(fast.index, slow.index)
         assert fast.q_hat.tobytes() == slow.q_hat.tobytes()
@@ -367,45 +419,53 @@ def test_stack_parts_ignore_row_scale():
     assert np.allclose(scaled.q_hat, r.q_hat, rtol=0, atol=1e-15)
 
 
-# ------------------------------------------------- quantize_antenna_selection
+# --------------------------------------------------------- antenna selection
+# Each receive antenna's column is a one-column channel against its own
+# codebook, and the column of largest cos^2 wins.
 
 
 def test_antenna_selection_hand_case():
     h = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
     cb0 = book([[0.0, 1.0], [0.0, 1.0]])  # antenna 0 sees only orthogonal entries
     cb1 = book([[0.0, 1.0], [1.0, 0.0]])  # antenna 1 has a perfect entry first
-    r = quantize_antenna_selection(h, [cb0, cb1])
-    assert r.cos_sq == pytest.approx(1.0, abs=1e-12)
-    assert r.index == 0  # index within the winning antenna's codebook
-    assert np.allclose(r.gamma, [0.0, 1.0])
-    assert np.allclose(r.h_eff, h[:, 1])
-    assert r.eff_norm_sq == pytest.approx(4.0, abs=1e-12)
+    r, _, k = select_antenna(h, np.stack([cb0, cb1]))
+    assert r.cos_sq[k] == pytest.approx(1.0, abs=1e-12)
+    assert r.index[k] == 0  # index within the winning antenna's codebook
+    assert k == 1  # antenna 1 wins
+    assert np.allclose(r.h_eff[k], h[:, 1])
+    assert r.eff_norm_sq[k] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_antenna_selection_tie_takes_lowest_antenna():
     h = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
     cb = book([[1.0, 0.0], [0.0, 1.0]])
-    r = quantize_antenna_selection(h, [cb, cb])
-    assert np.allclose(r.gamma, [1.0, 0.0])
+    _, _, k = select_antenna(h, np.stack([cb, cb]))
+    assert k == 0
 
 
 def test_antenna_selection_matches_per_column_best():
     gen = RngStream(67).generator()
     for t in range(20):
         h = complex_normal(gen, (4, 3))
-        cbs = [generate_codebook(RngStream(71, trial=t, user=k), 3, 4) for k in range(3)]
-        r = quantize_antenna_selection(h, cbs)
-        singles = [quantize_single(h[:, k], cbs[k]) for k in range(3)]
+        cbs = [generate_codebook(RngStream(71, trial=t, user=j), 3, 4) for j in range(3)]
+        r, fault, k = select_antenna(h, np.stack(cbs))
+        assert not fault.any()
+        singles = [vector_oracle(h[:, j], cbs[j]) for j in range(3)]
         best_k = int(np.argmax([s.cos_sq for s in singles]))
-        assert r.cos_sq == singles[best_k].cos_sq
-        assert np.allclose(r.h_eff, h[:, best_k])
-        assert r.eff_norm_sq == pytest.approx(np.linalg.norm(h[:, best_k]) ** 2, rel=1e-12)
+        assert k == best_k
+        assert r.cos_sq[k] == pytest.approx(singles[best_k].cos_sq, abs=1e-12)
+        # the effective channel is the winning column, turned by a unit phase
+        assert abs(abs(r.gamma[k, 0]) - 1.0) < 1e-12
+        assert np.allclose(r.h_eff[k], h[:, best_k] * r.gamma[k, 0])
+        assert r.eff_norm_sq[k] == pytest.approx(np.linalg.norm(h[:, best_k]) ** 2, rel=1e-12)
 
 
 def test_antenna_selection_needs_one_codebook_per_antenna():
+    # the codebooks' leading axis broadcasts against the antennas': one
+    # codebook is shared by every antenna, but three cannot serve two
     cb = generate_codebook(RngStream(1), 2, 4)
     with pytest.raises(ValueError):
-        quantize_antenna_selection(np.ones((4, 2), dtype=complex), [cb])
+        select_antenna(np.ones((4, 2), dtype=complex), np.stack([cb] * 3))
 
 
 # ----------------------------------------------- quantization error of a vector

@@ -3,7 +3,7 @@ import pytest
 
 import effchan.validate as validate
 from effchan.linalg import PURPOSE_VALIDATION, RngStream, complex_normal
-from effchan.quantize import Codebook, quantize_antenna_selection, quantize_effective, quantize_single
+from effchan.quantize import quantize_stack
 from effchan.validate import (
     collect_best_cosine_samples,
     collect_effective_samples,
@@ -13,6 +13,7 @@ from effchan.validate import (
     quantization_angle_report,
     run_validation_suite,
 )
+from oracles import vector_oracle
 
 
 def replay_blocks(seed, count, size, shapes):
@@ -47,7 +48,8 @@ def test_effective_collector_matches_scalar_operator(monkeypatch):
     pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
     samples = replay_blocks(seed, count, size, [(m, n), (2**bits, m)])
     for i, (channel, raw) in enumerate(samples):
-        r = quantize_effective(channel, Codebook(vectors=unit_rows(raw), bits=bits))
+        r, fault = quantize_stack(channel, unit_rows(raw))
+        assert fault == 0
         assert pooled.cos_sq[i] == pytest.approx(r.cos_sq, abs=1e-12)
         assert pooled.eff_norm_sq[i] == pytest.approx(r.eff_norm_sq, rel=1e-9)
         assert np.allclose(pooled.directions[i], r.s_proj, atol=1e-9)
@@ -60,9 +62,10 @@ def test_antenna_collector_matches_scalar_operator(monkeypatch):
     pooled = collect_best_cosine_samples(m, n, bits, count, seed, per_antenna=True)
     samples = replay_blocks(seed, count, size, [(m, n), (n, 2**bits, m)])
     for i, (channel, raw) in enumerate(samples):
-        cbs = [Codebook(vectors=book, bits=bits) for book in unit_rows(raw)]
-        r = quantize_antenna_selection(channel, cbs)
-        assert pooled[i] == pytest.approx(r.cos_sq, abs=1e-12)
+        # antenna selection: the best column of the N = 1 oracle
+        books = unit_rows(raw)
+        best = max(vector_oracle(channel[:, k], books[k]).cos_sq for k in range(n))
+        assert pooled[i] == pytest.approx(best, abs=1e-12)
     assert i == count - 1
 
 
@@ -72,7 +75,7 @@ def test_flat_collector_matches_scalar_operator(monkeypatch):
     pooled = collect_best_cosine_samples(m, n, bits, count, seed, per_antenna=False)
     samples = replay_blocks(seed, count, size, [(m,), (n * 2**bits, m)])
     for i, (channel, raw) in enumerate(samples):
-        r = quantize_single(channel, Codebook(vectors=unit_rows(raw), bits=bits + 1))
+        r = vector_oracle(channel, unit_rows(raw))
         assert pooled[i] == pytest.approx(r.cos_sq, abs=1e-12)
     assert i == count - 1
 
