@@ -8,9 +8,10 @@ paired comparison.
 
 A sweep's whole (N, SNR) grid runs in one pass over chunks per bit count.
 No stream id carries N or SNR, so a chunk draws the benchmark, the codebooks
-and the largest N's channels (a smaller N's are a prefix of them) once for the
-whole grid, zero-forces the benchmark and each N's feedback once, and rates
-every SNR point from the same beams.
+and the largest N's channels (a smaller N's are a prefix of them) once for
+the grid.  It scores each per-block codebook slice for every N as it is
+drawn (``_select`` on one QR per N), orients and zero-forces each N and the
+benchmark once, and rates every SNR point from the same beams.
 
 Determinism contract, stream version 2 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws its channels, benchmarks
@@ -40,7 +41,7 @@ from .linalg import (
     is_stream_id,
 )
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
-from .quantize import MAX_CODEBOOK_BITS, generate_codebook, quantize_stack
+from .quantize import MAX_CODEBOOK_BITS, _orient, _select, generate_codebook, quantize_stack
 from .stats import mean_ci
 
 CODEBOOK_POLICIES = ("per_block", "fixed")
@@ -185,7 +186,7 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
     inside draws a prefix of its streams.  A block draws its benchmarks, its
     channels for the largest N and its per-block codebooks from one stream
     per purpose, the codebooks a slice of at most _CHUNK_BYTES at a time,
-    each slice scored for every N before the next is drawn.  An N drops a
+    each slice's picks made for every N before the next is drawn.  An N drops a
     trial at all its SNRs when a quantization faults or zero-forcing refuses
     its stack or the benchmark's.  Returns ``(rate_fb, rate_zf, dropped)``,
     each ``(len(cells), len(trials))``; a dropped trial carries zero rates.
@@ -213,9 +214,10 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
     zf_rates, zf_cond, zf_residual = perfect_csit_rates(bench, np.array(list(powers.values())))
     rate_zf, zf_refused = dict(zip(powers, zf_rates)), refused(zf_cond, zf_residual)
     if codebooks is not None:  # shared by every trial
-        scored = {n: [quantize_stack(channels[n], codebooks)] for n in n_rx}
+        scored = {n: quantize_stack(channels[n], codebooks) for n in n_rx}
     else:  # generate_codebook's draw, trial after trial, a slice at a time
-        scored, step = {n: [] for n in n_rx}, _budget_trials(config, bits)
+        factors = {n: np.linalg.qr(channels[n]) for n in n_rx}
+        picks, step = {n: [] for n in n_rx}, _budget_trials(config, bits)
         for lo in starts:
             gen = RngStream(seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK).generator()
             end = min(lo + _BLOCK, count)
@@ -223,16 +225,18 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
                 normals = gen.standard_normal((min(step, end - i), users, 2, 2 ** bits, m))
                 books = (normals[:, :, 0], normals[:, :, 1])
                 for n in n_rx:
-                    scored[n].append(quantize_stack(channels[n][i:i + len(normals)], books))
+                    picks[n].append(_select(factors[n][0][i:i + len(normals)], books))
+        scored = {n: _orient(channels[n], *factors[n], *map(np.concatenate, zip(*picks[n])))
+                  for n in n_rx}
     records = {}
     for n in n_rx:
-        q_hat, h_eff, fault = (np.concatenate(parts) for parts in
-                               zip(*((fb.q_hat, fb.h_eff, f) for fb, f in scored[n])))
+        fb, fault = scored[n]
         # user stacks as (M, M) matrices with one column per user
-        beams, cond, residual = zero_force(np.swapaxes(q_hat, -1, -2))
+        beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
         dropped = (fault != 0).any(axis=-1) | refused(cond, residual) | zf_refused
         own = [snr_db for k, snr_db in cells if k == n]
-        sinrs = sinr_stack(np.swapaxes(h_eff, -1, -2), beams, np.array([powers[s] for s in own]))
+        sinrs = sinr_stack(np.swapaxes(fb.h_eff, -1, -2), beams,
+                           np.array([powers[s] for s in own]))
         sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
         for snr_db, rate_fb in zip(own, sum_rate(sinrs)):
             records[n, snr_db] = rate_fb, np.where(dropped, 0.0, rate_zf[snr_db]), dropped

@@ -1,11 +1,11 @@
 """Random codebooks and the subspace quantizer.
 
-``quantize_stack`` quantizes the column span of a stack of channels: the
-codebook vector closest to each span is chosen, its projection onto the span
-is the reported direction, and a receive combining vector is computed so that
-the resulting scalar effective channel points exactly along that in-span
-shadow.  Single-vector quantization and per-antenna selection are the same
-kernel run on one-column channels.
+``quantize_stack`` quantizes the column span of a stack of channels in two
+stages: ``_select`` picks the codebook vector closest to each span, and
+``_orient`` reports its projection onto the span as the direction and computes
+a receive combining vector whose scalar effective channel points exactly along
+that in-span shadow.  Single-vector quantization and per-antenna selection are
+the same kernel run on one-column channels.
 """
 
 from __future__ import annotations
@@ -95,24 +95,26 @@ def quantize_stack(channels: np.ndarray, books) -> tuple[QuantizationResult, np.
     unit-norm rows, or the pair (re, im) of real (..., 2^B, M) standard
     normals a random codebook is drawn from; its leading axes broadcast
     against the channels' (a shared codebook is passed once, not tiled).
-    Rows are scored from their real parts by |<w, span(H)>|^2 / ||w||^2, which
-    ignores their scale, and only the winning row q_hat is formed (as
-    generate_codebook forms it).  With H = QR and c = Q^H q_hat, the in-span
-    direction is s_proj = Q c / ||c||, and H v = s_proj is the triangular
-    system R v = c / ||c||, solved exactly (no normal equations, whose squared
-    condition number would turn a full-rank channel singular).  The combiner
-    gamma = v / ||v|| makes H gamma a positive multiple of s_proj with squared
-    norm 1 / ||v||^2.  Returns the result (fields stacked) and a fault code
-    per channel; faulty entries hold finite placeholders.  Raises ValueError
-    unless the channels are M x N with 1 <= N <= M for the books' M.
+    Returns _orient(_select(...)) on H = QR: the result (fields stacked) and
+    a fault code per channel, faulty entries holding finite placeholders.
+    Raises ValueError unless the channels are M x N, 1 <= N <= M, for the books' M.
     """
-    parts = isinstance(books, tuple)
-    m = (books[0] if parts else books).shape[-1]
+    m = (books[0] if isinstance(books, tuple) else books).shape[-1]
     if channels.ndim < 2 or channels.shape[-2] != m or not 1 <= channels.shape[-1] <= m:
         raise ValueError(f"expected (..., {m}, N) channels with 1 <= N <= {m}, "
                          f"got shape {channels.shape}")
     q, r = np.linalg.qr(channels)  # reduced: (..., M, N), orthonormal columns
-    rank_loss = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) < RANK_TOL).any(axis=-1)
+    return _orient(channels, q, r, *_select(q, books))
+
+
+def _select(q: np.ndarray, books) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score every codebook row against span(Q); returns (index, q_hat, cos_sq).
+
+    Rows are scored from their real parts by |<w, span(Q)>|^2 / ||w||^2, which
+    ignores their scale, and only the winning row q_hat is formed (as
+    generate_codebook forms it).  Entries are scored apart, so a stack may be sliced.
+    """
+    parts = isinstance(books, tuple)
     re, im = books if parts else (books.real, books.imag)
     # [Re | Im] of conj(<w_j, q_k>): books @ q.conj() in its real embedding
     overlap = re @ np.concatenate([q.real, -q.imag], axis=-1)
@@ -120,13 +122,25 @@ def quantize_stack(channels: np.ndarray, books) -> tuple[QuantizationResult, np.
     metric = np.einsum("...jk,...jk->...j", overlap, overlap) / (
         np.einsum("...jm,...jm->...j", re, re) + np.einsum("...jm,...jm->...j", im, im))
     index = np.argmax(metric, axis=-1)  # lowest index on ties
-    cos_sq = np.clip(np.take_along_axis(metric, index[..., None], axis=-1)[..., 0], 0.0, 1.0)
+    cos_sq = np.clip(metric.max(axis=-1), 0.0, 1.0)
+    rows = (*np.indices(index.shape, sparse=True), index)
 
     def winner(book):  # row index of a book broadcast to the stack's leading shape
-        book = np.broadcast_to(book, index.shape + book.shape[-2:])
-        return np.take_along_axis(book, index[..., None, None], axis=-2)[..., 0, :]
+        return np.broadcast_to(book, index.shape + book.shape[-2:])[rows]
     q_hat = _unit_rows(np.stack([winner(re), winner(im)])) if parts else winner(books)
+    return index, q_hat, cos_sq
 
+
+def _orient(channels, q, r, index, q_hat, cos_sq) -> tuple[QuantizationResult, np.ndarray]:
+    """Orient each channel H = QR by its pick q_hat; returns quantize_stack's pair.
+
+    With c = Q^H q_hat, the in-span direction is s_proj = Q c / ||c||, and
+    H v = s_proj is the triangular system R v = c / ||c||, solved exactly (no
+    normal equations, whose squared condition number would turn a full-rank
+    channel singular).  The combiner gamma = v / ||v|| makes H gamma a
+    positive multiple of s_proj with squared norm 1 / ||v||^2.
+    """
+    rank_loss = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) < RANK_TOL).any(axis=-1)
     coords = np.einsum("...mk,...m->...k", q.conj(), q_hat)
     coords_norm = np.linalg.norm(coords, axis=-1)
     orthogonal = coords_norm < RANK_TOL  # no direction left to orient by

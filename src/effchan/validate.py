@@ -35,7 +35,7 @@ import numpy as np
 
 from .formulas import quant_error_approx
 from .linalg import PURPOSE_VALIDATION, RngStream, complex_normal
-from .quantize import quantize_stack, raise_fault
+from .quantize import FAULT_ORTHOGONAL, quantize_stack, raise_fault
 from .stats import FitReport, gamma_cdf, isotropy_report, ks_test, max_beta_cdf
 
 STREAM_VERSION = 2  # validation stream contract: one stream per sample block
@@ -142,9 +142,16 @@ def collect_best_cosine_samples(m: int, n: int, bits: int, n_samples: int, seed:
         else:
             columns = complex_normal(gen, (take, 1, m, 1))
             raw = gen.standard_normal((2, take, 1, n * 2 ** bits, m))
-        return _quantize_block(columns, raw).cos_sq.max(axis=1)
+        return _best_cosines(columns, raw)
 
     return np.concatenate(_run_blocks(n_samples, n * 2 ** bits * m, seed, draw))
+
+
+def _best_cosines(columns: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Each sample's best cos^2; an orthogonal column's 0 is a valid sample, not a fault."""
+    r, fault = quantize_stack(columns, (raw[0], raw[1]))
+    raise_fault(np.where(fault == FAULT_ORTHOGONAL, 0, fault))
+    return r.cos_sq.max(axis=1)
 
 
 def quantization_angle_report(m: int, n: int, bits: int, n_samples: int, seed: int) -> FitReport:

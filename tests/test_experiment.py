@@ -9,6 +9,7 @@ import pytest
 
 import effchan.experiment as experiment
 import effchan.precoding as precoding
+import effchan.quantize as quantize
 from effchan.experiment import (
     CODEBOOK_POLICIES,
     BitsRule,
@@ -28,7 +29,7 @@ from effchan.linalg import (
     complex_from_parts,
 )
 from effchan.precoding import perfect_csit_rates
-from effchan.quantize import generate_codebook, quantize_stack
+from effchan.quantize import _orient, _select, generate_codebook, quantize_stack
 from effchan.stats import mean_ci
 
 
@@ -270,21 +271,30 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
     # stream's codebook draw in trial order
     config = ExperimentConfig(m=3, n_rx=(2,), snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(3),
                               trials=200, seed=seed, codebook_policy=policy)
-    seen = {"books": []}
+    seen = {"books": [], "picks": []}
 
-    def spy_quantize(channels, books):
-        seen["channels"] = channels  # the last slice's
+    def spy_quantize(channels, books):  # the fixed codebooks' one call
+        seen["channels"] = channels
         seen["books"].append(books)
-        fb, fault = quantize_stack(channels, books)
-        seen.setdefault("q_hat", []).append(fb.q_hat)
-        seen.setdefault("index", []).append(fb.index)
-        return fb, fault
+        return quantize_stack(channels, books)
+
+    def spy_select(q, books):  # every per-block codebook slice's
+        seen["q"] = q  # the last slice's
+        seen["books"].append(books)
+        seen["picks"].append(_select(q, books))
+        return seen["picks"][-1]
+
+    def spy_orient(channels, *args):  # the per-block chunk's one call
+        seen["channels"] = channels
+        return _orient(channels, *args)
 
     def spy_rates(bench, power):
         seen["bench"] = bench
         return perfect_csit_rates(bench, power)
 
     monkeypatch.setattr(experiment, "quantize_stack", spy_quantize)
+    monkeypatch.setattr(experiment, "_select", spy_select)
+    monkeypatch.setattr(experiment, "_orient", spy_orient)
     monkeypatch.setattr(experiment, "perfect_csit_rates", spy_rates)
     monkeypatch.setattr(experiment, "_CHUNK_BYTES", 5 * 3 * 2 ** 3 * 3 * 2 * 8)
     trials = range(64, 134)
@@ -301,14 +311,17 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
         # the kernel gets the codebooks' normal parts; each winning row is
         # the row generate_codebook forms from them
         assert [len(re) for re, _ in seen["books"]] == [5] * 12 + [4, 5, 1]
-        assert seen["channels"].tobytes() == channels[-1:].tobytes()
+        # each slice is scored on its rows of the chunk's one QR factor, and
+        # the whole chunk is oriented at once
+        assert seen["q"].tobytes() == np.linalg.qr(channels[-1:])[0].tobytes()
+        assert seen["channels"].tobytes() == channels.tobytes()
         normals = np.concatenate([block_draw(seed, b, PURPOSE_CODEBOOK, (k, 3, 2, 2 ** 3, 3))
                                   for b, k in ((1, 64), (2, 6))])
         assert np.concatenate([re for re, _ in seen["books"]]).tobytes() == (
             normals[:, :, 0].tobytes())
         assert np.concatenate([im for _, im in seen["books"]]).tobytes() == (
             normals[:, :, 1].tobytes())
-        index, q_hat = np.concatenate(seen["index"]), np.concatenate(seen["q_hat"])
+        index, q_hat, _ = map(np.concatenate, zip(*seen["picks"]))
         for i, u in itertools.product(range(70), range(3)):
             book = generate_codebook(Replay(normals[i, u]), 3, 3)
             assert q_hat[i, u].tobytes() == book[index[i, u]].tobytes()
@@ -637,6 +650,9 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
             patch.setattr(experiment, "zero_force", spy("feedback ZF", experiment.zero_force))
             patch.setattr(experiment, "_run_chunk", spy("chunk", experiment._run_chunk))
             patch.setattr(experiment, "RngStream", SpyStream)
+            # the kernel's stages, called by the per-block slices or quantize_stack
+            for module, name in itertools.product((experiment, quantize), ("_select", "_orient")):
+                patch.setattr(module, name, spy(name, getattr(module, name)))
             run_experiment(ExperimentConfig(m=3, n_rx=n_rx, snr_db_grid=snr_db_grid,
                                             bits_rule=BitsRule.fixed(3), trials=200, seed=3,
                                             codebook_policy=policy))
@@ -655,6 +671,10 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
     # one channel draw a block for every N; each N's feedback once a chunk
     assert grid["draw", PURPOSE_CHANNEL] == cell["draw", PURPOSE_CHANNEL] == 4
     assert grid["feedback ZF"] == 2 * 4
+    # each N's picks oriented once a chunk; a per-block codebook slice
+    # selected on for each N, the fixed codebooks once a chunk
+    assert grid["_orient"] == 2 * cell["_orient"] == 2 * 4
+    assert grid["_select"] == 2 * cell["_select"] == 2 * (41 if per_block else 4)
 
 
 def test_run_experiment_single_trial():

@@ -5,6 +5,9 @@ from effchan.linalg import DegenerateChannelError, RngStream, complex_from_parts
 from effchan.quantize import (
     FAULT_ORTHOGONAL,
     FAULT_RANK,
+    QuantizationResult,
+    _orient,
+    _select,
     generate_codebook,
     quantize_stack,
     raise_fault,
@@ -417,6 +420,63 @@ def test_stack_parts_ignore_row_scale():
     scaled, _ = quantize_stack(channels, (re * scale, im * scale))
     assert np.array_equal(scaled.index, r.index)
     assert np.allclose(scaled.q_hat, r.q_hat, rtol=0, atol=1e-15)
+
+
+# ------------------------------------------------------------ kernel stages
+# quantize_stack is one QR, then _select (the span metric and the winning
+# row), then _orient (the combiner); the per-block sweep runs _select on each
+# codebook slice's rows of the chunk's Q and _orient once on the whole chunk.
+
+
+def planted_stack(leading):
+    """Channels (6, 2, 4, 2), entry [1, 0] rank deficient and entry [3, 1]
+    orthogonal to all its codewords, and the normal parts (2, *leading, 2, 8,
+    4) of their codebooks, user 1's rows in span(e3, e4)."""
+    gen = RngStream(103).generator()
+    channels = complex_normal(gen, (6, 2, 4, 2))
+    channels[1, 0, :, 1] = channels[1, 0, :, 0]
+    channels[3, 1] = np.eye(4)[:, :2] @ complex_normal(gen, (2, 2))  # spans e1, e2
+    parts = gen.standard_normal((2, *leading, 2, 8, 4))
+    parts[..., 1, :, :2] = 0.0
+    return channels, parts
+
+
+def stage_books(kind, parts):
+    """The codebooks quantize_stack takes: the (re, im) parts, or their unit rows."""
+    return (parts[0], parts[1]) if kind == "parts" else normalized(parts)
+
+
+@pytest.mark.parametrize("kind", ["complex", "parts", "shared"])
+def test_stack_is_select_then_orient(kind):
+    channels, parts = planted_stack((1,) if kind == "shared" else (6,))
+    books = stage_books(kind, parts)
+    r, fault = quantize_stack(channels, books)
+    q, rr = np.linalg.qr(channels)
+    staged, staged_fault = _orient(channels, q, rr, *_select(q, books))
+    for name in QuantizationResult.__dataclass_fields__:
+        assert getattr(staged, name).tobytes() == getattr(r, name).tobytes(), name
+    assert staged_fault.tobytes() == fault.tobytes()
+    # the planted faults survive _orient, and only they fault
+    assert (fault[1, 0], fault[3, 1], np.count_nonzero(fault)) == (
+        FAULT_RANK, FAULT_ORTHOGONAL, 2)
+    assert r.cos_sq[3, 1] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["complex", "parts", "shared"])
+def test_select_of_row_slices_is_select_of_the_stack(kind):
+    channels, parts = planted_stack((1,) if kind == "shared" else (6,))
+    books = stage_books(kind, parts)
+    q = np.linalg.qr(channels)[0]
+    whole = _select(q, books)
+    cuts = ((0, 2), (2, 5), (5, 6))
+    if kind == "shared":
+        sliced = [_select(q[lo:hi], books) for lo, hi in cuts]
+    elif kind == "parts":
+        sliced = [_select(q[lo:hi], (books[0][lo:hi], books[1][lo:hi])) for lo, hi in cuts]
+    else:
+        sliced = [_select(q[lo:hi], books[lo:hi]) for lo, hi in cuts]
+    for a, b in zip(whole, map(np.concatenate, zip(*sliced)), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 # --------------------------------------------------------- antenna selection

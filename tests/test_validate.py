@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import effchan.validate as validate
-from effchan.linalg import PURPOSE_VALIDATION, RngStream, complex_normal
+from effchan.linalg import PURPOSE_VALIDATION, DegenerateChannelError, RngStream, complex_normal
 from effchan.quantize import quantize_stack
 from effchan.validate import (
+    _best_cosines,
     collect_best_cosine_samples,
     collect_effective_samples,
     direction_isotropy_report,
@@ -94,6 +95,19 @@ def test_collector_returns_read_only_arrays():
     for array in (pooled.cos_sq, pooled.eff_norm_sq, pooled.directions):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_best_cosine_ignores_a_column_orthogonal_to_its_codewords():
+    # columns e1 and e2 of C^3, each against the codebook {e2}: e1's cos^2 of 0
+    # is a valid sample that selection simply does not pick
+    e1, e2 = np.eye(3)[:2]
+    columns = np.stack([e1, e2]).astype(complex)[None, :, :, None]  # (1, 2, 3, 1)
+    raw = np.zeros((2, 1, 2, 1, 3))
+    raw[0] = e2
+    assert _best_cosines(columns, raw).tolist() == [1.0]
+    # a zero column is rank deficient, which still raises
+    with pytest.raises(DegenerateChannelError):
+        _best_cosines(columns * np.array([0.0, 1.0])[:, None, None], raw)
 
 
 def test_collector_chunked_path(monkeypatch):
