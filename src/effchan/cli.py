@@ -11,7 +11,10 @@ comma separated.  Exit codes: 0 success, 1 config error, 2 validation
 failure, 3 output I/O error.
 
 Everything written to --out is byte-deterministic in the config and seed;
-wall-clock timing and the validation worker count go to stderr only.
+wall-clock timing and the validation worker count go to stderr only.  Sweeps
+and validation both run on one thread per core the process may run on
+(``taskset`` limits them); ``sweep --threads`` is still accepted, with a
+warning, and ignored.
 """
 
 from __future__ import annotations
@@ -179,6 +182,9 @@ def _fmt(value: float) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads is not None:
+        print("warning: --threads is ignored; sweeps use one thread per core the process "
+              "may run on (taskset limits it)", file=sys.stderr)
     cfg = _Config(_load_config(args.config))
     m = cfg.get("m", int, required=True)
     n_list = cfg.get_list("n_rx", int, required=True)
@@ -207,8 +213,7 @@ def cmd_sweep(args) -> int:
     try:
         result = run_experiment(
             ExperimentConfig(m=m, n_rx=tuple(n_list), snr_db_grid=tuple(snr_db), bits_rule=rule,
-                             trials=trials, seed=seed, codebook_policy=policy),
-            threads=args.threads)
+                             trials=trials, seed=seed, codebook_policy=policy))
     except (InfeasibleTargetError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     elapsed = time.perf_counter() - start
@@ -219,7 +224,7 @@ def cmd_sweep(args) -> int:
     csv_text = "\n".join(lines) + "\n"
 
     # no wall-clock or worker count in here: the manifest must be
-    # byte-identical for equal (config, seed) whatever the thread count
+    # byte-identical for equal (config, seed) whatever the worker count
     manifest = {
         "command": "sweep",
         "version": __version__,
@@ -382,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True, help="flat key = value config file")
     sweep.add_argument("--out", help="directory for sweep.csv and manifest.json")
     sweep.add_argument("--seed", type=int, help="override config seed")
-    sweep.add_argument("--threads", type=int, default=1, help="worker processes")
+    # accepted for old scripts and ignored: sweeps use the worker rule
+    sweep.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     sweep.add_argument("--trials", type=int, help="override config trial count")
     sweep.set_defaults(func=cmd_sweep)
 

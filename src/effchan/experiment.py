@@ -19,12 +19,14 @@ and per-block codebooks in trial order from one stream per purpose,
 ``RngStream(seed, b, 0, purpose)``.  A normal takes a variable number of
 Philox words, so the block, not the trial, is the unit of replay.  Chunks are
 whole blocks, so no draw depends on the chunk size or the worker count.
+
+A bit count's chunks run on the threads of ``linalg.worker_count``, as
+validation's sample blocks do, and are joined in chunk order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,6 +41,8 @@ from .linalg import (
     RngStream,
     complex_from_parts,
     is_stream_id,
+    ordered_map,
+    worker_count,
 )
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
 from .quantize import MAX_CODEBOOK_BITS, _orient, _select, generate_codebook, quantize_stack
@@ -50,7 +54,11 @@ CODEBOOK_POLICIES = ("per_block", "fixed")
 STREAM_VERSION = 2
 _BLOCK = 64
 # Bytes (users x 2^B x M codebook entries a trial, two float64 parts each) a
-# chunk scans or a per-block codebook slice holds: one trial at M = 8, B = 10.
+# per-block codebook slice holds: one trial at M = 8, B = 10.  A chunk is as
+# many whole stream blocks as fit in it, but at least one, and a fixed-codebook
+# chunk is scanned at once against the broadcast codebooks: at M = 8, B = 10
+# that is 64 trials, 64 MiB.  ``_plan`` counts that scan against the workers'
+# memory cap.
 _CHUNK_BYTES = 2 ** 20
 
 
@@ -172,9 +180,27 @@ class ExperimentResult:
     warnings: list
 
 
+def _trial_bytes(config: ExperimentConfig, bits: int) -> int:
+    """Bytes of one trial's codebooks, users x 2^B x M complex entries."""
+    return config.users * 2 ** bits * config.m * 16
+
+
 def _budget_trials(config: ExperimentConfig, bits: int) -> int:
     """Trials whose codebooks fit in _CHUNK_BYTES (at least one)."""
-    return max(1, _CHUNK_BYTES // (config.users * 2 ** bits * config.m * 2 * 8))
+    return max(1, _CHUNK_BYTES // _trial_bytes(config, bits))
+
+
+def _plan(config: ExperimentConfig, bits: int) -> tuple[list[range], int]:
+    """The chunks of one bit count, and the worker threads that run them.
+
+    Workers are capped by the codebook bytes one ``_select`` call scans: a
+    per-block slice, or a whole fixed-codebook chunk.
+    """
+    step = _budget_trials(config, bits)
+    size = max(1, step // _BLOCK) * _BLOCK
+    chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
+    scanned = size if config.codebook_policy == "fixed" else min(step, _BLOCK)
+    return chunks, worker_count(len(chunks), scanned * _trial_bytes(config, bits))
 
 
 def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float]],
@@ -268,34 +294,27 @@ def _aggregate(n_rx: int, snr_db: float, bits: int,
                            dropped, trials)
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full grid: a point for each N of n_rx, for each SNR.
 
     Every point's bits are resolved before any trial runs; points of equal
     bits share one pass over chunks.  Results are deterministic in (config,
-    seed): the thread count only changes wall-clock time.  Dropped trials (a
+    seed): the worker count only changes wall-clock time.  Dropped trials (a
     degenerate channel, a codeword orthogonal to the span, a combiner that
     fails its norm identity, or a refused direction or benchmark stack) are
     excluded from the averages and counted per grid point, with a warning if
     they exceed one percent.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     grid = [(n, snr_db, config.bits_rule.resolve(config.m, n, snr_db))
             for n in config.n_rx for snr_db in config.snr_db_grid]
     records = {}
     for bits in dict.fromkeys(bits for *_, bits in grid):
         cells = list(dict.fromkeys((n, snr_db) for n, snr_db, b in grid if b == bits))
-        size = max(1, _budget_trials(config, bits) // _BLOCK) * _BLOCK
         # chunks are whole stream blocks and workers take whole chunks, so
         # neither the chunk size nor the worker count changes any rate or order
-        chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
+        chunks, workers = _plan(config, bits)
         run = partial(_run_chunk, config, bits, cells, codebooks=_fixed_codebooks(config, bits))
-        if threads <= 1 or len(chunks) < 2:
-            parts = map(run, chunks)
-        else:
-            with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-                parts = list(pool.map(run, chunks, chunksize=math.ceil(len(chunks) / threads)))
+        parts = ordered_map(run, chunks, workers)
         columns = (np.concatenate(column, axis=-1) for column in zip(*parts))
         records.update(zip(cells, zip(*columns)))  # cell -> (rate_fb, rate_zf, dropped)
     warnings: list = []

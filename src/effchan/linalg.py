@@ -1,13 +1,19 @@
-"""Seeded random sampling and the numerical tolerances the kernels share.
+"""Seeded random sampling, the numerical tolerances and the worker rule the kernels share.
 
 Random streams and complex Gaussian draws live here, with the rank and
 conditioning tolerances.  No solver does: the receive combiner is solved on
 the channel's own QR factor inside ``quantize.quantize_stack``, and the
 zero-forcing inverse is ``precoding.zero_force``.
+
+The sweep's chunks and validation's sample blocks run on one thread per core
+the process may run on (the normal sampler, the BLAS products, ``einsum`` and
+``np.linalg`` release the GIL), through ``worker_count`` and ``ordered_map``.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +31,9 @@ PURPOSE_BENCHMARK = 2
 PURPOSE_FIXED_CODEBOOK = 3
 PURPOSE_PROBE = 4
 PURPOSE_VALIDATION = 5
+
+# Cap on the bytes all workers' items hold at once (2^22 complex normals).
+IN_FLIGHT_BYTES = 2 ** 26
 
 
 class DegenerateChannelError(ValueError):
@@ -86,3 +95,27 @@ def complex_from_parts(parts: np.ndarray) -> np.ndarray:
     out.imag = parts[1]
     return out
 
+
+def _cores() -> int:
+    """Cores this process may run on (``taskset`` limits them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count(items: int, item_bytes: int) -> int:
+    """Worker threads for ``items`` items of ``item_bytes`` bytes each.
+
+    One per core, no more than there are items, and together holding at most
+    IN_FLIGHT_BYTES, or one item when an item is larger.
+    """
+    return min(_cores(), items, max(1, IN_FLIGHT_BYTES // item_bytes))
+
+
+def ordered_map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]`` on ``workers`` threads; one runs serially, no pool."""
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -10,9 +10,9 @@ codebooks.  Each block is quantized by the same batched kernel the sweep runs
 drawn standard normals; equivalence tests replay the blocks and pin the
 collectors to the test oracle sample by sample.
 
-Blocks run on a thread pool, one worker per core the process may run on (the
-normal sampler, the BLAS products, ``einsum`` and ``np.linalg`` release the
-GIL).  No sample depends on the worker count, so the results are
+Blocks run on the worker rule the sweep's chunks share (``linalg.worker_count``:
+one thread per core the process may run on, at most 2^22 complex normals in
+flight).  No sample depends on the worker count, so the results are
 byte-identical whatever it is.  This is validation stream contract version 2
 (``STREAM_VERSION``); version 1 drew every sample from one stream.
 
@@ -26,21 +26,18 @@ Laws checked:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .formulas import quant_error_approx
-from .linalg import PURPOSE_VALIDATION, RngStream, complex_normal
+from .linalg import PURPOSE_VALIDATION, RngStream, complex_normal, ordered_map, worker_count
 from .quantize import FAULT_ORTHOGONAL, quantize_stack, raise_fault
 from .stats import FitReport, gamma_cdf, isotropy_report, ks_test, max_beta_cdf
 
 STREAM_VERSION = 2  # validation stream contract: one stream per sample block
 _BLOCK_GAUSSIANS = 2 ** 19  # complex normals per sample block; fixes the streams
-_INFLIGHT_GAUSSIANS = 2 ** 22  # cap on the normals all workers hold at once
 # largest relative error of the mean quantization error against its approximation
 _QUANT_ERROR_RTOL = 0.15
 
@@ -54,26 +51,16 @@ class QuantizationSamples:
     directions: np.ndarray  # (n_samples, m) normalized effective channels
 
 
-def _cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _plan(n_samples: int, gaussians_per_sample: int) -> tuple[list[int], int]:
     """Sample count of every block, and the worker threads that run them.
 
-    Workers are capped by the block count and by memory: together they hold
-    at most _INFLIGHT_GAUSSIANS normals, or one block when a block is larger.
+    A block holds ``size * gaussians_per_sample`` complex normals, 16 bytes each.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     size = max(1, _BLOCK_GAUSSIANS // gaussians_per_sample)
     takes = [min(size, n_samples - start) for start in range(0, n_samples, size)]
-    in_flight = max(1, _INFLIGHT_GAUSSIANS // (size * gaussians_per_sample))
-    return takes, min(_cores(), len(takes), in_flight)
+    return takes, worker_count(len(takes), size * gaussians_per_sample * 16)
 
 
 def _run_blocks(n_samples: int, gaussians_per_sample: int, seed: int, draw) -> list:
@@ -83,10 +70,7 @@ def _run_blocks(n_samples: int, gaussians_per_sample: int, seed: int, draw) -> l
     def run(block: int):
         return draw(RngStream(seed, block, 0, PURPOSE_VALIDATION).generator(), takes[block])
 
-    if workers == 1:
-        return [run(block) for block in range(len(takes))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(len(takes))))
+    return ordered_map(run, range(len(takes)), workers)
 
 
 def _effective_gaussians(m: int, n: int, bits: int) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from effchan import experiment, validate
+from effchan import linalg, validate
 from effchan.experiment import BitsRule, ExperimentConfig, run_experiment
 from effchan.formulas import InfeasibleTargetError, ScalingInputs, bits_required, delta_a
 from effchan.linalg import (
@@ -83,7 +83,7 @@ def shift_sweep(n, target=1.0):
     config = ExperimentConfig(m=4, n_rx=(n,), snr_db_grid=SHIFT_GRID,
                               bits_rule=BitsRule.scaling(target),
                               trials=SHIFT_TRIALS, seed=SHIFT_SEED)
-    return run_experiment(config, threads=4)
+    return run_experiment(config)
 
 
 def assert_tracks_and_coincides(results, target):
@@ -234,27 +234,19 @@ def test_full_rank_square_channel_quantizes_exactly():
 # 11 ------------------------------------------------------ CLI determinism
 
 
-def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatch):
-    pools = []
-
-    class CountingPool(experiment.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatch, pools):
     # at M = 4, B = 4 a chunk holds 256 trials, so the grid's one bit count
-    # is two chunks (256 + 44) and --threads 3 really hands them to a pool
+    # is two chunks (256 + 44) and 3 cores really hand them to a pool
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("m = 4\nn_rx = 1, 2\nsnr_db = 0, 10\nbits = 4\n"
                    "trials = 300\nseed = 31\n")
     out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out1),
-                 "--threads", "1"]) == 0
+    monkeypatch.setattr(linalg, "_cores", lambda: 1)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
     assert pools == []
-    assert main(["sweep", "--config", str(cfg), "--out", str(out2),
-                 "--threads", "3"]) == 0
-    assert pools == [2]  # one two-worker pool per bit count
+    monkeypatch.setattr(linalg, "_cores", lambda: 3)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert pools == [2]  # one two-worker pool per multi-chunk bit count
     capsys.readouterr()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
@@ -264,22 +256,14 @@ def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatc
     assert all(math.isfinite(row["rate_fb_mean"]) for row in manifest["rows"])
 
 
-def test_validate_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatch):
-    pools = []
-
-    class CountingPool(validate.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(validate, "ThreadPoolExecutor", CountingPool)
+def test_validate_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatch, pools):
     # (32 + 2) * 4 = 136 normals a sample: 20,000 samples are 5 blocks of 4000
     monkeypatch.setattr(validate, "_BLOCK_GAUSSIANS", 4000 * 136)
     cfg = tmp_path / "val.cfg"
     cfg.write_text("m = 4\nn_rx = 2\nbits = 5\nsamples = 20000\nseed = 32\n")
     written, logs = [], []
     for cores in (1, 3):
-        monkeypatch.setattr(validate, "_cores", lambda: cores)
+        monkeypatch.setattr(linalg, "_cores", lambda: cores)
         collect_effective_samples.cache_clear()  # recompute, never read the memo
         out = tmp_path / f"cores{cores}"
         assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0

@@ -112,6 +112,21 @@ def test_sweep_flag_overrides(tmp_path, capsys):
     assert manifest["config"]["trials"] == 4
 
 
+def test_sweep_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
+    warning = ("warning: --threads is ignored; sweeps use one thread per core the process "
+               "may run on (taskset limits it)")
+    cfg = write_config(tmp_path, SWEEP_CFG)
+    written = []
+    for flag in ([], ["--threads", "1"], ["--threads", "3"]):
+        out = tmp_path / f"out{len(written)}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), *flag]) == 0
+        assert (warning in capsys.readouterr().err.splitlines()) == bool(flag)
+        written.append([(out / name).read_bytes() for name in ("sweep.csv", "manifest.json")])
+    assert written[0] == written[1] == written[2]
+    assert main(["sweep", "--config", cfg, "--threads", "two"]) == 1  # still an integer
+    assert "--threads" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg_text,fragment", [
     ("n_rx = 1\nsnr_db = 0\nbits = 2\n", "missing required key 'm'"),
     ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = 2\ngap_target = 1\n", "exactly one"),

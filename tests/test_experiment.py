@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import threading
 from collections import Counter
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import effchan.experiment as experiment
+import effchan.linalg as linalg
 import effchan.precoding as precoding
 import effchan.quantize as quantize
 from effchan.experiment import (
@@ -473,32 +475,43 @@ def test_run_experiment_resolves_bits_per_grid_point():
     assert [p.bits for p in result.points] == [1, 7]
 
 
-def test_run_experiment_thread_count_does_not_change_results():
+def run_on_cores(monkeypatch, config, cores):
+    """run_experiment(config) once for each core count the process may run on."""
+    results = []
+    for count in cores:
+        monkeypatch.setattr(linalg, "_cores", lambda: count)
+        results.append(run_experiment(config))
+    return results
+
+
+def test_run_experiment_thread_count_does_not_change_results(monkeypatch, pools):
     config = small_config(trials=9, snr_db_grid=(0.0, 5.0))
-    serial = run_experiment(config, threads=1)
-    parallel = run_experiment(config, threads=3)
+    serial, parallel = run_on_cores(monkeypatch, config, (1, 3))
+    assert pools == []  # one chunk runs serially whatever the cores
     assert serial.points == parallel.points
     assert serial.warnings == parallel.warnings
 
 
-def test_run_experiment_worker_count_with_many_chunks(monkeypatch):
+def test_run_experiment_worker_count_with_many_chunks(monkeypatch, pools):
     # a tiny chunk budget splits the trials into one-block chunks (the last
     # cut short), so the workers share the chunks unevenly
     monkeypatch.setattr(experiment, "_CHUNK_BYTES", 1)
     config = small_config(trials=200, codebook_policy="fixed")
-    serial = run_experiment(config, threads=1)
-    assert serial.points == run_experiment(config, threads=2).points
-    assert serial.points == run_experiment(config, threads=3).points
+    serial, two, three = run_on_cores(monkeypatch, config, (1, 2, 3))
+    assert pools == [2, 3]
+    assert serial.points == two.points
+    assert serial.points == three.points
 
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
-def test_run_experiment_worker_count_with_multi_block_chunks(monkeypatch, policy):
+def test_run_experiment_worker_count_with_multi_block_chunks(monkeypatch, pools, policy):
     # two-block chunks (M = 2, B = 2: 256 codebook bytes a trial): 128, 128, 44
     monkeypatch.setattr(experiment, "_CHUNK_BYTES", 128 * 256)
     config = small_config(trials=300, codebook_policy=policy)
-    serial = run_experiment(config, threads=1)
-    assert serial.points == run_experiment(config, threads=2).points
-    assert serial.points == run_experiment(config, threads=3).points
+    serial, two, three = run_on_cores(monkeypatch, config, (1, 2, 3))
+    assert pools == [2, 3]
+    assert serial.points == two.points
+    assert serial.points == three.points
 
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
@@ -540,6 +553,8 @@ def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
                           trials=333, codebook_policy=policy)
     run_experiment(config)
     assert all(chunk.start % experiment._BLOCK == 0 for chunk in chunks)
+    # worker threads may start their chunks out of order
+    chunks.sort(key=lambda chunk: chunk.start)
     assert [t for chunk in chunks for t in chunk] == list(range(333))
 
 
@@ -574,15 +589,14 @@ def test_run_experiment_matches_recorded_values():
 # ------------------------------------------------------------ the (N, SNR) grid
 
 
-def assert_grid_equals_its_cells(config):
-    """The grid's points and warnings, at 1 and 3 workers, are its 1 x 1 runs'."""
+def assert_grid_equals_its_cells(monkeypatch, config):
+    """The grid's points and warnings, on 1 and 3 cores, are its 1 x 1 runs'."""
     points, warnings = [], []
     for n, snr_db in itertools.product(config.n_rx, config.snr_db_grid):
         cell = run_experiment(dataclasses.replace(config, n_rx=(n,), snr_db_grid=(snr_db,)))
         points += cell.points
         warnings += cell.warnings
-    for threads in (1, 3):
-        grid = run_experiment(config, threads=threads)
+    for grid in run_on_cores(monkeypatch, config, (1, 3)):
         assert grid.points == points
         assert grid.warnings == warnings
     return points
@@ -605,7 +619,7 @@ def test_grid_equals_its_cells(monkeypatch, policy, grid):
     # 64-trial chunks at M = 3, B = 3, so the workers get whole chunks
     monkeypatch.setattr(experiment, "_CHUNK_BYTES", 64 * 3 * 2 ** 3 * 3 * 16)
     config = ExperimentConfig(codebook_policy=policy, **GRIDS[grid])
-    points = assert_grid_equals_its_cells(config)
+    points = assert_grid_equals_its_cells(monkeypatch, config)
     if grid == "gap_target":
         assert [p.bits for p in points] == [1, 4, 7, 1, 5, 10]
 
@@ -619,7 +633,7 @@ def test_grid_equals_its_cells_when_trials_drop(monkeypatch):
     config = ExperimentConfig(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0),
                               bits_rule=BitsRule.fixed(2), trials=150, seed=43,
                               codebook_policy="fixed")
-    points = assert_grid_equals_its_cells(config)
+    points = assert_grid_equals_its_cells(monkeypatch, config)
     assert all(0.01 * p.trials < p.dropped < p.trials for p in points)
 
 
@@ -630,11 +644,12 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
     monkeypatch.setattr(experiment, "_CHUNK_BYTES", 5 * 3 * 2 ** 3 * 3 * 16)
 
     def work(n_rx, snr_db_grid):
-        seen = Counter()
+        seen, lock = Counter(), threading.Lock()  # chunks run on worker threads
 
         def spy(name, fn):
             def counted(*args, **kwargs):
-                seen[name] += 1
+                with lock:
+                    seen[name] += 1
                 return fn(*args, **kwargs)
             return counted
 
@@ -680,8 +695,3 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
 def test_run_experiment_single_trial():
     result = run_experiment(small_config(trials=1))
     assert result.points[0].rate_fb_ci == 0.0
-
-
-def test_run_experiment_guards():
-    with pytest.raises(ValueError):
-        run_experiment(small_config(), threads=0)

@@ -1,7 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from effchan.linalg import COND_LIMIT, RngStream, complex_normal
+import effchan.experiment as experiment
+import effchan.linalg as linalg
+import effchan.validate as validate
+from effchan.experiment import BitsRule, ExperimentConfig
+from effchan.linalg import COND_LIMIT, RngStream, complex_normal, ordered_map
 from effchan.precoding import refused, zero_force
 
 
@@ -112,3 +118,38 @@ def test_gaussian_real_imag_covariance():
     stacked = np.concatenate([draws.real, draws.imag], axis=1)  # (n, 8)
     cov = stacked.T @ stacked / stacked.shape[0]
     assert np.abs(cov - 0.5 * np.eye(8)).max() < 0.01
+
+
+# ---------------------------------------------------------------- worker rule
+
+
+def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pools):
+    # the plans come from shapes alone: nothing is drawn
+    monkeypatch.setattr(linalg, "_cores", lambda: 2)
+    # sweep_block_b10's shape: chunks of 64 and 56 trials, each scanning 1 MiB slices
+    block_b10 = ExperimentConfig(m=8, n_rx=(2,), snr_db_grid=(10.0,),
+                                 bits_rule=BitsRule.fixed(10), trials=120, seed=1)
+    chunks, workers = experiment._plan(block_b10, 10)
+    assert [len(chunk) for chunk in chunks] == [64, 56] and workers == 2
+    # sweep_fixed_b2's shape is one chunk, so it runs serially
+    fixed_b2 = ExperimentConfig(m=4, n_rx=(1, 2, 3), snr_db_grid=(10.0,),
+                                bits_rule=BitsRule.fixed(2), trials=200, seed=1,
+                                codebook_policy="fixed")
+    assert experiment._plan(fixed_b2, 2) == ([range(200)], 1)
+    monkeypatch.setattr(linalg, "_cores", lambda: 64)
+    # a fixed chunk at M = 8, B = 10 scans its 64-trial block at once, 64 MiB,
+    # so one worker runs however many cores and chunks there are; per-block
+    # slices of the same sweep fill every core
+    fixed_b10 = dataclasses.replace(block_b10, trials=6400, codebook_policy="fixed")
+    assert experiment._plan(fixed_b10, 10)[1] == 1
+    assert experiment._plan(dataclasses.replace(fixed_b10, codebook_policy="per_block"),
+                            10)[1] == 64
+    # validate_b8's shape: 8 blocks of 508 samples hold 2^22 complex normals,
+    # and at B = 24 one sample is over the cap
+    assert validate._plan(100_000, (2**8 + 2) * 4)[1] == 8
+    assert validate.suite_workers(4, 2, 24, 100_000) == 1
+    # one worker maps serially and starts no pool; more keep the item order
+    assert ordered_map(str, range(3), 1) == ["0", "1", "2"]
+    assert pools == []
+    assert ordered_map(str, range(9), 2) == [str(i) for i in range(9)]
+    assert pools == [2]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import effchan.linalg as linalg
 import effchan.validate as validate
 from effchan.linalg import PURPOSE_VALIDATION, DegenerateChannelError, RngStream, complex_normal
 from effchan.quantize import quantize_stack
@@ -122,20 +123,12 @@ def test_collector_chunked_path(monkeypatch):
     assert np.allclose(np.linalg.norm(pooled.directions, axis=1), 1.0, atol=1e-9)
 
 
-def test_collectors_identical_across_worker_counts(monkeypatch):
-    pools = []
-
-    class CountingPool(validate.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(validate, "ThreadPoolExecutor", CountingPool)
+def test_collectors_identical_across_worker_counts(monkeypatch, pools):
     # (16 + 2) * 4 = 72 normals a sample: 300 samples are 10 blocks of 30
     monkeypatch.setattr(validate, "_BLOCK_GAUSSIANS", 30 * 72)
     runs = []
     for cores in (1, 3):
-        monkeypatch.setattr(validate, "_cores", lambda: cores)
+        monkeypatch.setattr(linalg, "_cores", lambda: cores)
         pooled = collect_effective_samples.__wrapped__(4, 2, 4, 300, 818)
         runs.append([pooled.cos_sq, pooled.eff_norm_sq, pooled.directions,
                      collect_best_cosine_samples(4, 2, 4, 300, 819, per_antenna=True),
@@ -146,15 +139,15 @@ def test_collectors_identical_across_worker_counts(monkeypatch):
 
 
 def test_workers_capped_by_cores_blocks_and_memory(monkeypatch):
-    monkeypatch.setattr(validate, "_cores", lambda: 64)
+    monkeypatch.setattr(linalg, "_cores", lambda: 64)
     # validate_b8's shape: (256 + 2) * 4 normals a sample, 508 samples a block,
     # and 8 blocks hold 2^22 normals
     takes, workers = validate._plan(100_000, (2**8 + 2) * 4)
     assert len(takes) == 197 and set(takes[:-1]) == {508} and sum(takes) == 100_000
     assert workers == 8
-    monkeypatch.setattr(validate, "_cores", lambda: 2)
+    monkeypatch.setattr(linalg, "_cores", lambda: 2)
     assert validate._plan(100_000, (2**8 + 2) * 4)[1] == 2
-    monkeypatch.setattr(validate, "_cores", lambda: 64)
+    monkeypatch.setattr(linalg, "_cores", lambda: 64)
     assert validate._plan(1000, (2**8 + 2) * 4)[1] == 2  # two blocks
     # B >= 17 at M = 4: a block is one sample, and workers hold at most 2^22 normals
     assert validate._plan(50, (2**17 + 2) * 4) == ([1] * 50, 7)
