@@ -42,6 +42,7 @@ from .linalg import (
     complex_from_parts,
     is_stream_id,
     ordered_map,
+    slice_items,
     worker_count,
 )
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
@@ -50,16 +51,11 @@ from .stats import mean_ci
 
 CODEBOOK_POLICIES = ("per_block", "fixed")
 # Version of the sweep's stream contract (module docstring), and the trials
-# per stream block, the contract's unit of replay.
+# per stream block, the contract's unit of replay.  A chunk is as many whole
+# stream blocks as one ``linalg.SLICE_BYTES`` slice of per-block codebooks
+# holds trials, but at least one.
 STREAM_VERSION = 2
 _BLOCK = 64
-# Bytes (users x 2^B x M codebook entries a trial, two float64 parts each) a
-# per-block codebook slice holds: one trial at M = 8, B = 10.  A chunk is as
-# many whole stream blocks as fit in it, but at least one, and a fixed-codebook
-# chunk is scanned at once against the broadcast codebooks: at M = 8, B = 10
-# that is 64 trials, 64 MiB.  ``_plan`` counts that scan against the workers'
-# memory cap.
-_CHUNK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -180,27 +176,40 @@ class ExperimentResult:
     warnings: list
 
 
-def _trial_bytes(config: ExperimentConfig, bits: int) -> int:
-    """Bytes of one trial's codebooks, users x 2^B x M complex entries."""
-    return config.users * 2 ** bits * config.m * 16
-
-
 def _budget_trials(config: ExperimentConfig, bits: int) -> int:
-    """Trials whose codebooks fit in _CHUNK_BYTES (at least one)."""
-    return max(1, _CHUNK_BYTES // _trial_bytes(config, bits))
+    """Trials whose codebooks, users x 2^B x M complex entries each, fit in a SLICE_BYTES slice."""
+    return slice_items(config.users * 2 ** bits * config.m * 16)
+
+
+def _chunk_bytes(config: ExperimentConfig, bits: int, trials: int, scanned: int) -> int:
+    """Bytes a chunk of ``trials`` trials holds at its peak, from shapes alone.
+
+    A trial and user holds every N's channels (normals and complex), QR factors
+    and quantization results, and the benchmark (normals and complex).  A
+    trial, user and codeword of the ``scanned`` trials one ``_select`` call
+    scores holds its per-block codebook normals (a fixed codebook is shared),
+    the largest N's ``overlap`` twice (for the ``+=``) and the metric.
+    """
+    m = config.m
+    held = sum(16 * (3 * m * n + n * n + 3 * m + n) + 40 for n in config.n_rx) + 32 * m
+    normals = 16 * m if config.codebook_policy == "per_block" else 0
+    per_codeword = normals + 32 * max(config.n_rx) + 8
+    return config.users * (trials * held + scanned * 2 ** bits * per_codeword)
 
 
 def _plan(config: ExperimentConfig, bits: int) -> tuple[list[range], int]:
     """The chunks of one bit count, and the worker threads that run them.
 
-    Workers are capped by the codebook bytes one ``_select`` call scans: a
-    per-block slice, or a whole fixed-codebook chunk.
+    Workers are capped by the bytes a chunk holds (``_chunk_bytes``): its
+    draws and picks, and the codebooks one ``_select`` call scores, a
+    per-block slice or the whole chunk against the fixed codebooks.
     """
     step = _budget_trials(config, bits)
     size = max(1, step // _BLOCK) * _BLOCK
     chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
-    scanned = size if config.codebook_policy == "fixed" else min(step, _BLOCK)
-    return chunks, worker_count(len(chunks), scanned * _trial_bytes(config, bits))
+    trials = len(chunks[0])
+    scanned = trials if config.codebook_policy == "fixed" else min(step, _BLOCK, trials)
+    return chunks, worker_count(len(chunks), _chunk_bytes(config, bits, trials, scanned))
 
 
 def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float]],
@@ -211,7 +220,7 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
     ``trials`` starts at a stream block's first trial; a block the range ends
     inside draws a prefix of its streams.  A block draws its benchmarks, its
     channels for the largest N and its per-block codebooks from one stream
-    per purpose, the codebooks a slice of at most _CHUNK_BYTES at a time,
+    per purpose, the codebooks a slice of at most SLICE_BYTES at a time,
     each slice's picks made for every N before the next is drawn.  An N drops a
     trial at all its SNRs when a quantization faults or zero-forcing refuses
     its stack or the benchmark's.  Returns ``(rate_fb, rate_zf, dropped)``,

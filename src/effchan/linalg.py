@@ -7,7 +7,8 @@ zero-forcing inverse is ``precoding.zero_force``.
 
 The sweep's chunks and validation's sample blocks run on one thread per core
 the process may run on (the normal sampler, the BLAS products, ``einsum`` and
-``np.linalg`` release the GIL), through ``worker_count`` and ``ordered_map``.
+``np.linalg`` release the GIL), through ``worker_count`` and ``ordered_map``,
+and both score their drawn codebooks in slices of ``SLICE_BYTES`` (``slice_items``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ PURPOSE_VALIDATION = 5
 
 # Cap on the bytes all workers' items hold at once (2^22 complex normals).
 IN_FLIGHT_BYTES = 2 ** 26
+# Bytes of drawn codebook normals one ``quantize._select`` call scores in a
+# per-block sweep chunk or a validation block: one trial's codebooks at M = 8,
+# B = 10, or 64 samples' at M = 4, B = 8.
+SLICE_BYTES = 2 ** 20
 
 
 class DegenerateChannelError(ValueError):
@@ -111,6 +116,11 @@ def worker_count(items: int, item_bytes: int) -> int:
     IN_FLIGHT_BYTES, or one item when an item is larger.
     """
     return min(_cores(), items, max(1, IN_FLIGHT_BYTES // item_bytes))
+
+
+def slice_items(item_bytes: int) -> int:
+    """Items of ``item_bytes`` bytes each that one SLICE_BYTES slice holds, at least one."""
+    return max(1, SLICE_BYTES // item_bytes)
 
 
 def ordered_map(fn, items, workers: int) -> list:

@@ -5,16 +5,20 @@ drawn in fixed blocks: with g complex normals per sample (channel plus
 codebook), block b holds samples [b*k, (b+1)*k) for k = max(1,
 _BLOCK_GAUSSIANS // g), and draws them from its own stream,
 ``RngStream(seed, b, 0, PURPOSE_VALIDATION)``, channels first and then
-codebooks.  Each block is quantized by the same batched kernel the sweep runs
+codebooks.  Each block is quantized by the batched kernel the sweep runs
 (``quantize_stack``), which scores each random codebook straight from its
-drawn standard normals; equivalence tests replay the blocks and pin the
-collectors to the test oracle sample by sample.
+drawn standard normals; as the sweep's per-block codebooks are, an
+effective-channel block is scored a ``linalg.SLICE_BYTES`` slice at a time and
+writes its samples straight into the pooled arrays.  Equivalence tests replay
+the blocks and pin the collectors to the kernel and the test oracle.
 
 Blocks run on the worker rule the sweep's chunks share (``linalg.worker_count``:
 one thread per core the process may run on, at most 2^22 complex normals in
-flight).  No sample depends on the worker count, so the results are
-byte-identical whatever it is.  This is validation stream contract version 2
-(``STREAM_VERSION``); version 1 drew every sample from one stream.
+flight, a block counted as its whole draw; at B >= 17, M = 4, a block is one
+sample, which slicing cannot shrink).  No sample depends on the worker count,
+so the results are byte-identical whatever it is.  This is validation stream
+contract version 2 (``STREAM_VERSION``); version 1 drew every sample from one
+stream.
 
 Laws checked:
 * squared cosine of the quantization angle ~ max of 2^B iid Beta(N, M-N);
@@ -32,8 +36,15 @@ from functools import lru_cache
 import numpy as np
 
 from .formulas import quant_error_approx
-from .linalg import PURPOSE_VALIDATION, RngStream, complex_normal, ordered_map, worker_count
-from .quantize import FAULT_ORTHOGONAL, quantize_stack, raise_fault
+from .linalg import (
+    PURPOSE_VALIDATION,
+    RngStream,
+    complex_normal,
+    ordered_map,
+    slice_items,
+    worker_count,
+)
+from .quantize import FAULT_ORTHOGONAL, _orient, _select, quantize_stack, raise_fault
 from .stats import FitReport, gamma_cdf, isotropy_report, ks_test, max_beta_cdf
 
 STREAM_VERSION = 2  # validation stream contract: one stream per sample block
@@ -54,7 +65,8 @@ class QuantizationSamples:
 def _plan(n_samples: int, gaussians_per_sample: int) -> tuple[list[int], int]:
     """Sample count of every block, and the worker threads that run them.
 
-    A block holds ``size * gaussians_per_sample`` complex normals, 16 bytes each.
+    A block is counted as its whole draw, ``size * gaussians_per_sample``
+    complex normals of 16 bytes; ``_quantize_block`` holds less at once.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -63,14 +75,16 @@ def _plan(n_samples: int, gaussians_per_sample: int) -> tuple[list[int], int]:
     return takes, worker_count(len(takes), size * gaussians_per_sample * 16)
 
 
-def _run_blocks(n_samples: int, gaussians_per_sample: int, seed: int, draw) -> list:
-    """draw(gen, take) for every sample block on its own stream, in block order."""
+def _run_blocks(n_samples: int, gaussians_per_sample: int, seed: int, draw) -> None:
+    """draw(gen, rows) for every sample block on its own stream; rows slices its samples."""
     takes, workers = _plan(n_samples, gaussians_per_sample)
 
     def run(block: int):
-        return draw(RngStream(seed, block, 0, PURPOSE_VALIDATION).generator(), takes[block])
+        start = block * takes[0]
+        draw(RngStream(seed, block, 0, PURPOSE_VALIDATION).generator(),
+             slice(start, start + takes[block]))
 
-    return ordered_map(run, range(len(takes)), workers)
+    ordered_map(run, range(len(takes)), workers)
 
 
 def _effective_gaussians(m: int, n: int, bits: int) -> int:
@@ -82,11 +96,28 @@ def suite_workers(m: int, n: int, bits: int, n_samples: int) -> int:
     return _plan(n_samples, _effective_gaussians(m, n, bits))[1]
 
 
-def _quantize_block(channels: np.ndarray, raw: np.ndarray) -> QuantizationSamples:
-    """Quantize one block by the batched kernel; raw (2, ..., 2^B, M) holds codebook normals."""
-    r, fault = quantize_stack(channels, (raw[0], raw[1]))
+def _quantize_block(gen: np.random.Generator, n: int, bits: int,
+                    out: QuantizationSamples, rows: slice) -> None:
+    """Quantize the samples ``rows`` into ``out[rows]``, as quantize_stack would their whole draw.
+
+    After the channels, the codebooks' real parts (take, 2^B, M) are drawn
+    whole and their imaginary parts a SLICE_BYTES slice at a time, the numbers
+    of one (2, take, 2^B, M) draw; each slice is scored as it is drawn, on the
+    block's one QR factor, and the block is oriented once.
+    """
+    take, m = rows.stop - rows.start, out.directions.shape[-1]
+    channels = complex_normal(gen, (take, m, n))
+    q, r = np.linalg.qr(channels)
+    re = gen.standard_normal((take, 2 ** bits, m))
+    index, q_hat, cos_sq = np.empty(take, np.intp), np.empty((take, m), complex), out.cos_sq[rows]
+    step = slice_items(2 * re[0].nbytes)
+    for lo in range(0, take, step):
+        picks = slice(lo, lo + step)
+        index[picks], q_hat[picks], cos_sq[picks] = _select(
+            q[picks], (re[picks], gen.standard_normal(re[picks].shape)))
+    result, fault = _orient(channels, q, r, index, q_hat, cos_sq)
     raise_fault(fault)
-    return QuantizationSamples(cos_sq=r.cos_sq, eff_norm_sq=r.eff_norm_sq, directions=r.s_proj)
+    out.eff_norm_sq[rows], out.directions[rows] = result.eff_norm_sq, result.s_proj
 
 
 @lru_cache(maxsize=4)
@@ -94,16 +125,14 @@ def collect_effective_samples(m: int, n: int, bits: int, n_samples: int,
                               seed: int) -> QuantizationSamples:
     """Pool n_samples independent subspace quantizations (fresh codebook each).
 
-    Recent results are memoized (the suite reads the same pool several times)
-    and shared by every caller, so the returned arrays are read-only.
+    Every block writes its samples into the pooled arrays.  Recent results
+    are memoized (the suite reads the same pool several times) and shared by
+    every caller, so the returned arrays are read-only.
     """
-    def draw(gen, take):  # channels, then codebooks: the equivalence tests replay this order
-        channels = complex_normal(gen, (take, m, n))
-        return _quantize_block(channels, gen.standard_normal((2, take, 2 ** bits, m)))
-
-    parts = _run_blocks(n_samples, _effective_gaussians(m, n, bits), seed, draw)
-    samples = QuantizationSamples(*(np.concatenate([getattr(p, name) for p in parts])
-                                    for name in ("cos_sq", "eff_norm_sq", "directions")))
+    samples = QuantizationSamples(cos_sq=np.empty(n_samples), eff_norm_sq=np.empty(n_samples),
+                                  directions=np.empty((n_samples, m), complex))
+    _run_blocks(n_samples, _effective_gaussians(m, n, bits), seed,
+                lambda gen, rows: _quantize_block(gen, n, bits, samples, rows))
     for array in (samples.cos_sq, samples.eff_norm_sq, samples.directions):
         array.flags.writeable = False
     return samples
@@ -119,16 +148,20 @@ def collect_best_cosine_samples(m: int, n: int, bits: int, n_samples: int, seed:
     matched-size flat quantizer.  Each column is a one-column channel for
     the batched kernel.
     """
-    def draw(gen, take):
+    best = np.empty(n_samples)
+
+    def draw(gen, rows):
+        take = rows.stop - rows.start
         if per_antenna:  # column k of each channel against its own codebook
             columns = np.swapaxes(complex_normal(gen, (take, m, n)), 1, 2)[..., None]
             raw = gen.standard_normal((2, take, n, 2 ** bits, m))
         else:
             columns = complex_normal(gen, (take, 1, m, 1))
             raw = gen.standard_normal((2, take, 1, n * 2 ** bits, m))
-        return _best_cosines(columns, raw)
+        best[rows] = _best_cosines(columns, raw)
 
-    return np.concatenate(_run_blocks(n_samples, n * 2 ** bits * m, seed, draw))
+    _run_blocks(n_samples, n * 2 ** bits * m, seed, draw)
+    return best
 
 
 def _best_cosines(columns: np.ndarray, raw: np.ndarray) -> np.ndarray:

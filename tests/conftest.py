@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
+
 import pytest
 
 import effchan.linalg as linalg
@@ -17,3 +19,20 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(linalg, "ThreadPoolExecutor", CountingPool)
     return started
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args): the most bytes tracemalloc saw allocated, above the start, in fn(*args)."""
+    def peak(fn, *args):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return peak

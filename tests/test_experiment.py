@@ -298,7 +298,7 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
     monkeypatch.setattr(experiment, "_select", spy_select)
     monkeypatch.setattr(experiment, "_orient", spy_orient)
     monkeypatch.setattr(experiment, "perfect_csit_rates", spy_rates)
-    monkeypatch.setattr(experiment, "_CHUNK_BYTES", 5 * 3 * 2 ** 3 * 3 * 2 * 8)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 2 * 8)
     trials = range(64, 134)
     codebooks = _fixed_codebooks(config, 3)
     records = _run_chunk(config, 3, [(2, 10.0)], trials, codebooks)
@@ -495,7 +495,7 @@ def test_run_experiment_thread_count_does_not_change_results(monkeypatch, pools)
 def test_run_experiment_worker_count_with_many_chunks(monkeypatch, pools):
     # a tiny chunk budget splits the trials into one-block chunks (the last
     # cut short), so the workers share the chunks unevenly
-    monkeypatch.setattr(experiment, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 1)
     config = small_config(trials=200, codebook_policy="fixed")
     serial, two, three = run_on_cores(monkeypatch, config, (1, 2, 3))
     assert pools == [2, 3]
@@ -506,7 +506,7 @@ def test_run_experiment_worker_count_with_many_chunks(monkeypatch, pools):
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_run_experiment_worker_count_with_multi_block_chunks(monkeypatch, pools, policy):
     # two-block chunks (M = 2, B = 2: 256 codebook bytes a trial): 128, 128, 44
-    monkeypatch.setattr(experiment, "_CHUNK_BYTES", 128 * 256)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 128 * 256)
     config = small_config(trials=300, codebook_policy=policy)
     serial, two, three = run_on_cores(monkeypatch, config, (1, 2, 3))
     assert pools == [2, 3]
@@ -522,8 +522,22 @@ def test_run_experiment_does_not_depend_on_chunk_bytes(monkeypatch, policy):
                               trials=150, seed=77, codebook_policy=policy)
     points = run_experiment(config).points
     for chunk_bytes in (1, 2 ** 30):
-        monkeypatch.setattr(experiment, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(linalg, "SLICE_BYTES", chunk_bytes)
         assert run_experiment(config).points == points
+
+
+@pytest.mark.parametrize("policy, m, n_rx, bits, trials, scanned", [
+    ("per_block", 8, (2,), 10, 64, 1),  # sweep_block_b10's chunk: one-trial slices
+    ("fixed", 4, (1, 2, 3), 2, 200, 200),  # sweep_fixed_b2's one chunk, scored at once
+])
+def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, bits, trials,
+                                                 scanned):
+    config = ExperimentConfig(m=m, n_rx=n_rx, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(bits),
+                              trials=trials, seed=1, codebook_policy=policy)
+    cells, codebooks = [(n, 10.0) for n in n_rx], _fixed_codebooks(config, bits)
+    _run_chunk(config, bits, cells, range(1), codebooks)  # numpy's one-time set-up
+    peak = traced_peak(_run_chunk, config, bits, cells, range(trials), codebooks)
+    assert 0.75 * peak <= experiment._chunk_bytes(config, bits, trials, scanned) <= 1.25 * peak
 
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
@@ -548,7 +562,7 @@ def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
         return _run_chunk(config, bits, cells, trials, codebooks)
 
     monkeypatch.setattr(experiment, "_run_chunk", spy_chunk)
-    monkeypatch.setattr(experiment, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", chunk_bytes)
     config = small_config(m=3, n_rx=(2,), snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(4),
                           trials=333, codebook_policy=policy)
     run_experiment(config)
@@ -617,7 +631,7 @@ GRIDS = {
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_grid_equals_its_cells(monkeypatch, policy, grid):
     # 64-trial chunks at M = 3, B = 3, so the workers get whole chunks
-    monkeypatch.setattr(experiment, "_CHUNK_BYTES", 64 * 3 * 2 ** 3 * 3 * 16)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 64 * 3 * 2 ** 3 * 3 * 16)
     config = ExperimentConfig(codebook_policy=policy, **GRIDS[grid])
     points = assert_grid_equals_its_cells(monkeypatch, config)
     if grid == "gap_target":
@@ -641,7 +655,7 @@ def test_grid_equals_its_cells_when_trials_drop(monkeypatch):
 def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, policy):
     # 5-trial codebook slices and 64-trial chunks at M = 3, B = 3: 200
     # trials are chunks of 64, 64, 64 and 8 trials and 3 x 13 + 2 slices
-    monkeypatch.setattr(experiment, "_CHUNK_BYTES", 5 * 3 * 2 ** 3 * 3 * 16)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 16)
 
     def work(n_rx, snr_db_grid):
         seen, lock = Counter(), threading.Lock()  # chunks run on worker threads

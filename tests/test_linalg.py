@@ -137,13 +137,15 @@ def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pool
                                 codebook_policy="fixed")
     assert experiment._plan(fixed_b2, 2) == ([range(200)], 1)
     monkeypatch.setattr(linalg, "_cores", lambda: 64)
-    # a fixed chunk at M = 8, B = 10 scans its 64-trial block at once, 64 MiB,
-    # so one worker runs however many cores and chunks there are; per-block
-    # slices of the same sweep fill every core
+    # a fixed chunk at M = 8, B = 10 scores its 64-trial block at once, and
+    # its overlap and metric (about 37 MiB) allow one worker however many
+    # cores and chunks there are; a per-block chunk of the same sweep holds
+    # about 2.3 MiB (a 1 MiB slice of normals, its overlap and metric, and the
+    # chunk's draws and picks), so 27 fit under the 64 MiB cap
     fixed_b10 = dataclasses.replace(block_b10, trials=6400, codebook_policy="fixed")
     assert experiment._plan(fixed_b10, 10)[1] == 1
     assert experiment._plan(dataclasses.replace(fixed_b10, codebook_policy="per_block"),
-                            10)[1] == 64
+                            10)[1] == 27
     # validate_b8's shape: 8 blocks of 508 samples hold 2^22 complex normals,
     # and at B = 24 one sample is over the cap
     assert validate._plan(100_000, (2**8 + 2) * 4)[1] == 8

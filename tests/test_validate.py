@@ -138,6 +138,41 @@ def test_collectors_identical_across_worker_counts(monkeypatch, pools):
         assert serial.tobytes() == threaded.tobytes()
 
 
+def test_sliced_blocks_equal_the_kernel_on_whole_blocks(monkeypatch, pools):
+    # (8 + 2) * 4 normals a sample: 100 samples are 4 blocks of 23 and one of
+    # 8, and a slice of 5 samples' codebooks splits them 5 x 4 + 3 and 5 + 3
+    m, n, bits, count, seed, size = 4, 2, 3, 100, 4242, 23
+    split_into_blocks(monkeypatch, count, (2**bits + n) * m, size)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 2**bits * m * 16)
+    parts = []
+    for block, start in enumerate(range(0, count, size)):
+        gen = RngStream(seed, block, 0, PURPOSE_VALIDATION).generator()
+        take = min(size, count - start)
+        channels = complex_normal(gen, (take, m, n))
+        raw = gen.standard_normal((2, take, 2**bits, m))
+        parts.append(quantize_stack(channels, (raw[0], raw[1]))[0])
+    for cores in (1, 3):
+        monkeypatch.setattr(linalg, "_cores", lambda: cores)
+        pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
+        for name, whole in (("cos_sq", "cos_sq"), ("eff_norm_sq", "eff_norm_sq"),
+                            ("directions", "s_proj")):
+            expected = np.concatenate([getattr(part, whole) for part in parts])
+            assert getattr(pooled, name).tobytes() == expected.tobytes()
+    assert pools == [3]
+
+
+def test_validate_b8_block_peaks_within_its_planned_bytes(monkeypatch, traced_peak):
+    # validate_b8's shape: _plan counts a 508-sample block as its whole draw,
+    # 508 x (256 + 2) x 4 complex normals (8 MiB); drawn and scored in slices,
+    # the block holds less
+    monkeypatch.setattr(linalg, "_cores", lambda: 1)
+    gaussians = (2**8 + 2) * 4
+    assert validate._plan(508, gaussians) == ([508], 1)
+    collect_effective_samples.__wrapped__(4, 2, 8, 1, 1)  # numpy's one-time set-up
+    peak = traced_peak(collect_effective_samples.__wrapped__, 4, 2, 8, 508, 1)
+    assert peak <= 508 * gaussians * 16
+
+
 def test_workers_capped_by_cores_blocks_and_memory(monkeypatch):
     monkeypatch.setattr(linalg, "_cores", lambda: 64)
     # validate_b8's shape: (256 + 2) * 4 normals a sample, 508 samples a block,
