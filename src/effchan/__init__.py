@@ -43,7 +43,6 @@ from .stats import (
 )
 from .validate import (
     QuantizationSamples,
-    collect_best_cosine_samples,
     collect_effective_samples,
     direction_isotropy_report,
     effective_gain_report,
@@ -68,7 +67,6 @@ __all__ = [
     "ScalingInputs",
     "beta_cdf",
     "bits_required",
-    "collect_best_cosine_samples",
     "collect_effective_samples",
     "delta_a",
     "direction_isotropy_report",

@@ -10,8 +10,8 @@ A sweep's whole (N, SNR) grid runs in one pass over chunks per bit count.
 No stream id carries N or SNR, so a chunk draws the benchmark, the codebooks
 and the largest N's channels (a smaller N's are a prefix of them) once for
 the grid.  It scores each per-block codebook slice for every N as it is
-drawn (``_select`` on one QR per N), orients and zero-forces each N and the
-benchmark once, and rates every SNR point from the same beams.
+drawn (``quantize._select_drawn`` on one QR per N), orients and zero-forces
+each N and the benchmark once, and rates every SNR point from the same beams.
 
 Determinism contract, stream version 2 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws its channels, benchmarks
@@ -46,7 +46,8 @@ from .linalg import (
     worker_count,
 )
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
-from .quantize import MAX_CODEBOOK_BITS, _orient, _select, generate_codebook, quantize_stack
+from .quantize import (MAX_CODEBOOK_BITS, _orient, _select_drawn, generate_codebook,
+                       quantize_stack)
 from .stats import mean_ci
 
 CODEBOOK_POLICIES = ("per_block", "fixed")
@@ -176,22 +177,18 @@ class ExperimentResult:
     warnings: list
 
 
-def _budget_trials(config: ExperimentConfig, bits: int) -> int:
-    """Trials whose codebooks, users x 2^B x M complex entries each, fit in a SLICE_BYTES slice."""
-    return slice_items(config.users * 2 ** bits * config.m * 16)
-
-
 def _chunk_bytes(config: ExperimentConfig, bits: int, trials: int, scanned: int) -> int:
     """Bytes a chunk of ``trials`` trials holds at its peak, from shapes alone.
 
-    A trial and user holds every N's channels (normals and complex), QR factors
-    and quantization results, and the benchmark (normals and complex).  A
-    trial, user and codeword of the ``scanned`` trials one ``_select`` call
-    scores holds its per-block codebook normals (a fixed codebook is shared),
-    the largest N's ``overlap`` twice (for the ``+=``) and the metric.
+    A trial and user holds every N's complex channels, QR factors and
+    quantization results, and the complex benchmark (their normals are freed
+    once these are formed).  A trial, user and codeword of the ``scanned``
+    trials one ``_select`` call scores holds its per-block codebook normals (a
+    fixed codebook is shared), the largest N's ``overlap`` twice (for the
+    ``+=``) and the metric.
     """
     m = config.m
-    held = sum(16 * (3 * m * n + n * n + 3 * m + n) + 40 for n in config.n_rx) + 32 * m
+    held = sum(16 * (2 * m * n + n * n + 3 * m + n) + 40 for n in config.n_rx) + 16 * m
     normals = 16 * m if config.codebook_policy == "per_block" else 0
     per_codeword = normals + 32 * max(config.n_rx) + 8
     return config.users * (trials * held + scanned * 2 ** bits * per_codeword)
@@ -204,7 +201,7 @@ def _plan(config: ExperimentConfig, bits: int) -> tuple[list[range], int]:
     draws and picks, and the codebooks one ``_select`` call scores, a
     per-block slice or the whole chunk against the fixed codebooks.
     """
-    step = _budget_trials(config, bits)
+    step = slice_items(config.users * 2 ** bits * config.m * 16)  # trials a codebook slice holds
     size = max(1, step // _BLOCK) * _BLOCK
     chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
     trials = len(chunks[0])
@@ -229,22 +226,23 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
     m, users, seed, count = config.m, config.users, config.seed, len(trials)
     first_block, starts = trials.start // _BLOCK, range(0, count, _BLOCK)
     n_rx = list(dict.fromkeys(n for n, _ in cells))
+    top = max(n_rx)
     channel_parts = {n: np.empty((count, users, 2, m, n)) for n in n_rx}
     bench_parts = np.empty((count, users, 2, m))
     for lo in starts:
         block, size = first_block + lo // _BLOCK, min(_BLOCK, count - lo)
-        # an N's draw, (size, users, 2, M, N), is a prefix of the largest N's
-        normals = RngStream(seed, block, 0, PURPOSE_CHANNEL).generator().standard_normal(
-            size * users * 2 * m * max(n_rx))
-        for n in n_rx:
-            channel_parts[n][lo:lo + size] = normals[:size * users * 2 * m * n].reshape(
+        drawn = channel_parts[top][lo:lo + size]
+        RngStream(seed, block, 0, PURPOSE_CHANNEL).generator().standard_normal(out=drawn)
+        for n in set(n_rx) - {top}:  # an N's draw, (size, users, 2, M, N), is a prefix of top's
+            channel_parts[n][lo:lo + size] = drawn.reshape(-1)[:drawn.size // top * n].reshape(
                 size, users, 2, m, n)
         RngStream(seed, block, 0, PURPOSE_BENCHMARK).generator().standard_normal(
-            out=bench_parts[lo:lo + _BLOCK])
+            out=bench_parts[lo:lo + size])
     channels = {n: complex_from_parts(np.moveaxis(parts, 2, 0))
                 for n, parts in channel_parts.items()}
     # (trials, M, users), contiguous: column u = user u
     bench = complex_from_parts(bench_parts.transpose(2, 0, 3, 1))
+    del channel_parts, bench_parts, drawn  # the real normals; only the complex arrays are used
     powers = {snr_db: _power(snr_db) for _, snr_db in cells}
     zf_rates, zf_cond, zf_residual = perfect_csit_rates(bench, np.array(list(powers.values())))
     rate_zf, zf_refused = dict(zip(powers, zf_rates)), refused(zf_cond, zf_residual)
@@ -252,17 +250,14 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
         scored = {n: quantize_stack(channels[n], codebooks) for n in n_rx}
     else:  # generate_codebook's draw, trial after trial, a slice at a time
         factors = {n: np.linalg.qr(channels[n]) for n in n_rx}
-        picks, step = {n: [] for n in n_rx}, _budget_trials(config, bits)
+        picks = {n: (np.empty((count, users), np.intp), np.empty((count, users, m), complex),
+                     np.empty((count, users))) for n in n_rx}
         for lo in starts:
             gen = RngStream(seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK).generator()
-            end = min(lo + _BLOCK, count)
-            for i in range(lo, end, step):
-                normals = gen.standard_normal((min(step, end - i), users, 2, 2 ** bits, m))
-                books = (normals[:, :, 0], normals[:, :, 1])
-                for n in n_rx:
-                    picks[n].append(_select(factors[n][0][i:i + len(normals)], books))
-        scored = {n: _orient(channels[n], *factors[n], *map(np.concatenate, zip(*picks[n])))
-                  for n in n_rx}
+            block = slice(lo, lo + _BLOCK)
+            _select_drawn(gen, [factors[n][0][block] for n in n_rx], bits,
+                          [[pick[block] for pick in picks[n]] for n in n_rx])
+        scored = {n: _orient(channels[n], *factors[n], *picks[n]) for n in n_rx}
     records = {}
     for n in n_rx:
         fb, fault = scored[n]

@@ -8,7 +8,8 @@ zero-forcing inverse is ``precoding.zero_force``.
 The sweep's chunks and validation's sample blocks run on one thread per core
 the process may run on (the normal sampler, the BLAS products, ``einsum`` and
 ``np.linalg`` release the GIL), through ``worker_count`` and ``ordered_map``,
-and both score their drawn codebooks in slices of ``SLICE_BYTES`` (``slice_items``).
+and both score their drawn codebooks in slices of ``SLICE_BYTES``
+(``quantize._select_drawn``).
 """
 
 from __future__ import annotations

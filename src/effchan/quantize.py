@@ -5,7 +5,8 @@ stages: ``_select`` picks the codebook vector closest to each span, and
 ``_orient`` reports its projection onto the span as the direction and computes
 a receive combining vector whose scalar effective channel points exactly along
 that in-span shadow.  Single-vector quantization and per-antenna selection are
-the same kernel run on one-column channels.
+the same kernel run on one-column channels.  ``_select_drawn`` runs ``_select``
+on random codebooks as it draws them, for the sweep and validation alike.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .linalg import (
     DegenerateChannelError,
     RngStream,
     complex_from_parts,
+    slice_items,
 )
 
 # Refuse codebooks that would not fit in memory; 2^24 vectors is already
@@ -129,6 +131,24 @@ def _select(q: np.ndarray, books) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.broadcast_to(book, index.shape + book.shape[-2:])[rows]
     q_hat = _unit_rows(np.stack([winner(re), winner(im)])) if parts else winner(books)
     return index, q_hat, cos_sq
+
+
+def _select_drawn(gen: np.random.Generator, qs: list, bits: int, picks: list) -> None:
+    """_select on a random codebook per entry of the (k, *lead, M, N) stacks ``qs``.
+
+    Each entry's codebook is a (2, 2^B, M) run of ``gen``'s normals, in entry
+    order, as generate_codebook draws it.  A SLICE_BYTES slice of k is drawn,
+    scored against every Q into its ``picks`` (index, q_hat, cos_sq) arrays,
+    and dropped before the next.
+    """
+    k, *lead, m, _ = qs[0].shape
+    step = slice_items(int(np.prod(lead)) * 2 ** bits * m * 16)
+    for lo in range(0, k, step):
+        normals = gen.standard_normal((min(step, k - lo), *lead, 2, 2 ** bits, m))
+        books, part = (normals[..., 0, :, :], normals[..., 1, :, :]), slice(lo, lo + len(normals))
+        for q, (index, q_hat, cos_sq) in zip(qs, picks):
+            index[part], q_hat[part], cos_sq[part] = _select(q[part], books)
+        del normals, books  # a chunk or block holds one slice at a time
 
 
 def _orient(channels, q, r, index, q_hat, cos_sq) -> tuple[QuantizationResult, np.ndarray]:

@@ -4,21 +4,25 @@ The checks need on the order of 1e5 independent quantizations.  Samples are
 drawn in fixed blocks: with g complex normals per sample (channel plus
 codebook), block b holds samples [b*k, (b+1)*k) for k = max(1,
 _BLOCK_GAUSSIANS // g), and draws them from its own stream,
-``RngStream(seed, b, 0, PURPOSE_VALIDATION)``, channels first and then
-codebooks.  Each block is quantized by the batched kernel the sweep runs
-(``quantize_stack``), which scores each random codebook straight from its
-drawn standard normals; as the sweep's per-block codebooks are, an
-effective-channel block is scored a ``linalg.SLICE_BYTES`` slice at a time and
-writes its samples straight into the pooled arrays.  Equivalence tests replay
-the blocks and pin the collectors to the kernel and the test oracle.
+``RngStream(seed, b, 0, PURPOSE_VALIDATION)``: first the block's channels,
+one (2, k, M, N) draw, then each sample's codebook in sample order, each one
+(2, 2^B, M) run as ``generate_codebook`` draws it.  An effective-channel
+block is quantized by the batched kernel the sweep runs, through the same
+``quantize._select_drawn``: each codebook is scored straight from its drawn
+normals, a ``linalg.SLICE_BYTES`` slice of samples at a time, so a block
+holds one slice, and the block writes its samples straight into the pooled
+arrays.  Equivalence tests replay the blocks and pin the collectors to the
+kernel and the test oracle.
 
 Blocks run on the worker rule the sweep's chunks share (``linalg.worker_count``:
-one thread per core the process may run on, at most 2^22 complex normals in
-flight, a block counted as its whole draw; at B >= 17, M = 4, a block is one
-sample, which slicing cannot shrink).  No sample depends on the worker count,
-so the results are byte-identical whatever it is.  This is validation stream
-contract version 2 (``STREAM_VERSION``); version 1 drew every sample from one
-stream.
+one thread per core the process may run on, and together at most
+``IN_FLIGHT_BYTES``, a block counted from its shapes by ``_block_bytes``; at
+B >= 17, M = 4, a block is one sample and holds its whole codebook, which
+slicing by sample cannot shrink).  No sample depends on the worker count or
+the slice size, so the results are byte-identical whatever they are.  This
+is validation stream contract version 3 (``STREAM_VERSION``); version 2 drew
+the real parts of all of a block's codebooks before any imaginary part, and
+version 1 drew every sample from one stream.
 
 Laws checked:
 * squared cosine of the quantization angle ~ max of 2^B iid Beta(N, M-N);
@@ -31,7 +35,7 @@ Laws checked:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -44,10 +48,10 @@ from .linalg import (
     slice_items,
     worker_count,
 )
-from .quantize import FAULT_ORTHOGONAL, _orient, _select, quantize_stack, raise_fault
+from .quantize import _orient, _select_drawn, raise_fault
 from .stats import FitReport, gamma_cdf, isotropy_report, ks_test, max_beta_cdf
 
-STREAM_VERSION = 2  # validation stream contract: one stream per sample block
+STREAM_VERSION = 3  # validation stream contract: one stream per block, codebooks per sample
 _BLOCK_GAUSSIANS = 2 ** 19  # complex normals per sample block; fixes the streams
 # largest relative error of the mean quantization error against its approximation
 _QUANT_ERROR_RTOL = 0.15
@@ -62,22 +66,33 @@ class QuantizationSamples:
     directions: np.ndarray  # (n_samples, m) normalized effective channels
 
 
-def _plan(n_samples: int, gaussians_per_sample: int) -> tuple[list[int], int]:
+def _plan(n_samples: int, gaussians_per_sample: int, block_bytes) -> tuple[list[int], int]:
     """Sample count of every block, and the worker threads that run them.
 
-    A block is counted as its whole draw, ``size * gaussians_per_sample``
-    complex normals of 16 bytes; ``_quantize_block`` holds less at once.
+    ``block_bytes(take)`` counts the bytes a block of ``take`` samples holds.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     size = max(1, _BLOCK_GAUSSIANS // gaussians_per_sample)
     takes = [min(size, n_samples - start) for start in range(0, n_samples, size)]
-    return takes, worker_count(len(takes), size * gaussians_per_sample * 16)
+    return takes, worker_count(len(takes), block_bytes(takes[0]))
 
 
-def _run_blocks(n_samples: int, gaussians_per_sample: int, seed: int, draw) -> None:
+def _block_bytes(m: int, n: int, bits: int, take: int) -> int:
+    """Bytes an effective-sample block of ``take`` samples holds at its peak, from shapes alone.
+
+    A sample holds its channel, QR factors and picks.  A sample of the
+    codebook slice one ``_select`` call scores holds its normals, the
+    ``overlap`` twice (for the ``+=``) and the metric.
+    """
+    scanned = min(take, slice_items(2 ** bits * m * 16))
+    return take * (16 * (2 * m * n + n * n + m) + 8) + scanned * 2 ** bits * (16 * m + 32 * n + 8)
+
+
+def _run_blocks(n_samples: int, gaussians_per_sample: int, block_bytes, seed: int,
+                draw) -> None:
     """draw(gen, rows) for every sample block on its own stream; rows slices its samples."""
-    takes, workers = _plan(n_samples, gaussians_per_sample)
+    takes, workers = _plan(n_samples, gaussians_per_sample, block_bytes)
 
     def run(block: int):
         start = block * takes[0]
@@ -93,29 +108,24 @@ def _effective_gaussians(m: int, n: int, bits: int) -> int:
 
 def suite_workers(m: int, n: int, bits: int, n_samples: int) -> int:
     """Worker threads that run_validation_suite's sample collection uses."""
-    return _plan(n_samples, _effective_gaussians(m, n, bits))[1]
+    return _plan(n_samples, _effective_gaussians(m, n, bits), partial(_block_bytes, m, n, bits))[1]
 
 
 def _quantize_block(gen: np.random.Generator, n: int, bits: int,
                     out: QuantizationSamples, rows: slice) -> None:
-    """Quantize the samples ``rows`` into ``out[rows]``, as quantize_stack would their whole draw.
+    """Quantize the samples ``rows`` into ``out[rows]``, as quantize_stack would.
 
-    After the channels, the codebooks' real parts (take, 2^B, M) are drawn
-    whole and their imaginary parts a SLICE_BYTES slice at a time, the numbers
-    of one (2, take, 2^B, M) draw; each slice is scored as it is drawn, on the
-    block's one QR factor, and the block is oriented once.
+    The block's channels (take, M, N) are drawn first and QR-factored once;
+    ``_select_drawn`` then draws each sample's codebook as one (2, 2^B, M)
+    run, in sample order, a SLICE_BYTES slice of samples at a time, and
+    scores each slice as it is drawn.  The block is oriented once.
     """
     take, m = rows.stop - rows.start, out.directions.shape[-1]
     channels = complex_normal(gen, (take, m, n))
     q, r = np.linalg.qr(channels)
-    re = gen.standard_normal((take, 2 ** bits, m))
-    index, q_hat, cos_sq = np.empty(take, np.intp), np.empty((take, m), complex), out.cos_sq[rows]
-    step = slice_items(2 * re[0].nbytes)
-    for lo in range(0, take, step):
-        picks = slice(lo, lo + step)
-        index[picks], q_hat[picks], cos_sq[picks] = _select(
-            q[picks], (re[picks], gen.standard_normal(re[picks].shape)))
-    result, fault = _orient(channels, q, r, index, q_hat, cos_sq)
+    picks = np.empty(take, np.intp), np.empty((take, m), complex), out.cos_sq[rows]
+    _select_drawn(gen, [q], bits, [picks])
+    result, fault = _orient(channels, q, r, *picks)
     raise_fault(fault)
     out.eff_norm_sq[rows], out.directions[rows] = result.eff_norm_sq, result.s_proj
 
@@ -131,44 +141,11 @@ def collect_effective_samples(m: int, n: int, bits: int, n_samples: int,
     """
     samples = QuantizationSamples(cos_sq=np.empty(n_samples), eff_norm_sq=np.empty(n_samples),
                                   directions=np.empty((n_samples, m), complex))
-    _run_blocks(n_samples, _effective_gaussians(m, n, bits), seed,
-                lambda gen, rows: _quantize_block(gen, n, bits, samples, rows))
+    _run_blocks(n_samples, _effective_gaussians(m, n, bits), partial(_block_bytes, m, n, bits),
+                seed, lambda gen, rows: _quantize_block(gen, n, bits, samples, rows))
     for array in (samples.cos_sq, samples.eff_norm_sq, samples.directions):
         array.flags.writeable = False
     return samples
-
-
-def collect_best_cosine_samples(m: int, n: int, bits: int, n_samples: int, seed: int,
-                                per_antenna: bool) -> np.ndarray:
-    """Squared cosines from vector quantization of single-antenna channels.
-
-    per_antenna=True: each of the N columns gets its own 2^bits codebook and
-    the best antenna is kept (antenna-selection upper layer).  False: one
-    channel vector against a single codebook of N * 2^bits entries, the
-    matched-size flat quantizer.  Each column is a one-column channel for
-    the batched kernel.
-    """
-    best = np.empty(n_samples)
-
-    def draw(gen, rows):
-        take = rows.stop - rows.start
-        if per_antenna:  # column k of each channel against its own codebook
-            columns = np.swapaxes(complex_normal(gen, (take, m, n)), 1, 2)[..., None]
-            raw = gen.standard_normal((2, take, n, 2 ** bits, m))
-        else:
-            columns = complex_normal(gen, (take, 1, m, 1))
-            raw = gen.standard_normal((2, take, 1, n * 2 ** bits, m))
-        best[rows] = _best_cosines(columns, raw)
-
-    _run_blocks(n_samples, n * 2 ** bits * m, seed, draw)
-    return best
-
-
-def _best_cosines(columns: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Each sample's best cos^2; an orthogonal column's 0 is a valid sample, not a fault."""
-    r, fault = quantize_stack(columns, (raw[0], raw[1]))
-    raise_fault(np.where(fault == FAULT_ORTHOGONAL, 0, fault))
-    return r.cos_sq.max(axis=1)
 
 
 def quantization_angle_report(m: int, n: int, bits: int, n_samples: int, seed: int) -> FitReport:

@@ -1,12 +1,18 @@
-"""Independent references that the tests check ``quantize_stack`` against.
+"""Independent references that the tests check ``quantize_stack`` against, and a test collector.
 
-Neither shares code with the kernel: both score codewords by complex inner
-products, where the kernel uses the real embedding of the same products.
+``vector_oracle`` and ``span_metric`` share no code with the kernel: both
+score codewords by complex inner products, where the kernel uses the real
+embedding of the same products.  ``Replay`` hands given normals to
+``generate_codebook``, so that a test can form the codebook a stream drew.
+``collect_best_cosine_samples`` runs the kernel on validation's sample blocks
+for the antenna-selection acceptance test.
 """
 
 import numpy as np
 
-from effchan.quantize import QuantizationResult
+from effchan.linalg import complex_normal
+from effchan.quantize import FAULT_ORTHOGONAL, QuantizationResult, quantize_stack, raise_fault
+from effchan.validate import _run_blocks
 
 
 def vector_oracle(h, vectors):
@@ -55,3 +61,51 @@ def span_metric(channels, books):
     """
     q = np.linalg.qr(channels)[0]
     return (np.abs(books @ q.conj()) ** 2).sum(axis=-1)
+
+
+class Replay:
+    """Stand-in stream whose generator hands out given normals once."""
+
+    def __init__(self, normals):
+        self.normals = normals
+
+    def generator(self):
+        return self
+
+    def standard_normal(self, shape):
+        assert shape == self.normals.shape
+        return self.normals.copy()
+
+
+def collect_best_cosine_samples(m, n, bits, n_samples, seed, per_antenna):
+    """Squared cosines from vector quantization of single-antenna channels.
+
+    per_antenna=True: each of the N columns gets its own 2^bits codebook and
+    the best antenna is kept (antenna-selection upper layer).  False: one
+    channel vector against a single codebook of N * 2^bits entries, the
+    matched-size flat quantizer.  Samples are drawn in validation's blocks
+    and streams: the block's channels, then each sample's codebooks, each one
+    (2, rows, M) run.  Each column is a one-column channel for the kernel.
+    """
+    best = np.empty(n_samples)
+
+    def draw(gen, rows):
+        take = rows.stop - rows.start
+        if per_antenna:  # column k of each channel against its own codebook
+            columns = np.swapaxes(complex_normal(gen, (take, m, n)), 1, 2)[..., None]
+            raw = gen.standard_normal((take, n, 2, 2 ** bits, m))
+        else:
+            columns = complex_normal(gen, (take, 1, m, 1))
+            raw = gen.standard_normal((take, 1, 2, n * 2 ** bits, m))
+        best[rows] = best_cosines(columns, np.moveaxis(raw, 2, 0))
+
+    gaussians = n * 2 ** bits * m  # a block is counted as its whole draw
+    _run_blocks(n_samples, gaussians, lambda take: take * gaussians * 16, seed, draw)
+    return best
+
+
+def best_cosines(columns, raw):
+    """Each sample's best cos^2; an orthogonal column's 0 is a valid sample, not a fault."""
+    r, fault = quantize_stack(columns, (raw[0], raw[1]))
+    raise_fault(np.where(fault == FAULT_ORTHOGONAL, 0, fault))
+    return r.cos_sq.max(axis=1)

@@ -26,13 +26,13 @@ from effchan.cli import main, scaling_table_rows
 from effchan.precoding import refused, zero_force
 from effchan.quantize import generate_codebook, quantize_stack
 from effchan.validate import (
-    collect_best_cosine_samples,
     collect_effective_samples,
     direction_isotropy_report,
     effective_gain_report,
     quant_error_mean_report,
     quantization_angle_report,
 )
+from oracles import collect_best_cosine_samples
 
 
 # 1 ------------------------------------------------------ bit-budget numbers

@@ -238,18 +238,20 @@ def test_scaling_table_guards(tmp_path, capsys):
 
 
 def test_validate_end_to_end(tmp_path, capsys):
+    # the suite's thresholds are fixed: at 8,000 samples about one seed in
+    # five fails them by chance, at 20,000 almost none
     cfg = write_config(tmp_path, "m = 4\nn_rx = 2\nbits = 6\n")
     out = tmp_path / "out"
     code = main(["validate", "--config", cfg, "--out", str(out),
-                 "--samples", "8000", "--seed", "11"])
+                 "--samples", "20000", "--seed", "11"])
     assert code == 0
     payload = json.loads((out / "validation.json").read_text())
     assert payload["passed"] is True
     assert payload["command"] == "validate"
-    assert payload["config"] == {"m": 4, "n_rx": 2, "bits": 6, "samples": 8000,
+    assert payload["config"] == {"m": 4, "n_rx": 2, "bits": 6, "samples": 20000,
                                  "seed": 11, "wrong_reference": False}
     assert len(payload["reports"]) == 4
-    assert payload["stream_version"] == 2  # one stream per sample block
+    assert payload["stream_version"] == 3  # one stream per sample block, codebooks per sample
     stdout = capsys.readouterr().out
     assert json.loads(stdout)["passed"] is True
 
@@ -283,12 +285,13 @@ def test_validate_guards(tmp_path, capsys):
 
 
 def test_validate_is_deterministic(tmp_path, capsys):
+    # 20,000 samples: at 4,000 about half the seeds fail a fixed threshold by chance
     cfg = write_config(tmp_path, "m = 4\nn_rx = 2\nbits = 5\nseed = 21\n")
     written = []
     for name in ("first", "second"):
         collect_effective_samples.cache_clear()  # recompute, never read the memo
         out = tmp_path / name
-        assert main(["validate", "--config", cfg, "--out", str(out), "--samples", "4000"]) == 0
+        assert main(["validate", "--config", cfg, "--out", str(out), "--samples", "20000"]) == 0
         written.append((out / "validation.json").read_bytes())
     capsys.readouterr()
     assert written[0] == written[1]

@@ -33,6 +33,7 @@ from effchan.linalg import (
 from effchan.precoding import perfect_csit_rates
 from effchan.quantize import _orient, _select, generate_codebook, quantize_stack
 from effchan.stats import mean_ci
+from oracles import Replay
 
 
 def small_config(**overrides):
@@ -250,20 +251,6 @@ def test_trial_drops_parallel_reported_directions():
     assert rate_fb == 0.0 and rate_zf == 0.0  # rate_fb is 0 only if every SINR is 0
 
 
-class Replay:
-    """Stand-in stream whose generator hands out given normals once."""
-
-    def __init__(self, normals):
-        self.normals = normals
-
-    def generator(self):
-        return self
-
-    def standard_normal(self, shape):
-        assert shape == self.normals.shape
-        return self.normals.copy()
-
-
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 @pytest.mark.parametrize("seed", [5, 2 ** 40 + 9])
 def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
@@ -295,7 +282,8 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
         return perfect_csit_rates(bench, power)
 
     monkeypatch.setattr(experiment, "quantize_stack", spy_quantize)
-    monkeypatch.setattr(experiment, "_select", spy_select)
+    if policy == "per_block":  # quantize_stack's own _select call is not a slice's
+        monkeypatch.setattr(quantize, "_select", spy_select)
     monkeypatch.setattr(experiment, "_orient", spy_orient)
     monkeypatch.setattr(experiment, "perfect_csit_rates", spy_rates)
     monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 2 * 8)
@@ -680,7 +668,8 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
             patch.setattr(experiment, "_run_chunk", spy("chunk", experiment._run_chunk))
             patch.setattr(experiment, "RngStream", SpyStream)
             # the kernel's stages, called by the per-block slices or quantize_stack
-            for module, name in itertools.product((experiment, quantize), ("_select", "_orient")):
+            for module, name in ((experiment, "_orient"), (quantize, "_select"),
+                                 (quantize, "_orient")):
                 patch.setattr(module, name, spy(name, getattr(module, name)))
             run_experiment(ExperimentConfig(m=3, n_rx=n_rx, snr_db_grid=snr_db_grid,
                                             bits_rule=BitsRule.fixed(3), trials=200, seed=3,

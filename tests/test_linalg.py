@@ -140,15 +140,16 @@ def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pool
     # a fixed chunk at M = 8, B = 10 scores its 64-trial block at once, and
     # its overlap and metric (about 37 MiB) allow one worker however many
     # cores and chunks there are; a per-block chunk of the same sweep holds
-    # about 2.3 MiB (a 1 MiB slice of normals, its overlap and metric, and the
-    # chunk's draws and picks), so 27 fit under the 64 MiB cap
+    # about 2.1 MiB (a 1 MiB slice of normals, its overlap and metric, and the
+    # chunk's channels and picks), so 30 fit under the 64 MiB cap
     fixed_b10 = dataclasses.replace(block_b10, trials=6400, codebook_policy="fixed")
     assert experiment._plan(fixed_b10, 10)[1] == 1
     assert experiment._plan(dataclasses.replace(fixed_b10, codebook_policy="per_block"),
-                            10)[1] == 27
-    # validate_b8's shape: 8 blocks of 508 samples hold 2^22 complex normals,
-    # and at B = 24 one sample is over the cap
-    assert validate._plan(100_000, (2**8 + 2) * 4)[1] == 8
+                            10)[1] == 30
+    # validate_b8's shape: a 508-sample block holds about 2.3 MiB (a 64-sample
+    # slice of codebook normals, its overlap and metric, and the block's
+    # channels and picks), so 27 fit; at B = 24 one sample is over the cap
+    assert validate.suite_workers(4, 2, 8, 100_000) == 27
     assert validate.suite_workers(4, 2, 24, 100_000) == 1
     # one worker maps serially and starts no pool; more keep the item order
     assert ordered_map(str, range(3), 1) == ["0", "1", "2"]

@@ -1,6 +1,10 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import effchan.linalg as linalg
 from effchan.linalg import DegenerateChannelError, RngStream, complex_from_parts, complex_normal
 from effchan.quantize import (
     FAULT_ORTHOGONAL,
@@ -8,11 +12,12 @@ from effchan.quantize import (
     QuantizationResult,
     _orient,
     _select,
+    _select_drawn,
     generate_codebook,
     quantize_stack,
     raise_fault,
 )
-from oracles import span_metric, vector_oracle
+from oracles import Replay, span_metric, vector_oracle
 
 
 def book(rows):
@@ -477,6 +482,54 @@ def test_select_of_row_slices_is_select_of_the_stack(kind):
         sliced = [_select(q[lo:hi], books[lo:hi]) for lo, hi in cuts]
     for a, b in zip(whole, map(np.concatenate, zip(*sliced)), strict=True):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lead, n_rx", [
+    ((3,), (1, 2)),  # a sweep's (trials, users) stack, scored for two N
+    ((), (2,)),  # a validation block's (samples,) stack
+], ids=["sweep", "validation"])
+def test_select_drawn_picks_rows_of_each_entrys_generated_codebook(monkeypatch, lead, n_rx):
+    # 11 entries in slices of 4, the last of 3: each entry's codebook is one
+    # (2, 2^B, M) run of the stream, in entry order, scored against every Q
+    m, bits, k = 4, 3, 11
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 4 * math.prod(lead) * 2**bits * m * 16)
+    channels = complex_normal(RngStream(107).generator(), (k, *lead, m, max(n_rx)))
+    qs = [np.linalg.qr(channels[..., :n])[0] for n in n_rx]
+    picks = [(np.empty((k, *lead), np.intp), np.empty((k, *lead, m), complex),
+              np.empty((k, *lead))) for _ in qs]
+    gen, shapes = RngStream(109).generator(), []
+
+    def standard_normal(shape):
+        shapes.append(shape)
+        return gen.standard_normal(shape)
+
+    _select_drawn(SimpleNamespace(standard_normal=standard_normal), qs, bits, picks)
+    assert [shape[0] for shape in shapes] == [4, 4, 3]
+    normals = RngStream(109).generator().standard_normal((k, *lead, 2, 2**bits, m))
+    for n, (index, q_hat, cos_sq) in zip(n_rx, picks, strict=True):
+        for entry in np.ndindex(k, *lead):
+            book = generate_codebook(Replay(normals[entry]), bits, m)
+            metric = span_metric(channels[entry][:, :n], book)
+            assert index[entry] == np.argmax(metric)
+            assert q_hat[entry].tobytes() == book[index[entry]].tobytes()
+            assert cos_sq[entry] == pytest.approx(metric.max(), rel=0, abs=1e-14)
+
+
+def test_select_drawn_holds_one_slice_at_a_time(monkeypatch, traced_peak):
+    # M = 8, N = 1, one entry a slice: a slice's normals (128 KiB) outweigh
+    # _select's temporaries, so a slice still held while the next is drawn
+    # would raise the peak of eight slices well above that of one
+    m, bits, k = 8, 10, 8
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 2**bits * m * 16)
+    q = np.linalg.qr(complex_normal(RngStream(113).generator(), (k, m, 1)))[0]
+    picks = [(np.empty(k, np.intp), np.empty((k, m), complex), np.empty(k))]
+
+    def run(entries):
+        _select_drawn(RngStream(127).generator(), [q[:entries]], bits,
+                      [[pick[:entries] for pick in picks[0]]])
+
+    run(k)  # numpy's one-time set-up
+    assert traced_peak(run, k) <= 1.1 * traced_peak(run, 1)
 
 
 # --------------------------------------------------------- antenna selection

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,6 @@ import effchan.validate as validate
 from effchan.linalg import PURPOSE_VALIDATION, DegenerateChannelError, RngStream, complex_normal
 from effchan.quantize import quantize_stack
 from effchan.validate import (
-    _best_cosines,
-    collect_best_cosine_samples,
     collect_effective_samples,
     direction_isotropy_report,
     effective_gain_report,
@@ -15,19 +15,22 @@ from effchan.validate import (
     quantization_angle_report,
     run_validation_suite,
 )
-from oracles import vector_oracle
+from oracles import best_cosines, collect_best_cosine_samples, vector_oracle
 
 
-def replay_blocks(seed, count, size, shapes):
+def replay_blocks(seed, count, size, channel_shape, book_shape):
     """Replay the collectors' sample blocks with complex_normal, one sample at a time.
 
-    Block b holds samples [b*size, (b+1)*size) and draws one array per entry
-    of shapes (channels, then codebooks) from RngStream(seed, b, 0, purpose).
+    Block b holds samples [b*size, (b+1)*size) and draws from
+    RngStream(seed, b, 0, purpose) its channels (take, *channel_shape), then
+    each sample's codebooks of book_shape (*copies, rows, M), one
+    complex_normal(gen, (rows, M)) each, in sample order.
     """
     for block, start in enumerate(range(0, count, size)):
         gen = RngStream(seed, block, 0, PURPOSE_VALIDATION).generator()
-        take = min(size, count - start)
-        yield from zip(*[complex_normal(gen, (take, *shape)) for shape in shapes])
+        for channel in complex_normal(gen, (min(size, count - start), *channel_shape)):
+            books = [complex_normal(gen, book_shape[-2:]) for _ in np.ndindex(book_shape[:-2])]
+            yield channel, np.reshape(books, book_shape)
 
 
 def unit_rows(raw):
@@ -48,7 +51,7 @@ def test_effective_collector_matches_scalar_operator(monkeypatch):
     m, n, bits, count, seed = 4, 2, 3, 50, 9191
     size = split_into_blocks(monkeypatch, count, (2**bits + n) * m, 16)
     pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
-    samples = replay_blocks(seed, count, size, [(m, n), (2**bits, m)])
+    samples = replay_blocks(seed, count, size, (m, n), (2**bits, m))
     for i, (channel, raw) in enumerate(samples):
         r, fault = quantize_stack(channel, unit_rows(raw))
         assert fault == 0
@@ -62,7 +65,7 @@ def test_antenna_collector_matches_scalar_operator(monkeypatch):
     m, n, bits, count, seed = 4, 2, 3, 40, 9292
     size = split_into_blocks(monkeypatch, count, n * 2**bits * m, 12)
     pooled = collect_best_cosine_samples(m, n, bits, count, seed, per_antenna=True)
-    samples = replay_blocks(seed, count, size, [(m, n), (n, 2**bits, m)])
+    samples = replay_blocks(seed, count, size, (m, n), (n, 2**bits, m))
     for i, (channel, raw) in enumerate(samples):
         # antenna selection: the best column of the N = 1 oracle
         books = unit_rows(raw)
@@ -75,7 +78,7 @@ def test_flat_collector_matches_scalar_operator(monkeypatch):
     m, n, bits, count, seed = 4, 2, 3, 40, 9393
     size = split_into_blocks(monkeypatch, count, n * 2**bits * m, 12)
     pooled = collect_best_cosine_samples(m, n, bits, count, seed, per_antenna=False)
-    samples = replay_blocks(seed, count, size, [(m,), (n * 2**bits, m)])
+    samples = replay_blocks(seed, count, size, (m,), (n * 2**bits, m))
     for i, (channel, raw) in enumerate(samples):
         r = vector_oracle(channel, unit_rows(raw))
         assert pooled[i] == pytest.approx(r.cos_sq, abs=1e-12)
@@ -105,10 +108,10 @@ def test_best_cosine_ignores_a_column_orthogonal_to_its_codewords():
     columns = np.stack([e1, e2]).astype(complex)[None, :, :, None]  # (1, 2, 3, 1)
     raw = np.zeros((2, 1, 2, 1, 3))
     raw[0] = e2
-    assert _best_cosines(columns, raw).tolist() == [1.0]
+    assert best_cosines(columns, raw).tolist() == [1.0]
     # a zero column is rank deficient, which still raises
     with pytest.raises(DegenerateChannelError):
-        _best_cosines(columns * np.array([0.0, 1.0])[:, None, None], raw)
+        best_cosines(columns * np.array([0.0, 1.0])[:, None, None], raw)
 
 
 def test_collector_chunked_path(monkeypatch):
@@ -149,7 +152,8 @@ def test_sliced_blocks_equal_the_kernel_on_whole_blocks(monkeypatch, pools):
         gen = RngStream(seed, block, 0, PURPOSE_VALIDATION).generator()
         take = min(size, count - start)
         channels = complex_normal(gen, (take, m, n))
-        raw = gen.standard_normal((2, take, 2**bits, m))
+        # each sample's codebook: the normals complex_normal(gen, (2^B, M)) draws
+        raw = np.stack([gen.standard_normal((2, 2**bits, m)) for _ in range(take)], axis=1)
         parts.append(quantize_stack(channels, (raw[0], raw[1]))[0])
     for cores in (1, 3):
         monkeypatch.setattr(linalg, "_cores", lambda: cores)
@@ -161,32 +165,56 @@ def test_sliced_blocks_equal_the_kernel_on_whole_blocks(monkeypatch, pools):
     assert pools == [3]
 
 
-def test_validate_b8_block_peaks_within_its_planned_bytes(monkeypatch, traced_peak):
-    # validate_b8's shape: _plan counts a 508-sample block as its whole draw,
-    # 508 x (256 + 2) x 4 complex normals (8 MiB); drawn and scored in slices,
-    # the block holds less
+def test_pooled_samples_do_not_depend_on_the_slice_bytes(monkeypatch):
+    # (256 + 2) * 4 normals a sample: 330 samples are 3 blocks of 100 and one
+    # of 30, in slices of one sample, 64 samples (the default) or every sample
+    m, n, bits, count, seed = 4, 2, 8, 330, 8686
+    split_into_blocks(monkeypatch, count, (2**bits + n) * m, 100)
+    runs = []
+    for slice_bytes in (2**bits * m * 16, linalg.SLICE_BYTES, 2**30):
+        monkeypatch.setattr(linalg, "SLICE_BYTES", slice_bytes)
+        pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
+        runs.append([pooled.cos_sq.tobytes(), pooled.eff_norm_sq.tobytes(),
+                     pooled.directions.tobytes()])
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("m, n, bits, take", [
+    (4, 2, 8, 508),  # validate_b8's block: eight 64-sample slices
+    (4, 1, 12, 31),  # a whole block: 31 one-sample slices
+    (8, 4, 10, 30),  # 8-sample slices, the last of 6
+    (4, 2, 17, 1),  # B >= 17 at M = 4: a block is one sample and one slice
+])
+def test_block_bytes_counts_a_blocks_traced_peak(monkeypatch, traced_peak, m, n, bits, take):
     monkeypatch.setattr(linalg, "_cores", lambda: 1)
-    gaussians = (2**8 + 2) * 4
-    assert validate._plan(508, gaussians) == ([508], 1)
-    collect_effective_samples.__wrapped__(4, 2, 8, 1, 1)  # numpy's one-time set-up
-    peak = traced_peak(collect_effective_samples.__wrapped__, 4, 2, 8, 508, 1)
-    assert peak <= 508 * gaussians * 16
+    collect_effective_samples.__wrapped__(m, n, bits, 1, 1)  # numpy's one-time set-up
+    assert validate._plan(take, (2**bits + n) * m, lambda size: 1)[0] == [take]
+    peak = traced_peak(collect_effective_samples.__wrapped__, m, n, bits, take, 1)
+    assert 0.75 * peak <= validate._block_bytes(m, n, bits, take) <= 1.25 * peak
 
 
 def test_workers_capped_by_cores_blocks_and_memory(monkeypatch):
     monkeypatch.setattr(linalg, "_cores", lambda: 64)
-    # validate_b8's shape: (256 + 2) * 4 normals a sample, 508 samples a block,
-    # and 8 blocks hold 2^22 normals
-    takes, workers = validate._plan(100_000, (2**8 + 2) * 4)
+    # validate_b8's shape: (256 + 2) * 4 normals a sample, 508 samples a
+    # block.  A block holds 508 x (16 x (2 x 8 + 4 + 4) + 8) bytes of
+    # channels, QR factors and picks, and a 64-sample slice holds 64 x 256 x
+    # (16 x 4 + 32 x 2 + 8) bytes of normals, overlap and metric: 2,427,360
+    # bytes, of which 27 fit in 64 MiB
+    gaussians, held = (2**8 + 2) * 4, partial(validate._block_bytes, 4, 2, 8)
+    assert held(508) == 508 * 392 + 64 * 256 * 136 == 2_427_360
+    takes, workers = validate._plan(100_000, gaussians, held)
     assert len(takes) == 197 and set(takes[:-1]) == {508} and sum(takes) == 100_000
-    assert workers == 8
+    assert workers == 27 == validate.suite_workers(4, 2, 8, 100_000)
     monkeypatch.setattr(linalg, "_cores", lambda: 2)
-    assert validate._plan(100_000, (2**8 + 2) * 4)[1] == 2
+    assert validate.suite_workers(4, 2, 8, 100_000) == 2
     monkeypatch.setattr(linalg, "_cores", lambda: 64)
-    assert validate._plan(1000, (2**8 + 2) * 4)[1] == 2  # two blocks
-    # B >= 17 at M = 4: a block is one sample, and workers hold at most 2^22 normals
-    assert validate._plan(50, (2**17 + 2) * 4) == ([1] * 50, 7)
-    assert validate._plan(50, (2**24 + 2) * 4) == ([1] * 50, 1)
+    assert validate.suite_workers(4, 2, 8, 1000) == 2  # two blocks
+    # B >= 17 at M = 4: a block is one sample, which slicing by sample cannot
+    # shrink.  At B = 17 it holds 392 + 2^17 x 136 bytes (17 MiB), so 3 fit;
+    # at B = 24 one sample is over the cap
+    assert validate._plan(50, (2**17 + 2) * 4, partial(validate._block_bytes, 4, 2, 17)) == (
+        [1] * 50, 3)
+    assert validate._block_bytes(4, 2, 17, 1) == 392 + 2**17 * 136
     assert validate.suite_workers(4, 2, 24, 100_000) == 1
 
 
