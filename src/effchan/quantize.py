@@ -52,9 +52,7 @@ class QuantizationResult:
         The selected unit-norm codebook vectors (..., M).
     cos_sq : np.ndarray
         Squared cosine of the angle between q_hat and the channel's column
-        span; in [0, 1].
-    sin_sq : np.ndarray
-        1 - cos_sq, the quantization error.
+        span; in [0, 1].  The quantization error is 1 - cos_sq.
     s_proj : np.ndarray
         Unit vectors (..., M) in the channel span closest to q_hat.
     gamma : np.ndarray
@@ -68,7 +66,6 @@ class QuantizationResult:
     index: np.ndarray
     q_hat: np.ndarray
     cos_sq: np.ndarray
-    sin_sq: np.ndarray
     s_proj: np.ndarray
     gamma: np.ndarray
     h_eff: np.ndarray
@@ -180,9 +177,8 @@ def _orient(channels, q, r, index, q_hat, cos_sq) -> tuple[QuantizationResult, n
     fault = np.select(
         [rank_loss, orthogonal, identity_err > 1e-8 * np.maximum(1.0, eff_norm_sq)],
         [FAULT_RANK, FAULT_ORTHOGONAL, FAULT_COMBINER], 0)
-    return QuantizationResult(index=index, q_hat=q_hat, cos_sq=cos_sq, sin_sq=1.0 - cos_sq,
-                              s_proj=s_proj, gamma=gamma, h_eff=h_eff,
-                              eff_norm_sq=eff_norm_sq), fault
+    return QuantizationResult(index=index, q_hat=q_hat, cos_sq=cos_sq, s_proj=s_proj,
+                              gamma=gamma, h_eff=h_eff, eff_norm_sq=eff_norm_sq), fault
 
 
 def raise_fault(fault: np.ndarray) -> None:

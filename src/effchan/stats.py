@@ -21,6 +21,7 @@ _PROBE_SEED = 715517
 # isotropy_report's thresholds on the covariance deviation and the KS statistic
 _ISOTROPY_COV_MAX = 0.01
 _ISOTROPY_KS_MAX = 0.02
+_ROWS = 2 ** 13  # rows a law check reads at a time: 64 KiB a float temporary
 
 # conventional two-sided 95 percent normal quantile
 _Z95 = 1.96
@@ -97,17 +98,26 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic sup_x |F_n(x) - F(x)|.
 
     cdf must be vectorized over a 1-D array.  Uses the sorted-sample form
-    max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n).
+    max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) on one sorted copy of the
+    samples; cdf and the gap run on ``_ROWS`` of them at a time.
     """
-    s = np.sort(np.asarray(samples, dtype=float))
+    return _ks_sorted(np.sort(np.asarray(samples, dtype=float)), cdf)
+
+
+def _ks_sorted(s: np.ndarray, cdf) -> float:
+    """ks_statistic of samples already sorted, a running max over row blocks."""
     n = s.size
     if n == 0:
         raise ValueError("need at least one sample")
-    ref = np.asarray(cdf(s), dtype=float)
-    if ref.shape != s.shape:
-        raise ValueError("cdf must return one value per sample")
-    grid = np.arange(1, n + 1) / n
-    return float(np.max(np.maximum(grid - ref, ref - (grid - 1.0 / n))))
+    gap = -np.inf
+    for lo in range(0, n, _ROWS):
+        block = s[lo:lo + _ROWS]
+        ref = np.asarray(cdf(block), dtype=float)
+        if ref.shape != block.shape:
+            raise ValueError("cdf must return one value per sample")
+        grid = np.arange(lo + 1, lo + block.size + 1) / n
+        gap = np.maximum(gap, np.max(np.maximum(grid - ref, ref - (grid - 1.0 / n))))
+    return float(gap)
 
 
 def ks_test(samples: np.ndarray, cdf, *, name: str = "ks",
@@ -150,7 +160,8 @@ def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy") -> FitReport
     max absolute entry (at most 0.01), and a KS test of squared projections
     onto one fixed probe direction against Beta(1, m-1) (statistic at most
     0.02).  The probe is drawn once from a dedicated stream and recorded in
-    the report details.
+    the report details.  The norm check, covariance and projections read
+    ``_ROWS`` vectors at a time; the projections are sorted in place.
     """
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
@@ -160,20 +171,23 @@ def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy") -> FitReport
         raise ValueError(f"isotropy diagnostics need at least 1000 vectors, got {n}")
     if m < 2:
         raise ValueError(f"need vectors of dim >= 2, got shape {v.shape}")
-    if not np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-6):
-        raise ValueError("vectors must be unit norm")
 
     mean_norm = float(np.linalg.norm(v.mean(axis=0)))
     mean_limit = 5.0 / math.sqrt(n)
 
-    cov = (v.T @ v.conj()) / n  # entry (j, k) = E[v_j conj(v_k)]
-    cov_dev = float(np.abs(cov - np.eye(m) / m).max())
-
     gen = RngStream(_PROBE_SEED, purpose=PURPOSE_PROBE).generator()
     probe = (gen.standard_normal(m) + 1j * gen.standard_normal(m)) * np.sqrt(0.5)
     probe = probe / np.linalg.norm(probe)
-    proj_sq = np.abs(v.conj() @ probe) ** 2
-    stat = ks_statistic(proj_sq, lambda x: beta_cdf(x, 1, m - 1))
+    cov, proj_sq = np.zeros((m, m), complex), np.empty(n)
+    for lo in range(0, n, _ROWS):
+        block = v[lo:lo + _ROWS]
+        if not np.allclose(np.linalg.norm(block, axis=1), 1.0, atol=1e-6):
+            raise ValueError("vectors must be unit norm")
+        cov += block.T @ block.conj()  # entry (j, k) sums v_j conj(v_k)
+        proj_sq[lo:lo + len(block)] = np.abs(block.conj() @ probe) ** 2
+    cov_dev = float(np.abs(cov / n - np.eye(m) / m).max())
+    proj_sq.sort()
+    stat = _ks_sorted(proj_sq, lambda x: beta_cdf(x, 1, m - 1))
 
     passed = mean_norm <= mean_limit and cov_dev <= _ISOTROPY_COV_MAX and stat <= _ISOTROPY_KS_MAX
     return FitReport(

@@ -5,13 +5,16 @@ score codewords by complex inner products, where the kernel uses the real
 embedding of the same products.  ``Replay`` hands given normals to
 ``generate_codebook``, so that a test can form the codebook a stream drew.
 ``collect_best_cosine_samples`` runs the kernel on validation's sample blocks
-for the antenna-selection acceptance test.
+for the antenna-selection acceptance test.  ``whole_ks_statistic`` and
+``whole_isotropy`` compute the law checks on whole arrays, as references for
+``stats``, which reads the samples in row blocks.
 """
 
 import numpy as np
 
-from effchan.linalg import complex_normal
+from effchan.linalg import PURPOSE_PROBE, RngStream, complex_normal
 from effchan.quantize import FAULT_ORTHOGONAL, QuantizationResult, quantize_stack, raise_fault
+from effchan.stats import _PROBE_SEED, beta_cdf
 from effchan.validate import _run_blocks
 
 
@@ -45,7 +48,6 @@ def vector_oracle(h, vectors):
         index=index,
         q_hat=q_hat,
         cos_sq=cos_sq,
-        sin_sq=1.0 - cos_sq,
         s_proj=s_proj,
         gamma=np.ones(1, dtype=np.complex128),
         h_eff=h,
@@ -61,6 +63,29 @@ def span_metric(channels, books):
     """
     q = np.linalg.qr(channels)[0]
     return (np.abs(books @ q.conj()) ** 2).sum(axis=-1)
+
+
+def whole_ks_statistic(samples, cdf):
+    """sup_x |F_n(x) - F(x)| of a 1-D sample, cdf evaluated on the whole sorted sample at once."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    n = s.size
+    ref = np.asarray(cdf(s), dtype=float)
+    grid = np.arange(1, n + 1) / n
+    return float(np.max(np.maximum(grid - ref, ref - (grid - 1.0 / n))))
+
+
+def whole_isotropy(vectors):
+    """isotropy_report's (mean_obs, cov_max_deviation, probe, ks_statistic), each from one
+    whole-array expression."""
+    v = np.asarray(vectors, dtype=np.complex128)
+    n, m = v.shape
+    cov = (v.T @ v.conj()) / n  # entry (j, k) = E[v_j conj(v_k)]
+    gen = RngStream(_PROBE_SEED, purpose=PURPOSE_PROBE).generator()
+    probe = (gen.standard_normal(m) + 1j * gen.standard_normal(m)) * np.sqrt(0.5)
+    probe = probe / np.linalg.norm(probe)
+    proj_sq = np.abs(v.conj() @ probe) ** 2
+    return (float(np.linalg.norm(v.mean(axis=0))), float(np.abs(cov - np.eye(m) / m).max()),
+            probe, whole_ks_statistic(proj_sq, lambda x: beta_cdf(x, 1, m - 1)))
 
 
 class Replay:

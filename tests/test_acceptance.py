@@ -228,7 +228,7 @@ def test_full_rank_square_channel_quantizes_exactly():
                       for trial in range(100)])
     r, fault = quantize_stack(channels, books)
     assert (fault == 0).all()
-    assert (r.sin_sq < 1e-10).all()
+    assert ((1 - r.cos_sq) < 1e-10).all()
 
 
 # 11 ------------------------------------------------------ CLI determinism

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import threading
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -526,6 +527,35 @@ def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, b
     _run_chunk(config, bits, cells, range(1), codebooks)  # numpy's one-time set-up
     peak = traced_peak(_run_chunk, config, bits, cells, range(trials), codebooks)
     assert 0.75 * peak <= experiment._chunk_bytes(config, bits, trials, scanned) <= 1.25 * peak
+
+
+def test_chunk_holds_no_real_normals_once_scoring_starts(monkeypatch):
+    # channels dominate at M = 8, N = 1..8, B = 1: keeping their real normals
+    # (and the benchmark's) past the complex arrays adds about 35%
+    m, n_rx, bits, trials = 8, tuple(range(1, 9)), 1, 64
+    config = ExperimentConfig(m=m, n_rx=n_rx, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(bits),
+                              trials=trials, seed=1, codebook_policy="per_block")
+    cells, held = [(n, 10.0) for n in n_rx], []
+
+    def spy_select_drawn(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return select_drawn(*args)
+
+    select_drawn = experiment._select_drawn
+    monkeypatch.setattr(experiment, "_select_drawn", spy_select_drawn)
+    _run_chunk(config, bits, cells, range(1))  # numpy's one-time set-up
+    held.clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _run_chunk(config, bits, cells, range(trials))
+    finally:
+        tracemalloc.stop()
+    # a trial and user holds every N's complex channel, QR factors and
+    # (index, q_hat, cos_sq) picks, and its complex benchmark
+    count = trials * config.users * (
+        sum(16 * (2 * m * n + n * n + m) + 16 for n in n_rx) + 16 * m)
+    assert 0.9 * count <= held[0] - start <= 1.1 * count
 
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)

@@ -81,7 +81,7 @@ def test_single_hand_case():
     assert fault == 0
     assert r.index == 1
     assert r.cos_sq == pytest.approx(0.64, abs=1e-12)
-    assert r.sin_sq == pytest.approx(0.36, abs=1e-12)
+    assert (1 - r.cos_sq) == pytest.approx(0.36, abs=1e-12)
     # reported in-span direction lies on the h line
     assert abs(abs(np.vdot(unit(h), r.s_proj)) - 1.0) < 1e-12
     assert r.eff_norm_sq == pytest.approx(1.0, abs=1e-12)
@@ -146,7 +146,7 @@ def test_effective_identities_random():
         assert r.index == int(np.argmax(metric))
         assert r.cos_sq == pytest.approx(metric[r.index], abs=1e-10)
         proj = h @ np.linalg.lstsq(h, r.q_hat, rcond=None)[0]  # q_hat's shadow on span(H)
-        assert r.sin_sq == pytest.approx(1.0 - np.linalg.norm(proj) ** 2, abs=1e-10)
+        assert (1 - r.cos_sq) == pytest.approx(1.0 - np.linalg.norm(proj) ** 2, abs=1e-10)
 
         # s_proj: unit norm, inside the span, aligned with q_hat's shadow
         assert abs(np.linalg.norm(r.s_proj) - 1.0) < 1e-12
@@ -189,7 +189,7 @@ def test_effective_planted_in_span_codeword():
         r, fault = quantize_stack(h, book(rows))
         assert fault == 0
         assert r.index == 5
-        assert r.sin_sq < 1e-12
+        assert (1 - r.cos_sq) < 1e-12
         # with no quantization error the reported direction is the codeword
         assert abs(np.vdot(r.s_proj, target) - 1.0) < 1e-8
 
@@ -217,7 +217,7 @@ def test_effective_full_rank_square_channel_has_no_error():
         r, fault = quantize_stack(h, cb)
         assert fault == 0
         # the span is all of C^M, so every codeword fits perfectly
-        assert r.sin_sq < 1e-10
+        assert (1 - r.cos_sq) < 1e-10
         assert abs(np.vdot(r.s_proj, r.q_hat) - 1.0) < 1e-8
 
 
@@ -346,7 +346,7 @@ def test_stack_orthonormal_and_span_preserving():
     for k in range(2):
         r, fault = quantize_stack(channels, cols[:, k:k + 1, :])
         assert not fault.any()
-        assert np.abs(r.sin_sq).max() < 1e-10
+        assert np.abs(1 - r.cos_sq).max() < 1e-10
         assert np.abs(r.s_proj - cols[:, k]).max() < 1e-10
     # a codeword off the span: the metric is its squared projection onto the
     # span of the inputs, so the basis is orthonormal and spans the inputs
@@ -591,5 +591,5 @@ def test_error_of_in_span_and_orthogonal_vectors():
     rows = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 3.0], [1.0, 0.0, 1.0, 0.0]])
     books = (rows / np.linalg.norm(rows, axis=1, keepdims=True))[:, None, :]
     r, fault = quantize_stack(np.stack([h] * 3), books)
-    assert r.sin_sq == pytest.approx([0.0, 1.0, 0.5], abs=1e-14)
+    assert (1 - r.cos_sq) == pytest.approx([0.0, 1.0, 0.5], abs=1e-14)
     assert list(fault) == [0, FAULT_ORTHOGONAL, 0]  # nothing in the span to orient by

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from effchan import stats
 from effchan.linalg import RngStream, complex_normal
 from effchan.stats import (
     FitReport,
@@ -15,6 +16,11 @@ from effchan.stats import (
     max_beta_cdf,
     mean_ci,
 )
+from oracles import whole_isotropy, whole_ks_statistic
+
+ROWS = stats._ROWS  # samples a law check reads at a time
+SIZES = pytest.mark.parametrize("n", [2000, ROWS, 3 * ROWS + 17],
+                                ids=["below-one-block", "one-block", "ragged-tail"])
 
 
 # ------------------------------------------------------------------ beta_cdf
@@ -125,6 +131,25 @@ def test_ks_statistic_detects_wrong_law():
     assert ks_statistic(samples, lambda x: gamma_cdf(x, 4)) > 0.1
 
 
+@SIZES
+def test_ks_statistic_equals_the_whole_array_statistic(n):
+    rng = np.random.default_rng(61)
+    cosines = rng.beta(2.0, 2.0, size=(n, 16)).max(axis=1)
+    gains = rng.gamma(3.0, 1.0, n)
+    seen = []
+
+    def law(x):
+        seen.append(x.size)
+        return max_beta_cdf(x, 2, 2, 16)
+
+    reference = whole_ks_statistic(cosines, lambda x: max_beta_cdf(x, 2, 2, 16))
+    assert ks_statistic(cosines, law) == reference
+    assert seen == [min(ROWS, n - lo) for lo in range(0, n, ROWS)]  # one block at a time
+    for shape in (3, 4):
+        assert (ks_statistic(gains, lambda x: gamma_cdf(x, shape))
+                == whole_ks_statistic(gains, lambda x: gamma_cdf(x, shape)))
+
+
 def test_ks_statistic_guards():
     with pytest.raises(ValueError):
         ks_statistic(np.array([]), lambda x: x)
@@ -203,12 +228,28 @@ def test_isotropy_probe_is_deterministic_and_recorded():
     assert abs(np.linalg.norm(probe) - 1.0) < 1e-9
 
 
+@SIZES
+@pytest.mark.parametrize("m", [3, 4])
+def test_isotropy_report_equals_the_whole_array_references(n, m):
+    v = isotropic_stack(67, n, m)
+    report = isotropy_report(v)
+    mean_obs, cov_dev, probe, stat = whole_isotropy(v)
+    assert report.ks_statistic == stat and report.mean_obs == mean_obs
+    assert report.details["probe"] == [[float(z.real), float(z.imag)] for z in probe]
+    # the covariance is summed block by block, which moves it by a few ulps
+    assert abs(report.details["cov_max_deviation"] - cov_dev) <= 1e-15
+
+
 def test_isotropy_guards():
     with pytest.raises(ValueError):
         isotropy_report(isotropic_stack(47, 999, 4))
     v = complex_normal(RngStream(53).generator(), (2000, 4))
     with pytest.raises(ValueError):
         isotropy_report(v)  # not unit norm
+    u = isotropic_stack(53, ROWS + 1, 4)
+    u[-1] *= 2.0  # the last block's one vector
+    with pytest.raises(ValueError, match="unit norm"):
+        isotropy_report(u)
 
 
 # ------------------------------------------------------------------- mean_ci

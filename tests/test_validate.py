@@ -193,6 +193,16 @@ def test_block_bytes_counts_a_blocks_traced_peak(monkeypatch, traced_peak, m, n,
     assert 0.75 * peak <= validate._block_bytes(m, n, bits, take) <= 1.25 * peak
 
 
+@pytest.mark.parametrize("n_samples", [20_000, 80_000])
+def test_reports_add_one_sorted_copy_and_one_block(traced_peak, n_samples):
+    # a KS report sorts one copy of its samples (8 bytes each) and reads the
+    # rest in row blocks; the isotropy report's projections are that copy
+    collect_effective_samples(4, 2, 4, n_samples, 3)  # the memoized pool
+    for report in (quantization_angle_report, direction_isotropy_report, effective_gain_report,
+                   quant_error_mean_report):
+        assert traced_peak(report, 4, 2, 4, n_samples, 3) <= 8 * n_samples + 2**20, report
+
+
 def test_workers_capped_by_cores_blocks_and_memory(monkeypatch):
     monkeypatch.setattr(linalg, "_cores", lambda: 64)
     # validate_b8's shape: (256 + 2) * 4 normals a sample, 508 samples a
