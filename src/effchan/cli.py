@@ -203,7 +203,6 @@ def cmd_sweep(args) -> int:
     users = cfg.get("k", int)
     rule = _bits_rule_from(cfg)
     cfg.reject_unknown()
-    _check_geometry(m, n_list)
     if users is not None and users != m:
         raise ConfigError(f"k = {users} unsupported; the user count must equal m = {m}")
     if policy not in CODEBOOK_POLICIES:

@@ -3,7 +3,8 @@
 The reference laws needed here (Beta and Gamma with small integer parameters,
 and maxima of iid Beta draws) all have exact finite-sum CDFs, so no special
 functions are required.  Comparisons are one-sample Kolmogorov-Smirnov plus
-simple moment checks, reported through a common FitReport record.
+simple moment checks, reported through a common FitReport record.  Each
+threshold is the larger of a fixed value and its critical value at n samples.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from .linalg import PURPOSE_PROBE, RngStream
 # stream seed of the isotropy probe direction; fixed so reports are
 # reproducible without configuration
 _PROBE_SEED = 715517
-# isotropy_report's thresholds on the covariance deviation and the KS statistic
+# isotropy_verdict's least thresholds on the covariance deviation and the KS statistic
 _ISOTROPY_COV_MAX = 0.01
 _ISOTROPY_KS_MAX = 0.02
+_ALPHA = 1e-4  # chance a statistic's critical value fails correct code
 _ROWS = 2 ** 13  # rows a law check reads at a time: 64 KiB a float temporary
 
 # conventional two-sided 95 percent normal quantile
@@ -101,11 +103,7 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) on one sorted copy of the
     samples; cdf and the gap run on ``_ROWS`` of them at a time.
     """
-    return _ks_sorted(np.sort(np.asarray(samples, dtype=float)), cdf)
-
-
-def _ks_sorted(s: np.ndarray, cdf) -> float:
-    """ks_statistic of samples already sorted, a running max over row blocks."""
+    s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n == 0:
         raise ValueError("need at least one sample")
@@ -120,26 +118,34 @@ def _ks_sorted(s: np.ndarray, cdf) -> float:
     return float(gap)
 
 
+def _critical(n: int, sd: float, count: int = 1) -> float:
+    """Distance any of ``count`` means of n draws of standard deviation sd exceeds with chance
+    <= _ALPHA (2 Q(z) <= exp(-z^2 / 2)); sd = 1/2, count = 2 is the DKW bound on a KS distance."""
+    return sd * math.sqrt(2 * math.log(count / _ALPHA) / n)
+
+
 def ks_test(samples: np.ndarray, cdf, *, name: str = "ks",
             ks_threshold: float = 0.02, mean_ref: float | None = None,
             mean_rtol: float | None = None) -> FitReport:
     """Compare a sample against a reference CDF; optionally also check the mean.
 
-    Passes when the KS statistic is at or below ks_threshold and, if mean_ref
-    and mean_rtol are given, the sample mean is within mean_rtol relative of
-    mean_ref.
+    Passes when the KS statistic is at or below the larger of ks_threshold
+    and its critical value at n and, if mean_ref and mean_rtol are given,
+    the sample mean is within the larger of mean_rtol and its critical value
+    (from the sample's standard deviation) relative of mean_ref.
     """
     s = np.asarray(samples, dtype=float)
     stat = ks_statistic(s, cdf)
     mean_obs = float(s.mean())
-    thresholds = {"ks_statistic": float(ks_threshold)}
-    passed = stat <= ks_threshold
+    thresholds = {"ks_statistic": max(float(ks_threshold), _critical(s.size, 0.5, 2))}
+    passed = stat <= thresholds["ks_statistic"]
     details = {}
     if mean_ref is not None and mean_rtol is not None:
         rel = abs(mean_obs - mean_ref) / abs(mean_ref)
-        thresholds["mean_rel_error"] = float(mean_rtol)
+        rtol = max(float(mean_rtol), _critical(s.size, float(s.std())) / abs(mean_ref))
+        thresholds["mean_rel_error"] = rtol
         details["mean_rel_error"] = rel
-        passed = passed and rel <= mean_rtol
+        passed = passed and rel <= rtol
     return FitReport(
         name=name,
         n_samples=s.size,
@@ -152,44 +158,44 @@ def ks_test(samples: np.ndarray, cdf, *, name: str = "ks",
     )
 
 
-def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy") -> FitReport:
-    """Check that unit vectors in C^m look uniform on the sphere.
+def isotropy_probe(m: int) -> np.ndarray:
+    """The isotropy check's unit probe direction in C^m, drawn once from a dedicated stream."""
+    gen = RngStream(_PROBE_SEED, purpose=PURPOSE_PROBE).generator()
+    probe = (gen.standard_normal(m) + 1j * gen.standard_normal(m)) * np.sqrt(0.5)
+    return probe / np.linalg.norm(probe)
 
-    Three diagnostics: the empirical mean vector norm (should shrink like
-    1/sqrt(n); threshold 5/sqrt(n)), the empirical covariance against I/m in
-    max absolute entry (at most 0.01), and a KS test of squared projections
-    onto one fixed probe direction against Beta(1, m-1) (statistic at most
-    0.02).  The probe is drawn once from a dedicated stream and recorded in
-    the report details.  The norm check, covariance and projections read
-    ``_ROWS`` vectors at a time; the projections are sorted in place.
+
+def isotropy_moments(vectors: np.ndarray) -> tuple:
+    """Unit rows v (n, m): each |<isotropy_probe(m), v>|^2, the sum of v and the sum of v v^H."""
+    if not np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-6):
+        raise ValueError("vectors must be unit norm")
+    proj_sq = np.abs(vectors.conj() @ isotropy_probe(vectors.shape[1])) ** 2
+    return proj_sq, vectors.sum(axis=0), vectors.T @ vectors.conj()  # (j, k) sums v_j conj(v_k)
+
+
+def isotropy_verdict(proj_sq: np.ndarray, vector_sum: np.ndarray, gram: np.ndarray, *,
+                     name: str = "isotropy") -> FitReport:
+    """Check that n unit vectors in C^m look uniform on the sphere, from their isotropy_moments.
+
+    Three diagnostics: the mean vector's norm (threshold 5/sqrt(n)), the
+    covariance against I/m in max absolute entry (at most 0.01 or its
+    critical value at n), and a KS test of the probe projections against
+    Beta(1, m-1) (at most 0.02 or its critical value).  The probe is recorded.
     """
-    v = np.asarray(vectors, dtype=np.complex128)
-    if v.ndim != 2:
-        raise ValueError(f"expected (n, m) vector stack, got shape {v.shape}")
-    n, m = v.shape
+    n, m = proj_sq.size, len(vector_sum)
     if n < 1000:
         raise ValueError(f"isotropy diagnostics need at least 1000 vectors, got {n}")
     if m < 2:
-        raise ValueError(f"need vectors of dim >= 2, got shape {v.shape}")
-
-    mean_norm = float(np.linalg.norm(v.mean(axis=0)))
+        raise ValueError(f"need vectors of dim >= 2, got dim {m}")
+    mean_norm = float(np.linalg.norm(vector_sum / n))
     mean_limit = 5.0 / math.sqrt(n)
+    cov_dev = float(np.abs(gram / n - np.eye(m) / m).max())
+    # a diagonal entry, the mean of |v_j|^2 ~ Beta(1, m-1), varies the most; at most m^2 entries
+    cov_max = max(_ISOTROPY_COV_MAX, _critical(n, math.sqrt(m - 1) / (m * math.sqrt(m + 1)), m * m))
+    ks_max = max(_ISOTROPY_KS_MAX, _critical(n, 0.5, 2))
+    stat = ks_statistic(proj_sq, lambda x: beta_cdf(x, 1, m - 1))
 
-    gen = RngStream(_PROBE_SEED, purpose=PURPOSE_PROBE).generator()
-    probe = (gen.standard_normal(m) + 1j * gen.standard_normal(m)) * np.sqrt(0.5)
-    probe = probe / np.linalg.norm(probe)
-    cov, proj_sq = np.zeros((m, m), complex), np.empty(n)
-    for lo in range(0, n, _ROWS):
-        block = v[lo:lo + _ROWS]
-        if not np.allclose(np.linalg.norm(block, axis=1), 1.0, atol=1e-6):
-            raise ValueError("vectors must be unit norm")
-        cov += block.T @ block.conj()  # entry (j, k) sums v_j conj(v_k)
-        proj_sq[lo:lo + len(block)] = np.abs(block.conj() @ probe) ** 2
-    cov_dev = float(np.abs(cov / n - np.eye(m) / m).max())
-    proj_sq.sort()
-    stat = _ks_sorted(proj_sq, lambda x: beta_cdf(x, 1, m - 1))
-
-    passed = mean_norm <= mean_limit and cov_dev <= _ISOTROPY_COV_MAX and stat <= _ISOTROPY_KS_MAX
+    passed = mean_norm <= mean_limit and cov_dev <= cov_max and stat <= ks_max
     return FitReport(
         name=name,
         n_samples=n,
@@ -199,14 +205,22 @@ def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy") -> FitReport
         passed=bool(passed),
         thresholds={
             "mean_vector_norm": mean_limit,
-            "cov_max_deviation": _ISOTROPY_COV_MAX,
-            "ks_statistic": _ISOTROPY_KS_MAX,
+            "cov_max_deviation": cov_max,
+            "ks_statistic": ks_max,
         },
         details={
             "cov_max_deviation": cov_dev,
-            "probe": [[float(z.real), float(z.imag)] for z in probe],
+            "probe": [[float(z.real), float(z.imag)] for z in isotropy_probe(m)],
         },
     )
+
+
+def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy") -> FitReport:
+    """isotropy_verdict on the isotropy_moments of a stack of unit vectors (n, m)."""
+    v = np.asarray(vectors, dtype=np.complex128)
+    if v.ndim != 2:
+        raise ValueError(f"expected (n, m) vector stack, got shape {v.shape}")
+    return isotropy_verdict(*isotropy_moments(v), name=name)
 
 
 def mean_ci(samples: np.ndarray) -> tuple[float, float]:

@@ -11,7 +11,9 @@ block is quantized by the batched kernel the sweep runs, through the same
 ``quantize._select_drawn``: each codebook is scored straight from its drawn
 normals, a ``linalg.SLICE_BYTES`` slice of samples at a time, so a block
 holds one slice, and the block writes its samples straight into the pooled
-arrays.  Equivalence tests replay the blocks and pin the collectors to the
+arrays.  The pool holds 24 bytes a sample, whatever M is: of each normalized
+effective channel it keeps only ``stats.isotropy_moments``, summed by block.
+Equivalence tests replay the blocks and pin the collectors to the
 kernel and the test oracle.
 
 Blocks run on the worker rule the sweep's chunks share (``linalg.worker_count``:
@@ -49,7 +51,7 @@ from .linalg import (
     worker_count,
 )
 from .quantize import _orient, _select_drawn, raise_fault
-from .stats import FitReport, gamma_cdf, isotropy_report, ks_test, max_beta_cdf
+from .stats import FitReport, gamma_cdf, isotropy_moments, isotropy_verdict, ks_test, max_beta_cdf
 
 STREAM_VERSION = 3  # validation stream contract: one stream per block, codebooks per sample
 _BLOCK_GAUSSIANS = 2 ** 19  # complex normals per sample block; fixes the streams
@@ -63,7 +65,9 @@ class QuantizationSamples:
 
     cos_sq: np.ndarray
     eff_norm_sq: np.ndarray
-    directions: np.ndarray  # (n_samples, m) normalized effective channels
+    probe_proj_sq: np.ndarray  # isotropy_moments of the normalized effective channels v:
+    direction_sum: np.ndarray  # each |<probe, v>|^2, the sum of v (m,) and of v v^H (m, m)
+    direction_gram: np.ndarray
 
 
 def _plan(n_samples: int, gaussians_per_sample: int, block_bytes) -> tuple[list[int], int]:
@@ -90,16 +94,16 @@ def _block_bytes(m: int, n: int, bits: int, take: int) -> int:
 
 
 def _run_blocks(n_samples: int, gaussians_per_sample: int, block_bytes, seed: int,
-                draw) -> None:
-    """draw(gen, rows) for every sample block on its own stream; rows slices its samples."""
+                draw) -> list:
+    """[draw(gen, rows) for every sample block on its own stream]; rows slices its samples."""
     takes, workers = _plan(n_samples, gaussians_per_sample, block_bytes)
 
     def run(block: int):
         start = block * takes[0]
-        draw(RngStream(seed, block, 0, PURPOSE_VALIDATION).generator(),
-             slice(start, start + takes[block]))
+        return draw(RngStream(seed, block, 0, PURPOSE_VALIDATION).generator(),
+                    slice(start, start + takes[block]))
 
-    ordered_map(run, range(len(takes)), workers)
+    return ordered_map(run, range(len(takes)), workers)
 
 
 def _effective_gaussians(m: int, n: int, bits: int) -> int:
@@ -111,23 +115,26 @@ def suite_workers(m: int, n: int, bits: int, n_samples: int) -> int:
     return _plan(n_samples, _effective_gaussians(m, n, bits), partial(_block_bytes, m, n, bits))[1]
 
 
-def _quantize_block(gen: np.random.Generator, n: int, bits: int,
-                    out: QuantizationSamples, rows: slice) -> None:
+def _quantize_block(gen: np.random.Generator, n: int, bits: int, out: QuantizationSamples,
+                    rows: slice) -> list:
     """Quantize the samples ``rows`` into ``out[rows]``, as quantize_stack would.
 
     The block's channels (take, M, N) are drawn first and QR-factored once;
     ``_select_drawn`` then draws each sample's codebook as one (2, 2^B, M)
     run, in sample order, a SLICE_BYTES slice of samples at a time, and
-    scores each slice as it is drawn.  The block is oriented once.
+    scores each slice as it is drawn.  The block is oriented once.  Returns
+    the sums of its isotropy moments.
     """
-    take, m = rows.stop - rows.start, out.directions.shape[-1]
+    take, m = rows.stop - rows.start, len(out.direction_sum)
     channels = complex_normal(gen, (take, m, n))
     q, r = np.linalg.qr(channels)
     picks = np.empty(take, np.intp), np.empty((take, m), complex), out.cos_sq[rows]
     _select_drawn(gen, [q], bits, [picks])
     result, fault = _orient(channels, q, r, *picks)
     raise_fault(fault)
-    out.eff_norm_sq[rows], out.directions[rows] = result.eff_norm_sq, result.s_proj
+    out.eff_norm_sq[rows] = result.eff_norm_sq
+    out.probe_proj_sq[rows], *sums = isotropy_moments(result.s_proj)
+    return sums
 
 
 @lru_cache(maxsize=4)
@@ -135,15 +142,19 @@ def collect_effective_samples(m: int, n: int, bits: int, n_samples: int,
                               seed: int) -> QuantizationSamples:
     """Pool n_samples independent subspace quantizations (fresh codebook each).
 
-    Every block writes its samples into the pooled arrays.  Recent results
-    are memoized (the suite reads the same pool several times) and shared by
-    every caller, so the returned arrays are read-only.
+    Every block writes its samples into the pooled arrays; its direction
+    sums are added in block order.  Recent results are memoized (the suite
+    reads the same pool several times) and shared by every caller, so the
+    returned arrays are read-only.
     """
-    samples = QuantizationSamples(cos_sq=np.empty(n_samples), eff_norm_sq=np.empty(n_samples),
-                                  directions=np.empty((n_samples, m), complex))
-    _run_blocks(n_samples, _effective_gaussians(m, n, bits), partial(_block_bytes, m, n, bits),
-                seed, lambda gen, rows: _quantize_block(gen, n, bits, samples, rows))
-    for array in (samples.cos_sq, samples.eff_norm_sq, samples.directions):
+    vector_sum, gram = np.zeros(m, complex), np.zeros((m, m), complex)
+    samples = QuantizationSamples(*(np.empty(n_samples) for _ in range(3)), vector_sum, gram)
+    for part_sum, part_gram in _run_blocks(
+            n_samples, _effective_gaussians(m, n, bits), partial(_block_bytes, m, n, bits), seed,
+            lambda gen, rows: _quantize_block(gen, n, bits, samples, rows)):
+        vector_sum += part_sum
+        gram += part_gram
+    for array in vars(samples).values():
         array.flags.writeable = False
     return samples
 
@@ -171,7 +182,8 @@ def direction_isotropy_report(m: int, n: int, bits: int, n_samples: int,
                               seed: int) -> FitReport:
     """Normalized effective channel vs the uniform law on the complex sphere."""
     samples = collect_effective_samples(m, n, bits, n_samples, seed)
-    return isotropy_report(samples.directions, name=f"direction_isotropy_m{m}_n{n}_b{bits}")
+    return isotropy_verdict(samples.probe_proj_sq, samples.direction_sum, samples.direction_gram,
+                            name=f"direction_isotropy_m{m}_n{n}_b{bits}")
 
 
 def effective_gain_report(m: int, n: int, bits: int, n_samples: int, seed: int,

@@ -7,7 +7,7 @@ embedding of the same products.  ``Replay`` hands given normals to
 ``collect_best_cosine_samples`` runs the kernel on validation's sample blocks
 for the antenna-selection acceptance test.  ``whole_ks_statistic`` and
 ``whole_isotropy`` compute the law checks on whole arrays, as references for
-``stats``, which reads the samples in row blocks.
+``stats``, whose KS statistic reads the samples in row blocks.
 """
 
 import numpy as np

@@ -135,7 +135,7 @@ def test_sweep_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
     ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = 2\nfoo = 1\n", "unknown key 'foo'"),
     ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = 2\ncodebook_policy = daily\n",
      "codebook_policy"),
-    ("m = 2\nn_rx = 3\nsnr_db = 0\nbits = 2\n", "n_rx must be in [1, m]"),
+    ("m = 2\nn_rx = 3\nsnr_db = 0\nbits = 2\n", "n_rx must hold integers N, 1 <= N <= M = 2"),
     ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = 0\n", "fixed bits must be"),
     ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = two\n", "bits must be int"),
     ("m = 4\nn_rx = 3\nsnr_db = 10\ngap_target = 1.0\n", "not reachable"),

@@ -184,6 +184,20 @@ def test_ks_test_mean_check():
     assert not off.passed
 
 
+def test_ks_test_thresholds_rise_to_critical_values_at_small_n():
+    # the DKW bound sqrt(log(2 / 1e-4) / (2 n)) at n = 4000, and the sample
+    # sd (about 1/sqrt(12)) x sqrt(2 log(1e4) / n) relative to the mean; at 1e5
+    # the fixed values
+    rng = np.random.default_rng(71)
+    small = ks_test(rng.uniform(0.0, 1.0, 4000), lambda x: x, mean_ref=0.5, mean_rtol=0.02)
+    assert small.passed
+    assert small.thresholds["ks_statistic"] == pytest.approx(0.0351843, abs=1e-7)
+    assert small.thresholds["mean_rel_error"] == pytest.approx(
+        math.sqrt(1 / 12) * math.sqrt(2 * math.log(1e4) / 4000) / 0.5, rel=0.05)
+    large = ks_test(rng.uniform(0.0, 1.0, 100_000), lambda x: x, mean_ref=0.5, mean_rtol=0.02)
+    assert large.thresholds == {"ks_statistic": 0.02, "mean_rel_error": 0.02}
+
+
 def test_fit_report_serializes():
     import json
 
@@ -228,6 +242,18 @@ def test_isotropy_probe_is_deterministic_and_recorded():
     assert abs(np.linalg.norm(probe) - 1.0) < 1e-9
 
 
+def test_isotropy_thresholds_rise_to_critical_values_at_small_n():
+    # covariance: a diagonal entry's sd sqrt(3) / (4 sqrt(5)) x sqrt(2 log(16 / 1e-4) / n)
+    # at M = 4; KS: the DKW bound.  At 1e5 the fixed values
+    small = isotropy_report(isotropic_stack(73, 4000, 4))
+    assert small.passed
+    assert small.thresholds["cov_max_deviation"] == pytest.approx(0.0149893, abs=1e-7)
+    assert small.thresholds["ks_statistic"] == pytest.approx(0.0351843, abs=1e-7)
+    large = isotropy_report(isotropic_stack(79, 100_000, 4))
+    assert large.thresholds["cov_max_deviation"] == 0.01
+    assert large.thresholds["ks_statistic"] == 0.02
+
+
 @SIZES
 @pytest.mark.parametrize("m", [3, 4])
 def test_isotropy_report_equals_the_whole_array_references(n, m):
@@ -236,8 +262,7 @@ def test_isotropy_report_equals_the_whole_array_references(n, m):
     mean_obs, cov_dev, probe, stat = whole_isotropy(v)
     assert report.ks_statistic == stat and report.mean_obs == mean_obs
     assert report.details["probe"] == [[float(z.real), float(z.imag)] for z in probe]
-    # the covariance is summed block by block, which moves it by a few ulps
-    assert abs(report.details["cov_max_deviation"] - cov_dev) <= 1e-15
+    assert report.details["cov_max_deviation"] == cov_dev
 
 
 def test_isotropy_guards():

@@ -7,6 +7,7 @@ import effchan.linalg as linalg
 import effchan.validate as validate
 from effchan.linalg import PURPOSE_VALIDATION, DegenerateChannelError, RngStream, complex_normal
 from effchan.quantize import quantize_stack
+from effchan.stats import isotropy_moments, isotropy_probe
 from effchan.validate import (
     collect_effective_samples,
     direction_isotropy_report,
@@ -52,13 +53,20 @@ def test_effective_collector_matches_scalar_operator(monkeypatch):
     size = split_into_blocks(monkeypatch, count, (2**bits + n) * m, 16)
     pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
     samples = replay_blocks(seed, count, size, (m, n), (2**bits, m))
+    probe, vector_sum, gram = isotropy_probe(m), 0, 0
     for i, (channel, raw) in enumerate(samples):
         r, fault = quantize_stack(channel, unit_rows(raw))
         assert fault == 0
         assert pooled.cos_sq[i] == pytest.approx(r.cos_sq, abs=1e-12)
         assert pooled.eff_norm_sq[i] == pytest.approx(r.eff_norm_sq, rel=1e-9)
-        assert np.allclose(pooled.directions[i], r.s_proj, atol=1e-9)
+        assert pooled.probe_proj_sq[i] == pytest.approx(abs(np.vdot(probe, r.s_proj)) ** 2,
+                                                        abs=1e-9)
+        vector_sum, gram = vector_sum + r.s_proj, gram + np.outer(r.s_proj, r.s_proj.conj())
     assert i == count - 1
+    # each direction within 1e-9 of the kernel's puts each sum within count x 1e-9
+    # (twice that for v v^H)
+    assert np.allclose(pooled.direction_sum, vector_sum, rtol=0, atol=count * 1e-9)
+    assert np.allclose(pooled.direction_gram, gram, rtol=0, atol=2 * count * 1e-9)
 
 
 def test_antenna_collector_matches_scalar_operator(monkeypatch):
@@ -96,7 +104,7 @@ def test_collector_memoizes_repeated_requests():
 
 def test_collector_returns_read_only_arrays():
     pooled = collect_effective_samples(4, 2, 4, 120, 555)
-    for array in (pooled.cos_sq, pooled.eff_norm_sq, pooled.directions):
+    for array in vars(pooled).values():
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -120,10 +128,14 @@ def test_collector_chunked_path(monkeypatch):
     pooled = collect_effective_samples.__wrapped__(4, 2, 6, 300, 616)
     assert pooled.cos_sq.shape == (300,)
     assert pooled.eff_norm_sq.shape == (300,)
-    assert pooled.directions.shape == (300, 4)
+    assert pooled.probe_proj_sq.shape == (300,)
+    assert pooled.direction_sum.shape == (4,) and pooled.direction_gram.shape == (4, 4)
     assert np.all((pooled.cos_sq >= 0.0) & (pooled.cos_sq <= 1.0))
     assert np.all(pooled.eff_norm_sq > 0.0)
-    assert np.allclose(np.linalg.norm(pooled.directions, axis=1), 1.0, atol=1e-9)
+    assert np.all((pooled.probe_proj_sq >= 0.0) & (pooled.probe_proj_sq <= 1.0 + 1e-9))
+    # unit directions: sum v v^H is Hermitian and its trace is the sample count
+    assert np.allclose(pooled.direction_gram, pooled.direction_gram.conj().T, rtol=0, atol=1e-12)
+    assert np.trace(pooled.direction_gram) == pytest.approx(300, abs=300 * 2e-9)
 
 
 def test_collectors_identical_across_worker_counts(monkeypatch, pools):
@@ -133,7 +145,8 @@ def test_collectors_identical_across_worker_counts(monkeypatch, pools):
     for cores in (1, 3):
         monkeypatch.setattr(linalg, "_cores", lambda: cores)
         pooled = collect_effective_samples.__wrapped__(4, 2, 4, 300, 818)
-        runs.append([pooled.cos_sq, pooled.eff_norm_sq, pooled.directions,
+        runs.append([pooled.cos_sq, pooled.eff_norm_sq, pooled.probe_proj_sq,
+                     pooled.direction_sum, pooled.direction_gram,
                      collect_best_cosine_samples(4, 2, 4, 300, 819, per_antenna=True),
                      collect_best_cosine_samples(4, 2, 4, 300, 820, per_antenna=False)])
     assert pools == [3, 3, 3]  # the 1-worker runs start no pool
@@ -155,13 +168,22 @@ def test_sliced_blocks_equal_the_kernel_on_whole_blocks(monkeypatch, pools):
         # each sample's codebook: the normals complex_normal(gen, (2^B, M)) draws
         raw = np.stack([gen.standard_normal((2, 2**bits, m)) for _ in range(take)], axis=1)
         parts.append(quantize_stack(channels, (raw[0], raw[1]))[0])
+    probe_proj_sq = np.concatenate([np.abs(p.s_proj.conj() @ isotropy_probe(m)) ** 2
+                                    for p in parts])
+    vector_sum, gram = np.zeros(m, complex), np.zeros((m, m), complex)
+    for part in parts:  # each block's sums, added in block order
+        _, part_sum, part_gram = isotropy_moments(part.s_proj)
+        vector_sum += part_sum
+        gram += part_gram
     for cores in (1, 3):
         monkeypatch.setattr(linalg, "_cores", lambda: cores)
         pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
-        for name, whole in (("cos_sq", "cos_sq"), ("eff_norm_sq", "eff_norm_sq"),
-                            ("directions", "s_proj")):
-            expected = np.concatenate([getattr(part, whole) for part in parts])
+        for name in ("cos_sq", "eff_norm_sq"):
+            expected = np.concatenate([getattr(part, name) for part in parts])
             assert getattr(pooled, name).tobytes() == expected.tobytes()
+        assert pooled.probe_proj_sq.tobytes() == probe_proj_sq.tobytes()
+        assert pooled.direction_sum.tobytes() == vector_sum.tobytes()
+        assert pooled.direction_gram.tobytes() == gram.tobytes()
     assert pools == [3]
 
 
@@ -174,8 +196,7 @@ def test_pooled_samples_do_not_depend_on_the_slice_bytes(monkeypatch):
     for slice_bytes in (2**bits * m * 16, linalg.SLICE_BYTES, 2**30):
         monkeypatch.setattr(linalg, "SLICE_BYTES", slice_bytes)
         pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
-        runs.append([pooled.cos_sq.tobytes(), pooled.eff_norm_sq.tobytes(),
-                     pooled.directions.tobytes()])
+        runs.append([array.tobytes() for array in vars(pooled).values()])
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -201,6 +222,19 @@ def test_reports_add_one_sorted_copy_and_one_block(traced_peak, n_samples):
     for report in (quantization_angle_report, direction_isotropy_report, effective_gain_report,
                    quant_error_mean_report):
         assert traced_peak(report, 4, 2, 4, n_samples, 3) <= 8 * n_samples + 2**20, report
+
+
+def test_pool_grows_by_24_bytes_a_sample(monkeypatch, traced_peak):
+    # 500-sample blocks on one worker: past one block's peak, the pool grows
+    # by its cosine, gain and probe projection (24 bytes a sample) and by each
+    # block's direction sums (under 1 KiB a block) until they are added; whole
+    # directions would add 16 M bytes a sample more
+    monkeypatch.setattr(linalg, "_cores", lambda: 1)
+    monkeypatch.setattr(validate, "_BLOCK_GAUSSIANS", 500 * (2**4 + 2) * 4)
+    collect_effective_samples.__wrapped__(4, 2, 4, 1, 1)  # numpy's one-time set-up
+    small, large = (traced_peak(collect_effective_samples.__wrapped__, 4, 2, 4, count, 1)
+                    for count in (2000, 10_000))
+    assert large - small <= 24 * 8000 + 1024 * 16
 
 
 def test_workers_capped_by_cores_blocks_and_memory(monkeypatch):
@@ -278,6 +312,20 @@ def test_wrong_reference_suite_fails_everywhere():
     for report in reports:
         assert not report.passed
         assert report.name.endswith("_wrong_ref")
+
+
+def test_suite_verdicts_hold_at_small_sample_counts():
+    # each threshold rises to its statistic's critical value at n (a 1e-4
+    # chance of failing correct code), so chance fails at most one of 60 seeds
+    # at 4,000 samples (31 did with thresholds fixed at their 1e5 values), and
+    # the wrong laws still fail
+    failed = []
+    for seed in range(60):
+        if not all(r.passed for r in run_validation_suite(4, 2, 5, 4000, seed)):
+            failed.append(seed)
+        wrong = run_validation_suite(4, 2, 5, 4000, seed, wrong_reference=True)
+        assert not any(r.passed for r in wrong), seed
+    assert len(failed) <= 1, failed
 
 
 def test_suite_names_and_pass(tmp_path):
