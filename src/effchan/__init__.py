@@ -35,7 +35,6 @@ from .stats import (
     FitReport,
     beta_cdf,
     gamma_cdf,
-    isotropy_report,
     ks_statistic,
     ks_test,
     max_beta_cdf,
@@ -74,7 +73,6 @@ __all__ = [
     "feedback_savings",
     "gamma_cdf",
     "generate_codebook",
-    "isotropy_report",
     "ks_statistic",
     "ks_test",
     "max_beta_cdf",

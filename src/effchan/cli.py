@@ -28,8 +28,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .experiment import (CODEBOOK_POLICIES, STREAM_VERSION, BitsRule, ExperimentConfig,
-                         run_experiment)
+from .experiment import STREAM_VERSION, BitsRule, ExperimentConfig, run_experiment
 from .formulas import (
     InfeasibleTargetError,
     ScalingInputs,
@@ -205,8 +204,6 @@ def cmd_sweep(args) -> int:
     cfg.reject_unknown()
     if users is not None and users != m:
         raise ConfigError(f"k = {users} unsupported; the user count must equal m = {m}")
-    if policy not in CODEBOOK_POLICIES:
-        raise ConfigError(f"codebook_policy must be one of {CODEBOOK_POLICIES}, got {policy!r}")
 
     start = time.perf_counter()
     try:

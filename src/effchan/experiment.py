@@ -9,9 +9,9 @@ paired comparison.
 A sweep's whole (N, SNR) grid runs in one pass over chunks per bit count.
 No stream id carries N or SNR, so a chunk draws the benchmark, the codebooks
 and the largest N's channels (a smaller N's are a prefix of them) once for
-the grid.  It scores each per-block codebook slice for every N as it is
-drawn (``quantize._select_drawn`` on one QR per N), orients and zero-forces
-each N and the benchmark once, and rates every SNR point from the same beams.
+the grid.  It QR-factors each N once, takes every N's picks from the codebook
+policy's scorer (``CODEBOOK_POLICIES``), orients and zero-forces each N and
+the benchmark once, and rates every SNR point from the same beams.
 
 Determinism contract, stream version 2 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws its channels, benchmarks
@@ -46,11 +46,10 @@ from .linalg import (
     worker_count,
 )
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
-from .quantize import (MAX_CODEBOOK_BITS, _orient, _select_drawn, generate_codebook,
-                       quantize_stack)
+from .quantize import (MAX_CODEBOOK_BITS, _orient, _scan_bytes, _select, _select_drawn,
+                       generate_codebook)
 from .stats import mean_ci
 
-CODEBOOK_POLICIES = ("per_block", "fixed")
 # Version of the sweep's stream contract (module docstring), and the trials
 # per stream block, the contract's unit of replay.  A chunk is as many whole
 # stream blocks as one ``linalg.SLICE_BYTES`` slice of per-block codebooks
@@ -145,9 +144,9 @@ class ExperimentConfig:
                              f"powers, got {self.snr_db_grid}")
         if self.trials < 1:
             raise ValueError(f"need at least 1 trial, got {self.trials}")
-        if self.codebook_policy not in CODEBOOK_POLICIES:
-            raise ValueError(
-                f"codebook policy must be one of {CODEBOOK_POLICIES}, got {self.codebook_policy!r}")
+        if self.codebook_policy not in tuple(CODEBOOK_POLICIES):
+            raise ValueError(f"codebook_policy must be one of {tuple(CODEBOOK_POLICIES)}, "
+                             f"got {self.codebook_policy!r}")
 
     @property
     def users(self) -> int:
@@ -183,14 +182,12 @@ def _chunk_bytes(config: ExperimentConfig, bits: int, trials: int, scanned: int)
     A trial and user holds every N's complex channels, QR factors and
     quantization results, and the complex benchmark (their normals are freed
     once these are formed).  A trial, user and codeword of the ``scanned``
-    trials one ``_select`` call scores holds its per-block codebook normals (a
-    fixed codebook is shared), the largest N's ``overlap`` twice (for the
-    ``+=``) and the metric.
+    trials one ``_select`` call scores holds ``_scan_bytes`` for the largest N,
+    its normals counted only under per_block (a fixed codebook is shared).
     """
     m = config.m
     held = sum(16 * (2 * m * n + n * n + 3 * m + n) + 40 for n in config.n_rx) + 16 * m
-    normals = 16 * m if config.codebook_policy == "per_block" else 0
-    per_codeword = normals + 32 * max(config.n_rx) + 8
+    per_codeword = _scan_bytes(m, max(config.n_rx), config.codebook_policy == "per_block")
     return config.users * (trials * held + scanned * 2 ** bits * per_codeword)
 
 
@@ -209,27 +206,56 @@ def _plan(config: ExperimentConfig, bits: int) -> tuple[list[range], int]:
     return chunks, worker_count(len(chunks), _chunk_bytes(config, bits, trials, scanned))
 
 
+def _score_per_block(config: ExperimentConfig, bits: int):
+    """Per-block scorer: a chunk's stream blocks draw their codebooks as generate_codebook
+    would, trial after trial, and ``_select_drawn`` scores each slice for every Q."""
+    def score(first_block: int, qs: list) -> list:
+        lead = qs[0].shape[:-2]
+        picks = [(np.empty(lead, np.intp), np.empty((*lead, config.m), complex), np.empty(lead))
+                 for _ in qs]
+        for lo in range(0, len(qs[0]), _BLOCK):
+            stream = RngStream(config.seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK)
+            rows = slice(lo, lo + _BLOCK)
+            _select_drawn(stream.generator(), [q[rows] for q in qs], bits,
+                          [[p[rows] for p in pick] for pick in picks])
+        return picks
+    return score
+
+
+def _score_fixed(config: ExperimentConfig, bits: int):
+    """Fixed scorer: every user's codebook (users, 2^B, M) is drawn once, and
+    every chunk's trials are scored against them (``_select``)."""
+    books = np.stack([generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK),
+                                        bits, config.m) for u in range(config.users)])
+    return lambda first_block, qs: [_select(q, books) for q in qs]
+
+
+# Codebook policy -> scorer.  scorer(config, bits) does a bit count's set-up and
+# returns score(first_block, qs): the (index, q_hat, cos_sq) picks of a chunk, whose
+# first trial opens stream block first_block, for each of its (trials, users, M, N) Qs.
+CODEBOOK_POLICIES = {"per_block": _score_per_block, "fixed": _score_fixed}
+
+
 def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float]],
-               trials: range, codebooks: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               trials: range, score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate the fading blocks ``trials`` at every (N, SNR) cell of ``cells``.
 
     ``trials`` starts at a stream block's first trial; a block the range ends
-    inside draws a prefix of its streams.  A block draws its benchmarks, its
-    channels for the largest N and its per-block codebooks from one stream
-    per purpose, the codebooks a slice of at most SLICE_BYTES at a time,
-    each slice's picks made for every N before the next is drawn.  An N drops a
-    trial at all its SNRs when a quantization faults or zero-forcing refuses
-    its stack or the benchmark's.  Returns ``(rate_fb, rate_zf, dropped)``,
-    each ``(len(cells), len(trials))``; a dropped trial carries zero rates.
+    inside draws a prefix of its streams.  A block draws its benchmarks and its
+    channels for the largest N from one stream per purpose.  Each N is
+    QR-factored once, picked for by ``score`` (a ``CODEBOOK_POLICIES`` scorer's)
+    and oriented once.  An N drops a trial at all its SNRs when a quantization
+    faults or zero-forcing refuses its stack or the benchmark's.  Returns
+    ``(rate_fb, rate_zf, dropped)``, each ``(len(cells), len(trials))``; a
+    dropped trial carries zero rates.
     """
     m, users, seed, count = config.m, config.users, config.seed, len(trials)
-    first_block, starts = trials.start // _BLOCK, range(0, count, _BLOCK)
+    first_block = trials.start // _BLOCK
     n_rx = list(dict.fromkeys(n for n, _ in cells))
     top = max(n_rx)
     channel_parts = {n: np.empty((count, users, 2, m, n)) for n in n_rx}
     bench_parts = np.empty((count, users, 2, m))
-    for lo in starts:
+    for lo in range(0, count, _BLOCK):
         block, size = first_block + lo // _BLOCK, min(_BLOCK, count - lo)
         drawn = channel_parts[top][lo:lo + size]
         RngStream(seed, block, 0, PURPOSE_CHANNEL).generator().standard_normal(out=drawn)
@@ -246,21 +272,10 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
     powers = {snr_db: _power(snr_db) for _, snr_db in cells}
     zf_rates, zf_cond, zf_residual = perfect_csit_rates(bench, np.array(list(powers.values())))
     rate_zf, zf_refused = dict(zip(powers, zf_rates)), refused(zf_cond, zf_residual)
-    if codebooks is not None:  # shared by every trial
-        scored = {n: quantize_stack(channels[n], codebooks) for n in n_rx}
-    else:  # generate_codebook's draw, trial after trial, a slice at a time
-        factors = {n: np.linalg.qr(channels[n]) for n in n_rx}
-        picks = {n: (np.empty((count, users), np.intp), np.empty((count, users, m), complex),
-                     np.empty((count, users))) for n in n_rx}
-        for lo in starts:
-            gen = RngStream(seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK).generator()
-            block = slice(lo, lo + _BLOCK)
-            _select_drawn(gen, [factors[n][0][block] for n in n_rx], bits,
-                          [[pick[block] for pick in picks[n]] for n in n_rx])
-        scored = {n: _orient(channels[n], *factors[n], *picks[n]) for n in n_rx}
+    factors = {n: np.linalg.qr(channels[n]) for n in n_rx}
     records = {}
-    for n in n_rx:
-        fb, fault = scored[n]
+    for n, picks in zip(n_rx, score(first_block, [factors[n][0] for n in n_rx])):
+        fb, fault = _orient(channels[n], *factors[n], *picks)
         # user stacks as (M, M) matrices with one column per user
         beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
         dropped = (fault != 0).any(axis=-1) | refused(cond, residual) | zf_refused
@@ -271,14 +286,6 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
         for snr_db, rate_fb in zip(own, sum_rate(sinrs)):
             records[n, snr_db] = rate_fb, np.where(dropped, 0.0, rate_zf[snr_db]), dropped
     return tuple(np.stack(column) for column in zip(*(records[cell] for cell in cells)))
-
-
-def _fixed_codebooks(config: ExperimentConfig, bits: int) -> np.ndarray | None:
-    """Every user's fixed codebook, stacked (1, users, 2^B, M); None under per_block."""
-    if config.codebook_policy != "fixed":
-        return None
-    return np.stack([generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK),
-                                       bits, config.m) for u in range(config.users)])[None]
 
 
 def _aggregate(n_rx: int, snr_db: float, bits: int,
@@ -317,7 +324,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # chunks are whole stream blocks and workers take whole chunks, so
         # neither the chunk size nor the worker count changes any rate or order
         chunks, workers = _plan(config, bits)
-        run = partial(_run_chunk, config, bits, cells, codebooks=_fixed_codebooks(config, bits))
+        run = partial(_run_chunk, config, bits, cells,
+                      score=CODEBOOK_POLICIES[config.codebook_policy](config, bits))
         parts = ordered_map(run, chunks, workers)
         columns = (np.concatenate(column, axis=-1) for column in zip(*parts))
         records.update(zip(cells, zip(*columns)))  # cell -> (rate_fb, rate_zf, dropped)

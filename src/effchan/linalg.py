@@ -2,7 +2,7 @@
 
 Random streams and complex Gaussian draws live here, with the rank and
 conditioning tolerances.  No solver does: the receive combiner is solved on
-the channel's own QR factor inside ``quantize.quantize_stack``, and the
+the channel's own QR factor inside ``quantize._orient``, and the
 zero-forcing inverse is ``precoding.zero_force``.
 
 The sweep's chunks and validation's sample blocks run on one thread per core

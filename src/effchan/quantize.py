@@ -90,15 +90,14 @@ def _unit_rows(parts: np.ndarray) -> np.ndarray:
 def quantize_stack(channels: np.ndarray, books) -> tuple[QuantizationResult, np.ndarray]:
     """Subspace quantization of a stack of (M, N) channels, one codebook each.
 
-    channels is (..., M, N).  books is a complex codebook (..., 2^B, M) with
-    unit-norm rows, or the pair (re, im) of real (..., 2^B, M) standard
-    normals a random codebook is drawn from; its leading axes broadcast
-    against the channels' (a shared codebook is passed once, not tiled).
-    Returns _orient(_select(...)) on H = QR: the result (fields stacked) and
-    a fault code per channel, faulty entries holding finite placeholders.
-    Raises ValueError unless the channels are M x N, 1 <= N <= M, for the books' M.
+    channels is (..., M, N); books is a complex codebook (..., 2^B, M) with
+    unit-norm rows, whose leading axes broadcast against the channels' (a shared
+    codebook is passed once, not tiled).  Returns _orient(_select(...)) on H = QR:
+    the result (fields stacked) and a fault code per channel, faulty entries
+    holding finite placeholders.  Raises ValueError unless the channels are
+    M x N, 1 <= N <= M, for the books' M.
     """
-    m = (books[0] if isinstance(books, tuple) else books).shape[-1]
+    m = books.shape[-1]
     if channels.ndim < 2 or channels.shape[-2] != m or not 1 <= channels.shape[-1] <= m:
         raise ValueError(f"expected (..., {m}, N) channels with 1 <= N <= {m}, "
                          f"got shape {channels.shape}")
@@ -109,9 +108,11 @@ def quantize_stack(channels: np.ndarray, books) -> tuple[QuantizationResult, np.
 def _select(q: np.ndarray, books) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score every codebook row against span(Q); returns (index, q_hat, cos_sq).
 
-    Rows are scored from their real parts by |<w, span(Q)>|^2 / ||w||^2, which
-    ignores their scale, and only the winning row q_hat is formed (as
-    generate_codebook forms it).  Entries are scored apart, so a stack may be sliced.
+    books is a complex codebook, or the pair (re, im) of real standard normals a
+    random codebook is drawn from.  Rows are scored from their real parts by
+    |<w, span(Q)>|^2 / ||w||^2, which ignores their scale, and only the winning
+    row q_hat is formed (as generate_codebook forms it).  Entries are scored
+    apart, so a stack may be sliced.
     """
     parts = isinstance(books, tuple)
     re, im = books if parts else (books.real, books.imag)
@@ -146,6 +147,12 @@ def _select_drawn(gen: np.random.Generator, qs: list, bits: int, picks: list) ->
         for q, (index, q_hat, cos_sq) in zip(qs, picks):
             index[part], q_hat[part], cos_sq[part] = _select(q[part], books)
         del normals, books  # a chunk or block holds one slice at a time
+
+
+def _scan_bytes(m: int, n: int, drawn: bool) -> int:
+    """Bytes a codeword holds while ``_select`` scores it against an (M, N) Q: its
+    normals if ``drawn`` (16 M), ``overlap`` twice (32 N, for the ``+=``) and the metric (8)."""
+    return 16 * m * drawn + 32 * n + 8
 
 
 def _orient(channels, q, r, index, q_hat, cos_sq) -> tuple[QuantizationResult, np.ndarray]:

@@ -215,14 +215,6 @@ def isotropy_verdict(proj_sq: np.ndarray, vector_sum: np.ndarray, gram: np.ndarr
     )
 
 
-def isotropy_report(vectors: np.ndarray, *, name: str = "isotropy") -> FitReport:
-    """isotropy_verdict on the isotropy_moments of a stack of unit vectors (n, m)."""
-    v = np.asarray(vectors, dtype=np.complex128)
-    if v.ndim != 2:
-        raise ValueError(f"expected (n, m) vector stack, got shape {v.shape}")
-    return isotropy_verdict(*isotropy_moments(v), name=name)
-
-
 def mean_ci(samples: np.ndarray) -> tuple[float, float]:
     """Sample mean and 95 percent normal-approximation half-width 1.96 s / sqrt(n).
 

@@ -50,7 +50,7 @@ from .linalg import (
     slice_items,
     worker_count,
 )
-from .quantize import _orient, _select_drawn, raise_fault
+from .quantize import _orient, _scan_bytes, _select_drawn, raise_fault
 from .stats import FitReport, gamma_cdf, isotropy_moments, isotropy_verdict, ks_test, max_beta_cdf
 
 STREAM_VERSION = 3  # validation stream contract: one stream per block, codebooks per sample
@@ -85,12 +85,11 @@ def _plan(n_samples: int, gaussians_per_sample: int, block_bytes) -> tuple[list[
 def _block_bytes(m: int, n: int, bits: int, take: int) -> int:
     """Bytes an effective-sample block of ``take`` samples holds at its peak, from shapes alone.
 
-    A sample holds its channel, QR factors and picks.  A sample of the
-    codebook slice one ``_select`` call scores holds its normals, the
-    ``overlap`` twice (for the ``+=``) and the metric.
+    A sample holds its channel, QR factors and picks, and a sample of the
+    codebook slice one ``_select`` call scores holds ``_scan_bytes``.
     """
     scanned = min(take, slice_items(2 ** bits * m * 16))
-    return take * (16 * (2 * m * n + n * n + m) + 8) + scanned * 2 ** bits * (16 * m + 32 * n + 8)
+    return take * (16 * (2 * m * n + n * n + m) + 8) + scanned * 2 ** bits * _scan_bytes(m, n, True)
 
 
 def _run_blocks(n_samples: int, gaussians_per_sample: int, block_bytes, seed: int,
@@ -119,11 +118,9 @@ def _quantize_block(gen: np.random.Generator, n: int, bits: int, out: Quantizati
                     rows: slice) -> list:
     """Quantize the samples ``rows`` into ``out[rows]``, as quantize_stack would.
 
-    The block's channels (take, M, N) are drawn first and QR-factored once;
-    ``_select_drawn`` then draws each sample's codebook as one (2, 2^B, M)
-    run, in sample order, a SLICE_BYTES slice of samples at a time, and
-    scores each slice as it is drawn.  The block is oriented once.  Returns
-    the sums of its isotropy moments.
+    The block's channels (take, M, N) are drawn first and QR-factored once,
+    ``_select_drawn`` draws and scores each sample's codebook, and the block is
+    oriented once.  Returns the sums of its isotropy moments.
     """
     take, m = rows.stop - rows.start, len(out.direction_sum)
     channels = complex_normal(gen, (take, m, n))

@@ -3,7 +3,8 @@
 ``vector_oracle`` and ``span_metric`` share no code with the kernel: both
 score codewords by complex inner products, where the kernel uses the real
 embedding of the same products.  ``Replay`` hands given normals to
-``generate_codebook``, so that a test can form the codebook a stream drew.
+``generate_codebook``, so that a test can form the codebook a stream drew;
+``quantize_parts`` runs the kernel's stages on a codebook's normal parts.
 ``collect_best_cosine_samples`` runs the kernel on validation's sample blocks
 for the antenna-selection acceptance test.  ``whole_ks_statistic`` and
 ``whole_isotropy`` compute the law checks on whole arrays, as references for
@@ -13,7 +14,7 @@ for the antenna-selection acceptance test.  ``whole_ks_statistic`` and
 import numpy as np
 
 from effchan.linalg import PURPOSE_PROBE, RngStream, complex_normal
-from effchan.quantize import FAULT_ORTHOGONAL, QuantizationResult, quantize_stack, raise_fault
+from effchan.quantize import FAULT_ORTHOGONAL, QuantizationResult, _orient, _select, raise_fault
 from effchan.stats import _PROBE_SEED, beta_cdf
 from effchan.validate import _run_blocks
 
@@ -65,6 +66,13 @@ def span_metric(channels, books):
     return (np.abs(books @ q.conj()) ** 2).sum(axis=-1)
 
 
+def quantize_parts(channels, re, im):
+    """quantize_stack's pair for the random codebooks whose real and imaginary
+    standard normals are re and im: _orient(_select(...)) on numpy's QR."""
+    q, r = np.linalg.qr(channels)
+    return _orient(channels, q, r, *_select(q, (re, im)))
+
+
 def whole_ks_statistic(samples, cdf):
     """sup_x |F_n(x) - F(x)| of a 1-D sample, cdf evaluated on the whole sorted sample at once."""
     s = np.sort(np.asarray(samples, dtype=float))
@@ -75,7 +83,7 @@ def whole_ks_statistic(samples, cdf):
 
 
 def whole_isotropy(vectors):
-    """isotropy_report's (mean_obs, cov_max_deviation, probe, ks_statistic), each from one
+    """isotropy_verdict's (mean_obs, cov_max_deviation, probe, ks_statistic), each from one
     whole-array expression."""
     v = np.asarray(vectors, dtype=np.complex128)
     n, m = v.shape
@@ -131,6 +139,6 @@ def collect_best_cosine_samples(m, n, bits, n_samples, seed, per_antenna):
 
 def best_cosines(columns, raw):
     """Each sample's best cos^2; an orthogonal column's 0 is a valid sample, not a fault."""
-    r, fault = quantize_stack(columns, (raw[0], raw[1]))
+    r, fault = quantize_parts(columns, raw[0], raw[1])
     raise_fault(np.where(fault == FAULT_ORTHOGONAL, 0, fault))
     return r.cos_sq.max(axis=1)

@@ -18,7 +18,6 @@ from effchan.experiment import (
     BitsRule,
     ExperimentConfig,
     _aggregate,
-    _fixed_codebooks,
     _run_chunk,
     run_experiment,
 )
@@ -32,7 +31,7 @@ from effchan.linalg import (
     complex_from_parts,
 )
 from effchan.precoding import perfect_csit_rates
-from effchan.quantize import _orient, _select, generate_codebook, quantize_stack
+from effchan.quantize import _orient, _select, generate_codebook
 from effchan.stats import mean_ci
 from oracles import Replay
 
@@ -56,17 +55,24 @@ def block_channels(config, block, trials):
     return complex_from_parts(np.moveaxis(parts, 2, 0))
 
 
-def stacked(codebooks):
-    """Per-user (2^B, M) codebooks as the (1, users, 2^B, M) stack that _run_chunk scans."""
-    return np.stack(codebooks)[None]
+def policy_score(config, bits):
+    """The chunk scorer that run_experiment hands _run_chunk for the config's policy."""
+    return CODEBOOK_POLICIES[config.codebook_policy](config, bits)
 
 
-def trial_record(config, snr_db, bits, t, codebooks=None):
+def planted(codebooks):
+    """A chunk scorer that scores every trial against the per-user (2^B, M) codebooks."""
+    books = np.stack(codebooks)
+    return lambda first_block, qs: [_select(q, books) for q in qs]
+
+
+def trial_record(config, snr_db, bits, t, score=None):
     """Trial t's (rate_fb, rate_zf, dropped) at the config's one N: the last entry
-    of its block's prefix."""
+    of its block's prefix (scored by the config's policy unless ``score`` is given)."""
     block_start = t // experiment._BLOCK * experiment._BLOCK
     [n] = config.n_rx
-    columns = _run_chunk(config, bits, [(n, snr_db)], range(block_start, t + 1), codebooks)
+    columns = _run_chunk(config, bits, [(n, snr_db)], range(block_start, t + 1),
+                         score or policy_score(config, bits))
     return tuple(column[0, -1] for column in columns)
 
 
@@ -188,20 +194,20 @@ def test_trial_with_planted_directions_matches_perfect_zf():
         direction = h / np.linalg.norm(h)
         other = np.array([-np.conj(direction[1]), np.conj(direction[0])])
         codebooks.append(np.stack([direction, other]))
-    rate_fb, _, dropped = trial_record(config, 10.0, 1, 0, stacked(codebooks))
+    rate_fb, _, dropped = trial_record(config, 10.0, 1, 0, planted(codebooks))
     expected, _, _ = perfect_csit_rates(channels.T, 10.0)
     assert not dropped
     assert rate_fb == pytest.approx(expected, rel=1e-9)
 
 
 def orthogonal_codebooks(config):
-    """Stacked per-user codebooks whose every codeword is orthogonal to trial 0's channel."""
+    """A scorer of per-user codebooks whose every codeword is orthogonal to trial 0's channel."""
     codebooks = []
     for h in block_channels(config, 0, 1)[0, :, :, 0]:
         direction = h / np.linalg.norm(h)
         other = np.array([-np.conj(direction[1]), np.conj(direction[0])])
         codebooks.append(np.stack([other, other]))
-    return stacked(codebooks)
+    return planted(codebooks)
 
 
 def test_trial_drops_codeword_orthogonal_to_channel():
@@ -237,7 +243,7 @@ def test_refused_benchmark_drops_its_trial_at_every_cell(monkeypatch):
     monkeypatch.setattr(experiment, "perfect_csit_rates", refusing)
     config = small_config(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0), seed=1234)
     cells = [(1, 0.0), (1, 10.0), (2, 0.0), (2, 10.0)]
-    rate_fb, rate_zf, dropped = _run_chunk(config, 2, cells, range(5))
+    rate_fb, rate_zf, dropped = _run_chunk(config, 2, cells, range(5), policy_score(config, 2))
     assert dropped.tolist() == [[False, True, False, False, False]] * len(cells)
     assert (rate_fb[:, 1] == 0.0).all() and (rate_zf[:, 1] == 0.0).all()
     assert (rate_fb[:, [0, 2, 3, 4]] > 0.0).all()
@@ -247,7 +253,7 @@ def test_trial_drops_parallel_reported_directions():
     # both users report the same codeword, so the direction stack is singular
     e1 = np.array([1.0, 0.0], dtype=complex)
     cb = np.stack([e1, e1])
-    rate_fb, rate_zf, dropped = trial_record(small_config(), 10.0, 1, 0, stacked([cb, cb]))
+    rate_fb, rate_zf, dropped = trial_record(small_config(), 10.0, 1, 0, planted([cb, cb]))
     assert dropped
     assert rate_fb == 0.0 and rate_zf == 0.0  # rate_fb is 0 only if every SINR is 0
 
@@ -263,18 +269,13 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
                               trials=200, seed=seed, codebook_policy=policy)
     seen = {"books": [], "picks": []}
 
-    def spy_quantize(channels, books):  # the fixed codebooks' one call
-        seen["channels"] = channels
-        seen["books"].append(books)
-        return quantize_stack(channels, books)
-
-    def spy_select(q, books):  # every per-block codebook slice's
-        seen["q"] = q  # the last slice's
+    def spy_select(q, books):  # every per-block codebook slice's, or the fixed chunk's one
+        seen["q"] = q  # the last call's
         seen["books"].append(books)
         seen["picks"].append(_select(q, books))
         return seen["picks"][-1]
 
-    def spy_orient(channels, *args):  # the per-block chunk's one call
+    def spy_orient(channels, *args):  # the chunk's one call
         seen["channels"] = channels
         return _orient(channels, *args)
 
@@ -282,15 +283,14 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
         seen["bench"] = bench
         return perfect_csit_rates(bench, power)
 
-    monkeypatch.setattr(experiment, "quantize_stack", spy_quantize)
-    if policy == "per_block":  # quantize_stack's own _select call is not a slice's
-        monkeypatch.setattr(quantize, "_select", spy_select)
+    # the per-block slices call quantize's _select, the fixed scorer experiment's
+    monkeypatch.setattr(quantize, "_select", spy_select)
+    monkeypatch.setattr(experiment, "_select", spy_select)
     monkeypatch.setattr(experiment, "_orient", spy_orient)
     monkeypatch.setattr(experiment, "perfect_csit_rates", spy_rates)
     monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 2 * 8)
     trials = range(64, 134)
-    codebooks = _fixed_codebooks(config, 3)
-    records = _run_chunk(config, 3, [(2, 10.0)], trials, codebooks)
+    records = _run_chunk(config, 3, [(2, 10.0)], trials, policy_score(config, 3))
     monkeypatch.undo()
 
     assert seen["bench"].shape == (70, 3, 3) and seen["bench"].flags.c_contiguous
@@ -317,12 +317,14 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
             book = generate_codebook(Replay(normals[i, u]), 3, 3)
             assert q_hat[i, u].tobytes() == book[index[i, u]].tobytes()
     else:
+        # the whole chunk is scored on its one QR factor and oriented at once
         [books] = seen["books"]
+        assert seen["q"].tobytes() == np.linalg.qr(channels)[0].tobytes()
         assert seen["channels"].tobytes() == channels.tobytes()
         for u in range(config.users):
             book = generate_codebook(RngStream(seed, 0, u, PURPOSE_FIXED_CODEBOOK), 3, 3)
-            assert books[0, u].tobytes() == book.tobytes()
-    singles = [trial_record(config, 10.0, 3, t, codebooks) for t in trials]
+            assert books[u].tobytes() == book.tobytes()
+    singles = [trial_record(config, 10.0, 3, t) for t in trials]
     assert_same_records([column[0] for column in records],
                         tuple(np.array(column) for column in zip(*singles)))
 
@@ -333,16 +335,16 @@ def test_each_n_quantizes_its_own_block_channel_draw(monkeypatch):
     # over a full block and one cut short
     seen = {}
 
-    def spy_quantize(channels, books):
+    def spy_orient(channels, *args):
         seen[channels.shape[-1]] = channels
-        return quantize_stack(channels, books)
+        return _orient(channels, *args)
 
-    monkeypatch.setattr(experiment, "quantize_stack", spy_quantize)
+    monkeypatch.setattr(experiment, "_orient", spy_orient)
     config = ExperimentConfig(m=3, n_rx=(2, 1, 3), snr_db_grid=(10.0,),
                               bits_rule=BitsRule.fixed(2), trials=200, seed=11,
                               codebook_policy="fixed")
     _run_chunk(config, 2, [(2, 10.0), (1, 10.0), (3, 10.0)], range(64, 134),
-               _fixed_codebooks(config, 2))
+               policy_score(config, 2))
     for n in config.n_rx:
         one = dataclasses.replace(config, n_rx=(n,))
         channels = np.concatenate([block_channels(one, 1, 64), block_channels(one, 2, 6)])
@@ -375,16 +377,22 @@ def test_more_feedback_bits_raise_mean_rate():
 
 
 def test_fixed_codebooks_policy():
-    per_block = small_config()
-    assert _fixed_codebooks(per_block, 2) is None
+    # the fixed scorer draws each user's codebook once, from the user's own
+    # stream, and scores every chunk against it; per-block codebooks are fresh
     fixed = small_config(codebook_policy="fixed")
-    books_a = _fixed_codebooks(fixed, 2)
-    books_b = _fixed_codebooks(fixed, 2)
-    assert books_a.shape == (1, fixed.users, 2 ** 2, fixed.m)  # stacked for quantize_stack
-    for a, b in zip(books_a[0], books_b[0]):
-        assert np.array_equal(a, b)
+    books = [generate_codebook(RngStream(fixed.seed, 0, u, PURPOSE_FIXED_CODEBOOK), 2, fixed.m)
+             for u in range(fixed.users)]
     # per-user books differ from each other
-    assert not np.array_equal(books_a[0, 0], books_a[0, 1])
+    assert not np.array_equal(books[0], books[1])
+    qs = [np.linalg.qr(block_channels(fixed, 0, 5))[0]]
+    [expected] = planted(books)(0, qs)
+    for score in (policy_score(fixed, 2), policy_score(fixed, 2)):
+        for first_block in (0, 3):
+            [picks] = score(first_block, qs)
+            assert_same_records(picks, expected)
+    per_block = policy_score(small_config(), 2)
+    [first], [later] = per_block(0, qs), per_block(3, qs)
+    assert not np.array_equal(first[1], later[1])
 
 
 def test_fixed_policy_changes_results_but_stays_deterministic():
@@ -449,7 +457,7 @@ def test_aggregate_all_dropped_yields_nan_row():
 def test_run_experiment_matches_manual_loop():
     config = small_config(trials=50, snr_db_grid=(5.0,))
     result = run_experiment(config)
-    [rate_fb], _, [dropped] = _run_chunk(config, 2, [(1, 5.0)], range(50))
+    [rate_fb], _, [dropped] = _run_chunk(config, 2, [(1, 5.0)], range(50), policy_score(config, 2))
     fb_mean, fb_ci = mean_ci(rate_fb[~dropped])
     point = result.points[0]
     assert point.rate_fb_mean == fb_mean and point.rate_fb_ci == fb_ci
@@ -523,9 +531,9 @@ def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, b
                                                  scanned):
     config = ExperimentConfig(m=m, n_rx=n_rx, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(bits),
                               trials=trials, seed=1, codebook_policy=policy)
-    cells, codebooks = [(n, 10.0) for n in n_rx], _fixed_codebooks(config, bits)
-    _run_chunk(config, bits, cells, range(1), codebooks)  # numpy's one-time set-up
-    peak = traced_peak(_run_chunk, config, bits, cells, range(trials), codebooks)
+    cells, score = [(n, 10.0) for n in n_rx], policy_score(config, bits)
+    _run_chunk(config, bits, cells, range(1), score)  # numpy's one-time set-up
+    peak = traced_peak(_run_chunk, config, bits, cells, range(trials), score)
     assert 0.75 * peak <= experiment._chunk_bytes(config, bits, trials, scanned) <= 1.25 * peak
 
 
@@ -543,12 +551,13 @@ def test_chunk_holds_no_real_normals_once_scoring_starts(monkeypatch):
 
     select_drawn = experiment._select_drawn
     monkeypatch.setattr(experiment, "_select_drawn", spy_select_drawn)
-    _run_chunk(config, bits, cells, range(1))  # numpy's one-time set-up
+    score = policy_score(config, bits)
+    _run_chunk(config, bits, cells, range(1), score)  # numpy's one-time set-up
     held.clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _run_chunk(config, bits, cells, range(trials))
+        _run_chunk(config, bits, cells, range(trials), score)
     finally:
         tracemalloc.stop()
     # a trial and user holds every N's complex channel, QR factors and
@@ -564,10 +573,10 @@ def test_records_of_fewer_trials_are_a_prefix(policy):
     config = ExperimentConfig(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0),
                               bits_rule=BitsRule.fixed(3), trials=130, seed=8,
                               codebook_policy=policy)
-    cells, codebooks = [(1, 10.0), (2, 0.0), (2, 10.0)], _fixed_codebooks(config, 3)
-    assert_same_records(_run_chunk(config, 3, cells, range(70), codebooks),
+    cells, score = [(1, 10.0), (2, 0.0), (2, 10.0)], policy_score(config, 3)
+    assert_same_records(_run_chunk(config, 3, cells, range(70), score),
                         [column[:, :70] for column in
-                         _run_chunk(config, 3, cells, range(130), codebooks)])
+                         _run_chunk(config, 3, cells, range(130), score)])
 
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
@@ -575,9 +584,9 @@ def test_records_of_fewer_trials_are_a_prefix(policy):
 def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
     chunks = []
 
-    def spy_chunk(config, bits, cells, trials, codebooks=None):
+    def spy_chunk(config, bits, cells, trials, score):
         chunks.append(trials)
-        return _run_chunk(config, bits, cells, trials, codebooks)
+        return _run_chunk(config, bits, cells, trials, score)
 
     monkeypatch.setattr(experiment, "_run_chunk", spy_chunk)
     monkeypatch.setattr(linalg, "SLICE_BYTES", chunk_bytes)
@@ -660,8 +669,8 @@ def test_grid_equals_its_cells_when_trials_drop(monkeypatch):
     # every user scans the same four codewords, so users often report one
     # direction and zero-forcing refuses the stack, at every (N, SNR)
     book = np.vstack([np.eye(3), np.ones((1, 3)) / np.sqrt(3)]).astype(complex)
-    monkeypatch.setattr(experiment, "_fixed_codebooks",
-                        lambda config, bits: np.stack([book] * config.users)[None])
+    monkeypatch.setitem(experiment.CODEBOOK_POLICIES, "fixed",
+                        lambda config, bits: planted([book] * config.users))
     config = ExperimentConfig(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0),
                               bits_rule=BitsRule.fixed(2), trials=150, seed=43,
                               codebook_policy="fixed")
@@ -697,9 +706,14 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
             patch.setattr(experiment, "zero_force", spy("feedback ZF", experiment.zero_force))
             patch.setattr(experiment, "_run_chunk", spy("chunk", experiment._run_chunk))
             patch.setattr(experiment, "RngStream", SpyStream)
-            # the kernel's stages, called by the per-block slices or quantize_stack
+            # the kernel's stages: each N's QR factor (zero_force's QR is mode "r"),
+            # the per-block slices' or the fixed scorer's _select, and _orient
+            qr, reduced_qr = np.linalg.qr, spy("QR", np.linalg.qr)
+            patch.setattr(np.linalg, "qr", lambda a, mode="reduced": (
+                reduced_qr if mode == "reduced" else qr)(a, mode=mode))
             for module, name in ((experiment, "_orient"), (quantize, "_select"),
-                                 (quantize, "_orient")):
+                                 (experiment, "_select"), (quantize, "_orient"),
+                                 (quantize, "quantize_stack")):
                 patch.setattr(module, name, spy(name, getattr(module, name)))
             run_experiment(ExperimentConfig(m=3, n_rx=n_rx, snr_db_grid=snr_db_grid,
                                             bits_rule=BitsRule.fixed(3), trials=200, seed=3,
@@ -719,10 +733,14 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
     # one channel draw a block for every N; each N's feedback once a chunk
     assert grid["draw", PURPOSE_CHANNEL] == cell["draw", PURPOSE_CHANNEL] == 4
     assert grid["feedback ZF"] == 2 * 4
-    # each N's picks oriented once a chunk; a per-block codebook slice
+    # each N QR-factored and its picks oriented once a chunk, under either
+    # policy, and never through quantize_stack; a per-block codebook slice
     # selected on for each N, the fixed codebooks once a chunk
+    assert grid["QR"] == 2 * cell["QR"] == 2 * 4
     assert grid["_orient"] == 2 * cell["_orient"] == 2 * 4
     assert grid["_select"] == 2 * cell["_select"] == 2 * (41 if per_block else 4)
+    assert grid["quantize_stack"] == cell["quantize_stack"] == 0
+    assert not hasattr(experiment, "quantize_stack")
 
 
 def test_run_experiment_single_trial():

@@ -17,7 +17,7 @@ from effchan.quantize import (
     quantize_stack,
     raise_fault,
 )
-from oracles import Replay, span_metric, vector_oracle
+from oracles import Replay, quantize_parts, span_metric, vector_oracle
 
 
 def book(rows):
@@ -373,10 +373,10 @@ def test_stack_rejects_wide_matrix():
         quantize_stack(np.ones((2, 3), dtype=complex), np.eye(2, dtype=complex))
 
 
-# ------------------------------------------ quantize_stack on codebook normals
-# The kernel scores a codebook given as its (re, im) standard normals without
-# forming it; the oracle forms and normalizes every row, as generate_codebook
-# does, and scores the rows by complex products.
+# ------------------------------------------- the kernel on codebook normals
+# The kernel's stages score a codebook given as its (re, im) standard normals
+# without forming it; the oracle forms and normalizes every row, as
+# generate_codebook does, and scores the rows by complex products.
 
 
 def normalized(parts):
@@ -400,7 +400,7 @@ def test_stack_scores_normal_parts_like_the_normalized_codebook(policy):
             parts = stream.generator().standard_normal((2, 2 ** bits, m))
             books = generate_codebook(stream, bits, m)
             assert books.tobytes() == normalized(parts).tobytes()
-        fast, fast_fault = quantize_stack(channels, (parts[0], parts[1]))
+        fast, fast_fault = quantize_parts(channels, parts[0], parts[1])
         slow, slow_fault = quantize_stack(channels, books)
         metric = span_metric(channels, books)
         assert np.array_equal(fast.index, np.argmax(metric, axis=-1))
@@ -415,22 +415,25 @@ def test_stack_parts_ignore_row_scale():
     gen = RngStream(101).generator()
     channels = complex_normal(gen, (20_000, 4, 2))
     re, im = gen.standard_normal((2, 20_000, 16, 4))
-    r, _ = quantize_stack(channels, (re, im))
+    r, _ = quantize_parts(channels, re, im)
     # powers of two scale exactly, so q_hat keeps every byte
     exact = np.ldexp(1.0, gen.integers(-30, 30, size=(20_000, 16, 1)))
-    scaled, _ = quantize_stack(channels, (re * exact, im * exact))
+    scaled, _ = quantize_parts(channels, re * exact, im * exact)
     assert np.array_equal(scaled.index, r.index)
     assert scaled.q_hat.tobytes() == r.q_hat.tobytes()
     scale = gen.uniform(0.01, 100.0, size=(20_000, 16, 1))
-    scaled, _ = quantize_stack(channels, (re * scale, im * scale))
+    scaled, _ = quantize_parts(channels, re * scale, im * scale)
     assert np.array_equal(scaled.index, r.index)
     assert np.allclose(scaled.q_hat, r.q_hat, rtol=0, atol=1e-15)
 
 
 # ------------------------------------------------------------ kernel stages
 # quantize_stack is one QR, then _select (the span metric and the winning
-# row), then _orient (the combiner); the per-block sweep runs _select on each
-# codebook slice's rows of the chunk's Q and _orient once on the whole chunk.
+# row), then _orient (the combiner); the sweep runs _select on each codebook
+# slice's rows of the chunk's Q, or on the whole chunk against fixed codebooks,
+# and _orient once on the whole chunk.  Drawn codebooks reach _select as their
+# normal parts, which quantize_stack does not take: their stages are checked
+# against quantize_stack on the unit rows the parts form.
 
 
 def planted_stack(leading):
@@ -447,7 +450,7 @@ def planted_stack(leading):
 
 
 def stage_books(kind, parts):
-    """The codebooks quantize_stack takes: the (re, im) parts, or their unit rows."""
+    """The codebooks _select takes: the (re, im) parts, or their unit rows."""
     return (parts[0], parts[1]) if kind == "parts" else normalized(parts)
 
 
@@ -455,11 +458,14 @@ def stage_books(kind, parts):
 def test_stack_is_select_then_orient(kind):
     channels, parts = planted_stack((1,) if kind == "shared" else (6,))
     books = stage_books(kind, parts)
-    r, fault = quantize_stack(channels, books)
+    r, fault = quantize_stack(channels, normalized(parts))
     q, rr = np.linalg.qr(channels)
     staged, staged_fault = _orient(channels, q, rr, *_select(q, books))
     for name in QuantizationResult.__dataclass_fields__:
-        assert getattr(staged, name).tobytes() == getattr(r, name).tobytes(), name
+        if name == "cos_sq" and kind == "parts":  # scored on unnormalized rows
+            assert np.allclose(staged.cos_sq, r.cos_sq, rtol=0, atol=1e-14)
+        else:
+            assert getattr(staged, name).tobytes() == getattr(r, name).tobytes(), name
     assert staged_fault.tobytes() == fault.tobytes()
     # the planted faults survive _orient, and only they fault
     assert (fault[1, 0], fault[3, 1], np.count_nonzero(fault)) == (

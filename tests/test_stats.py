@@ -10,7 +10,8 @@ from effchan.stats import (
     FitReport,
     beta_cdf,
     gamma_cdf,
-    isotropy_report,
+    isotropy_moments,
+    isotropy_verdict,
     ks_statistic,
     ks_test,
     max_beta_cdf,
@@ -208,7 +209,7 @@ def test_fit_report_serializes():
     assert json.loads(json.dumps(dataclasses.asdict(r)))["name"] == "t"
 
 
-# ------------------------------------------------------------ isotropy_report
+# ------------------------------------------------ isotropy moments and verdict
 
 
 def isotropic_stack(seed, n, m):
@@ -217,7 +218,7 @@ def isotropic_stack(seed, n, m):
 
 
 def test_isotropy_passes_on_uniform_directions():
-    report = isotropy_report(isotropic_stack(29, 20_000, 4))
+    report = isotropy_verdict(*isotropy_moments(isotropic_stack(29, 20_000, 4)))
     assert report.passed
     assert report.ks_statistic < 0.02
     assert report.details["cov_max_deviation"] < 0.01
@@ -228,14 +229,14 @@ def test_isotropy_fails_on_biased_directions():
     v = complex_normal(RngStream(31).generator(), (5000, 4))
     v[:, 0] += 2.0  # push every direction toward the first axis
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    report = isotropy_report(v)
+    report = isotropy_verdict(*isotropy_moments(v))
     assert not report.passed
     assert report.details["cov_max_deviation"] > 0.1
 
 
 def test_isotropy_probe_is_deterministic_and_recorded():
-    a = isotropy_report(isotropic_stack(37, 2000, 3))
-    b = isotropy_report(isotropic_stack(43, 2000, 3))
+    a = isotropy_verdict(*isotropy_moments(isotropic_stack(37, 2000, 3)))
+    b = isotropy_verdict(*isotropy_moments(isotropic_stack(43, 2000, 3)))
     assert a.details["probe"] == b.details["probe"]
     probe = np.array([complex(re, im) for re, im in a.details["probe"]])
     assert probe.shape == (3,)
@@ -245,11 +246,11 @@ def test_isotropy_probe_is_deterministic_and_recorded():
 def test_isotropy_thresholds_rise_to_critical_values_at_small_n():
     # covariance: a diagonal entry's sd sqrt(3) / (4 sqrt(5)) x sqrt(2 log(16 / 1e-4) / n)
     # at M = 4; KS: the DKW bound.  At 1e5 the fixed values
-    small = isotropy_report(isotropic_stack(73, 4000, 4))
+    small = isotropy_verdict(*isotropy_moments(isotropic_stack(73, 4000, 4)))
     assert small.passed
     assert small.thresholds["cov_max_deviation"] == pytest.approx(0.0149893, abs=1e-7)
     assert small.thresholds["ks_statistic"] == pytest.approx(0.0351843, abs=1e-7)
-    large = isotropy_report(isotropic_stack(79, 100_000, 4))
+    large = isotropy_verdict(*isotropy_moments(isotropic_stack(79, 100_000, 4)))
     assert large.thresholds["cov_max_deviation"] == 0.01
     assert large.thresholds["ks_statistic"] == 0.02
 
@@ -258,7 +259,7 @@ def test_isotropy_thresholds_rise_to_critical_values_at_small_n():
 @pytest.mark.parametrize("m", [3, 4])
 def test_isotropy_report_equals_the_whole_array_references(n, m):
     v = isotropic_stack(67, n, m)
-    report = isotropy_report(v)
+    report = isotropy_verdict(*isotropy_moments(v))
     mean_obs, cov_dev, probe, stat = whole_isotropy(v)
     assert report.ks_statistic == stat and report.mean_obs == mean_obs
     assert report.details["probe"] == [[float(z.real), float(z.imag)] for z in probe]
@@ -267,14 +268,14 @@ def test_isotropy_report_equals_the_whole_array_references(n, m):
 
 def test_isotropy_guards():
     with pytest.raises(ValueError):
-        isotropy_report(isotropic_stack(47, 999, 4))
+        isotropy_verdict(*isotropy_moments(isotropic_stack(47, 999, 4)))
     v = complex_normal(RngStream(53).generator(), (2000, 4))
     with pytest.raises(ValueError):
-        isotropy_report(v)  # not unit norm
+        isotropy_verdict(*isotropy_moments(v))  # not unit norm
     u = isotropic_stack(53, ROWS + 1, 4)
     u[-1] *= 2.0  # the last block's one vector
     with pytest.raises(ValueError, match="unit norm"):
-        isotropy_report(u)
+        isotropy_verdict(*isotropy_moments(u))
 
 
 # ------------------------------------------------------------------- mean_ci

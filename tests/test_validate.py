@@ -16,7 +16,7 @@ from effchan.validate import (
     quantization_angle_report,
     run_validation_suite,
 )
-from oracles import best_cosines, collect_best_cosine_samples, vector_oracle
+from oracles import best_cosines, collect_best_cosine_samples, quantize_parts, vector_oracle
 
 
 def replay_blocks(seed, count, size, channel_shape, book_shape):
@@ -167,7 +167,7 @@ def test_sliced_blocks_equal_the_kernel_on_whole_blocks(monkeypatch, pools):
         channels = complex_normal(gen, (take, m, n))
         # each sample's codebook: the normals complex_normal(gen, (2^B, M)) draws
         raw = np.stack([gen.standard_normal((2, 2**bits, m)) for _ in range(take)], axis=1)
-        parts.append(quantize_stack(channels, (raw[0], raw[1]))[0])
+        parts.append(quantize_parts(channels, raw[0], raw[1])[0])
     probe_proj_sq = np.concatenate([np.abs(p.s_proj.conj() @ isotropy_probe(m)) ** 2
                                     for p in parts])
     vector_sum, gram = np.zeros(m, complex), np.zeros((m, m), complex)
