@@ -13,12 +13,13 @@ the grid.  It QR-factors each N once, takes every N's picks from the codebook
 policy's scorer (``CODEBOOK_POLICIES``), orients and zero-forces each N and
 the benchmark once, and rates every SNR point from the same beams.
 
-Determinism contract, stream version 2 (``STREAM_VERSION``, in the sweep
+Determinism contract, stream version 3 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws its channels, benchmarks
 and per-block codebooks in trial order from one stream per purpose,
 ``RngStream(seed, b, 0, purpose)``.  A normal takes a variable number of
-Philox words, so the block, not the trial, is the unit of replay.  Chunks are
+random words, so the block, not the trial, is the unit of replay.  Chunks are
 whole blocks, so no draw depends on the chunk size or the worker count.
+Version 2 laid out the same draws on Philox streams.
 
 A bit count's chunks run on the threads of ``linalg.worker_count``, as
 validation's sample blocks do, and are joined in chunk order.
@@ -54,7 +55,7 @@ from .stats import mean_ci
 # per stream block, the contract's unit of replay.  A chunk is as many whole
 # stream blocks as one ``linalg.SLICE_BYTES`` slice of per-block codebooks
 # holds trials, but at least one.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 _BLOCK = 64
 
 

@@ -56,9 +56,9 @@ class RngStream:
     """Deterministic random stream keyed by (seed, trial, user, purpose).
 
     Equal ids reproduce identical samples; distinct ids give statistically
-    independent streams.  Backed by numpy's Philox counter-based generator
-    seeded through SeedSequence, which is stable across platforms and is part
-    of this package's reproducibility contract.
+    independent streams.  Backed by numpy's SFC64 generator seeded through
+    SeedSequence, which is stable across platforms and is part of this
+    package's reproducibility contract.
     """
 
     seed: int
@@ -75,18 +75,7 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
         ss = np.random.SeedSequence([self.seed, self.trial, self.user, self.purpose])
-        return np.random.Generator(np.random.Philox(ss))
-
-
-def complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
-    """iid circularly-symmetric complex Gaussian entries, unit variance.
-
-    Real and imaginary parts are N(0, 1/2) so E|h|^2 = 1.  Draw order (real
-    block then imaginary block) is fixed; it is part of the determinism
-    contract relied on by tests that replay streams.
-    """
-    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-    return complex_from_parts(gen.standard_normal((2, *shape)))
+        return np.random.Generator(np.random.SFC64(ss))
 
 
 def complex_from_parts(parts: np.ndarray) -> np.ndarray:

@@ -22,9 +22,11 @@ one thread per core the process may run on, and together at most
 B >= 17, M = 4, a block is one sample and holds its whole codebook, which
 slicing by sample cannot shrink).  No sample depends on the worker count or
 the slice size, so the results are byte-identical whatever they are.  This
-is validation stream contract version 3 (``STREAM_VERSION``); version 2 drew
-the real parts of all of a block's codebooks before any imaginary part, and
-version 1 drew every sample from one stream.
+is validation stream contract version 4 (``STREAM_VERSION``): every stream
+is an SFC64 generator, so a normal takes a variable number of random words
+and the block is the unit of replay.  Version 3 laid out the same draws on
+Philox streams, version 2 drew the real parts of all of a block's codebooks
+before any imaginary part, and version 1 drew every sample from one stream.
 
 Laws checked:
 * squared cosine of the quantization angle ~ max of 2^B iid Beta(N, M-N);
@@ -45,7 +47,7 @@ from .formulas import quant_error_approx
 from .linalg import (
     PURPOSE_VALIDATION,
     RngStream,
-    complex_normal,
+    complex_from_parts,
     ordered_map,
     slice_items,
     worker_count,
@@ -53,7 +55,7 @@ from .linalg import (
 from .quantize import _orient, _scan_bytes, _select_drawn, raise_fault
 from .stats import FitReport, gamma_cdf, isotropy_moments, isotropy_verdict, ks_test, max_beta_cdf
 
-STREAM_VERSION = 3  # validation stream contract: one stream per block, codebooks per sample
+STREAM_VERSION = 4  # validation stream contract: one stream per block, codebooks per sample
 _BLOCK_GAUSSIANS = 2 ** 19  # complex normals per sample block; fixes the streams
 # largest relative error of the mean quantization error against its approximation
 _QUANT_ERROR_RTOL = 0.15
@@ -123,7 +125,7 @@ def _quantize_block(gen: np.random.Generator, n: int, bits: int, out: Quantizati
     oriented once.  Returns the sums of its isotropy moments.
     """
     take, m = rows.stop - rows.start, len(out.direction_sum)
-    channels = complex_normal(gen, (take, m, n))
+    channels = complex_from_parts(gen.standard_normal((2, take, m, n)))
     q, r = np.linalg.qr(channels)
     picks = np.empty(take, np.intp), np.empty((take, m), complex), out.cos_sq[rows]
     _select_drawn(gen, [q], bits, [picks])

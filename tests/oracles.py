@@ -1,4 +1,4 @@
-"""Independent references that the tests check ``quantize_stack`` against, and a test collector.
+"""Independent references that the tests check ``quantize_stack`` against, and test samplers.
 
 ``vector_oracle`` and ``span_metric`` share no code with the kernel: both
 score codewords by complex inner products, where the kernel uses the real
@@ -9,14 +9,42 @@ embedding of the same products.  ``Replay`` hands given normals to
 for the antenna-selection acceptance test.  ``whole_ks_statistic`` and
 ``whole_isotropy`` compute the law checks on whole arrays, as references for
 ``stats``, whose KS statistic reads the samples in row blocks.
+``complex_normal`` draws the complex Gaussians the tests build channels from,
+and ``zf_rate_mean`` is the closed form the sweep's perfect-CSIT benchmark
+is checked against.
 """
 
 import numpy as np
 
-from effchan.linalg import PURPOSE_PROBE, RngStream, complex_normal
+from effchan.formulas import LOG2E
+from effchan.linalg import PURPOSE_PROBE, RngStream, complex_from_parts
 from effchan.quantize import FAULT_ORTHOGONAL, QuantizationResult, _orient, _select, raise_fault
 from effchan.stats import _PROBE_SEED, beta_cdf
 from effchan.validate import _run_blocks
+
+
+def complex_normal(gen, shape):
+    """iid circularly-symmetric complex Gaussian entries, unit variance.
+
+    Real and imaginary parts are N(0, 1/2), so E|h|^2 = 1.  The real block is
+    drawn before the imaginary block, as the sweep and validation draw theirs.
+    """
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    return complex_from_parts(gen.standard_normal((2, *shape)))
+
+
+def zf_rate_mean(m, power):
+    """E[rate_zf] = M log2(e) e^{M/P} E1(M/P), the mean perfect-CSIT zero-forcing sum rate of
+    M single-antenna users on M antennas at linear power P, each user's gain |<h_i, v_i>|^2
+    being Exp(1).
+
+    e^a E1(a) = int_0^inf e^{-u} / (a + u) du is taken by the trapezoid rule in s = log u,
+    where the integrand is smooth and falls off fast at both ends.
+    """
+    s = np.linspace(-50.0, 5.0, 2 ** 14 + 1)
+    u = np.exp(s)
+    integrand = u * np.exp(-u) / (m / power + u)
+    return m * LOG2E * float(np.sum(integrand[1:] + integrand[:-1]) * (s[1] - s[0]) / 2)
 
 
 def vector_oracle(h, vectors):

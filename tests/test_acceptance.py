@@ -13,18 +13,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from effchan import linalg, validate
-from effchan.experiment import BitsRule, ExperimentConfig, run_experiment
-from effchan.formulas import InfeasibleTargetError, ScalingInputs, bits_required, delta_a
-from effchan.linalg import (
-    PURPOSE_CHANNEL,
-    PURPOSE_CODEBOOK,
-    RngStream,
-    complex_normal,
-)
+from effchan import linalg, precoding, stats, validate
+from effchan.experiment import CODEBOOK_POLICIES, BitsRule, ExperimentConfig, run_experiment
+from effchan.formulas import (InfeasibleTargetError, ScalingInputs, bits_required, delta_a,
+                              rate_gap_bound)
+from effchan.linalg import PURPOSE_CHANNEL, PURPOSE_CODEBOOK, RngStream
 from effchan.cli import main, scaling_table_rows
 from effchan.precoding import refused, zero_force
-from effchan.quantize import generate_codebook, quantize_stack
+from effchan.quantize import _select, generate_codebook, quantize_stack
 from effchan.validate import (
     collect_effective_samples,
     direction_isotropy_report,
@@ -32,7 +28,7 @@ from effchan.validate import (
     quant_error_mean_report,
     quantization_angle_report,
 )
-from oracles import collect_best_cosine_samples
+from oracles import collect_best_cosine_samples, complex_normal, zf_rate_mean
 
 
 # 1 ------------------------------------------------------ bit-budget numbers
@@ -274,3 +270,90 @@ def test_validate_outputs_identical_across_worker_counts(tmp_path, capsys, monke
     assert written[0] == written[1]
     assert logs[0].rstrip().endswith("(1 worker)")
     assert logs[1].rstrip().endswith("(3 workers)")
+
+
+# 12 ------------------------------------------ closed-form anchors of the rates
+# Both checks read the sweep's own rows.  A row's mean may miss its closed
+# form by the critical value of its CI half-width, Bonferroni over the cells
+# of the check, at stats' chance of failing correct code.
+
+ANCHOR_SNRS = (0.0, 10.0, 20.0)
+ANCHOR_N = (1, 2, 3)
+ANCHOR_BITS = (4, 8)
+ANCHOR_POLICIES = ("per_block", "fixed")
+
+
+def anchor_points(n_rx, bits, policy, trials, seed):
+    config = ExperimentConfig(m=4, n_rx=n_rx, snr_db_grid=ANCHOR_SNRS,
+                              bits_rule=BitsRule.fixed(bits), trials=trials, seed=seed,
+                              codebook_policy=policy)
+    return run_experiment(config).points
+
+
+def critical(ci, cells):
+    """The Bonferroni critical distance of one of ``cells`` means whose 95% half-width is ci."""
+    return stats._critical(1, ci / stats._Z95, cells)
+
+
+def zf_anchor_misses():
+    """Cells whose perfect-CSIT rate_zf_mean lies beyond its critical value of
+    M log2(e) e^{M/P} E1(M/P), at M = 4 and 0/10/20 dB."""
+    points = anchor_points((1,), 1, "fixed", 4000, 2026101)
+    return [(p.snr_db, p.rate_zf_mean) for p in points
+            if abs(p.rate_zf_mean - zf_rate_mean(4, 10 ** (p.snr_db / 10)))
+            > critical(p.rate_zf_ci, len(points))]
+
+
+def gap_bound_misses(policy):
+    """Cells whose sum-rate gap exceeds M rate_gap_bound(P, B, M, N) by more than its critical
+    value, at M = 4, N = 1, 2, 3, B = 4, 8 and 0/10/20 dB.  The paired gap's half-width is
+    at most the sum of its two rates' half-widths."""
+    cells = len(ANCHOR_N) * len(ANCHOR_SNRS) * len(ANCHOR_BITS) * len(ANCHOR_POLICIES)
+    misses = []
+    for bits in ANCHOR_BITS:
+        for p in anchor_points(ANCHOR_N, bits, policy, 2000, 2026102):
+            bound = 4 * rate_gap_bound(10 ** (p.snr_db / 10), bits, 4, p.n_rx)
+            if p.gap > bound + critical(p.rate_fb_ci + p.rate_zf_ci, cells):
+                misses.append((bits, p.n_rx, p.snr_db, p.gap, bound))
+    return misses
+
+
+def test_benchmark_rate_matches_its_closed_form():
+    # at M = P = 1 the mean is log2(e) e E1(1), and e E1(1) is the Gompertz constant
+    assert zf_rate_mean(1, 1.0) == pytest.approx(math.log2(math.e) * 0.5963473623231941,
+                                                 rel=1e-12)
+    assert zf_anchor_misses() == []
+
+
+def test_benchmark_anchor_fails_on_full_power_per_user(monkeypatch):
+    # P in place of P/M: each user's SINR scaled by M
+    real = precoding.sinr_stack
+    monkeypatch.setattr(precoding, "sinr_stack",
+                        lambda h, v, power: real(h, v, power * v.shape[-1]))
+    assert len(zf_anchor_misses()) == len(ANCHOR_SNRS)
+
+
+def test_benchmark_anchor_fails_on_unnormalized_beams(monkeypatch):
+    def unnormalized(directions):  # the inverse's own columns, each of norm >= 1
+        _, cond, residual = zero_force(directions)
+        return np.linalg.inv(np.swapaxes(directions, -1, -2).conj()), cond, residual
+
+    monkeypatch.setattr(precoding, "zero_force", unnormalized)
+    assert len(zf_anchor_misses()) == len(ANCHOR_SNRS)
+
+
+@pytest.mark.parametrize("policy", ANCHOR_POLICIES)
+def test_gap_stays_under_the_papers_bound(policy):
+    assert gap_bound_misses(policy) == []
+
+
+def test_gap_bound_fails_on_a_random_codeword(monkeypatch):
+    def random_codeword(config, bits):  # scores one fresh random row per trial and user
+        def score(first_block, qs):
+            gen = RngStream(config.seed, first_block, 0, PURPOSE_CODEBOOK).generator()
+            normals = gen.standard_normal((2, *qs[0].shape[:-2], 1, config.m))
+            return [_select(q, (normals[0], normals[1])) for q in qs]
+        return score
+
+    monkeypatch.setitem(CODEBOOK_POLICIES, "per_block", random_codeword)
+    assert gap_bound_misses("per_block") != []

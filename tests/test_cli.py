@@ -90,7 +90,7 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert len(manifest["rows"]) == 2
     assert manifest["rows"][0]["rate_zf_mean"] > 0
     assert "outputs" in manifest and "warnings" in manifest
-    assert manifest["stream_version"] == 2
+    assert manifest["stream_version"] == 3
 
 
 def test_sweep_reports_default_seed(tmp_path, capsys):
@@ -251,7 +251,7 @@ def test_validate_end_to_end(tmp_path, capsys):
     assert payload["config"] == {"m": 4, "n_rx": 2, "bits": 6, "samples": 20000,
                                  "seed": 11, "wrong_reference": False}
     assert len(payload["reports"]) == 4
-    assert payload["stream_version"] == 3  # one stream per sample block, codebooks per sample
+    assert payload["stream_version"] == 4  # one stream per sample block, codebooks per sample
     stdout = capsys.readouterr().out
     assert json.loads(stdout)["passed"] is True
 

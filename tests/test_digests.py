@@ -9,9 +9,17 @@ their trials cut, and the validation run is a small ``validate`` config.
 
 Floating-point results depend on numpy's own routines, so the digests hold
 for the numpy version they were recorded with; on any other the test skips.
+
+``python tests/test_digests.py`` prints the current tree's digests in the
+layout of ``DIGESTS``, so a deliberate stream change is re-pinned by pasting
+reviewed output.
 """
 
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,19 +42,19 @@ OUTPUTS = {"sweep": ("sweep.csv", "manifest.json"), "validate": ("validation.jso
 
 DIGESTS = {
     "sweep_fixed_b2": {
-        "sweep.csv": "fa35430adee37004aef90d57c14e7a723c3cb4a378e091f85f44cb8c6a07d273",
-        "manifest.json": "76b2c858e65b622bc9a79df6521a269165bcc4b4f2334a08897e4618d904261c",
+        "sweep.csv": "0d412df6827ec369cb31b1767d309ba23c2e5c12550daadc924e3f5306739cc8",
+        "manifest.json": "368fbdfbda30e96bf980638f893bc775c3d1ef115f959fc3fff5b457882f1b72",
     },
     "sweep_block_b10": {
-        "sweep.csv": "d973d58fdcd6957f53ee5385ed637e289d187836c234f8decdb2ba295379cef1",
-        "manifest.json": "0ca05e03585768e2cd79558d6f85b187d77aae32e3007063eb935bfc60c8aa51",
+        "sweep.csv": "5f3c8ee7d0b6f11bb2a061ab69c5d76f02392c205470fb6232c45a2aa5f29782",
+        "manifest.json": "94ba499dd7004d3b1bffc603c9ac6a6e12f15832d75d9876a33dc4828923c48d",
     },
     "readme_sweep": {
-        "sweep.csv": "632572a840cf446c625e90520ee47d458b25c5b61b472fadcf2da66e1830411d",
-        "manifest.json": "3cb7d2f1d55aeec587982d190a70720bdd90236a10c17df10463f120f2ca3831",
+        "sweep.csv": "4f1e615173e6bd7a98d63fcf0b2ea66e69bfc8b80e3ad71198a780844dcef849",
+        "manifest.json": "111df7e3ce79ea1ad0127dd37c8c052ed154f67acd03146cf31c70d80bc8beef",
     },
     "validate": {
-        "validation.json": "36042904b7527c10b09c180f239229ca7ce36ff4475fe6d12bbf32ca39892322",
+        "validation.json": "c14bd6debf5ebafee105a878a2eb52dab105cef9d05fdd3ef7364b14a6ee5db1",
     },
 }
 
@@ -71,3 +79,16 @@ def test_outputs_match_pinned_digests(tmp_path, capsys, name):
     assert digests == DIGESTS[name], (
         f"{name}'s output bytes changed: if a random stream changed on purpose, "
         "bump the stream version and re-pin")
+
+
+if __name__ == "__main__":
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        current = {name: output_digests(Path(tmp), name) for name in DIGESTS}
+    print(f"# numpy {np.__version__}\nDIGESTS = {{")
+    for name, digests in current.items():
+        print(f'    "{name}": {{')
+        for file, digest in digests.items():
+            print(f'        "{file}": "{digest}",')
+        print("    },")
+    print("}")

@@ -599,18 +599,18 @@ def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
     assert [t for chunk in chunks for t in chunk] == list(range(333))
 
 
-# Recorded on stream contract v2 (block-keyed streams) when it replaced the
-# per-trial streams: (N, policy, SNR) -> (rate_fb_mean, rate_zf_mean, gap,
+# Recorded on stream contract v3 (block-keyed SFC64 streams) when it replaced
+# v2's Philox streams: (N, policy, SNR) -> (rate_fb_mean, rate_zf_mean, gap,
 # dropped) at M = 3, B = 3, 50 trials, seed 2024.
 RECORDED_POINTS = {
-    (1, "per_block", 0.0): (0.9491327151656006, 1.1988785494948067, 0.24974583432920605, 0),
-    (1, "per_block", 10.0): (2.6884445938243506, 5.468691378912033, 2.7802467850876824, 0),
-    (1, "fixed", 0.0): (0.8948443849904986, 1.1988785494948067, 0.3040341645043081, 0),
-    (1, "fixed", 10.0): (2.630336143120577, 5.468691378912033, 2.838355235791456, 0),
-    (2, "per_block", 0.0): (0.8100139655182049, 1.1988785494948067, 0.38886458397660173, 0),
-    (2, "per_block", 10.0): (3.6574942248998408, 5.468691378912033, 1.8111971540121923, 0),
-    (2, "fixed", 0.0): (0.6483567439807087, 1.1988785494948067, 0.5505218055140979, 0),
-    (2, "fixed", 10.0): (3.102234070906017, 5.468691378912033, 2.366457308006016, 0),
+    (1, "per_block", 0.0): (0.9804258522928905, 0.9818589496021937, 0.0014330973093031885, 0),
+    (1, "per_block", 10.0): (2.793311377430515, 4.781263771664084, 1.9879523942335688, 0),
+    (1, "fixed", 0.0): (0.9582381889853783, 0.9818589496021937, 0.023620760616815395, 0),
+    (1, "fixed", 10.0): (2.652791394519146, 4.781263771664084, 2.128472377144938, 0),
+    (2, "per_block", 0.0): (0.68714805709174, 0.9818589496021937, 0.2947108925104537, 0),
+    (2, "per_block", 10.0): (3.1316657836651838, 4.781263771664084, 1.6495979879989, 0),
+    (2, "fixed", 0.0): (0.7955090327816081, 0.9818589496021937, 0.18634991682058555, 0),
+    (2, "fixed", 10.0): (3.3803061756206376, 4.781263771664084, 1.4009575960434462, 0),
 }
 
 

@@ -7,8 +7,17 @@ import effchan.experiment as experiment
 import effchan.linalg as linalg
 import effchan.validate as validate
 from effchan.experiment import BitsRule, ExperimentConfig
-from effchan.linalg import COND_LIMIT, RngStream, complex_normal, ordered_map
+from effchan.linalg import (
+    COND_LIMIT,
+    PURPOSE_BENCHMARK,
+    PURPOSE_CHANNEL,
+    PURPOSE_CODEBOOK,
+    PURPOSE_FIXED_CODEBOOK,
+    RngStream,
+    ordered_map,
+)
 from effchan.precoding import refused, zero_force
+from oracles import complex_normal
 
 
 def gaussian(stream, dim):
@@ -44,6 +53,32 @@ def test_stream_rejects_bad_fields():
     # a numpy integer seed is the same stream id as the int
     assert (RngStream(np.int64(7), 2, 1, 2).generator().standard_normal(9).tobytes()
             == RngStream(7, 2, 1, 2).generator().standard_normal(9).tobytes())
+
+
+# The first normals of RngStream(2024, 1, 2, PURPOSE_FIXED_CODEBOOK), recorded with numpy
+# 2.4.6 on stream contracts v3 (sweep) and v4 (validation).
+RECORDED_NUMPY = "2.4.6"
+RECORDED_NORMALS = [0.6559720606282384, -0.05841492836371949, 0.7039224301002268,
+                    0.12852285672448585, 1.6623168338445677, -0.49114909680572855,
+                    0.5793377374229444, 0.29289713727771416]
+
+
+def test_stream_is_sfc64_keyed_by_its_id():
+    gen = RngStream(2024, 1, 2, PURPOSE_FIXED_CODEBOOK).generator()
+    assert isinstance(gen.bit_generator, np.random.SFC64)
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"normals recorded with numpy {RECORDED_NUMPY}, this is numpy {np.__version__}")
+    assert gen.standard_normal(8).tolist() == RECORDED_NORMALS  # bit-exact
+
+
+def test_block_streams_share_no_word():
+    # SFC64 streams have no disjoint-key guarantee: check that the channel,
+    # benchmark and codebook streams of blocks 0 and 1 share no 64-bit word
+    # in their first 2^16 outputs
+    words = np.concatenate([
+        RngStream(1, block, 0, purpose).generator().bit_generator.random_raw(2 ** 16)
+        for block in (0, 1) for purpose in (PURPOSE_CHANNEL, PURPOSE_BENCHMARK, PURPOSE_CODEBOOK)])
+    assert np.unique(words).size == words.size
 
 
 # ------------------------------------------------------------ complex_normal

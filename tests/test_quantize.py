@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import effchan.linalg as linalg
-from effchan.linalg import DegenerateChannelError, RngStream, complex_from_parts, complex_normal
+from effchan.linalg import DegenerateChannelError, RngStream, complex_from_parts
 from effchan.quantize import (
     FAULT_ORTHOGONAL,
     FAULT_RANK,
@@ -17,7 +17,7 @@ from effchan.quantize import (
     quantize_stack,
     raise_fault,
 )
-from oracles import Replay, quantize_parts, span_metric, vector_oracle
+from oracles import Replay, complex_normal, quantize_parts, span_metric, vector_oracle
 
 
 def book(rows):

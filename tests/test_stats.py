@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from effchan import stats
-from effchan.linalg import RngStream, complex_normal
+from effchan.linalg import RngStream
 from effchan.stats import (
     FitReport,
     beta_cdf,
@@ -17,7 +17,7 @@ from effchan.stats import (
     max_beta_cdf,
     mean_ci,
 )
-from oracles import whole_isotropy, whole_ks_statistic
+from oracles import complex_normal, whole_isotropy, whole_ks_statistic
 
 ROWS = stats._ROWS  # samples a law check reads at a time
 SIZES = pytest.mark.parametrize("n", [2000, ROWS, 3 * ROWS + 17],

@@ -5,7 +5,7 @@ import pytest
 
 import effchan.linalg as linalg
 import effchan.validate as validate
-from effchan.linalg import PURPOSE_VALIDATION, DegenerateChannelError, RngStream, complex_normal
+from effchan.linalg import PURPOSE_VALIDATION, DegenerateChannelError, RngStream
 from effchan.quantize import quantize_stack
 from effchan.stats import isotropy_moments, isotropy_probe
 from effchan.validate import (
@@ -16,7 +16,8 @@ from effchan.validate import (
     quantization_angle_report,
     run_validation_suite,
 )
-from oracles import best_cosines, collect_best_cosine_samples, quantize_parts, vector_oracle
+from oracles import (best_cosines, collect_best_cosine_samples, complex_normal, quantize_parts,
+                     vector_oracle)
 
 
 def replay_blocks(seed, count, size, channel_shape, book_shape):
