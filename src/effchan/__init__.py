@@ -42,6 +42,7 @@ from .stats import (
 )
 from .validate import (
     QuantizationSamples,
+    ValidationConfig,
     collect_effective_samples,
     direction_isotropy_report,
     effective_gain_report,
@@ -64,6 +65,7 @@ __all__ = [
     "QuantizationSamples",
     "RngStream",
     "ScalingInputs",
+    "ValidationConfig",
     "beta_cdf",
     "bits_required",
     "collect_effective_samples",

@@ -7,8 +7,10 @@ scaling-table  Closed-form feedback-bit budgets per (SNR, N) cell, CSV out.
 validate       Distributional checks of the quantizer; JSON report out.
 
 Config files are flat ``key = value`` text: ``#`` starts a comment, lists are
-comma separated.  Exit codes: 0 success, 1 config error, 2 validation
-failure, 3 output I/O error.
+comma separated.  This module only parses: the library's config objects
+(``ExperimentConfig``, ``ScalingInputs``, ``ValidationConfig``) check the
+values, and one they refuse is a config error.  Exit codes: 0 success, 1
+config error, 2 validation failure, 3 output I/O error.
 
 Everything written to --out is byte-deterministic in the config and seed;
 wall-clock timing and the validation worker count go to stderr only.  Sweeps
@@ -25,6 +27,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -35,9 +38,8 @@ from .formulas import (
     bits_required,
     feedback_savings,
 )
-from .quantize import MAX_CODEBOOK_BITS
 from .validate import STREAM_VERSION as VALIDATION_STREAM_VERSION
-from .validate import run_validation_suite, suite_workers
+from .validate import ValidationConfig, run_validation_suite, suite_workers
 
 SWEEP_CSV_HEADER = "snr_db,n_rx,bits,rate_fb_mean,rate_fb_ci,rate_zf_mean,rate_zf_ci,gap,dropped"
 
@@ -80,23 +82,21 @@ def parse_config(text: str) -> dict:
     return entries
 
 
-def _load_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
-
-
 class _Config:
-    """Typed, line-anchored access to parsed config entries."""
+    """Typed, line-anchored access to a config file's parsed entries."""
 
-    def __init__(self, entries: dict):
-        self.entries = entries
+    def __init__(self, path: str):
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        self.entries = parse_config(text)
         self.used: set = set()
 
-    def _raw(self, key: str):
+    def _raw(self, key: str, required: bool):
         self.used.add(key)
+        if required and key not in self.entries:
+            raise ConfigError(f"missing required key {key!r}")
         return self.entries.get(key)
 
     def _parse(self, key: str, kind, text: str, line_no: int):
@@ -106,21 +106,15 @@ class _Config:
             raise ConfigError(
                 f"line {line_no}: {key} must be {kind.__name__}, got {text!r}") from None
 
-    def get(self, key: str, kind, default=None, required: bool = False):
-        item = self._raw(key)
-        if item is None:
-            if required:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        return self._parse(key, kind, item[0], item[1])
+    def get(self, key: str, kind, default=None, required: bool = False, override=None):
+        """The key's value as kind, or default; a set override wins (the key is still parsed)."""
+        item = self._raw(key, required)
+        value = default if item is None else self._parse(key, kind, *item)
+        return value if override is None else override
 
-    def get_list(self, key: str, kind, default=None, required: bool = False):
-        item = self._raw(key)
-        if item is None:
-            if required:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        text, line_no = item
+    def get_list(self, key: str, kind):
+        """The required key's comma-separated entries, each as kind."""
+        text, line_no = self._raw(key, required=True)
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
             raise ConfigError(f"line {line_no}: {key} list is empty")
@@ -132,21 +126,11 @@ class _Config:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
 
 
-def _check_geometry(m: int, n_list: list) -> None:
-    if m < 2:
-        raise ConfigError(f"m must be >= 2, got {m}")
-    for n in n_list:
-        if not 1 <= n <= m:
-            raise ConfigError(f"n_rx must be in [1, m]; got {n} with m = {m}")
-
-
-def _bits_rule_from(cfg: _Config) -> BitsRule:
-    bits = cfg.get("bits", int)
-    gap = cfg.get("gap_target", float)
-    if (bits is None) == (gap is None):
-        raise ConfigError("exactly one of 'bits' or 'gap_target' must be set")
+@contextmanager
+def _as_config_error():
+    """Raise the ValueError of a library config object that refuses its values as ConfigError."""
     try:
-        return BitsRule.fixed(bits) if bits is not None else BitsRule.scaling(gap)
+        yield
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -172,8 +156,6 @@ def _write_outputs(out_dir: str | None, files: dict) -> int:
 def _fmt(value: float) -> str:
     if isinstance(value, int):  # bools as 1/0, never in exponent form
         return str(int(value))
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return f"{value:.10g}"
 
 
@@ -184,34 +166,32 @@ def cmd_sweep(args) -> int:
     if args.threads is not None:
         print("warning: --threads is ignored; sweeps use one thread per core the process "
               "may run on (taskset limits it)", file=sys.stderr)
-    cfg = _Config(_load_config(args.config))
+    cfg = _Config(args.config)
     m = cfg.get("m", int, required=True)
-    n_list = cfg.get_list("n_rx", int, required=True)
-    snr_db = cfg.get_list("snr_db", float, required=True)
-    # read config keys unconditionally so flag overrides never orphan them
-    trials = cfg.get("trials", int, _DEFAULT_TRIALS)
-    if args.trials is not None:
-        trials = args.trials
-    seed = cfg.get("seed", int)
-    if args.seed is not None:
-        seed = args.seed
+    n_list = cfg.get_list("n_rx", int)
+    snr_db = cfg.get_list("snr_db", float)
+    trials = cfg.get("trials", int, _DEFAULT_TRIALS, override=args.trials)
+    seed = cfg.get("seed", int, override=args.seed)
     if seed is None:
         seed = _DEFAULT_SEED
         print(f"seed = {seed} (default; set 'seed' in the config to silence)", file=sys.stderr)
     policy = cfg.get("codebook_policy", str, "per_block")
     users = cfg.get("k", int)
-    rule = _bits_rule_from(cfg)
+    bits = cfg.get("bits", int)
+    gap = cfg.get("gap_target", float)
+    if (bits is None) == (gap is None):
+        raise ConfigError("exactly one of 'bits' or 'gap_target' must be set")
     cfg.reject_unknown()
     if users is not None and users != m:
         raise ConfigError(f"k = {users} unsupported; the user count must equal m = {m}")
 
     start = time.perf_counter()
-    try:
+    # run_experiment refuses an unreachable or over-limit bit budget before any trial
+    with _as_config_error():
+        rule = BitsRule(kind="fixed" if gap is None else "scaling", bits=bits, target_gap=gap)
         result = run_experiment(
             ExperimentConfig(m=m, n_rx=tuple(n_list), snr_db_grid=tuple(snr_db), bits_rule=rule,
                              trials=trials, seed=seed, codebook_policy=policy))
-    except (InfeasibleTargetError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
     elapsed = time.perf_counter() - start
     rows, warnings = result.points, result.warnings
 
@@ -265,24 +245,21 @@ def scaling_table_rows(m: int, n_list: list, snr_db: list, gap: float) -> list[d
     """
     rows = []
     for p_db in snr_db:
-        try:
-            exact_n1 = bits_required(ScalingInputs(m=m, n=1, p_db=p_db, target_gap=gap))
-        except InfeasibleTargetError:
-            exact_n1 = None
-        for n in n_list:
+        budgets = {}
+        for n in dict.fromkeys([1, *n_list]):
             try:
-                exact = bits_required(ScalingInputs(m=m, n=n, p_db=p_db, target_gap=gap))
-                feasible = True
+                budgets[n] = bits_required(ScalingInputs(m=m, n=n, p_db=p_db, target_gap=gap))
             except InfeasibleTargetError:
-                exact, feasible = float("nan"), False
-            savings = exact_n1 - exact if feasible and exact_n1 is not None else float("nan")
+                budgets[n] = math.nan
+        for n in n_list:
+            exact, feasible = budgets[n], not math.isnan(budgets[n])
             rows.append({
                 "snr_db": p_db,
                 "n_rx": n,
                 "bits_exact": exact,
-                "bits_ceil": max(1, math.ceil(exact)) if feasible else float("nan"),
-                "bits_round": round(exact) if feasible else float("nan"),
-                "savings_bits_exact": savings,
+                "bits_ceil": max(1, math.ceil(exact)) if feasible else math.nan,
+                "bits_round": round(exact) if feasible else math.nan,
+                "savings_bits_exact": budgets[1] - exact,  # nan where either is infeasible
                 "savings_bits_approx": feedback_savings(m, n, p_db),
                 "feasible": feasible,
             })
@@ -290,21 +267,15 @@ def scaling_table_rows(m: int, n_list: list, snr_db: list, gap: float) -> list[d
 
 
 def cmd_scaling_table(args) -> int:
-    cfg = _Config(_load_config(args.config))
+    cfg = _Config(args.config)
     m = cfg.get("m", int, required=True)
-    n_list = cfg.get_list("n_rx", int, required=True)
-    snr_db = cfg.get_list("snr_db", float, required=True)
+    n_list = cfg.get_list("n_rx", int)
+    snr_db = cfg.get_list("snr_db", float)
     gap = cfg.get("gap_target", float, required=True)
     cfg.reject_unknown()
-    _check_geometry(m, n_list)
-    if any(n > m - 1 for n in n_list):
-        raise ConfigError(f"the bit budget needs n_rx <= m - 1 = {m - 1}")
-    if not 0 < gap < math.inf:  # NaN fails too
-        raise ConfigError(f"gap_target must be positive and finite, got {gap}")
-    if not all(math.isfinite(p) for p in snr_db):
-        raise ConfigError(f"snr_db entries must be finite, got {snr_db}")
 
-    rows = scaling_table_rows(m, n_list, snr_db, gap)
+    with _as_config_error():  # a cell's ScalingInputs refuses bad values
+        rows = scaling_table_rows(m, n_list, snr_db, gap)
     names = SCALING_CSV_HEADER.split(",")
     lines = [SCALING_CSV_HEADER] + [",".join(_fmt(r[k]) for k in names) for r in rows]
     csv_text = "\n".join(lines) + "\n"
@@ -324,45 +295,32 @@ def cmd_scaling_table(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _Config(_load_config(args.config))
-    m = cfg.get("m", int, 4)
-    n = cfg.get("n_rx", int, 2)
-    bits = cfg.get("bits", int, 8)
-    samples = cfg.get("samples", int, _DEFAULT_SAMPLES)
-    if args.samples is not None:
-        samples = args.samples
-    seed = cfg.get("seed", int, _DEFAULT_SEED)
-    if args.seed is not None:
-        seed = args.seed
+    cfg = _Config(args.config)
+    fields = {"m": cfg.get("m", int, 4), "n_rx": cfg.get("n_rx", int, 2),
+              "bits": cfg.get("bits", int, 8),
+              "samples": cfg.get("samples", int, _DEFAULT_SAMPLES, override=args.samples),
+              "seed": cfg.get("seed", int, _DEFAULT_SEED, override=args.seed)}
     cfg.reject_unknown()
-    _check_geometry(m, [n])
-    if n > m - 1:
-        raise ConfigError(f"validation laws need n_rx <= m - 1 = {m - 1}")
-    if samples < 1000:
-        raise ConfigError(f"the suite needs at least 1000 samples, got {samples}")
-    if not 1 <= bits <= MAX_CODEBOOK_BITS:
-        raise ConfigError(f"bits must be in [1, {MAX_CODEBOOK_BITS}], got {bits}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    with _as_config_error():
+        config = ValidationConfig(**fields)
 
     start = time.perf_counter()
-    reports = run_validation_suite(m, n, bits, samples, seed,
-                                   wrong_reference=args.wrong_reference)
+    # unmapped: a kernel fault (DegenerateChannelError) is a ValueError too
+    reports = run_validation_suite(config, wrong_reference=args.wrong_reference)
     elapsed = time.perf_counter() - start
     all_passed = all(r.passed for r in reports)
 
     payload = {
         "command": "validate",
         "version": __version__,
-        "config": {"m": m, "n_rx": n, "bits": bits, "samples": samples, "seed": seed,
-                   "wrong_reference": bool(args.wrong_reference)},
+        "config": {**dataclasses.asdict(config), "wrong_reference": bool(args.wrong_reference)},
         "reports": [dataclasses.asdict(r) for r in reports],
         "passed": all_passed,
         "stream_version": VALIDATION_STREAM_VERSION,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     print(text, end="")
-    workers = suite_workers(m, n, bits, samples)
+    workers = suite_workers(config)
     print(f"# validation {'passed' if all_passed else 'FAILED'} in {elapsed:.1f}s "
           f"({workers} worker{'s' * (workers != 1)})", file=sys.stderr)
     code = _write_outputs(args.out, {"validation.json": text})

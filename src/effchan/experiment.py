@@ -48,7 +48,7 @@ from .linalg import (
 )
 from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
 from .quantize import (MAX_CODEBOOK_BITS, _orient, _scan_bytes, _select, _select_drawn,
-                       generate_codebook)
+                       check_bits, generate_codebook)
 from .stats import mean_ci
 
 # Version of the sweep's stream contract (module docstring), and the trials
@@ -74,9 +74,7 @@ class BitsRule:
 
     def __post_init__(self):
         if self.kind == "fixed":
-            if not is_stream_id(self.bits) or not 1 <= self.bits <= MAX_CODEBOOK_BITS:
-                raise ValueError(f"fixed bits must be an integer in [1, {MAX_CODEBOOK_BITS}], "
-                                 f"got {self.bits!r}")
+            check_bits(self.bits, "fixed bits")
         elif self.kind == "scaling":
             if self.target_gap is None or not 0 < self.target_gap < math.inf:  # NaN fails too
                 raise ValueError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 LOG2E = math.log2(math.e)
 
@@ -25,6 +26,8 @@ class InfeasibleTargetError(ValueError):
 
 
 def _check_antennas(m: int, n: int) -> None:
+    if not isinstance(m, Integral) or not isinstance(n, Integral):
+        raise ValueError(f"antenna counts must be integers, got M={m!r}, N={n!r}")
     if m < 2:
         raise ValueError(f"need at least 2 transmit antennas, got M={m}")
     if not 1 <= n <= m - 1:
@@ -78,7 +81,10 @@ def rate_gap_bound(power: float, bits: float, m: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class ScalingInputs:
-    """Inputs to the feedback-bit budget: array sizes, operating SNR, gap target."""
+    """Inputs to the feedback-bit budget: array sizes, operating SNR, gap target.
+
+    Building one raises ValueError for inputs outside the formula's domain.
+    """
 
     m: int
     n: int
@@ -87,6 +93,8 @@ class ScalingInputs:
 
     def __post_init__(self):
         _check_antennas(self.m, self.n)
+        if not math.isfinite(self.p_db):
+            raise ValueError(f"SNR must be finite, got p_db={self.p_db}")
         if not 0 < self.target_gap < math.inf:  # NaN fails too
             raise ValueError(f"target gap must be positive and finite, got {self.target_gap}")
 

@@ -20,6 +20,7 @@ from .linalg import (
     DegenerateChannelError,
     RngStream,
     complex_from_parts,
+    is_stream_id,
     slice_items,
 )
 
@@ -72,10 +73,15 @@ class QuantizationResult:
     eff_norm_sq: np.ndarray
 
 
+def check_bits(bits, name: str = "bits") -> None:
+    """Refuse a codebook size that is not an integer in [1, MAX_CODEBOOK_BITS] bits."""
+    if not is_stream_id(bits) or not 1 <= bits <= MAX_CODEBOOK_BITS:
+        raise ValueError(f"{name} must be an integer in [1, {MAX_CODEBOOK_BITS}], got {bits!r}")
+
+
 def generate_codebook(stream: RngStream, bits: int, dim: int) -> np.ndarray:
     """Draw a fresh random codebook: 2**bits isotropic unit rows in C^dim, (2^B, dim)."""
-    if not 1 <= bits <= MAX_CODEBOOK_BITS:
-        raise ValueError(f"bits must be in [1, {MAX_CODEBOOK_BITS}], got {bits}")
+    check_bits(bits)
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     return _unit_rows(stream.generator().standard_normal((2, 2 ** bits, dim)))

@@ -38,27 +38,51 @@ Laws checked:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .formulas import quant_error_approx
+from .formulas import _check_antennas, quant_error_approx
 from .linalg import (
     PURPOSE_VALIDATION,
     RngStream,
     complex_from_parts,
+    is_stream_id,
     ordered_map,
     slice_items,
     worker_count,
 )
-from .quantize import _orient, _scan_bytes, _select_drawn, raise_fault
+from .quantize import _orient, _scan_bytes, _select_drawn, check_bits, raise_fault
 from .stats import FitReport, gamma_cdf, isotropy_moments, isotropy_verdict, ks_test, max_beta_cdf
 
 STREAM_VERSION = 4  # validation stream contract: one stream per block, codebooks per sample
 _BLOCK_GAUSSIANS = 2 ** 19  # complex normals per sample block; fixes the streams
 # largest relative error of the mean quantization error against its approximation
 _QUANT_ERROR_RTOL = 0.15
+
+
+@dataclass(frozen=True)
+class ValidationConfig:
+    """One validation run: M transmit and N receive antennas, codebook bits, samples, seed.
+
+    Building one raises ValueError for values the suite cannot test.
+    """
+
+    m: int
+    n_rx: int
+    bits: int
+    samples: int
+    seed: int
+
+    def __post_init__(self):
+        _check_antennas(self.m, self.n_rx)
+        check_bits(self.bits)
+        if not is_stream_id(self.samples) or self.samples < 1000:
+            raise ValueError(f"the suite needs an integer count of at least 1000 samples, "
+                             f"got {self.samples!r}")
+        if not is_stream_id(self.seed):
+            raise ValueError(f"seed must be nonnegative and an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +135,9 @@ def _effective_gaussians(m: int, n: int, bits: int) -> int:
     return (2 ** bits + n) * m
 
 
-def suite_workers(m: int, n: int, bits: int, n_samples: int) -> int:
+def suite_workers(config: ValidationConfig) -> int:
     """Worker threads that run_validation_suite's sample collection uses."""
+    m, n, bits, n_samples, _ = astuple(config)
     return _plan(n_samples, _effective_gaussians(m, n, bits), partial(_block_bytes, m, n, bits))[1]
 
 
@@ -160,8 +185,7 @@ def collect_effective_samples(m: int, n: int, bits: int, n_samples: int,
 
 def quantization_angle_report(m: int, n: int, bits: int, n_samples: int, seed: int) -> FitReport:
     """Squared quantization cosine vs the max-of-Beta(N, M-N) law (ks_test's default threshold)."""
-    if not 1 <= n <= m - 1:
-        raise ValueError(f"the angle law needs 1 <= N <= M-1, got N={n}, M={m}")
+    _check_antennas(m, n)
     samples = collect_effective_samples(m, n, bits, n_samples, seed)
     count = 2 ** bits
     # reference mean by integrating the exact survival function on a fine grid
@@ -223,13 +247,14 @@ def quant_error_mean_report(m: int, n: int, bits: int, n_samples: int, seed: int
     )
 
 
-def run_validation_suite(m: int, n: int, bits: int, n_samples: int, seed: int,
+def run_validation_suite(config: ValidationConfig,
                          wrong_reference: bool = False) -> list[FitReport]:
     """All distributional checks for one (M, N, B) configuration.
 
     wrong_reference=True swaps in off-by-one reference laws; every report
     must then fail, demonstrating the suite actually has detection power.
     """
+    m, n, bits, n_samples, seed = astuple(config)
     if wrong_reference:
         samples = collect_effective_samples(m, n, bits, n_samples, seed)
         count = 2 ** bits
@@ -240,10 +265,9 @@ def run_validation_suite(m: int, n: int, bits: int, n_samples: int, seed: int,
                     name=f"angle_law_m{m}_n{n}_b{bits}_wrong_ref"),
             replace(gain, name=gain.name + "_wrong_ref"),
         ]
-    reports = [
+    return [
         quantization_angle_report(m, n, bits, n_samples, seed),
         direction_isotropy_report(m, n, bits, n_samples, seed),
         effective_gain_report(m, n, bits, n_samples, seed),
         quant_error_mean_report(m, n, bits, n_samples, seed),
     ]
-    return reports

@@ -218,20 +218,20 @@ def test_scaling_table_rows_structure():
 def test_scaling_table_guards(tmp_path, capsys):
     cfg = write_config(tmp_path, "m = 4\nn_rx = 4\nsnr_db = 10\ngap_target = 1.0\n")
     assert main(["scaling-table", "--config", cfg]) == 1
-    assert "n_rx <= m - 1" in capsys.readouterr().err
+    assert "need 1 <= N <= M-1" in capsys.readouterr().err
     cfg2 = write_config(tmp_path, "m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = -1\n", "g.cfg")
     assert main(["scaling-table", "--config", cfg2]) == 1
-    assert "gap_target must be positive" in capsys.readouterr().err
+    assert "target gap must be positive" in capsys.readouterr().err
     for gap in ("nan", "inf"):  # refused, not a math.ceil traceback or a silent 0 bits
         cfg_gap = write_config(tmp_path, f"m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = {gap}\n",
                                "g.cfg")
         assert main(["scaling-table", "--config", cfg_gap]) == 1
-        assert "error: gap_target must be positive and finite" in capsys.readouterr().err
+        assert "error: target gap must be positive and finite" in capsys.readouterr().err
     for snr_db in ("nan, 10", "10, inf", "-inf"):  # refused, not a math.ceil traceback
         cfg3 = write_config(tmp_path, f"m = 4\nn_rx = 2\nsnr_db = {snr_db}\ngap_target = 1.0\n",
                             "s.cfg")
         assert main(["scaling-table", "--config", cfg3]) == 1
-        assert "error: snr_db entries must be finite" in capsys.readouterr().err
+        assert "error: SNR must be finite" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ validate
@@ -271,7 +271,7 @@ def test_validate_wrong_reference_fails_with_exit_2(tmp_path, capsys):
 def test_validate_guards(tmp_path, capsys):
     cfg = write_config(tmp_path, "m = 2\nn_rx = 2\nbits = 4\n")
     assert main(["validate", "--config", cfg, "--samples", "2000"]) == 1
-    assert "n_rx <= m - 1" in capsys.readouterr().err
+    assert "need 1 <= N <= M-1" in capsys.readouterr().err
     cfg2 = write_config(tmp_path, "m = 4\nn_rx = 2\nbits = 4\n", "s.cfg")
     assert main(["validate", "--config", cfg2, "--samples", "500"]) == 1
     assert "at least 1000 samples" in capsys.readouterr().err
@@ -279,7 +279,7 @@ def test_validate_guards(tmp_path, capsys):
     for bits in (-1, 0, MAX_CODEBOOK_BITS + 1, 40):
         bad = write_config(tmp_path, f"m = 4\nn_rx = 2\nbits = {bits}\n", "b.cfg")
         assert main(["validate", "--config", bad, "--samples", "2000"]) == 1
-        assert f"bits must be in [1, {MAX_CODEBOOK_BITS}]" in capsys.readouterr().err
+        assert f"bits must be an integer in [1, {MAX_CODEBOOK_BITS}]" in capsys.readouterr().err
     assert main(["validate", "--config", cfg2, "--samples", "2000", "--seed", "-1"]) == 1
     assert "seed must be nonnegative" in capsys.readouterr().err
 

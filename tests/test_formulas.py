@@ -192,6 +192,24 @@ def test_scaling_inputs_guards():
             ScalingInputs(m=4, n=2, p_db=10.0, target_gap=gap)
 
 
+def test_scaling_inputs_refuse_non_finite_snr():
+    # never a nan, inf or 0.0 bit budget
+    for p_db in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="SNR must be finite"):
+            ScalingInputs(m=4, n=2, p_db=p_db, target_gap=1.0)
+
+
+def test_antenna_counts_must_be_integers():
+    # refused at the check, not by a TypeError from math.comb later
+    for m, n in ((4.5, 2), (4.0, 2), (4, 2.0)):
+        with pytest.raises(ValueError, match="antenna counts must be integers"):
+            ScalingInputs(m=m, n=n, p_db=10.0, target_gap=1.0)
+        with pytest.raises(ValueError, match="antenna counts must be integers"):
+            delta_a(m, n)
+    assert bits_required(ScalingInputs(m=np.int64(4), n=np.int64(2), p_db=10.0,
+                                       target_gap=1.0)) > 0
+
+
 # ---------------------------------------------------------- feedback_savings
 
 

@@ -184,8 +184,8 @@ def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pool
     # validate_b8's shape: a 508-sample block holds about 2.3 MiB (a 64-sample
     # slice of codebook normals, its overlap and metric, and the block's
     # channels and picks), so 27 fit; at B = 24 one sample is over the cap
-    assert validate.suite_workers(4, 2, 8, 100_000) == 27
-    assert validate.suite_workers(4, 2, 24, 100_000) == 1
+    assert validate.suite_workers(validate.ValidationConfig(4, 2, 8, 100_000, 1)) == 27
+    assert validate.suite_workers(validate.ValidationConfig(4, 2, 24, 100_000, 1)) == 1
     # one worker maps serially and starts no pool; more keep the item order
     assert ordered_map(str, range(3), 1) == ["0", "1", "2"]
     assert pools == []

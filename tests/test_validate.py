@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -8,7 +9,9 @@ import effchan.validate as validate
 from effchan.linalg import PURPOSE_VALIDATION, DegenerateChannelError, RngStream
 from effchan.quantize import quantize_stack
 from effchan.stats import isotropy_moments, isotropy_probe
+from effchan.quantize import MAX_CODEBOOK_BITS
 from effchan.validate import (
+    ValidationConfig,
     collect_effective_samples,
     direction_isotropy_report,
     effective_gain_report,
@@ -249,18 +252,41 @@ def test_workers_capped_by_cores_blocks_and_memory(monkeypatch):
     assert held(508) == 508 * 392 + 64 * 256 * 136 == 2_427_360
     takes, workers = validate._plan(100_000, gaussians, held)
     assert len(takes) == 197 and set(takes[:-1]) == {508} and sum(takes) == 100_000
-    assert workers == 27 == validate.suite_workers(4, 2, 8, 100_000)
+    assert workers == 27 == validate.suite_workers(ValidationConfig(4, 2, 8, 100_000, 1))
     monkeypatch.setattr(linalg, "_cores", lambda: 2)
-    assert validate.suite_workers(4, 2, 8, 100_000) == 2
+    assert validate.suite_workers(ValidationConfig(4, 2, 8, 100_000, 1)) == 2
     monkeypatch.setattr(linalg, "_cores", lambda: 64)
-    assert validate.suite_workers(4, 2, 8, 1000) == 2  # two blocks
+    assert validate.suite_workers(ValidationConfig(4, 2, 8, 1000, 1)) == 2  # two blocks
     # B >= 17 at M = 4: a block is one sample, which slicing by sample cannot
     # shrink.  At B = 17 it holds 392 + 2^17 x 136 bytes (17 MiB), so 3 fit;
     # at B = 24 one sample is over the cap
     assert validate._plan(50, (2**17 + 2) * 4, partial(validate._block_bytes, 4, 2, 17)) == (
         [1] * 50, 3)
     assert validate._block_bytes(4, 2, 17, 1) == 392 + 2**17 * 136
-    assert validate.suite_workers(4, 2, 24, 100_000) == 1
+    assert validate.suite_workers(ValidationConfig(4, 2, 24, 100_000, 1)) == 1
+
+
+def test_validation_config_guards():
+    assert ValidationConfig(2, 1, 1, 1000, 0) == ValidationConfig(2, 1, 1, 1000, 0)
+    ValidationConfig(4, 3, MAX_CODEBOOK_BITS, 1000, 0)  # every bound is inclusive
+    ValidationConfig(np.int64(4), np.int64(2), np.int64(8), np.int64(1000), np.int64(5))
+    bad = [
+        (dict(m=1, n_rx=1), "at least 2 transmit antennas"),
+        (dict(n_rx=4), "1 <= N <= M-1"),  # N = M
+        (dict(n_rx=0), "1 <= N <= M-1"),
+        (dict(m=4.0), "antenna counts must be integers"),
+        (dict(bits=0), "bits must be an integer in [1, 24]"),
+        (dict(bits=MAX_CODEBOOK_BITS + 1), "bits must be an integer in [1, 24]"),
+        (dict(bits=2.0), "bits must be an integer in [1, 24]"),
+        (dict(samples=999), "at least 1000 samples"),
+        (dict(samples=1000.0), "at least 1000 samples"),
+        (dict(seed=-1), "seed must be nonnegative"),
+        (dict(seed=1.5), "seed must be nonnegative"),
+    ]
+    for fields, fragment in bad:
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            ValidationConfig(**{"m": 4, "n_rx": 2, "bits": 4, "samples": 1000, "seed": 0,
+                                **fields})
 
 
 def test_collector_guards():
@@ -308,7 +334,7 @@ def test_exact_gain_law_for_single_receive_antenna():
 
 
 def test_wrong_reference_suite_fails_everywhere():
-    reports = run_validation_suite(4, 2, 6, 10_000, 4444, wrong_reference=True)
+    reports = run_validation_suite(ValidationConfig(4, 2, 6, 10_000, 4444), wrong_reference=True)
     assert len(reports) == 2
     for report in reports:
         assert not report.passed
@@ -322,15 +348,16 @@ def test_suite_verdicts_hold_at_small_sample_counts():
     # the wrong laws still fail
     failed = []
     for seed in range(60):
-        if not all(r.passed for r in run_validation_suite(4, 2, 5, 4000, seed)):
+        config = ValidationConfig(4, 2, 5, 4000, seed)
+        if not all(r.passed for r in run_validation_suite(config)):
             failed.append(seed)
-        wrong = run_validation_suite(4, 2, 5, 4000, seed, wrong_reference=True)
+        wrong = run_validation_suite(config, wrong_reference=True)
         assert not any(r.passed for r in wrong), seed
     assert len(failed) <= 1, failed
 
 
 def test_suite_names_and_pass(tmp_path):
-    reports = run_validation_suite(4, 2, 6, 20_000, 4242)
+    reports = run_validation_suite(ValidationConfig(4, 2, 6, 20_000, 4242))
     names = [r.name for r in reports]
     assert names == [
         "angle_law_m4_n2_b6",
