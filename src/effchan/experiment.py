@@ -8,18 +8,23 @@ paired comparison.
 
 A sweep's whole (N, SNR) grid runs in one pass over chunks per bit count.
 No stream id carries N or SNR, so a chunk draws the benchmark, the codebooks
-and the largest N's channels (a smaller N's are a prefix of them) once for
-the grid.  It QR-factors each N once, takes every N's picks from the codebook
-policy's scorer (``CODEBOOK_POLICIES``), orients and zero-forces each N and
-the benchmark once, and rates every SNR point from the same beams.
+and an M x M channel per trial and user once for the grid.  An N's channel is
+the first N columns of it, so the receive antennas nest: N + 1 antennas are
+the same mobile's N antennas and one more.  The chunk QR-factors the largest
+N once (a smaller N's factors are prefixes of it), takes every N's picks from
+one pass of the codebook policy's scorer (``CODEBOOK_POLICIES``), orients and
+zero-forces each N and the benchmark once, and rates every SNR point from the
+same beams.
 
-Determinism contract, stream version 3 (``STREAM_VERSION``, in the sweep
-manifest): block b, trials [64 b, 64 b + 64), draws its channels, benchmarks
-and per-block codebooks in trial order from one stream per purpose,
-``RngStream(seed, b, 0, purpose)``.  A normal takes a variable number of
-random words, so the block, not the trial, is the unit of replay.  Chunks are
-whole blocks, so no draw depends on the chunk size or the worker count.
-Version 2 laid out the same draws on Philox streams.
+Determinism contract, stream version 4 (``STREAM_VERSION``, in the sweep
+manifest): block b, trials [64 b, 64 b + 64), draws its channels (M x M
+each), benchmarks and per-block codebooks in trial order from one stream per
+purpose, ``RngStream(seed, b, 0, purpose)``.  A normal takes a variable
+number of random words, so the block, not the trial, is the unit of replay.
+Chunks are whole blocks, so no draw depends on the chunk size or the worker
+count.  Version 3 drew each block's channels M x N_max, so an N's were a flat
+prefix of that draw, unrelated to the other N's; version 2 laid out the same
+draws as version 3 on Philox streams.
 
 A bit count's chunks run on the threads of ``linalg.worker_count``, as
 validation's sample blocks do, and are joined in chunk order.
@@ -55,7 +60,7 @@ from .stats import mean_ci
 # per stream block, the contract's unit of replay.  A chunk is as many whole
 # stream blocks as one ``linalg.SLICE_BYTES`` slice of per-block codebooks
 # holds trials, but at least one.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 _BLOCK = 64
 
 
@@ -178,15 +183,17 @@ class ExperimentResult:
 def _chunk_bytes(config: ExperimentConfig, bits: int, trials: int, scanned: int) -> int:
     """Bytes a chunk of ``trials`` trials holds at its peak, from shapes alone.
 
-    A trial and user holds every N's complex channels, QR factors and
-    quantization results, and the complex benchmark (their normals are freed
-    once these are formed).  A trial, user and codeword of the ``scanned``
-    trials one ``_select`` call scores holds ``_scan_bytes`` for the largest N,
-    its normals counted only under per_block (a fixed codebook is shared).
+    A trial and user holds its complex (M, M) channel, the QR factors of the
+    largest N, every N's quantization results, and the complex benchmark (their
+    normals are freed once these are formed).  A trial, user and codeword of the
+    ``scanned`` trials one ``_select`` call scores holds ``_scan_bytes`` for the
+    largest N, its normals counted only under per_block (a fixed codebook is
+    shared).
     """
-    m = config.m
-    held = sum(16 * (2 * m * n + n * n + 3 * m + n) + 40 for n in config.n_rx) + 16 * m
-    per_codeword = _scan_bytes(m, max(config.n_rx), config.codebook_policy == "per_block")
+    m, top = config.m, max(config.n_rx)
+    held = (16 * (m * m + m * top + top * top + m)
+            + sum(16 * (3 * m + n) + 40 for n in config.n_rx))
+    per_codeword = _scan_bytes(m, top, config.codebook_policy == "per_block")
     return config.users * (trials * held + scanned * 2 ** bits * per_codeword)
 
 
@@ -207,15 +214,15 @@ def _plan(config: ExperimentConfig, bits: int) -> tuple[list[range], int]:
 
 def _score_per_block(config: ExperimentConfig, bits: int):
     """Per-block scorer: a chunk's stream blocks draw their codebooks as generate_codebook
-    would, trial after trial, and ``_select_drawn`` scores each slice for every Q."""
-    def score(first_block: int, qs: list) -> list:
-        lead = qs[0].shape[:-2]
+    would, trial after trial, and ``_select_drawn`` scores each slice for every width."""
+    def score(first_block: int, q: np.ndarray, widths: list) -> list:
+        lead = q.shape[:-2]
         picks = [(np.empty(lead, np.intp), np.empty((*lead, config.m), complex), np.empty(lead))
-                 for _ in qs]
-        for lo in range(0, len(qs[0]), _BLOCK):
+                 for _ in widths]
+        for lo in range(0, len(q), _BLOCK):
             stream = RngStream(config.seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK)
             rows = slice(lo, lo + _BLOCK)
-            _select_drawn(stream.generator(), [q[rows] for q in qs], bits,
+            _select_drawn(stream.generator(), q[rows], bits, widths,
                           [[p[rows] for p in pick] for pick in picks])
         return picks
     return score
@@ -226,12 +233,13 @@ def _score_fixed(config: ExperimentConfig, bits: int):
     every chunk's trials are scored against them (``_select``)."""
     books = np.stack([generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK),
                                         bits, config.m) for u in range(config.users)])
-    return lambda first_block, qs: [_select(q, books) for q in qs]
+    return lambda first_block, q, widths: _select(q, books, widths)
 
 
 # Codebook policy -> scorer.  scorer(config, bits) does a bit count's set-up and
-# returns score(first_block, qs): the (index, q_hat, cos_sq) picks of a chunk, whose
-# first trial opens stream block first_block, for each of its (trials, users, M, N) Qs.
+# returns score(first_block, q, widths): the (index, q_hat, cos_sq) picks of a
+# chunk, whose first trial opens stream block first_block, for the span of each
+# width's first columns of its (trials, users, M, N) Q, as _select returns them.
 CODEBOOK_POLICIES = {"per_block": _score_per_block, "fixed": _score_fixed}
 
 
@@ -241,40 +249,40 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
 
     ``trials`` starts at a stream block's first trial; a block the range ends
     inside draws a prefix of its streams.  A block draws its benchmarks and its
-    channels for the largest N from one stream per purpose.  Each N is
-    QR-factored once, picked for by ``score`` (a ``CODEBOOK_POLICIES`` scorer's)
-    and oriented once.  An N drops a trial at all its SNRs when a quantization
-    faults or zero-forcing refuses its stack or the benchmark's.  Returns
-    ``(rate_fb, rate_zf, dropped)``, each ``(len(cells), len(trials))``; a
-    dropped trial carries zero rates.
+    M x M channels from one stream per purpose; an N's channels are their first
+    N columns.  The largest N is QR-factored once and every N picked for by one
+    ``score`` call (a ``CODEBOOK_POLICIES`` scorer's) on its Q; each N is
+    oriented on its prefixes of the factors.  An N drops a trial at all its
+    SNRs when a quantization faults or zero-forcing refuses its stack or the
+    benchmark's.  Returns ``(rate_fb, rate_zf, dropped)``, each
+    ``(len(cells), len(trials))``; a dropped trial carries zero rates.
     """
     m, users, seed, count = config.m, config.users, config.seed, len(trials)
     first_block = trials.start // _BLOCK
     n_rx = list(dict.fromkeys(n for n, _ in cells))
-    top = max(n_rx)
-    channel_parts = {n: np.empty((count, users, 2, m, n)) for n in n_rx}
+    channel_parts = np.empty((count, users, 2, m, m))
     bench_parts = np.empty((count, users, 2, m))
     for lo in range(0, count, _BLOCK):
-        block, size = first_block + lo // _BLOCK, min(_BLOCK, count - lo)
-        drawn = channel_parts[top][lo:lo + size]
-        RngStream(seed, block, 0, PURPOSE_CHANNEL).generator().standard_normal(out=drawn)
-        for n in set(n_rx) - {top}:  # an N's draw, (size, users, 2, M, N), is a prefix of top's
-            channel_parts[n][lo:lo + size] = drawn.reshape(-1)[:drawn.size // top * n].reshape(
-                size, users, 2, m, n)
+        block, rows = first_block + lo // _BLOCK, slice(lo, lo + _BLOCK)
+        RngStream(seed, block, 0, PURPOSE_CHANNEL).generator().standard_normal(
+            out=channel_parts[rows])
         RngStream(seed, block, 0, PURPOSE_BENCHMARK).generator().standard_normal(
-            out=bench_parts[lo:lo + size])
-    channels = {n: complex_from_parts(np.moveaxis(parts, 2, 0))
-                for n, parts in channel_parts.items()}
+            out=bench_parts[rows])
+    # (trials, users, M, M): an N's channels are the first N columns
+    channels = complex_from_parts(np.moveaxis(channel_parts, 2, 0))
     # (trials, M, users), contiguous: column u = user u
     bench = complex_from_parts(bench_parts.transpose(2, 0, 3, 1))
-    del channel_parts, bench_parts, drawn  # the real normals; only the complex arrays are used
+    del channel_parts, bench_parts  # the real normals; only the complex arrays are used
     powers = {snr_db: _power(snr_db) for _, snr_db in cells}
     zf_rates, zf_cond, zf_residual = perfect_csit_rates(bench, np.array(list(powers.values())))
     rate_zf, zf_refused = dict(zip(powers, zf_rates)), refused(zf_cond, zf_residual)
-    factors = {n: np.linalg.qr(channels[n]) for n in n_rx}
+    # QR of a column prefix is the prefix of the QR: one factorization serves every N
+    q, r = np.linalg.qr(channels[..., :max(n_rx)])
     records = {}
-    for n, picks in zip(n_rx, score(first_block, [factors[n][0] for n in n_rx])):
-        fb, fault = _orient(channels[n], *factors[n], *picks)
+    for n, picks in zip(n_rx, score(first_block, q, n_rx)):
+        # contiguous prefixes, so that each N is oriented as a chunk of that N alone is
+        fb, fault = _orient(channels[..., :n], np.ascontiguousarray(q[..., :n]),
+                            np.ascontiguousarray(r[..., :n, :n]), *picks)
         # user stacks as (M, M) matrices with one column per user
         beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
         dropped = (fault != 0).any(axis=-1) | refused(cond, residual) | zf_refused

@@ -34,6 +34,11 @@ def _check_antennas(m: int, n: int) -> None:
         raise ValueError(f"need 1 <= N <= M-1, got N={n} with M={m}")
 
 
+def _check_snr(p_db: float) -> None:
+    if not math.isfinite(p_db):
+        raise ValueError(f"SNR must be finite, got p_db={p_db}")
+
+
 def delta_a(m: int, n: int) -> float:
     """Asymptotic per-user rate offset of using N receive antennas.
 
@@ -60,8 +65,8 @@ def quant_error_approx(bits: float, m: int, n: int) -> float:
     roughly ten percent for moderate B; exact in mean for M - N = 1.
     """
     _check_antennas(m, n)
-    if bits < 0:
-        raise ValueError(f"bits must be nonnegative, got {bits}")
+    if not 0 <= bits < math.inf:  # NaN fails too
+        raise ValueError(f"bits must be nonnegative and finite, got {bits}")
     order = m - n
     return 2.0 ** (-bits / order) * math.comb(m - 1, n - 1) ** (-1.0 / order)
 
@@ -73,8 +78,8 @@ def rate_gap_bound(power: float, bits: float, m: int, n: int) -> float:
     extreme-value approximation for E[sin^2].  power is linear (not dB).
     """
     _check_antennas(m, n)
-    if power < 0:
-        raise ValueError(f"power must be nonnegative, got {power}")
+    if not 0 <= power < math.inf:  # NaN fails too
+        raise ValueError(f"power must be nonnegative and finite, got {power}")
     loading = (m - n + 1) / m
     return delta_a(m, n) + math.log2(1.0 + power * loading * quant_error_approx(bits, m, n))
 
@@ -93,8 +98,7 @@ class ScalingInputs:
 
     def __post_init__(self):
         _check_antennas(self.m, self.n)
-        if not math.isfinite(self.p_db):
-            raise ValueError(f"SNR must be finite, got p_db={self.p_db}")
+        _check_snr(self.p_db)
         if not 0 < self.target_gap < math.inf:  # NaN fails too
             raise ValueError(f"target gap must be positive and finite, got {self.target_gap}")
 
@@ -135,4 +139,5 @@ def feedback_savings(m: int, n: int, p_db: float) -> float:
     Within about 1.5 bits of the exact budget difference at moderate SNR.
     """
     _check_antennas(m, n)
+    _check_snr(p_db)
     return (n - 1) / 3.0 * p_db + log2_binomial(m - 1, n - 1) - (n - 1) * LOG2E

@@ -7,6 +7,11 @@ a receive combining vector whose scalar effective channel points exactly along
 that in-span shadow.  Single-vector quantization and per-antenna selection are
 the same kernel run on one-column channels.  ``_select_drawn`` runs ``_select``
 on random codebooks as it draws them, for the sweep and validation alike.
+
+``_select`` scores one Q for several widths at once: a width n quantizes the
+span of Q's first n columns, which is the span of H's first n columns when
+H = QR.  So a sweep whose N are column prefixes of one channel factors it
+once and scans each codebook once for every N.
 """
 
 from __future__ import annotations
@@ -108,56 +113,70 @@ def quantize_stack(channels: np.ndarray, books) -> tuple[QuantizationResult, np.
         raise ValueError(f"expected (..., {m}, N) channels with 1 <= N <= {m}, "
                          f"got shape {channels.shape}")
     q, r = np.linalg.qr(channels)  # reduced: (..., M, N), orthonormal columns
-    return _orient(channels, q, r, *_select(q, books))
+    [picks] = _select(q, books, (channels.shape[-1],))
+    return _orient(channels, q, r, *picks)
 
 
-def _select(q: np.ndarray, books) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score every codebook row against span(Q); returns (index, q_hat, cos_sq).
+def _select(q: np.ndarray, books, widths) -> list:
+    """Score every codebook row against the span of Q's first n columns, for each n
+    of ``widths``; returns one (index, q_hat, cos_sq) per width.
 
     books is a complex codebook, or the pair (re, im) of real standard normals a
     random codebook is drawn from.  Rows are scored from their real parts by
-    |<w, span(Q)>|^2 / ||w||^2, which ignores their scale, and only the winning
-    row q_hat is formed (as generate_codebook forms it).  Entries are scored
-    apart, so a stack may be sliced.
+    |<w, span(Q_n)>|^2 / ||w||^2, which ignores their scale, and only the winning
+    row q_hat is formed (as generate_codebook forms it).  The overlap with all of
+    Q is computed once; a narrower width scores a contiguous copy of its columns,
+    so every width's picks are byte for byte those of a call on Q[..., :n] alone.
+    Entries are scored apart, so a stack may be sliced.
     """
     parts = isinstance(books, tuple)
     re, im = books if parts else (books.real, books.imag)
+    width = q.shape[-1]
     # [Re | Im] of conj(<w_j, q_k>): books @ q.conj() in its real embedding
     overlap = re @ np.concatenate([q.real, -q.imag], axis=-1)
     overlap += im @ np.concatenate([q.imag, q.real], axis=-1)
-    metric = np.einsum("...jk,...jk->...j", overlap, overlap) / (
-        np.einsum("...jm,...jm->...j", re, re) + np.einsum("...jm,...jm->...j", im, im))
-    index = np.argmax(metric, axis=-1)  # lowest index on ties
-    cos_sq = np.clip(metric.max(axis=-1), 0.0, 1.0)
-    rows = (*np.indices(index.shape, sparse=True), index)
+    norm_sq = np.einsum("...jm,...jm->...j", re, re) + np.einsum("...jm,...jm->...j", im, im)
+    picks = []
+    for n in widths:
+        # a fancy-indexed gather would not be contiguous, and would round differently
+        own = overlap if n == width else np.concatenate(
+            [overlap[..., :n], overlap[..., width:width + n]], axis=-1)
+        metric = np.einsum("...jk,...jk->...j", own, own) / norm_sq
+        index = np.argmax(metric, axis=-1)  # lowest index on ties
+        cos_sq = np.clip(metric.max(axis=-1), 0.0, 1.0)
+        rows = (*np.indices(index.shape, sparse=True), index)
 
-    def winner(book):  # row index of a book broadcast to the stack's leading shape
-        return np.broadcast_to(book, index.shape + book.shape[-2:])[rows]
-    q_hat = _unit_rows(np.stack([winner(re), winner(im)])) if parts else winner(books)
-    return index, q_hat, cos_sq
+        def winner(book):  # row index of a book broadcast to the stack's leading shape
+            return np.broadcast_to(book, index.shape + book.shape[-2:])[rows]
+        q_hat = _unit_rows(np.stack([winner(re), winner(im)])) if parts else winner(books)
+        picks.append((index, q_hat, cos_sq))
+    return picks
 
 
-def _select_drawn(gen: np.random.Generator, qs: list, bits: int, picks: list) -> None:
-    """_select on a random codebook per entry of the (k, *lead, M, N) stacks ``qs``.
+def _select_drawn(gen: np.random.Generator, q: np.ndarray, bits: int, widths,
+                  picks: list) -> None:
+    """_select on a random codebook per entry of the (k, *lead, M, N) stack ``q``.
 
     Each entry's codebook is a (2, 2^B, M) run of ``gen``'s normals, in entry
     order, as generate_codebook draws it.  A SLICE_BYTES slice of k is drawn,
-    scored against every Q into its ``picks`` (index, q_hat, cos_sq) arrays,
+    scored for every width into its ``picks`` (index, q_hat, cos_sq) arrays,
     and dropped before the next.
     """
-    k, *lead, m, _ = qs[0].shape
+    k, *lead, m, _ = q.shape
     step = slice_items(int(np.prod(lead)) * 2 ** bits * m * 16)
     for lo in range(0, k, step):
         normals = gen.standard_normal((min(step, k - lo), *lead, 2, 2 ** bits, m))
         books, part = (normals[..., 0, :, :], normals[..., 1, :, :]), slice(lo, lo + len(normals))
-        for q, (index, q_hat, cos_sq) in zip(qs, picks):
-            index[part], q_hat[part], cos_sq[part] = _select(q[part], books)
+        for (index, q_hat, cos_sq), pick in zip(picks, _select(q[part], books, widths)):
+            index[part], q_hat[part], cos_sq[part] = pick
         del normals, books  # a chunk or block holds one slice at a time
 
 
 def _scan_bytes(m: int, n: int, drawn: bool) -> int:
     """Bytes a codeword holds while ``_select`` scores it against an (M, N) Q: its
-    normals if ``drawn`` (16 M), ``overlap`` twice (32 N, for the ``+=``) and the metric (8)."""
+    normals if ``drawn`` (16 M), ``overlap`` twice (32 N, for the ``+=``) and the metric (8).
+    A narrower width's copy of its overlap columns, its metric and the rows' squared
+    norms fit in the second ``overlap``."""
     return 16 * m * drawn + 32 * n + 8
 
 

@@ -153,7 +153,7 @@ def _quantize_block(gen: np.random.Generator, n: int, bits: int, out: Quantizati
     channels = complex_from_parts(gen.standard_normal((2, take, m, n)))
     q, r = np.linalg.qr(channels)
     picks = np.empty(take, np.intp), np.empty((take, m), complex), out.cos_sq[rows]
-    _select_drawn(gen, [q], bits, [picks])
+    _select_drawn(gen, q, bits, (n,), [picks])
     result, fault = _orient(channels, q, r, *picks)
     raise_fault(fault)
     out.eff_norm_sq[rows] = result.eff_norm_sq

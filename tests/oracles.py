@@ -98,7 +98,8 @@ def quantize_parts(channels, re, im):
     """quantize_stack's pair for the random codebooks whose real and imaginary
     standard normals are re and im: _orient(_select(...)) on numpy's QR."""
     q, r = np.linalg.qr(channels)
-    return _orient(channels, q, r, *_select(q, (re, im)))
+    [picks] = _select(q, (re, im), (channels.shape[-1],))
+    return _orient(channels, q, r, *picks)
 
 
 def whole_ks_statistic(samples, cdf):

@@ -349,10 +349,10 @@ def test_gap_stays_under_the_papers_bound(policy):
 
 def test_gap_bound_fails_on_a_random_codeword(monkeypatch):
     def random_codeword(config, bits):  # scores one fresh random row per trial and user
-        def score(first_block, qs):
+        def score(first_block, q, widths):
             gen = RngStream(config.seed, first_block, 0, PURPOSE_CODEBOOK).generator()
-            normals = gen.standard_normal((2, *qs[0].shape[:-2], 1, config.m))
-            return [_select(q, (normals[0], normals[1])) for q in qs]
+            normals = gen.standard_normal((2, *q.shape[:-2], 1, config.m))
+            return _select(q, (normals[0], normals[1]), widths)
         return score
 
     monkeypatch.setitem(CODEBOOK_POLICIES, "per_block", random_codeword)

@@ -42,16 +42,16 @@ OUTPUTS = {"sweep": ("sweep.csv", "manifest.json"), "validate": ("validation.jso
 
 DIGESTS = {
     "sweep_fixed_b2": {
-        "sweep.csv": "0d412df6827ec369cb31b1767d309ba23c2e5c12550daadc924e3f5306739cc8",
-        "manifest.json": "368fbdfbda30e96bf980638f893bc775c3d1ef115f959fc3fff5b457882f1b72",
+        "sweep.csv": "9d397103c93bd203c3fac6df840dbb3a647fc238e3e1ef153749a8eb804d38f2",
+        "manifest.json": "5d832127c369aa8a1b5a33ed891c3ee5ae92c27672e8233c30e33476e3956107",
     },
     "sweep_block_b10": {
-        "sweep.csv": "5f3c8ee7d0b6f11bb2a061ab69c5d76f02392c205470fb6232c45a2aa5f29782",
-        "manifest.json": "94ba499dd7004d3b1bffc603c9ac6a6e12f15832d75d9876a33dc4828923c48d",
+        "sweep.csv": "dada134bc4dba88faa2631f3a705f807b3f9f243a0f005fe5e572270f827d280",
+        "manifest.json": "6f079d731524294dfd2096d0825a1553a7bc9c7ec463f7611600b1264c789801",
     },
     "readme_sweep": {
-        "sweep.csv": "4f1e615173e6bd7a98d63fcf0b2ea66e69bfc8b80e3ad71198a780844dcef849",
-        "manifest.json": "111df7e3ce79ea1ad0127dd37c8c052ed154f67acd03146cf31c70d80bc8beef",
+        "sweep.csv": "ed688ed0e2a9a1cd34c8fb4288f91001eced5b86d869ca5284a5ffb6c40df255",
+        "manifest.json": "24342bda2e286368ee409ad34ad825641625823275188c5c76fa216636675da1",
     },
     "validate": {
         "validation.json": "c14bd6debf5ebafee105a878a2eb52dab105cef9d05fdd3ef7364b14a6ee5db1",

@@ -49,10 +49,11 @@ def block_draw(seed, block, purpose, shape):
 
 
 def block_channels(config, block, trials):
-    """Complex channels (trials, users, M, N) of a stream block's first trials (one-N config)."""
-    [n] = config.n_rx
-    parts = block_draw(config.seed, block, PURPOSE_CHANNEL, (trials, config.users, 2, config.m, n))
-    return complex_from_parts(np.moveaxis(parts, 2, 0))
+    """Complex channels (trials, users, M, N) of a stream block's first trials at the
+    config's one N: the first N columns of the block's (M, M) channel draw."""
+    [n], m = config.n_rx, config.m
+    parts = block_draw(config.seed, block, PURPOSE_CHANNEL, (trials, config.users, 2, m, m))
+    return np.ascontiguousarray(complex_from_parts(np.moveaxis(parts, 2, 0))[..., :n])
 
 
 def policy_score(config, bits):
@@ -63,7 +64,7 @@ def policy_score(config, bits):
 def planted(codebooks):
     """A chunk scorer that scores every trial against the per-user (2^B, M) codebooks."""
     books = np.stack(codebooks)
-    return lambda first_block, qs: [_select(q, books) for q in qs]
+    return lambda first_block, q, widths: _select(q, books, widths)
 
 
 def trial_record(config, snr_db, bits, t, score=None):
@@ -269,11 +270,12 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
                               trials=200, seed=seed, codebook_policy=policy)
     seen = {"books": [], "picks": []}
 
-    def spy_select(q, books):  # every per-block codebook slice's, or the fixed chunk's one
+    def spy_select(q, books, widths):  # every per-block codebook slice's, or the fixed chunk's one
         seen["q"] = q  # the last call's
         seen["books"].append(books)
-        seen["picks"].append(_select(q, books))
-        return seen["picks"][-1]
+        picks = _select(q, books, widths)
+        seen["picks"].append(picks[0])  # the config's one N
+        return picks
 
     def spy_orient(channels, *args):  # the chunk's one call
         seen["channels"] = channels
@@ -330,25 +332,31 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
 
 
 def test_each_n_quantizes_its_own_block_channel_draw(monkeypatch):
-    # one draw a block serves every N: each N's channels must be what its own
-    # draw of shape (trials, users, 2, M, N) from the stream's start gives,
-    # over a full block and one cut short
+    # one draw a block serves every N: each N's channels must be the first N
+    # columns of the block stream's (trials, users, 2, M, M) draw from its
+    # start, over a full block and one cut short, and each N's (Q, R) the
+    # prefixes of the chunk's one QR, of the largest N (here N < M)
     seen = {}
 
-    def spy_orient(channels, *args):
-        seen[channels.shape[-1]] = channels
-        return _orient(channels, *args)
+    def spy_orient(channels, q, r, *picks):
+        seen[channels.shape[-1]] = channels, q, r
+        return _orient(channels, q, r, *picks)
 
     monkeypatch.setattr(experiment, "_orient", spy_orient)
-    config = ExperimentConfig(m=3, n_rx=(2, 1, 3), snr_db_grid=(10.0,),
+    config = ExperimentConfig(m=4, n_rx=(2, 1, 3), snr_db_grid=(10.0,),
                               bits_rule=BitsRule.fixed(2), trials=200, seed=11,
                               codebook_policy="fixed")
     _run_chunk(config, 2, [(2, 10.0), (1, 10.0), (3, 10.0)], range(64, 134),
                policy_score(config, 2))
-    for n in config.n_rx:
-        one = dataclasses.replace(config, n_rx=(n,))
-        channels = np.concatenate([block_channels(one, 1, 64), block_channels(one, 2, 6)])
-        assert seen[n].tobytes() == channels.tobytes()
+    parts = np.concatenate([block_draw(config.seed, b, PURPOSE_CHANNEL, (k, 4, 2, 4, 4))
+                            for b, k in ((1, 64), (2, 6))])
+    full = complex_from_parts(np.moveaxis(parts, 2, 0))  # (70, users, M, M)
+    q, r = np.linalg.qr(full[..., :3])
+    assert sorted(seen) == [1, 2, 3]
+    for n, (channels, q_n, r_n) in seen.items():
+        assert channels.tobytes() == full[..., :n].tobytes()
+        assert q_n.tobytes() == q[..., :n].tobytes()
+        assert r_n.tobytes() == r[..., :n, :n].tobytes()
 
 
 def test_trial_feedback_loses_to_perfect_knowledge_on_average():
@@ -384,14 +392,14 @@ def test_fixed_codebooks_policy():
              for u in range(fixed.users)]
     # per-user books differ from each other
     assert not np.array_equal(books[0], books[1])
-    qs = [np.linalg.qr(block_channels(fixed, 0, 5))[0]]
-    [expected] = planted(books)(0, qs)
+    q = np.linalg.qr(block_channels(fixed, 0, 5))[0]
+    [expected] = planted(books)(0, q, (1,))
     for score in (policy_score(fixed, 2), policy_score(fixed, 2)):
         for first_block in (0, 3):
-            [picks] = score(first_block, qs)
+            [picks] = score(first_block, q, (1,))
             assert_same_records(picks, expected)
     per_block = policy_score(small_config(), 2)
-    [first], [later] = per_block(0, qs), per_block(3, qs)
+    [first], [later] = per_block(0, q, (1,)), per_block(3, q, (1,))
     assert not np.array_equal(first[1], later[1])
 
 
@@ -539,7 +547,7 @@ def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, b
 
 def test_chunk_holds_no_real_normals_once_scoring_starts(monkeypatch):
     # channels dominate at M = 8, N = 1..8, B = 1: keeping their real normals
-    # (and the benchmark's) past the complex arrays adds about 35%
+    # (and the benchmark's) past the complex arrays adds about 26%
     m, n_rx, bits, trials = 8, tuple(range(1, 9)), 1, 64
     config = ExperimentConfig(m=m, n_rx=n_rx, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(bits),
                               trials=trials, seed=1, codebook_policy="per_block")
@@ -560,10 +568,11 @@ def test_chunk_holds_no_real_normals_once_scoring_starts(monkeypatch):
         _run_chunk(config, bits, cells, range(trials), score)
     finally:
         tracemalloc.stop()
-    # a trial and user holds every N's complex channel, QR factors and
-    # (index, q_hat, cos_sq) picks, and its complex benchmark
+    # a trial and user holds its complex (M, M) channel, the QR factors of the
+    # largest N, every N's (index, q_hat, cos_sq) picks, and its complex benchmark
+    top = max(n_rx)
     count = trials * config.users * (
-        sum(16 * (2 * m * n + n * n + m) + 16 for n in n_rx) + 16 * m)
+        16 * (m * m + m * top + top * top) + len(n_rx) * (16 * m + 16) + 16 * m)
     assert 0.9 * count <= held[0] - start <= 1.1 * count
 
 
@@ -599,18 +608,19 @@ def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
     assert [t for chunk in chunks for t in chunk] == list(range(333))
 
 
-# Recorded on stream contract v3 (block-keyed SFC64 streams) when it replaced
-# v2's Philox streams: (N, policy, SNR) -> (rate_fb_mean, rate_zf_mean, gap,
-# dropped) at M = 3, B = 3, 50 trials, seed 2024.
+# Recorded on stream contract v4 (each block's channels drawn M x M, an N's
+# channels their first N columns) when it replaced v3's M x N_max draw:
+# (N, policy, SNR) -> (rate_fb_mean, rate_zf_mean, gap, dropped) at M = 3,
+# B = 3, 50 trials, seed 2024.
 RECORDED_POINTS = {
-    (1, "per_block", 0.0): (0.9804258522928905, 0.9818589496021937, 0.0014330973093031885, 0),
-    (1, "per_block", 10.0): (2.793311377430515, 4.781263771664084, 1.9879523942335688, 0),
-    (1, "fixed", 0.0): (0.9582381889853783, 0.9818589496021937, 0.023620760616815395, 0),
-    (1, "fixed", 10.0): (2.652791394519146, 4.781263771664084, 2.128472377144938, 0),
-    (2, "per_block", 0.0): (0.68714805709174, 0.9818589496021937, 0.2947108925104537, 0),
-    (2, "per_block", 10.0): (3.1316657836651838, 4.781263771664084, 1.6495979879989, 0),
-    (2, "fixed", 0.0): (0.7955090327816081, 0.9818589496021937, 0.18634991682058555, 0),
-    (2, "fixed", 10.0): (3.3803061756206376, 4.781263771664084, 1.4009575960434462, 0),
+    (1, "per_block", 0.0): (0.9058193019900481, 0.9818589496021937, 0.07603964761214554, 0),
+    (1, "per_block", 10.0): (2.490153634598315, 4.781263771664084, 2.2911101370657687, 0),
+    (1, "fixed", 0.0): (0.7629923539298932, 0.9818589496021937, 0.2188665956723005, 0),
+    (1, "fixed", 10.0): (2.287053015065227, 4.781263771664084, 2.4942107565988567, 0),
+    (2, "per_block", 0.0): (0.7846283193622979, 0.9818589496021937, 0.19723063023989573, 0),
+    (2, "per_block", 10.0): (3.561731238404753, 4.781263771664084, 1.219532533259331, 0),
+    (2, "fixed", 0.0): (0.8585801071354492, 0.9818589496021937, 0.12327884246674448, 0),
+    (2, "fixed", 10.0): (3.817623662848248, 4.781263771664084, 0.9636401088158357, 0),
 }
 
 
@@ -706,7 +716,7 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
             patch.setattr(experiment, "zero_force", spy("feedback ZF", experiment.zero_force))
             patch.setattr(experiment, "_run_chunk", spy("chunk", experiment._run_chunk))
             patch.setattr(experiment, "RngStream", SpyStream)
-            # the kernel's stages: each N's QR factor (zero_force's QR is mode "r"),
+            # the kernel's stages: the chunk's QR factor (zero_force's QR is mode "r"),
             # the per-block slices' or the fixed scorer's _select, and _orient
             qr, reduced_qr = np.linalg.qr, spy("QR", np.linalg.qr)
             patch.setattr(np.linalg, "qr", lambda a, mode="reduced": (
@@ -733,12 +743,12 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
     # one channel draw a block for every N; each N's feedback once a chunk
     assert grid["draw", PURPOSE_CHANNEL] == cell["draw", PURPOSE_CHANNEL] == 4
     assert grid["feedback ZF"] == 2 * 4
-    # each N QR-factored and its picks oriented once a chunk, under either
-    # policy, and never through quantize_stack; a per-block codebook slice
-    # selected on for each N, the fixed codebooks once a chunk
-    assert grid["QR"] == 2 * cell["QR"] == 2 * 4
+    # the largest N QR-factored once a chunk and each N's picks oriented once a
+    # chunk, under either policy, and never through quantize_stack; a per-block
+    # codebook slice selected on once for every N, the fixed codebooks once a chunk
+    assert grid["QR"] == cell["QR"] == 4
     assert grid["_orient"] == 2 * cell["_orient"] == 2 * 4
-    assert grid["_select"] == 2 * cell["_select"] == 2 * (41 if per_block else 4)
+    assert grid["_select"] == cell["_select"] == (41 if per_block else 4)
     assert grid["quantize_stack"] == cell["quantize_stack"] == 0
     assert not hasattr(experiment, "quantize_stack")
 

@@ -101,6 +101,13 @@ def test_quant_error_guards():
         quant_error_approx(4, 4, 4)
 
 
+def test_quant_error_refuses_non_finite_bits():
+    # never a nan error, nor a zero one from infinitely many bits
+    for bits in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            quant_error_approx(bits, 4, 2)
+
+
 # ------------------------------------------------------------ rate_gap_bound
 
 
@@ -128,6 +135,15 @@ def test_rate_gap_bound_guards():
         rate_gap_bound(-1.0, 8, 4, 2)
     with pytest.raises(ValueError):
         rate_gap_bound(1.0, 8, 4, 5)
+
+
+def test_rate_gap_bound_refuses_non_finite_inputs():
+    for power in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="power must be nonnegative and finite"):
+            rate_gap_bound(power, 4, 4, 2)
+    for bits in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="bits must be nonnegative and finite"):
+            rate_gap_bound(10.0, bits, 4, 2)
 
 
 # ------------------------------------------------------------- bits_required
@@ -235,3 +251,11 @@ def test_feedback_savings_tracks_exact_budget_difference():
 def test_feedback_savings_guards():
     with pytest.raises(ValueError):
         feedback_savings(4, 4, 10.0)
+
+
+def test_feedback_savings_refuses_non_finite_snr():
+    # never a nan or infinite saving, even at N = 1, where 0 * inf is nan
+    for n in (1, 2):
+        for p_db in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="SNR must be finite"):
+                feedback_savings(4, n, p_db)

@@ -175,12 +175,12 @@ def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pool
     # a fixed chunk at M = 8, B = 10 scores its 64-trial block at once, and
     # its overlap and metric (about 37 MiB) allow one worker however many
     # cores and chunks there are; a per-block chunk of the same sweep holds
-    # about 2.1 MiB (a 1 MiB slice of normals, its overlap and metric, and the
-    # chunk's channels and picks), so 30 fit under the 64 MiB cap
+    # about 2.5 MiB (a 1 MiB slice of normals, its overlap and metric, and the
+    # chunk's M x M channels, QR factors and picks), so 25 fit under the 64 MiB cap
     fixed_b10 = dataclasses.replace(block_b10, trials=6400, codebook_policy="fixed")
     assert experiment._plan(fixed_b10, 10)[1] == 1
     assert experiment._plan(dataclasses.replace(fixed_b10, codebook_policy="per_block"),
-                            10)[1] == 30
+                            10)[1] == 25
     # validate_b8's shape: a 508-sample block holds about 2.3 MiB (a 64-sample
     # slice of codebook normals, its overlap and metric, and the block's
     # channels and picks), so 27 fit; at B = 24 one sample is over the cap

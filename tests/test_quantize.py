@@ -460,7 +460,8 @@ def test_stack_is_select_then_orient(kind):
     books = stage_books(kind, parts)
     r, fault = quantize_stack(channels, normalized(parts))
     q, rr = np.linalg.qr(channels)
-    staged, staged_fault = _orient(channels, q, rr, *_select(q, books))
+    [picks] = _select(q, books, (2,))
+    staged, staged_fault = _orient(channels, q, rr, *picks)
     for name in QuantizationResult.__dataclass_fields__:
         if name == "cos_sq" and kind == "parts":  # scored on unnormalized rows
             assert np.allclose(staged.cos_sq, r.cos_sq, rtol=0, atol=1e-14)
@@ -478,14 +479,15 @@ def test_select_of_row_slices_is_select_of_the_stack(kind):
     channels, parts = planted_stack((1,) if kind == "shared" else (6,))
     books = stage_books(kind, parts)
     q = np.linalg.qr(channels)[0]
-    whole = _select(q, books)
+    [whole] = _select(q, books, (2,))
     cuts = ((0, 2), (2, 5), (5, 6))
     if kind == "shared":
-        sliced = [_select(q[lo:hi], books) for lo, hi in cuts]
+        sliced = [_select(q[lo:hi], books, (2,))[0] for lo, hi in cuts]
     elif kind == "parts":
-        sliced = [_select(q[lo:hi], (books[0][lo:hi], books[1][lo:hi])) for lo, hi in cuts]
+        sliced = [_select(q[lo:hi], (books[0][lo:hi], books[1][lo:hi]), (2,))[0]
+                  for lo, hi in cuts]
     else:
-        sliced = [_select(q[lo:hi], books[lo:hi]) for lo, hi in cuts]
+        sliced = [_select(q[lo:hi], books[lo:hi], (2,))[0] for lo, hi in cuts]
     for a, b in zip(whole, map(np.concatenate, zip(*sliced)), strict=True):
         assert a.tobytes() == b.tobytes()
 
@@ -496,20 +498,20 @@ def test_select_of_row_slices_is_select_of_the_stack(kind):
 ], ids=["sweep", "validation"])
 def test_select_drawn_picks_rows_of_each_entrys_generated_codebook(monkeypatch, lead, n_rx):
     # 11 entries in slices of 4, the last of 3: each entry's codebook is one
-    # (2, 2^B, M) run of the stream, in entry order, scored against every Q
+    # (2, 2^B, M) run of the stream, in entry order, scored for every width
     m, bits, k = 4, 3, 11
     monkeypatch.setattr(linalg, "SLICE_BYTES", 4 * math.prod(lead) * 2**bits * m * 16)
     channels = complex_normal(RngStream(107).generator(), (k, *lead, m, max(n_rx)))
-    qs = [np.linalg.qr(channels[..., :n])[0] for n in n_rx]
+    q = np.linalg.qr(channels)[0]
     picks = [(np.empty((k, *lead), np.intp), np.empty((k, *lead, m), complex),
-              np.empty((k, *lead))) for _ in qs]
+              np.empty((k, *lead))) for _ in n_rx]
     gen, shapes = RngStream(109).generator(), []
 
     def standard_normal(shape):
         shapes.append(shape)
         return gen.standard_normal(shape)
 
-    _select_drawn(SimpleNamespace(standard_normal=standard_normal), qs, bits, picks)
+    _select_drawn(SimpleNamespace(standard_normal=standard_normal), q, bits, n_rx, picks)
     assert [shape[0] for shape in shapes] == [4, 4, 3]
     normals = RngStream(109).generator().standard_normal((k, *lead, 2, 2**bits, m))
     for n, (index, q_hat, cos_sq) in zip(n_rx, picks, strict=True):
@@ -531,11 +533,45 @@ def test_select_drawn_holds_one_slice_at_a_time(monkeypatch, traced_peak):
     picks = [(np.empty(k, np.intp), np.empty((k, m), complex), np.empty(k))]
 
     def run(entries):
-        _select_drawn(RngStream(127).generator(), [q[:entries]], bits,
+        _select_drawn(RngStream(127).generator(), q[:entries], bits, (1,),
                       [[pick[:entries] for pick in picks[0]]])
 
     run(k)  # numpy's one-time set-up
     assert traced_peak(run, k) <= 1.1 * traced_peak(run, 1)
+
+
+# ------------------------------------------------- nested receive antennas
+# A sweep draws each trial's channel M x M, and an N's channel is its first N
+# columns, so one QR and one _select pass serve every N.  Both facts below are
+# bitwise: a BLAS or numpy that broke either fails here, by name, rather than
+# as a disagreement between a sweep's grid and its one-N cells.
+
+
+@pytest.mark.parametrize("m", [3, 4, 6, 8])
+def test_qr_of_a_column_prefix_is_the_prefix_of_the_qr(m):
+    channels = complex_normal(RngStream(131, m).generator(), (64, 2, m, m))
+    for width in range(1, m + 1):
+        q, r = np.linalg.qr(channels[..., :width])
+        for n in range(1, width + 1):
+            q_n, r_n = np.linalg.qr(channels[..., :n])
+            assert q_n.tobytes() == q[..., :n].tobytes(), (width, n)
+            assert r_n.tobytes() == r[..., :n, :n].tobytes(), (width, n)
+
+
+@pytest.mark.parametrize("kind", ["parts", "complex"])
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_select_of_several_widths_is_select_of_each_width(kind, m):
+    # drawn normals per (trial, user), or complex codebooks shared by the
+    # trials: each width's picks are those of a call on its columns alone
+    gen = RngStream(137, m).generator()
+    q = np.linalg.qr(complex_normal(gen, (16, 3, m, 3)))[0]
+    parts = gen.standard_normal((2, 16, 3, 2 ** 6, m))
+    books = (parts[0], parts[1]) if kind == "parts" else normalized(parts[:, 0])
+    picks = _select(q, books, (1, 2, 3))
+    for n, pick in zip((1, 2, 3), picks, strict=True):
+        [alone] = _select(q[..., :n], books, (n,))
+        for got, want in zip(pick, alone, strict=True):
+            assert got.tobytes() == want.tobytes(), n
 
 
 # --------------------------------------------------------- antenna selection
