@@ -26,7 +26,7 @@ class InfeasibleTargetError(ValueError):
 
 
 def _check_antennas(m: int, n: int) -> None:
-    if not isinstance(m, Integral) or not isinstance(n, Integral):
+    if not all(isinstance(k, Integral) and not isinstance(k, bool) for k in (m, n)):
         raise ValueError(f"antenna counts must be integers, got M={m!r}, N={n!r}")
     if m < 2:
         raise ValueError(f"need at least 2 transmit antennas, got M={m}")

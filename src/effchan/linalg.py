@@ -47,8 +47,8 @@ class DegenerateChannelError(ValueError):
 
 
 def is_stream_id(value) -> bool:
-    """Whether value may be a stream id component: a nonnegative integer."""
-    return isinstance(value, (int, np.integer)) and value >= 0
+    """Whether value may be a stream id component: a nonnegative integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ from .linalg import PURPOSE_PROBE, RngStream
 # stream seed of the isotropy probe direction; fixed so reports are
 # reproducible without configuration
 _PROBE_SEED = 715517
-# isotropy_verdict's least thresholds on the covariance deviation and the KS statistic
-_ISOTROPY_COV_MAX = 0.01
-_ISOTROPY_KS_MAX = 0.02
+_KS_MAX = 0.02  # least threshold on any KS statistic
+_ISOTROPY_COV_MAX = 0.01  # isotropy_verdict's least threshold on the covariance deviation
 _ALPHA = 1e-4  # chance a statistic's critical value fails correct code
 _ROWS = 2 ** 13  # rows a law check reads at a time: 64 KiB a float temporary
 
@@ -124,12 +123,11 @@ def _critical(n: int, sd: float, count: int = 1) -> float:
     return sd * math.sqrt(2 * math.log(count / _ALPHA) / n)
 
 
-def ks_test(samples: np.ndarray, cdf, *, name: str = "ks",
-            ks_threshold: float = 0.02, mean_ref: float | None = None,
+def ks_test(samples: np.ndarray, cdf, *, name: str = "ks", mean_ref: float | None = None,
             mean_rtol: float | None = None) -> FitReport:
     """Compare a sample against a reference CDF; optionally also check the mean.
 
-    Passes when the KS statistic is at or below the larger of ks_threshold
+    Passes when the KS statistic is at or below the larger of _KS_MAX (0.02)
     and its critical value at n and, if mean_ref and mean_rtol are given,
     the sample mean is within the larger of mean_rtol and its critical value
     (from the sample's standard deviation) relative of mean_ref.
@@ -137,7 +135,7 @@ def ks_test(samples: np.ndarray, cdf, *, name: str = "ks",
     s = np.asarray(samples, dtype=float)
     stat = ks_statistic(s, cdf)
     mean_obs = float(s.mean())
-    thresholds = {"ks_statistic": max(float(ks_threshold), _critical(s.size, 0.5, 2))}
+    thresholds = {"ks_statistic": max(_KS_MAX, _critical(s.size, 0.5, 2))}
     passed = stat <= thresholds["ks_statistic"]
     details = {}
     if mean_ref is not None and mean_rtol is not None:
@@ -192,7 +190,7 @@ def isotropy_verdict(proj_sq: np.ndarray, vector_sum: np.ndarray, gram: np.ndarr
     cov_dev = float(np.abs(gram / n - np.eye(m) / m).max())
     # a diagonal entry, the mean of |v_j|^2 ~ Beta(1, m-1), varies the most; at most m^2 entries
     cov_max = max(_ISOTROPY_COV_MAX, _critical(n, math.sqrt(m - 1) / (m * math.sqrt(m + 1)), m * m))
-    ks_max = max(_ISOTROPY_KS_MAX, _critical(n, 0.5, 2))
+    ks_max = max(_KS_MAX, _critical(n, 0.5, 2))
     stat = ks_statistic(proj_sq, lambda x: beta_cdf(x, 1, m - 1))
 
     passed = mean_norm <= mean_limit and cov_dev <= cov_max and stat <= ks_max

@@ -1,9 +1,10 @@
 """Distributional validation of the quantizer against its closed-form laws.
 
-The checks need on the order of 1e5 independent quantizations.  Samples are
-drawn in fixed blocks: with g complex normals per sample (channel plus
-codebook), block b holds samples [b*k, (b+1)*k) for k = max(1,
-_BLOCK_GAUSSIANS // g), and draws them from its own stream,
+The checks need on the order of 1e5 independent quantizations.
+``run_validation_suite`` draws them once, as one pool, and hands that pool to
+every report.  Samples are drawn in fixed blocks: with g complex normals per
+sample (channel plus codebook), block b holds samples [b*k, (b+1)*k) for k =
+max(1, _BLOCK_GAUSSIANS // g), and draws them from its own stream,
 ``RngStream(seed, b, 0, PURPOSE_VALIDATION)``: first the block's channels,
 one (2, k, M, N) draw, then each sample's codebook in sample order, each one
 (2, 2^B, M) run as ``generate_codebook`` draws it.  An effective-channel
@@ -38,8 +39,8 @@ Laws checked:
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
-from functools import lru_cache, partial
+from dataclasses import astuple, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -161,15 +162,13 @@ def _quantize_block(gen: np.random.Generator, n: int, bits: int, out: Quantizati
     return sums
 
 
-@lru_cache(maxsize=4)
 def collect_effective_samples(m: int, n: int, bits: int, n_samples: int,
                               seed: int) -> QuantizationSamples:
     """Pool n_samples independent subspace quantizations (fresh codebook each).
 
     Every block writes its samples into the pooled arrays; its direction
-    sums are added in block order.  Recent results are memoized (the suite
-    reads the same pool several times) and shared by every caller, so the
-    returned arrays are read-only.
+    sums are added in block order.  Each call draws a fresh pool;
+    ``run_validation_suite`` draws one and hands it to every report.
     """
     vector_sum, gram = np.zeros(m, complex), np.zeros((m, m), complex)
     samples = QuantizationSamples(*(np.empty(n_samples) for _ in range(3)), vector_sum, gram)
@@ -178,66 +177,53 @@ def collect_effective_samples(m: int, n: int, bits: int, n_samples: int,
             lambda gen, rows: _quantize_block(gen, n, bits, samples, rows)):
         vector_sum += part_sum
         gram += part_gram
-    for array in vars(samples).values():
-        array.flags.writeable = False
     return samples
 
 
-def quantization_angle_report(m: int, n: int, bits: int, n_samples: int, seed: int) -> FitReport:
-    """Squared quantization cosine vs the max-of-Beta(N, M-N) law (ks_test's default threshold)."""
-    _check_antennas(m, n)
-    samples = collect_effective_samples(m, n, bits, n_samples, seed)
-    count = 2 ** bits
+def _tag(config: ValidationConfig) -> str:
+    return f"m{config.m}_n{config.n_rx}_b{config.bits}"
+
+
+def _gain_test(config: ValidationConfig, samples: QuantizationSamples, shape: int,
+               suffix: str = "") -> FitReport:
+    """Squared effective-channel norm vs Gamma(shape, 1), its mean within 1%."""
+    return ks_test(samples.eff_norm_sq, lambda x: gamma_cdf(x, shape),
+                   name=f"effective_gain_{_tag(config)}{suffix}", mean_ref=float(shape),
+                   mean_rtol=0.01)
+
+
+def quantization_angle_report(config: ValidationConfig,
+                              samples: QuantizationSamples) -> FitReport:
+    """Squared quantization cosine vs the max-of-Beta(N, M-N) law."""
+    m, n, count = config.m, config.n_rx, 2 ** config.bits
     # reference mean by integrating the exact survival function on a fine grid
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     grid = np.linspace(0.0, 1.0, 4097)
     mean_ref = float(trapezoid(1.0 - max_beta_cdf(grid, n, m - n, count), grid))
-    return ks_test(
-        samples.cos_sq,
-        lambda x: max_beta_cdf(x, n, m - n, count),
-        name=f"angle_law_m{m}_n{n}_b{bits}",
-        mean_ref=mean_ref,
-        mean_rtol=0.02,
-    )
+    return ks_test(samples.cos_sq, lambda x: max_beta_cdf(x, n, m - n, count),
+                   name=f"angle_law_{_tag(config)}", mean_ref=mean_ref, mean_rtol=0.02)
 
 
-def direction_isotropy_report(m: int, n: int, bits: int, n_samples: int,
-                              seed: int) -> FitReport:
+def direction_isotropy_report(config: ValidationConfig,
+                              samples: QuantizationSamples) -> FitReport:
     """Normalized effective channel vs the uniform law on the complex sphere."""
-    samples = collect_effective_samples(m, n, bits, n_samples, seed)
     return isotropy_verdict(samples.probe_proj_sq, samples.direction_sum, samples.direction_gram,
-                            name=f"direction_isotropy_m{m}_n{n}_b{bits}")
+                            name=f"direction_isotropy_{_tag(config)}")
 
 
-def effective_gain_report(m: int, n: int, bits: int, n_samples: int, seed: int,
-                          shape_offset: int = 0) -> FitReport:
-    """Squared effective-channel norm vs Gamma(M-N+1, 1) (ks_test's default threshold).
-
-    shape_offset shifts the reference shape parameter; nonzero values exist
-    so a deliberately wrong reference can be shown to fail (power check).
-    """
-    samples = collect_effective_samples(m, n, bits, n_samples, seed)
-    shape = m - n + 1 + shape_offset
-    if shape < 1:
-        raise ValueError(f"reference shape {shape} invalid")
-    return ks_test(
-        samples.eff_norm_sq,
-        lambda x: gamma_cdf(x, shape),
-        name=f"effective_gain_m{m}_n{n}_b{bits}",
-        mean_ref=float(shape),
-        mean_rtol=0.01,
-    )
+def effective_gain_report(config: ValidationConfig, samples: QuantizationSamples) -> FitReport:
+    """Squared effective-channel norm vs Gamma(M-N+1, 1)."""
+    return _gain_test(config, samples, config.m - config.n_rx + 1)
 
 
-def quant_error_mean_report(m: int, n: int, bits: int, n_samples: int, seed: int) -> FitReport:
+def quant_error_mean_report(config: ValidationConfig, samples: QuantizationSamples) -> FitReport:
     """Mean quantization error vs its closed-form approximation."""
-    samples = collect_effective_samples(m, n, bits, n_samples, seed)
     mean_obs = float(np.mean(1.0 - samples.cos_sq))
-    approx = quant_error_approx(bits, m, n)
+    approx = quant_error_approx(config.bits, config.m, config.n_rx)
     rel = abs(mean_obs - approx) / approx
     return FitReport(
-        name=f"quant_error_m{m}_n{n}_b{bits}",
-        n_samples=n_samples,
+        name=f"quant_error_{_tag(config)}",
+        n_samples=samples.cos_sq.size,
         ks_statistic=float("nan"),
         mean_obs=mean_obs,
         mean_ref=approx,
@@ -247,27 +233,30 @@ def quant_error_mean_report(m: int, n: int, bits: int, n_samples: int, seed: int
     )
 
 
+def _wrong_reference_reports(config: ValidationConfig,
+                             samples: QuantizationSamples) -> list[FitReport]:
+    """The angle and gain laws with one shape parameter off by one; both must fail."""
+    m, n, count = config.m, config.n_rx, 2 ** config.bits
+    return [
+        ks_test(samples.cos_sq, lambda x: max_beta_cdf(x, n, m - n + 1, count),
+                name=f"angle_law_{_tag(config)}_wrong_ref"),
+        _gain_test(config, samples, m - n + 2, "_wrong_ref"),
+    ]
+
+
 def run_validation_suite(config: ValidationConfig,
                          wrong_reference: bool = False) -> list[FitReport]:
-    """All distributional checks for one (M, N, B) configuration.
+    """All distributional checks for one (M, N, B) configuration, on one pool.
 
     wrong_reference=True swaps in off-by-one reference laws; every report
     must then fail, demonstrating the suite actually has detection power.
     """
-    m, n, bits, n_samples, seed = astuple(config)
+    samples = collect_effective_samples(*astuple(config))
     if wrong_reference:
-        samples = collect_effective_samples(m, n, bits, n_samples, seed)
-        count = 2 ** bits
-        gain = effective_gain_report(m, n, bits, n_samples, seed, shape_offset=1)
-        return [
-            ks_test(samples.cos_sq,
-                    lambda x: max_beta_cdf(x, n, m - n + 1, count),
-                    name=f"angle_law_m{m}_n{n}_b{bits}_wrong_ref"),
-            replace(gain, name=gain.name + "_wrong_ref"),
-        ]
+        return _wrong_reference_reports(config, samples)
     return [
-        quantization_angle_report(m, n, bits, n_samples, seed),
-        direction_isotropy_report(m, n, bits, n_samples, seed),
-        effective_gain_report(m, n, bits, n_samples, seed),
-        quant_error_mean_report(m, n, bits, n_samples, seed),
+        quantization_angle_report(config, samples),
+        direction_isotropy_report(config, samples),
+        effective_gain_report(config, samples),
+        quant_error_mean_report(config, samples),
     ]

@@ -5,9 +5,11 @@ These run the full pipeline at realistic sample sizes, so this module is the
 slow part of the suite (a few minutes total).
 """
 
+import functools
 import itertools
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from effchan.cli import main, scaling_table_rows
 from effchan.precoding import refused, zero_force
 from effchan.quantize import _select, generate_codebook, quantize_stack
 from effchan.validate import (
+    ValidationConfig,
     collect_effective_samples,
     direction_isotropy_report,
     effective_gain_report,
@@ -131,9 +134,23 @@ def test_sum_rate_tracking_covers_third_receive_count():
 # 4 --------------------------------------------------- quantization angle law
 
 
+@pytest.fixture(scope="module")
+def pool():
+    """pool(config): run_validation_suite(config)'s sample pool, drawn once in this module.
+
+    The angle and gain laws at (4, 2, 8, 100 000, 88001) read the same pool.
+    """
+    return functools.cache(lambda config: collect_effective_samples(*astuple(config)))
+
+
+def large_report(pool, report, m, n, bits, seed):
+    config = ValidationConfig(m, n, bits, 100_000, seed)
+    return report(config, pool(config))
+
+
 @pytest.mark.parametrize("m,n,seed", [(4, 2, 88001), (6, 3, 88002)])
-def test_angle_law_large_sample(m, n, seed):
-    report = quantization_angle_report(m, n, 8, 100_000, seed)
+def test_angle_law_large_sample(pool, m, n, seed):
+    report = large_report(pool, quantization_angle_report, m, n, 8, seed)
     assert report.ks_statistic < 0.02
     assert report.passed
 
@@ -141,15 +158,15 @@ def test_angle_law_large_sample(m, n, seed):
 # 5 ------------------------------------------------------ effective gain law
 
 
-def test_effective_gain_law_large_sample():
-    report = effective_gain_report(4, 2, 8, 100_000, 88001)
+def test_effective_gain_law_large_sample(pool):
+    report = large_report(pool, effective_gain_report, 4, 2, 8, 88001)
     assert abs(report.mean_obs - 3.0) / 3.0 < 0.01
     assert report.ks_statistic < 0.02
     assert report.passed
 
 
-def test_effective_gain_law_single_antenna_exact_case():
-    report = effective_gain_report(4, 1, 8, 100_000, 88004)
+def test_effective_gain_law_single_antenna_exact_case(pool):
+    report = large_report(pool, effective_gain_report, 4, 1, 8, 88004)
     assert abs(report.mean_obs - 4.0) / 4.0 < 0.01
     assert report.ks_statistic < 0.02
     assert report.passed
@@ -158,8 +175,8 @@ def test_effective_gain_law_single_antenna_exact_case():
 # 6 --------------------------------------------------- direction isotropy law
 
 
-def test_direction_isotropy_large_sample():
-    report = direction_isotropy_report(4, 2, 6, 100_000, 88005)
+def test_direction_isotropy_large_sample(pool):
+    report = large_report(pool, direction_isotropy_report, 4, 2, 6, 88005)
     assert report.details["cov_max_deviation"] < 0.01
     assert report.ks_statistic < 0.02
     assert report.passed
@@ -172,8 +189,8 @@ def test_direction_isotropy_large_sample():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("bits", [6, 8, 10, 12])
 def test_quant_error_approximation_grid(m, n, bits):
-    seed = 9000 + m * 100 + n * 10 + bits
-    report = quant_error_mean_report(m, n, bits, 20_000, seed)
+    config = ValidationConfig(m, n, bits, 20_000, 9000 + m * 100 + n * 10 + bits)
+    report = quant_error_mean_report(config, collect_effective_samples(*astuple(config)))
     assert report.details["mean_rel_error"] <= 0.15, report
     assert report.passed
 
@@ -260,12 +277,10 @@ def test_validate_outputs_identical_across_worker_counts(tmp_path, capsys, monke
     written, logs = [], []
     for cores in (1, 3):
         monkeypatch.setattr(linalg, "_cores", lambda: cores)
-        collect_effective_samples.cache_clear()  # recompute, never read the memo
         out = tmp_path / f"cores{cores}"
         assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
         written.append((out / "validation.json").read_bytes())
         logs.append(capsys.readouterr().err)
-    collect_effective_samples.cache_clear()  # drop samples of the shrunken blocks
     assert pools == [3]  # the 1-worker run starts no pool
     assert written[0] == written[1]
     assert logs[0].rstrip().endswith("(1 worker)")

@@ -15,7 +15,6 @@ from effchan.cli import (
     scaling_table_rows,
 )
 from effchan.quantize import MAX_CODEBOOK_BITS
-from effchan.validate import collect_effective_samples
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -289,7 +288,6 @@ def test_validate_is_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, "m = 4\nn_rx = 2\nbits = 5\nseed = 21\n")
     written = []
     for name in ("first", "second"):
-        collect_effective_samples.cache_clear()  # recompute, never read the memo
         out = tmp_path / name
         assert main(["validate", "--config", cfg, "--out", str(out), "--samples", "20000"]) == 0
         written.append((out / "validation.json").read_bytes())

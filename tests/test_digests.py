@@ -5,7 +5,8 @@ alters a random stream must say so by bumping the stream version
 (``experiment.STREAM_VERSION`` or ``validate.STREAM_VERSION``).  These digests
 catch a silent drift: the three sweep shapes are the benchmark's
 ``sweep_fixed_b2`` and ``sweep_block_b10`` and README's ``sweep.cfg``, with
-their trials cut, and the validation run is a small ``validate`` config.
+their trials cut, and the validation runs are a small ``validate`` config,
+plain and under ``--wrong-reference`` (whose failing suite exits 2).
 
 Floating-point results depend on numpy's own routines, so the digests hold
 for the numpy version they were recorded with; on any other the test skips.
@@ -20,6 +21,7 @@ import hashlib
 import io
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,15 +30,24 @@ from effchan.cli import main
 
 RECORDED_NUMPY = "2.4.6"
 
-# name -> (command, config text)
+
+class Run(NamedTuple):
+    command: str
+    config: str  # config file text
+    argv: tuple = ()  # options after --config and --out
+    exit_code: int = 0
+
+
+VALIDATE_CONFIG = "m = 4\nn_rx = 2\nbits = 6\nsamples = 4000\nseed = 5\n"
 RUNS = {
-    "sweep_fixed_b2": ("sweep", "m = 4\nn_rx = 1, 2, 3\nbits = 2\ncodebook_policy = fixed\n"
-                                "snr_db = 10\ntrials = 200\nseed = 1\n"),
-    "sweep_block_b10": ("sweep", "m = 8\nn_rx = 2\nbits = 10\ncodebook_policy = per_block\n"
-                                 "snr_db = 10\ntrials = 70\nseed = 1\n"),
-    "readme_sweep": ("sweep", "m = 4\nn_rx = 1, 2\nsnr_db = 0, 5, 10\nbits = 4\ntrials = 500\n"
-                              "seed = 31\ncodebook_policy = per_block\n"),
-    "validate": ("validate", "m = 4\nn_rx = 2\nbits = 6\nsamples = 4000\nseed = 5\n"),
+    "sweep_fixed_b2": Run("sweep", "m = 4\nn_rx = 1, 2, 3\nbits = 2\ncodebook_policy = fixed\n"
+                                   "snr_db = 10\ntrials = 200\nseed = 1\n"),
+    "sweep_block_b10": Run("sweep", "m = 8\nn_rx = 2\nbits = 10\ncodebook_policy = per_block\n"
+                                    "snr_db = 10\ntrials = 70\nseed = 1\n"),
+    "readme_sweep": Run("sweep", "m = 4\nn_rx = 1, 2\nsnr_db = 0, 5, 10\nbits = 4\n"
+                                 "trials = 500\nseed = 31\ncodebook_policy = per_block\n"),
+    "validate": Run("validate", VALIDATE_CONFIG),
+    "validate_wrong_reference": Run("validate", VALIDATE_CONFIG, ("--wrong-reference",), 2),
 }
 OUTPUTS = {"sweep": ("sweep.csv", "manifest.json"), "validate": ("validation.json",)}
 
@@ -56,17 +67,21 @@ DIGESTS = {
     "validate": {
         "validation.json": "c14bd6debf5ebafee105a878a2eb52dab105cef9d05fdd3ef7364b14a6ee5db1",
     },
+    "validate_wrong_reference": {
+        "validation.json": "9a997a9a803bba53e1aa51f57f41a5013259b8bbeb3913f62fd994cefa208cab",
+    },
 }
 
 
 def output_digests(tmp_path, name):
     """{file: sha256 hex} of one run's output files."""
-    command, text = RUNS[name]
+    run = RUNS[name]
     config, out = tmp_path / f"{name}.cfg", tmp_path / name
-    config.write_text(text)
-    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    config.write_text(run.config)
+    argv = [run.command, "--config", str(config), "--out", str(out), *run.argv]
+    assert main(argv) == run.exit_code
     return {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
-            for file in OUTPUTS[command]}
+            for file in OUTPUTS[run.command]}
 
 
 @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,

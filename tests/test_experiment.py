@@ -145,14 +145,15 @@ def test_config_guards():
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_config_rejects_non_integer_seed(policy):
     # refused by the stream rule under either policy, never truncated
-    for seed in (1.5, 2.0):
+    for seed in (1.5, 2.0, False):
         with pytest.raises(ValueError):
             small_config(seed=seed, codebook_policy=policy)
     assert small_config(seed=np.int64(99), codebook_policy=policy).seed == 99
 
 
 @pytest.mark.parametrize("field, value", [
-    ("trials", 5.5), ("m", 2.0), pytest.param("n_rx", (1.0,), id="n_rx-1.0")])
+    ("trials", 5.5), ("m", 2.0), pytest.param("n_rx", (1.0,), id="n_rx-1.0"),
+    ("trials", True), pytest.param("n_rx", (True,), id="n_rx-True")])
 def test_config_rejects_non_integer_counts(field, value):
     # refused at construction, not by a TypeError from range/np.empty mid-run
     with pytest.raises(ValueError, match=field):

@@ -217,7 +217,7 @@ def test_scaling_inputs_refuse_non_finite_snr():
 
 def test_antenna_counts_must_be_integers():
     # refused at the check, not by a TypeError from math.comb later
-    for m, n in ((4.5, 2), (4.0, 2), (4, 2.0)):
+    for m, n in ((4.5, 2), (4.0, 2), (4, 2.0), (4, True)):
         with pytest.raises(ValueError, match="antenna counts must be integers"):
             ScalingInputs(m=m, n=n, p_db=10.0, target_gap=1.0)
         with pytest.raises(ValueError, match="antenna counts must be integers"):

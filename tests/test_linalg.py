@@ -46,10 +46,12 @@ def test_stream_rejects_bad_fields():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(1, trial=-2)
-    # a float seed is refused, not truncated, even when it is integral
-    for seed in (1.5, 1.0, np.float64(2.0)):
+    # a float seed is refused, not truncated, even when it is integral; a bool is no id
+    for seed in (1.5, 1.0, np.float64(2.0), True, False):
         with pytest.raises(ValueError):
             RngStream(seed)
+    with pytest.raises(ValueError):
+        RngStream(1, trial=True)
     # a numpy integer seed is the same stream id as the int
     assert (RngStream(np.int64(7), 2, 1, 2).generator().standard_normal(9).tobytes()
             == RngStream(7, 2, 1, 2).generator().standard_normal(9).tobytes())

@@ -1,4 +1,5 @@
 import re
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -21,6 +22,14 @@ from effchan.validate import (
 )
 from oracles import (best_cosines, collect_best_cosine_samples, complex_normal, quantize_parts,
                      vector_oracle)
+
+REPORTS = (quantization_angle_report, direction_isotropy_report, effective_gain_report,
+           quant_error_mean_report)
+
+
+def pool(config):
+    """The sample pool run_validation_suite(config) draws."""
+    return collect_effective_samples(*astuple(config))
 
 
 def replay_blocks(seed, count, size, channel_shape, book_shape):
@@ -55,7 +64,7 @@ def split_into_blocks(monkeypatch, count, gaussians_per_sample, size):
 def test_effective_collector_matches_scalar_operator(monkeypatch):
     m, n, bits, count, seed = 4, 2, 3, 50, 9191
     size = split_into_blocks(monkeypatch, count, (2**bits + n) * m, 16)
-    pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
+    pooled = collect_effective_samples(m, n, bits, count, seed)
     samples = replay_blocks(seed, count, size, (m, n), (2**bits, m))
     probe, vector_sum, gram = isotropy_probe(m), 0, 0
     for i, (channel, raw) in enumerate(samples):
@@ -100,17 +109,14 @@ def test_flat_collector_matches_scalar_operator(monkeypatch):
 # ----------------------------------------------------------------- collectors
 
 
-def test_collector_memoizes_repeated_requests():
+def test_equal_requests_draw_distinct_equal_pools():
+    # every call draws afresh: a second pool is a new object, byte for byte the first
     a = collect_effective_samples(4, 2, 4, 120, 555)
     b = collect_effective_samples(4, 2, 4, 120, 555)
-    assert a is b
-
-
-def test_collector_returns_read_only_arrays():
-    pooled = collect_effective_samples(4, 2, 4, 120, 555)
-    for array in vars(pooled).values():
-        with pytest.raises(ValueError):
-            array[0] = 0.0
+    assert a is not b
+    for name, array in vars(a).items():
+        assert array is not getattr(b, name)
+        assert array.tobytes() == getattr(b, name).tobytes(), name
 
 
 def test_best_cosine_ignores_a_column_orthogonal_to_its_codewords():
@@ -129,7 +135,7 @@ def test_best_cosine_ignores_a_column_orthogonal_to_its_codewords():
 def test_collector_chunked_path(monkeypatch):
     # shrink the block target so a small request spans many blocks
     monkeypatch.setattr(validate, "_BLOCK_GAUSSIANS", 2000)
-    pooled = collect_effective_samples.__wrapped__(4, 2, 6, 300, 616)
+    pooled = collect_effective_samples(4, 2, 6, 300, 616)
     assert pooled.cos_sq.shape == (300,)
     assert pooled.eff_norm_sq.shape == (300,)
     assert pooled.probe_proj_sq.shape == (300,)
@@ -148,7 +154,7 @@ def test_collectors_identical_across_worker_counts(monkeypatch, pools):
     runs = []
     for cores in (1, 3):
         monkeypatch.setattr(linalg, "_cores", lambda: cores)
-        pooled = collect_effective_samples.__wrapped__(4, 2, 4, 300, 818)
+        pooled = collect_effective_samples(4, 2, 4, 300, 818)
         runs.append([pooled.cos_sq, pooled.eff_norm_sq, pooled.probe_proj_sq,
                      pooled.direction_sum, pooled.direction_gram,
                      collect_best_cosine_samples(4, 2, 4, 300, 819, per_antenna=True),
@@ -181,7 +187,7 @@ def test_sliced_blocks_equal_the_kernel_on_whole_blocks(monkeypatch, pools):
         gram += part_gram
     for cores in (1, 3):
         monkeypatch.setattr(linalg, "_cores", lambda: cores)
-        pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
+        pooled = collect_effective_samples(m, n, bits, count, seed)
         for name in ("cos_sq", "eff_norm_sq"):
             expected = np.concatenate([getattr(part, name) for part in parts])
             assert getattr(pooled, name).tobytes() == expected.tobytes()
@@ -199,7 +205,7 @@ def test_pooled_samples_do_not_depend_on_the_slice_bytes(monkeypatch):
     runs = []
     for slice_bytes in (2**bits * m * 16, linalg.SLICE_BYTES, 2**30):
         monkeypatch.setattr(linalg, "SLICE_BYTES", slice_bytes)
-        pooled = collect_effective_samples.__wrapped__(m, n, bits, count, seed)
+        pooled = collect_effective_samples(m, n, bits, count, seed)
         runs.append([array.tobytes() for array in vars(pooled).values()])
     assert runs[0] == runs[1] == runs[2]
 
@@ -212,9 +218,9 @@ def test_pooled_samples_do_not_depend_on_the_slice_bytes(monkeypatch):
 ])
 def test_block_bytes_counts_a_blocks_traced_peak(monkeypatch, traced_peak, m, n, bits, take):
     monkeypatch.setattr(linalg, "_cores", lambda: 1)
-    collect_effective_samples.__wrapped__(m, n, bits, 1, 1)  # numpy's one-time set-up
+    collect_effective_samples(m, n, bits, 1, 1)  # numpy's one-time set-up
     assert validate._plan(take, (2**bits + n) * m, lambda size: 1)[0] == [take]
-    peak = traced_peak(collect_effective_samples.__wrapped__, m, n, bits, take, 1)
+    peak = traced_peak(collect_effective_samples, m, n, bits, take, 1)
     assert 0.75 * peak <= validate._block_bytes(m, n, bits, take) <= 1.25 * peak
 
 
@@ -222,10 +228,10 @@ def test_block_bytes_counts_a_blocks_traced_peak(monkeypatch, traced_peak, m, n,
 def test_reports_add_one_sorted_copy_and_one_block(traced_peak, n_samples):
     # a KS report sorts one copy of its samples (8 bytes each) and reads the
     # rest in row blocks; the isotropy report's projections are that copy
-    collect_effective_samples(4, 2, 4, n_samples, 3)  # the memoized pool
-    for report in (quantization_angle_report, direction_isotropy_report, effective_gain_report,
-                   quant_error_mean_report):
-        assert traced_peak(report, 4, 2, 4, n_samples, 3) <= 8 * n_samples + 2**20, report
+    config = ValidationConfig(4, 2, 4, n_samples, 3)
+    samples = pool(config)
+    for report in REPORTS:
+        assert traced_peak(report, config, samples) <= 8 * n_samples + 2**20, report
 
 
 def test_pool_grows_by_24_bytes_a_sample(monkeypatch, traced_peak):
@@ -235,8 +241,8 @@ def test_pool_grows_by_24_bytes_a_sample(monkeypatch, traced_peak):
     # directions would add 16 M bytes a sample more
     monkeypatch.setattr(linalg, "_cores", lambda: 1)
     monkeypatch.setattr(validate, "_BLOCK_GAUSSIANS", 500 * (2**4 + 2) * 4)
-    collect_effective_samples.__wrapped__(4, 2, 4, 1, 1)  # numpy's one-time set-up
-    small, large = (traced_peak(collect_effective_samples.__wrapped__, 4, 2, 4, count, 1)
+    collect_effective_samples(4, 2, 4, 1, 1)  # numpy's one-time set-up
+    small, large = (traced_peak(collect_effective_samples, 4, 2, 4, count, 1)
                     for count in (2000, 10_000))
     assert large - small <= 24 * 8000 + 1024 * 16
 
@@ -275,13 +281,17 @@ def test_validation_config_guards():
         (dict(n_rx=4), "1 <= N <= M-1"),  # N = M
         (dict(n_rx=0), "1 <= N <= M-1"),
         (dict(m=4.0), "antenna counts must be integers"),
+        (dict(n_rx=True), "antenna counts must be integers"),
         (dict(bits=0), "bits must be an integer in [1, 24]"),
         (dict(bits=MAX_CODEBOOK_BITS + 1), "bits must be an integer in [1, 24]"),
         (dict(bits=2.0), "bits must be an integer in [1, 24]"),
+        (dict(bits=True), "bits must be an integer in [1, 24]"),
         (dict(samples=999), "at least 1000 samples"),
         (dict(samples=1000.0), "at least 1000 samples"),
+        (dict(samples=True), "at least 1000 samples"),
         (dict(seed=-1), "seed must be nonnegative"),
         (dict(seed=1.5), "seed must be nonnegative"),
+        (dict(seed=False), "seed must be nonnegative"),
     ]
     for fields, fragment in bad:
         with pytest.raises(ValueError, match=re.escape(fragment)):
@@ -301,26 +311,21 @@ def test_collector_guards():
 
 def test_angle_report_reference_mean_closed_form():
     # (2,1): cos_sq is the max of 2^B uniforms, whose mean is K/(K+1)
-    report = quantization_angle_report(2, 1, 4, 2000, 717)
+    config = ValidationConfig(2, 1, 4, 2000, 717)
+    report = quantization_angle_report(config, pool(config))
     assert report.mean_ref == pytest.approx(16.0 / 17.0, abs=1e-5)
 
 
 def test_angle_report_guards():
-    with pytest.raises(ValueError):
-        quantization_angle_report(4, 4, 4, 1000, 1)
-
-
-def test_gain_report_rejects_invalid_offset():
-    with pytest.raises(ValueError):
-        effective_gain_report(2, 1, 3, 2000, 1, shape_offset=-2)
+    # a report takes a ValidationConfig, which refuses N = M before any sample is drawn
+    with pytest.raises(ValueError, match=re.escape("1 <= N <= M-1")):
+        quantization_angle_report(ValidationConfig(4, 4, 4, 1000, 1), None)
 
 
 def test_laws_hold_at_moderate_sample_size():
-    m, n, bits, count, seed = 4, 2, 6, 20_000, 4242
-    angle = quantization_angle_report(m, n, bits, count, seed)
-    iso = direction_isotropy_report(m, n, bits, count, seed)
-    gain = effective_gain_report(m, n, bits, count, seed)
-    err = quant_error_mean_report(m, n, bits, count, seed)
+    config = ValidationConfig(4, 2, 6, 20_000, 4242)
+    samples = pool(config)
+    angle, iso, gain, err = (report(config, samples) for report in REPORTS)
     for report in (angle, iso, gain, err):
         assert report.passed, report
     assert gain.mean_ref == 3.0
@@ -328,7 +333,8 @@ def test_laws_hold_at_moderate_sample_size():
 
 def test_exact_gain_law_for_single_receive_antenna():
     # N=1 keeps the full channel norm, so the gain law is exact Gamma(M, 1)
-    report = effective_gain_report(4, 1, 4, 20_000, 4343)
+    config = ValidationConfig(4, 1, 4, 20_000, 4343)
+    report = effective_gain_report(config, pool(config))
     assert report.passed
     assert report.mean_ref == 4.0
 
@@ -345,13 +351,14 @@ def test_suite_verdicts_hold_at_small_sample_counts():
     # each threshold rises to its statistic's critical value at n (a 1e-4
     # chance of failing correct code), so chance fails at most one of 60 seeds
     # at 4,000 samples (31 did with thresholds fixed at their 1e5 values), and
-    # the wrong laws still fail
+    # the wrong laws still fail; each seed's pool is drawn once for both suites
     failed = []
     for seed in range(60):
         config = ValidationConfig(4, 2, 5, 4000, seed)
-        if not all(r.passed for r in run_validation_suite(config)):
+        samples = pool(config)
+        if not all(report(config, samples).passed for report in REPORTS):
             failed.append(seed)
-        wrong = run_validation_suite(config, wrong_reference=True)
+        wrong = validate._wrong_reference_reports(config, samples)
         assert not any(r.passed for r in wrong), seed
     assert len(failed) <= 1, failed
 
