@@ -176,14 +176,11 @@ def cmd_sweep(args) -> int:
         seed = _DEFAULT_SEED
         print(f"seed = {seed} (default; set 'seed' in the config to silence)", file=sys.stderr)
     policy = cfg.get("codebook_policy", str, "per_block")
-    users = cfg.get("k", int)
     bits = cfg.get("bits", int)
     gap = cfg.get("gap_target", float)
     if (bits is None) == (gap is None):
         raise ConfigError("exactly one of 'bits' or 'gap_target' must be set")
     cfg.reject_unknown()
-    if users is not None and users != m:
-        raise ConfigError(f"k = {users} unsupported; the user count must equal m = {m}")
 
     start = time.perf_counter()
     # run_experiment refuses an unreachable or over-limit bit budget before any trial
@@ -201,18 +198,12 @@ def cmd_sweep(args) -> int:
 
     # no wall-clock or worker count in here: the manifest must be
     # byte-identical for equal (config, seed) whatever the worker count
+    config = dataclasses.asdict(result.config)
+    config["snr_db"] = config.pop("snr_db_grid")
     manifest = {
         "command": "sweep",
         "version": __version__,
-        "config": {
-            "m": m,
-            "n_rx": n_list,
-            "snr_db": snr_db,
-            "trials": trials,
-            "seed": seed,
-            "codebook_policy": policy,
-            "bits_rule": dataclasses.asdict(rule),
-        },
+        "config": config,
         "rows": [dataclasses.asdict(r) for r in rows],
         "outputs": {"csv": "sweep.csv"},
         "stream_version": STREAM_VERSION,

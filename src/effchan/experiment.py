@@ -22,9 +22,7 @@ each), benchmarks and per-block codebooks in trial order from one stream per
 purpose, ``RngStream(seed, b, 0, purpose)``.  A normal takes a variable
 number of random words, so the block, not the trial, is the unit of replay.
 Chunks are whole blocks, so no draw depends on the chunk size or the worker
-count.  Version 3 drew each block's channels M x N_max, so an N's were a flat
-prefix of that draw, unrelated to the other N's; version 2 laid out the same
-draws as version 3 on Philox streams.
+count.
 
 A bit count's chunks run on the threads of ``linalg.worker_count``, as
 validation's sample blocks do, and are joined in chunk order.

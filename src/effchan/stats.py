@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PURPOSE_PROBE, RngStream
+from .linalg import PURPOSE_PROBE, RngStream, complex_from_parts, is_stream_id
 
 # stream seed of the isotropy probe direction; fixed so reports are
 # reproducible without configuration
@@ -54,8 +54,8 @@ def beta_cdf(x, a: int, b: int):
     x^j (1-x)^(a+b-1-j), so the result carries no quadrature error.  Accepts
     scalars or arrays in [0, 1].
     """
-    if a < 1 or b < 1 or int(a) != a or int(b) != b:
-        raise ValueError(f"beta_cdf needs integer a, b >= 1, got a={a}, b={b}")
+    if not all(is_stream_id(k) and k >= 1 for k in (a, b)):
+        raise ValueError(f"beta_cdf needs integer a, b >= 1, got a={a!r}, b={b!r}")
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0) or np.any(xs > 1):
         raise ValueError("beta_cdf domain is [0, 1]")
@@ -69,8 +69,8 @@ def beta_cdf(x, a: int, b: int):
 
 def max_beta_cdf(x, a: int, b: int, count: int):
     """CDF of the maximum of ``count`` iid Beta(a, b) draws: beta_cdf**count."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if not is_stream_id(count) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     return beta_cdf(x, a, b) ** count
 
 
@@ -80,8 +80,8 @@ def gamma_cdf(x, shape: int):
     1 - exp(-x) * sum_{k<shape} x^k / k!, exact for integer shape.  Accepts
     scalars or arrays with x >= 0.
     """
-    if shape < 1 or int(shape) != shape:
-        raise ValueError(f"gamma_cdf needs integer shape >= 1, got {shape}")
+    if not is_stream_id(shape) or shape < 1:
+        raise ValueError(f"gamma_cdf needs integer shape >= 1, got {shape!r}")
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise ValueError("gamma_cdf domain is x >= 0")
@@ -159,7 +159,7 @@ def ks_test(samples: np.ndarray, cdf, *, name: str = "ks", mean_ref: float | Non
 def isotropy_probe(m: int) -> np.ndarray:
     """The isotropy check's unit probe direction in C^m, drawn once from a dedicated stream."""
     gen = RngStream(_PROBE_SEED, purpose=PURPOSE_PROBE).generator()
-    probe = (gen.standard_normal(m) + 1j * gen.standard_normal(m)) * np.sqrt(0.5)
+    probe = complex_from_parts(gen.standard_normal((2, m)))
     return probe / np.linalg.norm(probe)
 
 

@@ -14,8 +14,7 @@ normals, a ``linalg.SLICE_BYTES`` slice of samples at a time, so a block
 holds one slice, and the block writes its samples straight into the pooled
 arrays.  The pool holds 24 bytes a sample, whatever M is: of each normalized
 effective channel it keeps only ``stats.isotropy_moments``, summed by block.
-Equivalence tests replay the blocks and pin the collectors to the
-kernel and the test oracle.
+Equivalence tests replay the blocks and pin the collector to the kernel.
 
 Blocks run on the worker rule the sweep's chunks share (``linalg.worker_count``:
 one thread per core the process may run on, and together at most
@@ -25,9 +24,7 @@ slicing by sample cannot shrink).  No sample depends on the worker count or
 the slice size, so the results are byte-identical whatever they are.  This
 is validation stream contract version 4 (``STREAM_VERSION``): every stream
 is an SFC64 generator, so a normal takes a variable number of random words
-and the block is the unit of replay.  Version 3 laid out the same draws on
-Philox streams, version 2 drew the real parts of all of a block's codebooks
-before any imaginary part, and version 1 drew every sample from one stream.
+and the block is the unit of replay.
 
 Laws checked:
 * squared cosine of the quantization angle ~ max of 2^B iid Beta(N, M-N);
@@ -40,7 +37,6 @@ Laws checked:
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import partial
 
 import numpy as np
 
@@ -97,16 +93,15 @@ class QuantizationSamples:
     direction_gram: np.ndarray
 
 
-def _plan(n_samples: int, gaussians_per_sample: int, block_bytes) -> tuple[list[int], int]:
-    """Sample count of every block, and the worker threads that run them.
+def _plan(m: int, n: int, bits: int, n_samples: int) -> tuple[list[range], int]:
+    """The sample blocks of one pool, and the worker threads that run them.
 
-    ``block_bytes(take)`` counts the bytes a block of ``take`` samples holds.
+    A sample draws (2^B + N) M complex normals, its channel and codebook.
+    Workers are capped by the bytes a block holds (``_block_bytes``).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    size = max(1, _BLOCK_GAUSSIANS // gaussians_per_sample)
-    takes = [min(size, n_samples - start) for start in range(0, n_samples, size)]
-    return takes, worker_count(len(takes), block_bytes(takes[0]))
+    size = max(1, _BLOCK_GAUSSIANS // ((2 ** bits + n) * m))
+    blocks = [range(lo, min(lo + size, n_samples)) for lo in range(0, n_samples, size)]
+    return blocks, worker_count(len(blocks), _block_bytes(m, n, bits, len(blocks[0])))
 
 
 def _block_bytes(m: int, n: int, bits: int, take: int) -> int:
@@ -119,27 +114,9 @@ def _block_bytes(m: int, n: int, bits: int, take: int) -> int:
     return take * (16 * (2 * m * n + n * n + m) + 8) + scanned * 2 ** bits * _scan_bytes(m, n, True)
 
 
-def _run_blocks(n_samples: int, gaussians_per_sample: int, block_bytes, seed: int,
-                draw) -> list:
-    """[draw(gen, rows) for every sample block on its own stream]; rows slices its samples."""
-    takes, workers = _plan(n_samples, gaussians_per_sample, block_bytes)
-
-    def run(block: int):
-        start = block * takes[0]
-        return draw(RngStream(seed, block, 0, PURPOSE_VALIDATION).generator(),
-                    slice(start, start + takes[block]))
-
-    return ordered_map(run, range(len(takes)), workers)
-
-
-def _effective_gaussians(m: int, n: int, bits: int) -> int:
-    return (2 ** bits + n) * m
-
-
 def suite_workers(config: ValidationConfig) -> int:
     """Worker threads that run_validation_suite's sample collection uses."""
-    m, n, bits, n_samples, _ = astuple(config)
-    return _plan(n_samples, _effective_gaussians(m, n, bits), partial(_block_bytes, m, n, bits))[1]
+    return _plan(config.m, config.n_rx, config.bits, config.samples)[1]
 
 
 def _quantize_block(gen: np.random.Generator, n: int, bits: int, out: QuantizationSamples,
@@ -168,13 +145,23 @@ def collect_effective_samples(m: int, n: int, bits: int, n_samples: int,
 
     Every block writes its samples into the pooled arrays; its direction
     sums are added in block order.  Each call draws a fresh pool;
-    ``run_validation_suite`` draws one and hands it to every report.
+    ``run_validation_suite`` draws one and hands it to every report.  Raises
+    ValueError for antenna counts, bits or a sample count it cannot draw.
     """
+    _check_antennas(m, n)
+    check_bits(bits)
+    if not is_stream_id(n_samples) or n_samples < 1:
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     vector_sum, gram = np.zeros(m, complex), np.zeros((m, m), complex)
     samples = QuantizationSamples(*(np.empty(n_samples) for _ in range(3)), vector_sum, gram)
-    for part_sum, part_gram in _run_blocks(
-            n_samples, _effective_gaussians(m, n, bits), partial(_block_bytes, m, n, bits), seed,
-            lambda gen, rows: _quantize_block(gen, n, bits, samples, rows)):
+    blocks, workers = _plan(m, n, bits, n_samples)
+
+    def run(block: int) -> list:
+        gen = RngStream(seed, block, 0, PURPOSE_VALIDATION).generator()
+        rows = blocks[block]
+        return _quantize_block(gen, n, bits, samples, slice(rows.start, rows.stop))
+
+    for part_sum, part_gram in ordered_map(run, range(len(blocks)), workers):
         vector_sum += part_sum
         gram += part_gram
     return samples

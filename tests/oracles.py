@@ -5,8 +5,8 @@ score codewords by complex inner products, where the kernel uses the real
 embedding of the same products.  ``Replay`` hands given normals to
 ``generate_codebook``, so that a test can form the codebook a stream drew;
 ``quantize_parts`` runs the kernel's stages on a codebook's normal parts.
-``collect_best_cosine_samples`` runs the kernel on validation's sample blocks
-for the antenna-selection acceptance test.  ``whole_ks_statistic`` and
+``collect_best_cosine_samples`` runs the kernel on validation's sample blocks,
+serially, for the antenna-selection acceptance test.  ``whole_ks_statistic`` and
 ``whole_isotropy`` compute the law checks on whole arrays, as references for
 ``stats``, whose KS statistic reads the samples in row blocks.
 ``complex_normal`` draws the complex Gaussians the tests build channels from,
@@ -16,11 +16,11 @@ is checked against.
 
 import numpy as np
 
+from effchan import validate
 from effchan.formulas import LOG2E
-from effchan.linalg import PURPOSE_PROBE, RngStream, complex_from_parts
+from effchan.linalg import PURPOSE_PROBE, PURPOSE_VALIDATION, RngStream, complex_from_parts
 from effchan.quantize import FAULT_ORTHOGONAL, QuantizationResult, _orient, _select, raise_fault
 from effchan.stats import _PROBE_SEED, beta_cdf
-from effchan.validate import _run_blocks
 
 
 def complex_normal(gen, shape):
@@ -145,24 +145,26 @@ def collect_best_cosine_samples(m, n, bits, n_samples, seed, per_antenna):
     per_antenna=True: each of the N columns gets its own 2^bits codebook and
     the best antenna is kept (antenna-selection upper layer).  False: one
     channel vector against a single codebook of N * 2^bits entries, the
-    matched-size flat quantizer.  Samples are drawn in validation's blocks
-    and streams: the block's channels, then each sample's codebooks, each one
-    (2, rows, M) run.  Each column is a one-column channel for the kernel.
+    matched-size flat quantizer.  Samples are drawn serially in validation's
+    block layout, a block counted as its whole draw of N 2^B M normals a
+    sample, and validation's streams: the block's channels, then each
+    sample's codebooks, each one (2, rows, M) run.  Each column is a
+    one-column channel for the kernel.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     best = np.empty(n_samples)
-
-    def draw(gen, rows):
-        take = rows.stop - rows.start
+    size = max(1, validate._BLOCK_GAUSSIANS // (n * 2 ** bits * m))
+    for block, start in enumerate(range(0, n_samples, size)):
+        gen = RngStream(seed, block, 0, PURPOSE_VALIDATION).generator()
+        take = min(size, n_samples - start)
         if per_antenna:  # column k of each channel against its own codebook
             columns = np.swapaxes(complex_normal(gen, (take, m, n)), 1, 2)[..., None]
             raw = gen.standard_normal((take, n, 2, 2 ** bits, m))
         else:
             columns = complex_normal(gen, (take, 1, m, 1))
             raw = gen.standard_normal((take, 1, 2, n * 2 ** bits, m))
-        best[rows] = best_cosines(columns, np.moveaxis(raw, 2, 0))
-
-    gaussians = n * 2 ** bits * m  # a block is counted as its whole draw
-    _run_blocks(n_samples, gaussians, lambda take: take * gaussians * 16, seed, draw)
+        best[start:start + take] = best_cosines(columns, np.moveaxis(raw, 2, 0))
     return best
 
 

@@ -130,7 +130,7 @@ def test_sweep_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
     ("n_rx = 1\nsnr_db = 0\nbits = 2\n", "missing required key 'm'"),
     ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = 2\ngap_target = 1\n", "exactly one"),
     ("m = 2\nn_rx = 1\nsnr_db = 0\n", "exactly one"),
-    ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = 2\nk = 3\n", "unsupported"),
+    ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = 2\nk = 3\n", "unknown key"),
     ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = 2\nfoo = 1\n", "unknown key 'foo'"),
     ("m = 2\nn_rx = 1\nsnr_db = 0\nbits = 2\ncodebook_policy = daily\n",
      "codebook_policy"),

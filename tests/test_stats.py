@@ -60,6 +60,10 @@ def test_beta_cdf_guards():
         beta_cdf(0.5, 1.5, 2)
     with pytest.raises(ValueError):
         beta_cdf(1.5, 2, 2)
+    # an integral float or a bool is no shape parameter
+    for a, b in ((2.0, 3), (2, 3.0), (True, 3), (2, True)):
+        with pytest.raises(ValueError, match="integer a, b >= 1"):
+            beta_cdf(0.5, a, b)
 
 
 # -------------------------------------------------------------- max_beta_cdf
@@ -70,6 +74,12 @@ def test_max_beta_cdf_is_power_of_base():
     assert np.allclose(max_beta_cdf(x, 2, 2, 16), beta_cdf(x, 2, 2) ** 16, atol=1e-14)
     with pytest.raises(ValueError):
         max_beta_cdf(0.5, 2, 2, 0)
+
+
+def test_max_beta_cdf_guards():
+    for count in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
+            max_beta_cdf(0.5, 2, 2, count)
 
 
 def test_max_beta_cdf_against_sampled_maxima():
@@ -98,6 +108,9 @@ def test_gamma_cdf_guards():
         gamma_cdf(1.0, 0)
     with pytest.raises(ValueError):
         gamma_cdf(-0.5, 2)
+    for shape in (2.0, True):
+        with pytest.raises(ValueError, match="integer shape >= 1"):
+            gamma_cdf(0.5, shape)
 
 
 # -------------------------------------------------------------- ks_statistic

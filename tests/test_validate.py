@@ -1,6 +1,5 @@
 import re
 from dataclasses import astuple
-from functools import partial
 
 import numpy as np
 import pytest
@@ -156,10 +155,8 @@ def test_collectors_identical_across_worker_counts(monkeypatch, pools):
         monkeypatch.setattr(linalg, "_cores", lambda: cores)
         pooled = collect_effective_samples(4, 2, 4, 300, 818)
         runs.append([pooled.cos_sq, pooled.eff_norm_sq, pooled.probe_proj_sq,
-                     pooled.direction_sum, pooled.direction_gram,
-                     collect_best_cosine_samples(4, 2, 4, 300, 819, per_antenna=True),
-                     collect_best_cosine_samples(4, 2, 4, 300, 820, per_antenna=False)])
-    assert pools == [3, 3, 3]  # the 1-worker runs start no pool
+                     pooled.direction_sum, pooled.direction_gram])
+    assert pools == [3]  # the 1-worker run starts no pool
     for serial, threaded in zip(*runs):
         assert serial.tobytes() == threaded.tobytes()
 
@@ -219,7 +216,7 @@ def test_pooled_samples_do_not_depend_on_the_slice_bytes(monkeypatch):
 def test_block_bytes_counts_a_blocks_traced_peak(monkeypatch, traced_peak, m, n, bits, take):
     monkeypatch.setattr(linalg, "_cores", lambda: 1)
     collect_effective_samples(m, n, bits, 1, 1)  # numpy's one-time set-up
-    assert validate._plan(take, (2**bits + n) * m, lambda size: 1)[0] == [take]
+    assert validate._plan(m, n, bits, take) == ([range(take)], 1)
     peak = traced_peak(collect_effective_samples, m, n, bits, take, 1)
     assert 0.75 * peak <= validate._block_bytes(m, n, bits, take) <= 1.25 * peak
 
@@ -254,9 +251,9 @@ def test_workers_capped_by_cores_blocks_and_memory(monkeypatch):
     # channels, QR factors and picks, and a 64-sample slice holds 64 x 256 x
     # (16 x 4 + 32 x 2 + 8) bytes of normals, overlap and metric: 2,427,360
     # bytes, of which 27 fit in 64 MiB
-    gaussians, held = (2**8 + 2) * 4, partial(validate._block_bytes, 4, 2, 8)
-    assert held(508) == 508 * 392 + 64 * 256 * 136 == 2_427_360
-    takes, workers = validate._plan(100_000, gaussians, held)
+    assert validate._block_bytes(4, 2, 8, 508) == 508 * 392 + 64 * 256 * 136 == 2_427_360
+    blocks, workers = validate._plan(4, 2, 8, 100_000)
+    takes = [len(rows) for rows in blocks]
     assert len(takes) == 197 and set(takes[:-1]) == {508} and sum(takes) == 100_000
     assert workers == 27 == validate.suite_workers(ValidationConfig(4, 2, 8, 100_000, 1))
     monkeypatch.setattr(linalg, "_cores", lambda: 2)
@@ -266,8 +263,7 @@ def test_workers_capped_by_cores_blocks_and_memory(monkeypatch):
     # B >= 17 at M = 4: a block is one sample, which slicing by sample cannot
     # shrink.  At B = 17 it holds 392 + 2^17 x 136 bytes (17 MiB), so 3 fit;
     # at B = 24 one sample is over the cap
-    assert validate._plan(50, (2**17 + 2) * 4, partial(validate._block_bytes, 4, 2, 17)) == (
-        [1] * 50, 3)
+    assert validate._plan(4, 2, 17, 50) == ([range(k, k + 1) for k in range(50)], 3)
     assert validate._block_bytes(4, 2, 17, 1) == 392 + 2**17 * 136
     assert validate.suite_workers(ValidationConfig(4, 2, 24, 100_000, 1)) == 1
 
@@ -300,8 +296,20 @@ def test_validation_config_guards():
 
 
 def test_collector_guards():
-    with pytest.raises(ValueError):
-        collect_effective_samples(4, 2, 4, 0, 1)
+    bad = [
+        ((4, 2, 0, 10, 1), "bits must be an integer in [1, 24], got 0"),
+        ((4, 2, -1, 10, 1), "bits must be an integer in [1, 24], got -1"),
+        ((4, 2, True, 10, 1), "bits must be an integer in [1, 24], got True"),
+        ((4, 2, MAX_CODEBOOK_BITS + 1, 10, 1), "bits must be an integer in [1, 24], got 25"),
+        ((1, 1, 4, 10, 1), "at least 2 transmit antennas, got M=1"),
+        ((4, 5, 4, 10, 1), "1 <= N <= M-1, got N=5"),
+        ((4, 0, 4, 10, 1), "1 <= N <= M-1, got N=0"),
+        ((4, 2, 4, 0, 1), "n_samples must be a positive integer, got 0"),
+        ((4, 2, 4, 10.0, 1), "n_samples must be a positive integer, got 10.0"),
+    ]
+    for args, fragment in bad:
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            collect_effective_samples(*args)
     with pytest.raises(ValueError):
         collect_best_cosine_samples(4, 2, 4, 0, 1, per_antenna=True)
 
