@@ -25,7 +25,7 @@ from .experiment import (
     run_experiment,
 )
 from .linalg import DegenerateChannelError, RngStream
-from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
+from .precoding import refused, sinr_stack, sum_rate, zero_force
 from .quantize import (
     QuantizationResult,
     generate_codebook,
@@ -79,7 +79,6 @@ __all__ = [
     "ks_test",
     "max_beta_cdf",
     "mean_ci",
-    "perfect_csit_rates",
     "quant_error_approx",
     "quant_error_mean_report",
     "quantization_angle_report",

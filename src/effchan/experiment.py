@@ -2,24 +2,23 @@
 
 One trial = one fading block: draw every user's M x N channel, quantize with
 that block's codebooks, zero-force on the reported directions, and evaluate
-the true SINRs.  A matching perfect-knowledge benchmark (independent M-user
-single-antenna draw) runs on the same trial index so the reported gap is a
-paired comparison.
+the true SINRs.  The benchmark, the ergodic perfect-CSIT zero-forcing sum
+rate, is exact (``formulas.zf_rate_mean``), not simulated, so the reported
+gap carries the feedback rate's Monte Carlo noise alone.
 
 A sweep's whole (N, SNR) grid runs in one pass over chunks per bit count.
-No stream id carries N or SNR, so a chunk draws the benchmark, the codebooks
-and an M x M channel per trial and user once for the grid.  An N's channel is
+No stream id carries N or SNR, so a chunk draws the codebooks and an M x M
+channel per trial and user once for the grid.  An N's channel is
 the first N columns of it, so the receive antennas nest: N + 1 antennas are
 the same mobile's N antennas and one more.  The chunk QR-factors the largest
 N once (a smaller N's factors are prefixes of it), takes every N's picks from
 one pass of the codebook policy's scorer (``CODEBOOK_POLICIES``), orients and
-zero-forces each N and the benchmark once, and rates every SNR point from the
-same beams.
+zero-forces each N once, and rates every SNR point from the same beams.
 
-Determinism contract, stream version 4 (``STREAM_VERSION``, in the sweep
+Determinism contract, stream version 5 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws its channels (M x M
-each), benchmarks and per-block codebooks in trial order from one stream per
-purpose, ``RngStream(seed, b, 0, purpose)``.  A normal takes a variable
+each) and per-block codebooks in trial order from one stream per purpose,
+``RngStream(seed, b, 0, purpose)``.  A normal takes a variable
 number of random words, so the block, not the trial, is the unit of replay.
 Chunks are whole blocks, so no draw depends on the chunk size or the worker
 count.
@@ -33,12 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
-from .formulas import ScalingInputs, bits_required
+from .formulas import ScalingInputs, bits_required, zf_rate_mean
 from .linalg import (
-    PURPOSE_BENCHMARK,
     PURPOSE_CHANNEL,
     PURPOSE_CODEBOOK,
     PURPOSE_FIXED_CODEBOOK,
@@ -49,7 +48,7 @@ from .linalg import (
     slice_items,
     worker_count,
 )
-from .precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
+from .precoding import refused, sinr_stack, sum_rate, zero_force
 from .quantize import (MAX_CODEBOOK_BITS, _orient, _scan_bytes, _select, _select_drawn,
                        check_bits, generate_codebook)
 from .stats import mean_ci
@@ -58,7 +57,7 @@ from .stats import mean_ci
 # per stream block, the contract's unit of replay.  A chunk is as many whole
 # stream blocks as one ``linalg.SLICE_BYTES`` slice of per-block codebooks
 # holds trials, but at least one.
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 _BLOCK = 64
 
 
@@ -136,14 +135,18 @@ class ExperimentConfig:
                 raise ValueError(f"{field} must be a nonnegative integer, got {value!r}")
         if self.m < 2:
             raise ValueError(f"need at least 2 transmit antennas, got M={self.m}")
-        if not self.n_rx or not all(is_stream_id(n) and 1 <= n <= self.m for n in self.n_rx):
-            raise ValueError(
-                f"n_rx must hold integers N, 1 <= N <= M = {self.m}, got {self.n_rx!r}")
-        if len(self.snr_db_grid) == 0:
+        # a repeated N or SNR would only repeat its rows
+        if (not self.n_rx or not all(is_stream_id(n) and 1 <= n <= self.m for n in self.n_rx)
+                or len(set(self.n_rx)) < len(self.n_rx)):
+            raise ValueError(f"n_rx must hold integers N, 1 <= N <= M = {self.m}, each once, "
+                             f"got {self.n_rx!r}")
+        snrs = self.snr_db_grid
+        if len(snrs) == 0:
             raise ValueError("SNR grid is empty")
-        if not all(math.isfinite(p) and math.isfinite(_power(p)) for p in self.snr_db_grid):
-            raise ValueError("SNR grid entries must be finite, and so must their linear "
-                             f"powers, got {self.snr_db_grid}")
+        if (not all(isinstance(p, Real) and not isinstance(p, bool) and 0 < _power(p) < math.inf
+                    for p in snrs) or len(set(snrs)) < len(snrs)):
+            raise ValueError("SNR grid entries must be finite real numbers, each once, whose "
+                             f"linear powers are positive and finite, got {snrs!r}")
         if self.trials < 1:
             raise ValueError(f"need at least 1 trial, got {self.trials}")
         if self.codebook_policy not in tuple(CODEBOOK_POLICIES):
@@ -181,16 +184,15 @@ class ExperimentResult:
 def _chunk_bytes(config: ExperimentConfig, bits: int, trials: int, scanned: int) -> int:
     """Bytes a chunk of ``trials`` trials holds at its peak, from shapes alone.
 
-    A trial and user holds its complex (M, M) channel, the QR factors of the
-    largest N, every N's quantization results, and the complex benchmark (their
-    normals are freed once these are formed).  A trial, user and codeword of the
+    A trial and user holds its complex (M, M) channel (its normals are freed
+    once it is formed), the QR factors of the largest N and every N's
+    quantization results.  A trial, user and codeword of the
     ``scanned`` trials one ``_select`` call scores holds ``_scan_bytes`` for the
     largest N, its normals counted only under per_block (a fixed codebook is
     shared).
     """
     m, top = config.m, max(config.n_rx)
-    held = (16 * (m * m + m * top + top * top + m)
-            + sum(16 * (3 * m + n) + 40 for n in config.n_rx))
+    held = 16 * (m * m + m * top + top * top) + sum(16 * (3 * m + n) + 40 for n in config.n_rx)
     per_codeword = _scan_bytes(m, top, config.codebook_policy == "per_block")
     return config.users * (trials * held + scanned * 2 ** bits * per_codeword)
 
@@ -242,38 +244,29 @@ CODEBOOK_POLICIES = {"per_block": _score_per_block, "fixed": _score_fixed}
 
 
 def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float]],
-               trials: range, score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               trials: range, score) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the fading blocks ``trials`` at every (N, SNR) cell of ``cells``.
 
     ``trials`` starts at a stream block's first trial; a block the range ends
-    inside draws a prefix of its streams.  A block draws its benchmarks and its
-    M x M channels from one stream per purpose; an N's channels are their first
-    N columns.  The largest N is QR-factored once and every N picked for by one
-    ``score`` call (a ``CODEBOOK_POLICIES`` scorer's) on its Q; each N is
-    oriented on its prefixes of the factors.  An N drops a trial at all its
-    SNRs when a quantization faults or zero-forcing refuses its stack or the
-    benchmark's.  Returns ``(rate_fb, rate_zf, dropped)``, each
-    ``(len(cells), len(trials))``; a dropped trial carries zero rates.
+    inside draws a prefix of its stream.  A block draws its M x M channels from
+    one stream; an N's channels are their first N columns.  The largest N is
+    QR-factored once and every N picked for by one ``score`` call (a
+    ``CODEBOOK_POLICIES`` scorer's) on its Q; each N is oriented on its
+    prefixes of the factors.  An N drops a trial at all its SNRs when a
+    quantization faults or zero-forcing refuses its stack.  Returns
+    ``(rate_fb, dropped)``, each ``(len(cells), len(trials))``; a dropped trial
+    carries a zero rate.
     """
     m, users, seed, count = config.m, config.users, config.seed, len(trials)
     first_block = trials.start // _BLOCK
     n_rx = list(dict.fromkeys(n for n, _ in cells))
     channel_parts = np.empty((count, users, 2, m, m))
-    bench_parts = np.empty((count, users, 2, m))
     for lo in range(0, count, _BLOCK):
-        block, rows = first_block + lo // _BLOCK, slice(lo, lo + _BLOCK)
-        RngStream(seed, block, 0, PURPOSE_CHANNEL).generator().standard_normal(
-            out=channel_parts[rows])
-        RngStream(seed, block, 0, PURPOSE_BENCHMARK).generator().standard_normal(
-            out=bench_parts[rows])
+        stream = RngStream(seed, first_block + lo // _BLOCK, 0, PURPOSE_CHANNEL)
+        stream.generator().standard_normal(out=channel_parts[lo:lo + _BLOCK])
     # (trials, users, M, M): an N's channels are the first N columns
     channels = complex_from_parts(np.moveaxis(channel_parts, 2, 0))
-    # (trials, M, users), contiguous: column u = user u
-    bench = complex_from_parts(bench_parts.transpose(2, 0, 3, 1))
-    del channel_parts, bench_parts  # the real normals; only the complex arrays are used
-    powers = {snr_db: _power(snr_db) for _, snr_db in cells}
-    zf_rates, zf_cond, zf_residual = perfect_csit_rates(bench, np.array(list(powers.values())))
-    rate_zf, zf_refused = dict(zip(powers, zf_rates)), refused(zf_cond, zf_residual)
+    del channel_parts  # the real normals; only the complex channels are used
     # QR of a column prefix is the prefix of the QR: one factorization serves every N
     q, r = np.linalg.qr(channels[..., :max(n_rx)])
     records = {}
@@ -283,30 +276,28 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
                             np.ascontiguousarray(r[..., :n, :n]), *picks)
         # user stacks as (M, M) matrices with one column per user
         beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
-        dropped = (fault != 0).any(axis=-1) | refused(cond, residual) | zf_refused
+        dropped = (fault != 0).any(axis=-1) | refused(cond, residual)
         own = [snr_db for k, snr_db in cells if k == n]
         sinrs = sinr_stack(np.swapaxes(fb.h_eff, -1, -2), beams,
-                           np.array([powers[s] for s in own]))
+                           np.array([_power(s) for s in own]))
         sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
         for snr_db, rate_fb in zip(own, sum_rate(sinrs)):
-            records[n, snr_db] = rate_fb, np.where(dropped, 0.0, rate_zf[snr_db]), dropped
+            records[n, snr_db] = rate_fb, dropped
     return tuple(np.stack(column) for column in zip(*(records[cell] for cell in cells)))
 
 
-def _aggregate(n_rx: int, snr_db: float, bits: int,
-               records: tuple[np.ndarray, np.ndarray, np.ndarray],
-               warnings: list) -> GridPointResult:
-    rate_fb, rate_zf, drops = records
-    kept, trials, dropped = ~drops, len(drops), int(drops.sum())
+def _aggregate(m: int, n_rx: int, snr_db: float, bits: int,
+               records: tuple[np.ndarray, np.ndarray], warnings: list) -> GridPointResult:
+    """A grid point's row: rate_fb over its kept trials, and the exact rate_zf, with CI 0."""
+    rate_fb, drops = records
+    trials, dropped = len(drops), int(drops.sum())
     if dropped > 0.01 * trials:
         warnings.append(f"snr_db={snr_db:g} n_rx={n_rx}: dropped {dropped}/{trials} trials")
     if dropped == trials:
         warnings.append(f"snr_db={snr_db:g} n_rx={n_rx}: all trials dropped")
-        nan = float("nan")
-        return GridPointResult(snr_db, n_rx, bits, nan, nan, nan, nan, nan, dropped, trials)
-    fb_mean, fb_ci = mean_ci(rate_fb[kept])
-    zf_mean, zf_ci = mean_ci(rate_zf[kept])
-    return GridPointResult(snr_db, n_rx, bits, fb_mean, fb_ci, zf_mean, zf_ci, zf_mean - fb_mean,
+    fb_mean, fb_ci = mean_ci(rate_fb[~drops]) if dropped < trials else (math.nan, math.nan)
+    zf_mean = zf_rate_mean(m, _power(snr_db))
+    return GridPointResult(snr_db, n_rx, bits, fb_mean, fb_ci, zf_mean, 0.0, zf_mean - fb_mean,
                            dropped, trials)
 
 
@@ -317,7 +308,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     bits share one pass over chunks.  Results are deterministic in (config,
     seed): the worker count only changes wall-clock time.  Dropped trials (a
     degenerate channel, a codeword orthogonal to the span, a combiner that
-    fails its norm identity, or a refused direction or benchmark stack) are
+    fails its norm identity, or a refused direction stack) are
     excluded from the averages and counted per grid point, with a warning if
     they exceed one percent.
     """
@@ -333,8 +324,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                       score=CODEBOOK_POLICIES[config.codebook_policy](config, bits))
         parts = ordered_map(run, chunks, workers)
         columns = (np.concatenate(column, axis=-1) for column in zip(*parts))
-        records.update(zip(cells, zip(*columns)))  # cell -> (rate_fb, rate_zf, dropped)
+        records.update(zip(cells, zip(*columns)))  # cell -> (rate_fb, dropped)
     warnings: list = []
-    points = [_aggregate(n, snr_db, bits, records[n, snr_db], warnings)
+    points = [_aggregate(config.m, n, snr_db, bits, records[n, snr_db], warnings)
               for n, snr_db, bits in grid]
     return ExperimentResult(config=config, points=points, warnings=warnings)

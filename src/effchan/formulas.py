@@ -1,10 +1,11 @@
 """Closed-form rate-gap and feedback-scaling expressions.
 
-These are the analytic counterparts of the Monte Carlo pipeline: the
-asymptotic rate offset of combining across N receive antennas, the expected
-residual quantization error of a B-bit random codebook, the resulting upper
-bound on the sum-rate gap to perfect channel knowledge, and the inversion of
-that bound into a feedback-bit budget that scales with SNR.
+These are the analytic counterparts of the Monte Carlo pipeline: the ergodic
+zero-forcing sum rate with perfect channel knowledge (the sweep's benchmark),
+the asymptotic rate offset of combining across N receive antennas, the
+expected residual quantization error of a B-bit random codebook, the
+resulting upper bound on the sum-rate gap to perfect channel knowledge, and
+the inversion of that bound into a feedback-bit budget that scales with SNR.
 
 Conventions: rates and rate gaps are per user in bits per channel use, powers
 in dB are "P_dB", linear powers "power".  The bit budget uses the standard
@@ -82,6 +83,29 @@ def rate_gap_bound(power: float, bits: float, m: int, n: int) -> float:
         raise ValueError(f"power must be nonnegative and finite, got {power}")
     loading = (m - n + 1) / m
     return delta_a(m, n) + math.log2(1.0 + power * loading * quant_error_approx(bits, m, n))
+
+
+def _exp_e1(x: float) -> float:
+    """e^x E1(x) for x > 0: by its series below 1, else by its continued fraction, whose 128
+    terms reach double precision at x = 1, where it converges slowest (and give 0 at inf)."""
+    if x < 1:  # E1(x) = -gamma - ln x - sum_k (-x)^k / (k k!)
+        series = sum((-x) ** k / (k * math.factorial(k)) for k in range(1, 30))
+        return math.exp(x) * (-0.5772156649015329 - math.log(x) - series)
+    tail = 0.0  # 1 / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - ...))), evaluated from its far end
+    for k in range(128, 0, -1):
+        tail = k * k / (x + 2 * k + 1 - tail)
+    return 1.0 / (x + 1 - tail)
+
+
+def zf_rate_mean(m: int, power: float) -> float:
+    """Ergodic perfect-CSIT zero-forcing sum rate of M single-antenna users at linear power P,
+    M log2(e) e^{M/P} E1(M/P): each user gets power P/M, and behind its zero-forced beam its
+    gain |<h_i, v_i>|^2 is Exp(1) (Jindal, IEEE T-IT 2006)."""
+    if not isinstance(m, Integral) or isinstance(m, bool) or m < 1:
+        raise ValueError(f"need a positive integer user count, got M={m!r}")
+    if not 0 < power < math.inf:  # NaN fails too
+        raise ValueError(f"power must be positive and finite, got {power}")
+    return m * LOG2E * _exp_e1(m / power)
 
 
 @dataclass(frozen=True)

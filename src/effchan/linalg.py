@@ -29,7 +29,7 @@ COND_LIMIT = 1e8
 # registry guarantees distinct draws never share a (seed, trial, user, purpose).
 PURPOSE_CHANNEL = 0
 PURPOSE_CODEBOOK = 1
-PURPOSE_BENCHMARK = 2
+# 2 is retired: sweep streams up to v4 drew a Monte Carlo benchmark there.  Never reuse it.
 PURPOSE_FIXED_CODEBOOK = 3
 PURPOSE_PROBE = 4
 PURPOSE_VALIDATION = 5

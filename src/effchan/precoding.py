@@ -4,11 +4,11 @@ Power convention: total transmit power P is split equally, P/M per user, and
 the receiver noise is unit variance, so P is also the transmit SNR.  Rates
 are in bits per channel use (log base 2).
 
-``zero_force``, ``sinr_stack`` and ``perfect_csit_rates`` work on stacks of
-(M, M) matrices, leading axes first, column i serving user i (one matrix is a
-stack with no leading axes).  A stack zero-forcing cannot invert reliably is
-reported through ``refused`` instead of raising, so one bad fading block
-never stops the others.
+``zero_force`` and ``sinr_stack`` work on stacks of (M, M) matrices,
+leading axes first, column i serving user i (one matrix is a stack with no
+leading axes).  A stack zero-forcing cannot invert reliably is reported
+through ``refused`` instead of raising, so one bad fading block never stops
+the others.
 """
 
 from __future__ import annotations
@@ -73,18 +73,3 @@ def sum_rate(sinrs: np.ndarray) -> float | np.ndarray:
         raise ValueError("SINR values must be nonnegative")
     return np.sum(np.log2(1.0 + s), axis=-1)
 
-
-def perfect_csit_rates(channels: np.ndarray,
-                       power: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-forcing sum rate with perfect channel knowledge at the transmitter.
-
-    channels is (..., M, M) with column i the true channel vector of user i
-    (one receive antenna each).  Beams are zero-forced on the true
-    directions, so interference vanishes and the rate is
-    sum_i log2(1 + P/M |<h_i, v_i>|^2).  Returns (rates, cond, residual) as
-    ``zero_force`` does; see ``refused``.  An array of powers leads the
-    rates' axes, as in ``sinr_stack``: the stack is zero-forced once.
-    """
-    directions = channels / np.linalg.norm(channels, axis=-2, keepdims=True)
-    vectors, cond, residual = zero_force(directions)
-    return sum_rate(sinr_stack(channels, vectors, power)), cond, residual

@@ -9,14 +9,16 @@ embedding of the same products.  ``Replay`` hands given normals to
 serially, for the antenna-selection acceptance test.  ``whole_ks_statistic`` and
 ``whole_isotropy`` compute the law checks on whole arrays, as references for
 ``stats``, whose KS statistic reads the samples in row blocks.
-``complex_normal`` draws the complex Gaussians the tests build channels from,
-and ``zf_rate_mean`` is the closed form the sweep's perfect-CSIT benchmark
-is checked against.
+``complex_normal`` draws the complex Gaussians the tests build channels from.
+``perfect_csit_rates`` is the Monte Carlo perfect-CSIT benchmark, zero-forced
+through ``precoding``, and ``zf_rate_mean`` takes its mean by quadrature: both
+are references for ``formulas.zf_rate_mean``, the closed form the sweep
+reports.
 """
 
 import numpy as np
 
-from effchan import validate
+from effchan import precoding, validate
 from effchan.formulas import LOG2E
 from effchan.linalg import PURPOSE_PROBE, PURPOSE_VALIDATION, RngStream, complex_from_parts
 from effchan.quantize import FAULT_ORTHOGONAL, QuantizationResult, _orient, _select, raise_fault
@@ -31,6 +33,23 @@ def complex_normal(gen, shape):
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     return complex_from_parts(gen.standard_normal((2, *shape)))
+
+
+def perfect_csit_rates(channels, power):
+    """Zero-forcing sum rate with perfect channel knowledge at the transmitter.
+
+    channels is (..., M, M) with column i the true channel vector of user i
+    (one receive antenna each).  Beams are zero-forced on the true
+    directions, so interference vanishes and the rate is
+    sum_i log2(1 + P/M |<h_i, v_i>|^2).  Returns (rates, cond, residual) as
+    ``zero_force`` does; see ``refused``.  An array of powers leads the
+    rates' axes, as in ``sinr_stack``: the stack is zero-forced once.
+    ``precoding.zero_force`` and ``precoding.sinr_stack`` are looked up at call
+    time, so that a test can plant a bug in either.
+    """
+    directions = channels / np.linalg.norm(channels, axis=-2, keepdims=True)
+    vectors, cond, residual = precoding.zero_force(directions)
+    return precoding.sum_rate(precoding.sinr_stack(channels, vectors, power)), cond, residual
 
 
 def zf_rate_mean(m, power):

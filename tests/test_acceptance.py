@@ -13,12 +13,13 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from effchan import linalg, precoding, stats, validate
 from effchan.experiment import CODEBOOK_POLICIES, BitsRule, ExperimentConfig, run_experiment
 from effchan.formulas import (InfeasibleTargetError, ScalingInputs, bits_required, delta_a,
-                              rate_gap_bound)
+                              rate_gap_bound, zf_rate_mean)
 from effchan.linalg import PURPOSE_CHANNEL, PURPOSE_CODEBOOK, RngStream
 from effchan.cli import main, scaling_table_rows
 from effchan.precoding import refused, zero_force
@@ -31,7 +32,8 @@ from effchan.validate import (
     quant_error_mean_report,
     quantization_angle_report,
 )
-from oracles import collect_best_cosine_samples, complex_normal, zf_rate_mean
+import oracles
+from oracles import collect_best_cosine_samples, complex_normal
 
 
 # 1 ------------------------------------------------------ bit-budget numbers
@@ -288,9 +290,11 @@ def test_validate_outputs_identical_across_worker_counts(tmp_path, capsys, monke
 
 
 # 12 ------------------------------------------ closed-form anchors of the rates
-# Both checks read the sweep's own rows.  A row's mean may miss its closed
-# form by the critical value of its CI half-width, Bonferroni over the cells
-# of the check, at stats' chance of failing correct code.
+# The sweep reports the perfect-CSIT benchmark from its closed form, which is
+# checked against a Monte Carlo run of the zero-forcing kernel; the gap check
+# reads the sweep's own rows.  A mean may miss its closed form by the critical
+# value of its CI half-width, Bonferroni over the cells of the check, at stats'
+# chance of failing correct code.
 
 ANCHOR_SNRS = (0.0, 10.0, 20.0)
 ANCHOR_N = (1, 2, 3)
@@ -311,24 +315,32 @@ def critical(ci, cells):
 
 
 def zf_anchor_misses():
-    """Cells whose perfect-CSIT rate_zf_mean lies beyond its critical value of
-    M log2(e) e^{M/P} E1(M/P), at M = 4 and 0/10/20 dB."""
-    points = anchor_points((1,), 1, "fixed", 4000, 2026101)
-    return [(p.snr_db, p.rate_zf_mean) for p in points
-            if abs(p.rate_zf_mean - zf_rate_mean(4, 10 ** (p.snr_db / 10)))
-            > critical(p.rate_zf_ci, len(points))]
+    """SNRs at which the Monte Carlo perfect-CSIT rate (``oracles.perfect_csit_rates`` over
+    4000 channel draws, M = 4, 0/10/20 dB) has a mean beyond its critical value of
+    ``formulas.zf_rate_mean``, M log2(e) e^{M/P} E1(M/P)."""
+    channels = complex_normal(RngStream(2026101, purpose=PURPOSE_CHANNEL).generator(),
+                              (4000, 4, 4))
+    powers = 10 ** (np.array(ANCHOR_SNRS) / 10)
+    rates, cond, residual = oracles.perfect_csit_rates(channels, powers)
+    kept = ~refused(cond, residual)
+    misses = []
+    for snr_db, power, rate in zip(ANCHOR_SNRS, powers, rates):
+        mean, ci = stats.mean_ci(rate[kept])
+        if abs(mean - zf_rate_mean(4, power)) > critical(ci, len(ANCHOR_SNRS)):
+            misses.append((snr_db, mean))
+    return misses
 
 
 def gap_bound_misses(policy):
     """Cells whose sum-rate gap exceeds M rate_gap_bound(P, B, M, N) by more than its critical
-    value, at M = 4, N = 1, 2, 3, B = 4, 8 and 0/10/20 dB.  The paired gap's half-width is
-    at most the sum of its two rates' half-widths."""
+    value, at M = 4, N = 1, 2, 3, B = 4, 8 and 0/10/20 dB.  The gap's half-width is
+    rate_fb's, since its benchmark is exact."""
     cells = len(ANCHOR_N) * len(ANCHOR_SNRS) * len(ANCHOR_BITS) * len(ANCHOR_POLICIES)
     misses = []
     for bits in ANCHOR_BITS:
         for p in anchor_points(ANCHOR_N, bits, policy, 2000, 2026102):
             bound = 4 * rate_gap_bound(10 ** (p.snr_db / 10), bits, 4, p.n_rx)
-            if p.gap > bound + critical(p.rate_fb_ci + p.rate_zf_ci, cells):
+            if p.gap > bound + critical(p.rate_fb_ci, cells):
                 misses.append((bits, p.n_rx, p.snr_db, p.gap, bound))
     return misses
 
@@ -336,7 +348,16 @@ def gap_bound_misses(policy):
 def test_benchmark_rate_matches_its_closed_form():
     # at M = P = 1 the mean is log2(e) e E1(1), and e E1(1) is the Gompertz constant
     assert zf_rate_mean(1, 1.0) == pytest.approx(math.log2(math.e) * 0.5963473623231941,
-                                                 rel=1e-12)
+                                                 rel=1e-15)
+    # scipy's E1 and the quadrature oracle, at x = M/P on both sides of the switch from
+    # the series to the continued fraction at x = 1
+    for m, x in itertools.product((1, 2, 4, 8), (1e-4, 0.05, 0.5, 0.999999, 1.0, 1.5, 4.0,
+                                                  30.0, 250.0)):
+        exact = m * math.log2(math.e) * math.exp(x) * scipy.special.exp1(x)
+        assert zf_rate_mean(m, m / x) == pytest.approx(exact, rel=1e-13), (m, x)
+        assert zf_rate_mean(m, m / x) == pytest.approx(oracles.zf_rate_mean(m, m / x),
+                                                       rel=1e-9), (m, x)
+    # and the mean of the Monte Carlo benchmark that zero-forces drawn channels
     assert zf_anchor_misses() == []
 
 

@@ -89,7 +89,7 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert len(manifest["rows"]) == 2
     assert manifest["rows"][0]["rate_zf_mean"] > 0
     assert "outputs" in manifest and "warnings" in manifest
-    assert manifest["stream_version"] == 4
+    assert manifest["stream_version"] == 5
 
 
 def test_sweep_reports_default_seed(tmp_path, capsys):
@@ -144,6 +144,13 @@ def test_sweep_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
     ("m = 4\nn_rx = 2\nsnr_db = 4000\nbits = 2\ntrials = 10\n", "must be finite"),
     ("m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = nan\n", "positive finite target gap"),
     ("m = 4\nn_rx = 2\nsnr_db = 10\ngap_target = inf\n", "positive finite target gap"),
+    # 10^(-4000/10) underflows to zero power
+    ("m = 4\nn_rx = 2\nsnr_db = -4000\nbits = 2\ntrials = 10\n", "must be finite"),
+    # a repeated N or SNR would only repeat its rows
+    ("m = 3\nn_rx = 2, 2\nsnr_db = 10\nbits = 2\n",
+     "n_rx must hold integers N, 1 <= N <= M = 3, each once"),
+    ("m = 3\nn_rx = 2\nsnr_db = 0, 5, 0\nbits = 2\n",
+     "SNR grid entries must be finite real numbers, each once"),
 ])
 def test_sweep_config_errors(tmp_path, capsys, cfg_text, fragment):
     cfg = write_config(tmp_path, cfg_text)

@@ -53,16 +53,16 @@ OUTPUTS = {"sweep": ("sweep.csv", "manifest.json"), "validate": ("validation.jso
 
 DIGESTS = {
     "sweep_fixed_b2": {
-        "sweep.csv": "9d397103c93bd203c3fac6df840dbb3a647fc238e3e1ef153749a8eb804d38f2",
-        "manifest.json": "5d832127c369aa8a1b5a33ed891c3ee5ae92c27672e8233c30e33476e3956107",
+        "sweep.csv": "36b3ea48a1666ec388ed598856fafe754c7d47bed69dafd1ab7412ccd962be7c",
+        "manifest.json": "95efa466f19bd1fcd6890bb0fca5483f746d04093e6f9f09c959f2cab9436e16",
     },
     "sweep_block_b10": {
-        "sweep.csv": "dada134bc4dba88faa2631f3a705f807b3f9f243a0f005fe5e572270f827d280",
-        "manifest.json": "6f079d731524294dfd2096d0825a1553a7bc9c7ec463f7611600b1264c789801",
+        "sweep.csv": "b3156e82c24fc32971cbec3f69d6b8e94b4eba0df0fece127fb88041161e3e2b",
+        "manifest.json": "801f427bfeef639ff2b0f56445c0d9764e18c22e9be223b64a4b5b3f54987add",
     },
     "readme_sweep": {
-        "sweep.csv": "ed688ed0e2a9a1cd34c8fb4288f91001eced5b86d869ca5284a5ffb6c40df255",
-        "manifest.json": "24342bda2e286368ee409ad34ad825641625823275188c5c76fa216636675da1",
+        "sweep.csv": "fd6a56a5e3f3d1a1ef711a2540b889cd4b2680bf8a7ce32ee94e4d28be832ba8",
+        "manifest.json": "a549d5294d8914a7986df0c6f86685bb635d88951346106a16bfff3ec8405847",
     },
     "validate": {
         "validation.json": "c14bd6debf5ebafee105a878a2eb52dab105cef9d05fdd3ef7364b14a6ee5db1",

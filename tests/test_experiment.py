@@ -11,7 +11,6 @@ import pytest
 
 import effchan.experiment as experiment
 import effchan.linalg as linalg
-import effchan.precoding as precoding
 import effchan.quantize as quantize
 from effchan.experiment import (
     CODEBOOK_POLICIES,
@@ -21,19 +20,17 @@ from effchan.experiment import (
     _run_chunk,
     run_experiment,
 )
-from effchan.formulas import InfeasibleTargetError
+from effchan.formulas import InfeasibleTargetError, zf_rate_mean
 from effchan.linalg import (
-    PURPOSE_BENCHMARK,
     PURPOSE_CHANNEL,
     PURPOSE_CODEBOOK,
     PURPOSE_FIXED_CODEBOOK,
     RngStream,
     complex_from_parts,
 )
-from effchan.precoding import perfect_csit_rates
 from effchan.quantize import _orient, _select, generate_codebook
 from effchan.stats import mean_ci
-from oracles import Replay
+from oracles import Replay, perfect_csit_rates
 
 
 def small_config(**overrides):
@@ -68,7 +65,7 @@ def planted(codebooks):
 
 
 def trial_record(config, snr_db, bits, t, score=None):
-    """Trial t's (rate_fb, rate_zf, dropped) at the config's one N: the last entry
+    """Trial t's (rate_fb, dropped) at the config's one N: the last entry
     of its block's prefix (scored by the config's policy unless ``score`` is given)."""
     block_start = t // experiment._BLOCK * experiment._BLOCK
     [n] = config.n_rx
@@ -130,9 +127,22 @@ def test_config_guards():
     for snr_db in (math.nan, math.inf, -math.inf):  # would run to all-NaN rows
         with pytest.raises(ValueError, match="finite"):
             small_config(snr_db_grid=(0.0, snr_db))
-    # 10^(4000/10) overflows a float: refused, not an OverflowError mid-run
-    with pytest.raises(ValueError, match="finite"):
-        small_config(snr_db_grid=(0.0, 4000.0))
+    # 10^(4000/10) overflows a float: refused, not an OverflowError mid-run;
+    # 10^(-4000/10) underflows to zero power, where no benchmark rate is defined
+    for snr_db in (4000.0, -4000.0):
+        with pytest.raises(ValueError, match="finite"):
+            small_config(snr_db_grid=(0.0, snr_db))
+    # a bool or a non-real entry is refused, never run and reported as its value
+    for snr_db in (True, np.bool_(True), 1j, "10"):
+        with pytest.raises(ValueError, match="real"):
+            small_config(snr_db_grid=(snr_db,))
+    # a repeated N or SNR would only repeat its rows
+    for field, value in [("n_rx", (1, 1)), ("snr_db_grid", (10.0, 10)),
+                         ("snr_db_grid", (0.0, -0.0))]:
+        with pytest.raises(ValueError, match="each once"):
+            small_config(**{field: value})
+    with pytest.raises(ValueError, match="n_rx .* each once"):
+        small_config(m=3, n_rx=(2, 2), snr_db_grid=(10.0, 10.0))
     assert run_experiment(small_config(snr_db_grid=(300.0,), trials=2)).points[0].dropped == 0
     with pytest.raises(ValueError):
         small_config(trials=0)
@@ -196,7 +206,7 @@ def test_trial_with_planted_directions_matches_perfect_zf():
         direction = h / np.linalg.norm(h)
         other = np.array([-np.conj(direction[1]), np.conj(direction[0])])
         codebooks.append(np.stack([direction, other]))
-    rate_fb, _, dropped = trial_record(config, 10.0, 1, 0, planted(codebooks))
+    rate_fb, dropped = trial_record(config, 10.0, 1, 0, planted(codebooks))
     expected, _, _ = perfect_csit_rates(channels.T, 10.0)
     assert not dropped
     assert rate_fb == pytest.approx(expected, rel=1e-9)
@@ -216,9 +226,9 @@ def test_trial_drops_codeword_orthogonal_to_channel():
     # every codeword of every user is orthogonal to that user's channel, so
     # no user can orient a combiner and the trial must be dropped
     config = small_config(seed=1234)
-    rate_fb, rate_zf, dropped = trial_record(config, 10.0, 1, 0, orthogonal_codebooks(config))
+    rate_fb, dropped = trial_record(config, 10.0, 1, 0, orthogonal_codebooks(config))
     assert dropped
-    assert rate_fb == 0.0 and rate_zf == 0.0
+    assert rate_fb == 0.0
 
 
 def test_run_chunk_returns_rate_and_drop_arrays():
@@ -226,38 +236,43 @@ def test_run_chunk_returns_rate_and_drop_arrays():
     # every trial, as float64 rates and a bool drop mask
     config = small_config(seed=1234)
     trials = range(0, 5)
-    rate_fb, rate_zf, dropped = _run_chunk(config, 1, [(1, 10.0)], trials,
-                                           orthogonal_codebooks(config))
-    assert [rate_fb.shape, rate_zf.shape, dropped.shape] == [(1, len(trials))] * 3
-    assert (rate_fb.dtype, rate_zf.dtype, dropped.dtype) == (np.float64, np.float64, np.bool_)
+    rate_fb, dropped = _run_chunk(config, 1, [(1, 10.0)], trials, orthogonal_codebooks(config))
+    assert [rate_fb.shape, dropped.shape] == [(1, len(trials))] * 2
+    assert (rate_fb.dtype, dropped.dtype) == (np.float64, np.bool_)
     assert dropped[0, 0]
-    assert rate_fb[0, 0] == 0.0 and rate_zf[0, 0] == 0.0
+    assert rate_fb[0, 0] == 0.0
 
 
-def test_refused_benchmark_drops_its_trial_at_every_cell(monkeypatch):
-    # drops do not depend on power: a refused benchmark stack drops its
-    # trial at every N and every SNR of the chunk, and no other trial
-    def refusing(bench, power):
-        rates, cond, residual = perfect_csit_rates(bench, power)
-        cond[1] = np.inf
-        return rates, cond, residual
+def test_refused_feedback_stack_drops_its_trial_at_every_snr(monkeypatch):
+    # drops do not depend on power: a refused feedback stack drops its trial
+    # at every SNR of its N, and no other trial or N
+    calls = []
 
-    monkeypatch.setattr(experiment, "perfect_csit_rates", refusing)
+    def refusing(directions):  # refuses trial 1 of the first N's stacks
+        vectors, cond, residual = zero_force(directions)
+        if not calls:
+            cond[1] = np.inf
+        calls.append(directions.shape)
+        return vectors, cond, residual
+
+    zero_force = experiment.zero_force
+    monkeypatch.setattr(experiment, "zero_force", refusing)
     config = small_config(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0), seed=1234)
     cells = [(1, 0.0), (1, 10.0), (2, 0.0), (2, 10.0)]
-    rate_fb, rate_zf, dropped = _run_chunk(config, 2, cells, range(5), policy_score(config, 2))
-    assert dropped.tolist() == [[False, True, False, False, False]] * len(cells)
-    assert (rate_fb[:, 1] == 0.0).all() and (rate_zf[:, 1] == 0.0).all()
-    assert (rate_fb[:, [0, 2, 3, 4]] > 0.0).all()
+    rate_fb, dropped = _run_chunk(config, 2, cells, range(5), policy_score(config, 2))
+    assert dropped.tolist() == [[False, True, False, False, False]] * 2 + [[False] * 5] * 2
+    assert (rate_fb[:2, 1] == 0.0).all()
+    assert (rate_fb[:2, [0, 2, 3, 4]] > 0.0).all() and (rate_fb[2:] > 0.0).all()
+    assert calls == [(5, 3, 3)] * 2  # one stack of trials a chunk for each N
 
 
 def test_trial_drops_parallel_reported_directions():
     # both users report the same codeword, so the direction stack is singular
     e1 = np.array([1.0, 0.0], dtype=complex)
     cb = np.stack([e1, e1])
-    rate_fb, rate_zf, dropped = trial_record(small_config(), 10.0, 1, 0, planted([cb, cb]))
+    rate_fb, dropped = trial_record(small_config(), 10.0, 1, 0, planted([cb, cb]))
     assert dropped
-    assert rate_fb == 0.0 and rate_zf == 0.0  # rate_fb is 0 only if every SINR is 0
+    assert rate_fb == 0.0  # rate_fb is 0 only if every SINR is 0
 
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
@@ -282,25 +297,16 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
         seen["channels"] = channels
         return _orient(channels, *args)
 
-    def spy_rates(bench, power):
-        seen["bench"] = bench
-        return perfect_csit_rates(bench, power)
-
     # the per-block slices call quantize's _select, the fixed scorer experiment's
     monkeypatch.setattr(quantize, "_select", spy_select)
     monkeypatch.setattr(experiment, "_select", spy_select)
     monkeypatch.setattr(experiment, "_orient", spy_orient)
-    monkeypatch.setattr(experiment, "perfect_csit_rates", spy_rates)
     monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 2 * 8)
     trials = range(64, 134)
     records = _run_chunk(config, 3, [(2, 10.0)], trials, policy_score(config, 3))
     monkeypatch.undo()
 
-    assert seen["bench"].shape == (70, 3, 3) and seen["bench"].flags.c_contiguous
     channels = np.concatenate([block_channels(config, 1, 64), block_channels(config, 2, 6)])
-    bench = np.concatenate([block_draw(seed, b, PURPOSE_BENCHMARK, (k, 3, 2, 3))
-                            for b, k in ((1, 64), (2, 6))])
-    assert seen["bench"].tobytes() == complex_from_parts(bench.transpose(2, 0, 3, 1)).tobytes()
     if policy == "per_block":
         # the kernel gets the codebooks' normal parts; each winning row is
         # the row generate_codebook forms from them
@@ -363,10 +369,8 @@ def test_each_n_quantizes_its_own_block_channel_draw(monkeypatch):
 def test_trial_feedback_loses_to_perfect_knowledge_on_average():
     config = small_config(trials=200)
     records = [trial_record(config, 10.0, 2, t) for t in range(200)]
-    kept = [r for r in records if not r[2]]
-    fb = np.mean([r[0] for r in kept])
-    zf = np.mean([r[1] for r in kept])
-    assert zf > fb + 0.5
+    fb = np.mean([rate for rate, dropped in records if not dropped])
+    assert zf_rate_mean(config.m, 10.0) > fb + 0.5
 
 
 def test_more_feedback_bits_raise_mean_rate():
@@ -410,7 +414,7 @@ def test_fixed_policy_changes_results_but_stays_deterministic():
     fixed_2 = run_experiment(small_config(trials=30, codebook_policy="fixed"))
     assert fixed_1.points == fixed_2.points
     assert fixed_1.points[0].rate_fb_mean != per_block.points[0].rate_fb_mean
-    # the benchmark draw is independent of the codebook policy
+    # the exact benchmark does not depend on the codebook policy
     assert fixed_1.points[0].rate_zf_mean == per_block.points[0].rate_zf_mean
 
 
@@ -419,21 +423,22 @@ def test_fixed_policy_changes_results_but_stays_deterministic():
 
 def test_aggregate_matches_mean_ci():
     rates = np.array([1.0, 2.0, 3.0, 4.0])
-    records = (rates, 2 * rates, np.zeros(4, dtype=bool))
+    records = (rates, np.zeros(4, dtype=bool))
     warnings = []
-    point = _aggregate(1, 5.0, 2, records, warnings)
+    point = _aggregate(2, 1, 5.0, 2, records, warnings)
     fb_mean, fb_ci = mean_ci(np.array([1.0, 2.0, 3.0, 4.0]))
     assert (point.rate_fb_mean, point.rate_fb_ci) == (fb_mean, fb_ci)
+    # the benchmark is exact: its closed form at M = 2 and 5 dB, with no CI
+    assert (point.rate_zf_mean, point.rate_zf_ci) == (zf_rate_mean(2, 10 ** 0.5), 0.0)
     assert point.gap == point.rate_zf_mean - point.rate_fb_mean
     assert point.dropped == 0 and point.trials == 4
     assert warnings == []
 
 
 def test_aggregate_excludes_dropped_and_warns():
-    records = (np.array([2.0] * 8 + [0.0] * 2), np.array([3.0] * 8 + [0.0] * 2),
-               np.array([False] * 8 + [True] * 2))
+    records = (np.array([2.0] * 8 + [0.0] * 2), np.array([False] * 8 + [True] * 2))
     warnings = []
-    point = _aggregate(1, 0.0, 2, records, warnings)
+    point = _aggregate(2, 1, 0.0, 2, records, warnings)
     assert point.rate_fb_mean == 2.0  # zeros from dropped trials never dilute
     assert point.dropped == 2 and point.trials == 10
     assert len(warnings) == 1 and "dropped 2/10" in warnings[0]
@@ -441,21 +446,20 @@ def test_aggregate_excludes_dropped_and_warns():
 
 def test_aggregate_masks_dropped_trials_whatever_their_rates():
     # placeholder rates on dropped trials: the mask, not their zeros, excludes them
-    records = (np.array([1.0, 3.0, 50.0]), np.array([2.0, 4.0, 70.0]),
-               np.array([False, False, True]))
+    records = (np.array([1.0, 3.0, 50.0]), np.array([False, False, True]))
     warnings = []
-    point = _aggregate(1, 0.0, 2, records, warnings)
+    point = _aggregate(2, 1, 0.0, 2, records, warnings)
     assert (point.rate_fb_mean, point.rate_fb_ci) == mean_ci(np.array([1.0, 3.0]))
-    assert (point.rate_zf_mean, point.rate_zf_ci) == mean_ci(np.array([2.0, 4.0]))
     assert point.dropped == 1 and point.trials == 3
     assert type(point.dropped) is int and type(point.trials) is int
 
 
 def test_aggregate_all_dropped_yields_nan_row():
-    records = (np.zeros(3), np.zeros(3), np.ones(3, dtype=bool))
+    records = (np.zeros(3), np.ones(3, dtype=bool))
     warnings = []
-    point = _aggregate(1, 0.0, 2, records, warnings)
+    point = _aggregate(2, 1, 0.0, 2, records, warnings)
     assert np.isnan(point.rate_fb_mean) and np.isnan(point.gap)
+    assert point.rate_zf_mean == zf_rate_mean(2, 1.0)  # exact whatever the trials
     assert point.dropped == 3
     assert any("all trials dropped" in w for w in warnings)
 
@@ -466,7 +470,7 @@ def test_aggregate_all_dropped_yields_nan_row():
 def test_run_experiment_matches_manual_loop():
     config = small_config(trials=50, snr_db_grid=(5.0,))
     result = run_experiment(config)
-    [rate_fb], _, [dropped] = _run_chunk(config, 2, [(1, 5.0)], range(50), policy_score(config, 2))
+    [rate_fb], [dropped] = _run_chunk(config, 2, [(1, 5.0)], range(50), policy_score(config, 2))
     fb_mean, fb_ci = mean_ci(rate_fb[~dropped])
     point = result.points[0]
     assert point.rate_fb_mean == fb_mean and point.rate_fb_ci == fb_ci
@@ -548,7 +552,7 @@ def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, b
 
 def test_chunk_holds_no_real_normals_once_scoring_starts(monkeypatch):
     # channels dominate at M = 8, N = 1..8, B = 1: keeping their real normals
-    # (and the benchmark's) past the complex arrays adds about 26%
+    # past the complex channels adds about 24%
     m, n_rx, bits, trials = 8, tuple(range(1, 9)), 1, 64
     config = ExperimentConfig(m=m, n_rx=n_rx, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(bits),
                               trials=trials, seed=1, codebook_policy="per_block")
@@ -570,10 +574,10 @@ def test_chunk_holds_no_real_normals_once_scoring_starts(monkeypatch):
     finally:
         tracemalloc.stop()
     # a trial and user holds its complex (M, M) channel, the QR factors of the
-    # largest N, every N's (index, q_hat, cos_sq) picks, and its complex benchmark
+    # largest N and every N's (index, q_hat, cos_sq) picks
     top = max(n_rx)
     count = trials * config.users * (
-        16 * (m * m + m * top + top * top) + len(n_rx) * (16 * m + 16) + 16 * m)
+        16 * (m * m + m * top + top * top) + len(n_rx) * (16 * m + 16))
     assert 0.9 * count <= held[0] - start <= 1.1 * count
 
 
@@ -609,19 +613,21 @@ def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
     assert [t for chunk in chunks for t in chunk] == list(range(333))
 
 
-# Recorded on stream contract v4 (each block's channels drawn M x M, an N's
-# channels their first N columns) when it replaced v3's M x N_max draw:
+# rate_fb_mean recorded on stream contract v4 (each block's channels drawn M x M,
+# an N's channels their first N columns) when it replaced v3's M x N_max draw;
+# v5 leaves it byte-identical.  rate_zf_mean is the exact benchmark since v5,
+# checked against scipy's exp1, and gap is rate_zf_mean - rate_fb_mean:
 # (N, policy, SNR) -> (rate_fb_mean, rate_zf_mean, gap, dropped) at M = 3,
 # B = 3, 50 trials, seed 2024.
 RECORDED_POINTS = {
-    (1, "per_block", 0.0): (0.9058193019900481, 0.9818589496021937, 0.07603964761214554, 0),
-    (1, "per_block", 10.0): (2.490153634598315, 4.781263771664084, 2.2911101370657687, 0),
-    (1, "fixed", 0.0): (0.7629923539298932, 0.9818589496021937, 0.2188665956723005, 0),
-    (1, "fixed", 10.0): (2.287053015065227, 4.781263771664084, 2.4942107565988567, 0),
-    (2, "per_block", 0.0): (0.7846283193622979, 0.9818589496021937, 0.19723063023989573, 0),
-    (2, "per_block", 10.0): (3.561731238404753, 4.781263771664084, 1.219532533259331, 0),
-    (2, "fixed", 0.0): (0.8585801071354492, 0.9818589496021937, 0.12327884246674448, 0),
-    (2, "fixed", 10.0): (3.817623662848248, 4.781263771664084, 0.9636401088158357, 0),
+    (1, "per_block", 0.0): (0.9058193019900481, 1.1343207370919375, 0.22850143510188936, 0),
+    (1, "per_block", 10.0): (2.490153634598315, 5.291238164279847, 2.8010845296815323, 0),
+    (1, "fixed", 0.0): (0.7629923539298932, 1.1343207370919375, 0.3713283831620443, 0),
+    (1, "fixed", 10.0): (2.287053015065227, 5.291238164279847, 3.0041851492146203, 0),
+    (2, "per_block", 0.0): (0.7846283193622979, 1.1343207370919375, 0.34969241772963955, 0),
+    (2, "per_block", 10.0): (3.561731238404753, 5.291238164279847, 1.7295069258750946, 0),
+    (2, "fixed", 0.0): (0.8585801071354492, 1.1343207370919375, 0.2757406299564883, 0),
+    (2, "fixed", 10.0): (3.817623662848248, 5.291238164279847, 1.4736145014315993, 0),
 }
 
 
@@ -712,8 +718,6 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
                     standard_normal=spy(("draw", self.purpose), gen.standard_normal))
 
         with monkeypatch.context() as patch:
-            # the benchmark's zero_force is precoding's, called by perfect_csit_rates
-            patch.setattr(precoding, "zero_force", spy("benchmark ZF", precoding.zero_force))
             patch.setattr(experiment, "zero_force", spy("feedback ZF", experiment.zero_force))
             patch.setattr(experiment, "_run_chunk", spy("chunk", experiment._run_chunk))
             patch.setattr(experiment, "RngStream", SpyStream)
@@ -733,9 +737,6 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
 
     grid, cell = work((1, 2), (0.0, 5.0, 10.0)), work((1,), (0.0,))
     assert grid["chunk"] == cell["chunk"] == 4
-    # once a chunk, not once a cell
-    assert grid["benchmark ZF"] == cell["benchmark ZF"] == 4
-    assert grid["draw", PURPOSE_BENCHMARK] == cell["draw", PURPOSE_BENCHMARK] == 4
     # each codebook slice drawn once a chunk, the fixed codebooks once a run
     per_block = policy == "per_block"
     assert grid["draw", PURPOSE_CODEBOOK] == cell["draw", PURPOSE_CODEBOOK] == 41 * per_block
@@ -752,6 +753,26 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
     assert grid["_select"] == cell["_select"] == (41 if per_block else 4)
     assert grid["quantize_stack"] == cell["quantize_stack"] == 0
     assert not hasattr(experiment, "quantize_stack")
+
+
+@pytest.mark.parametrize("policy, codebook", [("per_block", PURPOSE_CODEBOOK),
+                                              ("fixed", PURPOSE_FIXED_CODEBOOK)])
+def test_sweep_draws_no_benchmark_stream(monkeypatch, policy, codebook):
+    # the benchmark is exact, so a sweep opens only its channel and codebook
+    # streams; purpose 2, which drew the Monte Carlo benchmark up to stream
+    # contract v4, stays out of the registry so that no purpose reuses its draws
+    purposes = set()
+
+    class SpyStream(RngStream):
+        def generator(self):
+            purposes.add(self.purpose)
+            return super().generator()
+
+    monkeypatch.setattr(experiment, "RngStream", SpyStream)
+    run_experiment(small_config(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0), trials=70,
+                                codebook_policy=policy))
+    assert purposes == {PURPOSE_CHANNEL, codebook}
+    assert 2 not in {value for name, value in vars(linalg).items() if name.startswith("PURPOSE_")}
 
 
 def test_run_experiment_single_trial():

@@ -12,6 +12,7 @@ from effchan.formulas import (
     log2_binomial,
     quant_error_approx,
     rate_gap_bound,
+    zf_rate_mean,
 )
 
 LOG2E = math.log2(math.e)
@@ -144,6 +145,31 @@ def test_rate_gap_bound_refuses_non_finite_inputs():
     for bits in (math.nan, math.inf):
         with pytest.raises(ValueError, match="bits must be nonnegative and finite"):
             rate_gap_bound(10.0, bits, 4, 2)
+
+
+# -------------------------------------------------------------- zf_rate_mean
+
+
+def test_zf_rate_mean_limits():
+    # low SNR: e^x E1(x) ~ 1/x - 1/x^2 at x = M/P, so the rate is P log2(e) (1 - P/M);
+    # at a tiny power M/P is huge, where neither e^x nor E1(x) alone is a float
+    for m, power in ((4, 1e-300), (4, 1e-6), (8, 1e-4)):
+        assert zf_rate_mean(m, power) == pytest.approx(power * LOG2E * (1 - power / m), rel=1e-7)
+    assert zf_rate_mean(4, 5e-324) == 0.0  # M/P overflows to inf: the rate's limit
+    # high SNR: e^x E1(x) ~ -gamma - ln x, so each user gets log2(P/M) - gamma log2(e)
+    for m, power in ((2, 1e10), (4, 1e12)):
+        assert zf_rate_mean(m, power) == pytest.approx(
+            m * (math.log2(power / m) - 0.5772156649015329 * LOG2E), rel=1e-8)
+
+
+def test_zf_rate_mean_guards():
+    for power in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            zf_rate_mean(4, power)
+    for m in (0, -1, 2.0, 2.5, True, "4"):
+        with pytest.raises(ValueError, match="positive integer user count"):
+            zf_rate_mean(m, 10.0)
+    assert zf_rate_mean(np.int64(4), 10.0) == zf_rate_mean(4, 10.0)
 
 
 # ------------------------------------------------------------- bits_required

@@ -9,7 +9,6 @@ import effchan.validate as validate
 from effchan.experiment import BitsRule, ExperimentConfig
 from effchan.linalg import (
     COND_LIMIT,
-    PURPOSE_BENCHMARK,
     PURPOSE_CHANNEL,
     PURPOSE_CODEBOOK,
     PURPOSE_FIXED_CODEBOOK,
@@ -75,11 +74,13 @@ def test_stream_is_sfc64_keyed_by_its_id():
 
 def test_block_streams_share_no_word():
     # SFC64 streams have no disjoint-key guarantee: check that the channel,
-    # benchmark and codebook streams of blocks 0 and 1 share no 64-bit word
-    # in their first 2^16 outputs
+    # codebook and fixed-codebook streams of blocks 0 and 1 (a fixed codebook's
+    # stream is keyed by user in place of block) share no 64-bit word in their
+    # first 2^16 outputs
     words = np.concatenate([
         RngStream(1, block, 0, purpose).generator().bit_generator.random_raw(2 ** 16)
-        for block in (0, 1) for purpose in (PURPOSE_CHANNEL, PURPOSE_BENCHMARK, PURPOSE_CODEBOOK)])
+        for block in (0, 1)
+        for purpose in (PURPOSE_CHANNEL, PURPOSE_CODEBOOK, PURPOSE_FIXED_CODEBOOK)])
     assert np.unique(words).size == words.size
 
 
@@ -177,12 +178,12 @@ def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pool
     # a fixed chunk at M = 8, B = 10 scores its 64-trial block at once, and
     # its overlap and metric (about 37 MiB) allow one worker however many
     # cores and chunks there are; a per-block chunk of the same sweep holds
-    # about 2.5 MiB (a 1 MiB slice of normals, its overlap and metric, and the
-    # chunk's M x M channels, QR factors and picks), so 25 fit under the 64 MiB cap
+    # about 2.4 MiB (a 1 MiB slice of normals, its overlap and metric, and the
+    # chunk's M x M channels, QR factors and picks), so 26 fit under the 64 MiB cap
     fixed_b10 = dataclasses.replace(block_b10, trials=6400, codebook_policy="fixed")
     assert experiment._plan(fixed_b10, 10)[1] == 1
     assert experiment._plan(dataclasses.replace(fixed_b10, codebook_policy="per_block"),
-                            10)[1] == 25
+                            10)[1] == 26
     # validate_b8's shape: a 508-sample block holds about 2.3 MiB (a 64-sample
     # slice of codebook normals, its overlap and metric, and the block's
     # channels and picks), so 27 fit; at B = 24 one sample is over the cap

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from effchan.linalg import COND_LIMIT, RngStream
-from effchan.precoding import perfect_csit_rates, refused, sinr_stack, sum_rate, zero_force
-from oracles import complex_normal
+from effchan.precoding import refused, sinr_stack, sum_rate, zero_force
+from oracles import complex_normal, perfect_csit_rates
 
 
 def unit_cols(a):
