@@ -1,27 +1,29 @@
 """Ergodic sum-rate Monte Carlo over fading blocks.
 
-One trial = one fading block: draw every user's M x N channel, quantize with
-that block's codebooks, zero-force on the reported directions, and evaluate
-the true SINRs.  The benchmark, the ergodic perfect-CSIT zero-forcing sum
-rate, is exact (``formulas.zf_rate_mean``), not simulated, so the reported
-gap carries the feedback rate's Monte Carlo noise alone.
+One trial = one fading block: draw every user's M x N channel, quantize it
+(per_block: on a fresh codebook, its pick drawn from the exact law, by
+``_score_per_block``; fixed: on one codebook a run), zero-force on the
+reported directions, and evaluate the true SINRs.  The benchmark, the ergodic
+perfect-CSIT zero-forcing sum rate, is exact (``formulas.zf_rate_mean``), not
+simulated, so the reported gap carries the feedback rate's Monte Carlo noise alone.
 
 A sweep's whole (N, SNR) grid runs in one pass over chunks per bit count.
-No stream id carries N or SNR, so a chunk draws the codebooks and an M x M
-channel per trial and user once for the grid.  An N's channel is
+No stream id carries N or SNR, so a chunk draws an M x M channel per trial
+and user, and its scorer's draws, once for the grid.  An N's channel is
 the first N columns of it, so the receive antennas nest: N + 1 antennas are
 the same mobile's N antennas and one more.  The chunk QR-factors the largest
 N once (a smaller N's factors are prefixes of it), takes every N's picks from
 one pass of the codebook policy's scorer (``CODEBOOK_POLICIES``), orients and
 zero-forces each N once, and rates every SNR point from the same beams.
 
-Determinism contract, stream version 5 (``STREAM_VERSION``, in the sweep
-manifest): block b, trials [64 b, 64 b + 64), draws its channels (M x M
-each) and per-block codebooks in trial order from one stream per purpose,
-``RngStream(seed, b, 0, purpose)``.  A normal takes a variable
-number of random words, so the block, not the trial, is the unit of replay.
-Chunks are whole blocks, so no draw depends on the chunk size or the worker
-count.
+Determinism contract, stream version 6 (``STREAM_VERSION``, in the sweep
+manifest): block b, trials [64 b, 64 b + 64), draws from one stream per purpose,
+``RngStream(seed, b, 0, purpose)``: its channels, a (64, users, 2, M, M) run,
+and under per_block the law's u = 1 - random((64, users)), then g and w, each a
+standard_normal((2, 64, users, M)) run (``PURPOSE_LAW``); a block cut short
+still draws in full.  A normal takes a variable number of random words, so the
+block, not the trial, is the unit of replay.  Chunks are whole blocks, so no draw
+depends on the chunk size or the worker count.
 
 A bit count's chunks run on the threads of ``linalg.worker_count``, as
 validation's sample blocks do, and are joined in chunk order.
@@ -39,8 +41,8 @@ import numpy as np
 from .formulas import ScalingInputs, bits_required, zf_rate_mean
 from .linalg import (
     PURPOSE_CHANNEL,
-    PURPOSE_CODEBOOK,
     PURPOSE_FIXED_CODEBOOK,
+    PURPOSE_LAW,
     RngStream,
     complex_from_parts,
     is_stream_id,
@@ -49,15 +51,13 @@ from .linalg import (
     worker_count,
 )
 from .precoding import refused, sinr_stack, sum_rate, zero_force
-from .quantize import (MAX_CODEBOOK_BITS, _orient, _scan_bytes, _select, _select_drawn,
+from .quantize import (MAX_CODEBOOK_BITS, _orient, _scan_bytes, _select,
                        check_bits, generate_codebook)
-from .stats import mean_ci
+from .stats import beta_cdf, mean_ci
 
 # Version of the sweep's stream contract (module docstring), and the trials
-# per stream block, the contract's unit of replay.  A chunk is as many whole
-# stream blocks as one ``linalg.SLICE_BYTES`` slice of per-block codebooks
-# holds trials, but at least one.
-STREAM_VERSION = 5
+# per stream block, the contract's unit of replay; a chunk is whole blocks (``_plan``).
+STREAM_VERSION = 6
 _BLOCK = 64
 
 
@@ -181,49 +181,77 @@ class ExperimentResult:
     warnings: list
 
 
-def _chunk_bytes(config: ExperimentConfig, bits: int, trials: int, scanned: int) -> int:
+def _chunk_bytes(config: ExperimentConfig, bits: int, trials: int) -> int:
     """Bytes a chunk of ``trials`` trials holds at its peak, from shapes alone.
 
     A trial and user holds its complex (M, M) channel (its normals are freed
-    once it is formed), the QR factors of the largest N and every N's
-    quantization results.  A trial, user and codeword of the
-    ``scanned`` trials one ``_select`` call scores holds ``_scan_bytes`` for the
-    largest N, its normals counted only under per_block (a fixed codebook is
-    shared).
+    once it is formed), the QR factors of the largest N and every N's picks;
+    under per_block also the law's draws and one width's temporaries, and under
+    fixed ``_scan_bytes`` a codeword for the largest N (a chunk is scored at once).
     """
     m, top = config.m, max(config.n_rx)
     held = 16 * (m * m + m * top + top * top) + sum(16 * (3 * m + n) + 40 for n in config.n_rx)
-    per_codeword = _scan_bytes(m, top, config.codebook_policy == "per_block")
-    return config.users * (trials * held + scanned * 2 ** bits * per_codeword)
+    if config.codebook_policy == "fixed":
+        return config.users * trials * (held + 2 ** bits * _scan_bytes(m, top, False))
+    return config.users * trials * (held + 16 * m * (4 + top))
 
 
 def _plan(config: ExperimentConfig, bits: int) -> tuple[list[range], int]:
     """The chunks of one bit count, and the worker threads that run them.
 
-    Workers are capped by the bytes a chunk holds (``_chunk_bytes``): its
-    draws and picks, and the codebooks one ``_select`` call scores, a
-    per-block slice or the whole chunk against the fixed codebooks.
+    A chunk is as many whole stream blocks as ``linalg.SLICE_BYTES`` holds trials
+    of (``_chunk_bytes``; fixed ones as if they held per-block codebooks), but at
+    least one.  Workers are capped by the bytes a chunk holds.
     """
-    step = slice_items(config.users * 2 ** bits * config.m * 16)  # trials a codebook slice holds
+    fixed = config.codebook_policy == "fixed"
+    step = slice_items(config.users * 2 ** bits * config.m * 16 if fixed
+                       else _chunk_bytes(config, bits, 1))
     size = max(1, step // _BLOCK) * _BLOCK
     chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
-    trials = len(chunks[0])
-    scanned = trials if config.codebook_policy == "fixed" else min(step, _BLOCK, trials)
-    return chunks, worker_count(len(chunks), _chunk_bytes(config, bits, trials, scanned))
+    return chunks, worker_count(len(chunks), _chunk_bytes(config, bits, len(chunks[0])))
+
+
+def _law_sin_sq(u: np.ndarray, m: int, n: int, bits: int) -> np.ndarray:
+    """sin^2 to an n-dim span of C^M (n < M) of the best of 2^B isotropic codewords, the least
+    of 2^B iid Beta(M - n, n), at survival u in (0, 1]: G^-1(-expm1(log u / 2^B)), G the Beta
+    CDF, exact at large B where 1 - cos^2 cancels; 64 bisection steps on log sin^2 invert G."""
+    target = -np.expm1(np.log(u) / 2 ** bits)
+    lo, hi = np.full(u.shape, np.log(np.finfo(float).tiny)), np.zeros(u.shape)
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        below = beta_cdf(np.exp(mid), m - n, n) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.exp(hi)
 
 
 def _score_per_block(config: ExperimentConfig, bits: int):
-    """Per-block scorer: a chunk's stream blocks draw their codebooks as generate_codebook
-    would, trial after trial, and ``_select_drawn`` scores each slice for every width."""
+    """Per-block scorer: each pick on a fresh isotropic codebook drawn from its law, with no
+    codebook (the span metric is invariant under unitaries that keep span(Q_n)).  Per trial
+    and user, u sets sin^2 (``_law_sin_sq``), a = g[:n] / |g[:n]| is uniform on the sphere of
+    C^n, z = (I - Q_n Q_n^H) w / |.| on the span's complement, and q_hat = cos Q_n a + sin z;
+    one u, g and w serve every width n.  index is -1, as there is no codebook row."""
     def score(first_block: int, q: np.ndarray, widths: list) -> list:
-        lead = q.shape[:-2]
-        picks = [(np.empty(lead, np.intp), np.empty((*lead, config.m), complex), np.empty(lead))
-                 for _ in widths]
-        for lo in range(0, len(q), _BLOCK):
-            stream = RngStream(config.seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK)
-            rows = slice(lo, lo + _BLOCK)
-            _select_drawn(stream.generator(), q[rows], bits, widths,
-                          [[p[rows] for p in pick] for pick in picks])
+        count, users, m = *q.shape[:2], config.m
+        u, (g, w) = np.empty((count, users)), np.empty((2, 2, count, users, m))
+        for lo in range(0, count, _BLOCK):
+            gen = RngStream(config.seed, first_block + lo // _BLOCK, 0, PURPOSE_LAW).generator()
+            rows, k = slice(lo, lo + _BLOCK), min(_BLOCK, count - lo)  # a cut block draws in full
+            u[rows] = 1.0 - gen.random((_BLOCK, users))[:k]  # never 0, which would make sin^2 1
+            g[:, rows] = gen.standard_normal((2, _BLOCK, users, m))[:, :k]
+            w[:, rows] = gen.standard_normal((2, _BLOCK, users, m))[:, :k]
+        g, w = complex_from_parts(g), complex_from_parts(w)  # frees the real normals
+        picks = []
+        for n in widths:
+            q_n, a = q[..., :n], g[..., :n]
+            q_hat = np.einsum("...mk,...k->...m", q_n, a / np.linalg.norm(a, axis=-1)[..., None])
+            sin_sq = np.zeros(u.shape)  # n = M: every codeword lies in the span
+            if n < m:
+                sin_sq = _law_sin_sq(u, m, n, bits)
+                z = w - np.einsum("...mk,...k->...m", q_n,
+                                  np.einsum("...mk,...m->...k", q_n.conj(), w))
+                z /= np.linalg.norm(z, axis=-1)[..., None]
+                q_hat = np.sqrt(1.0 - sin_sq)[..., None] * q_hat + np.sqrt(sin_sq)[..., None] * z
+            picks.append((np.full(u.shape, -1, np.intp), q_hat, 1.0 - sin_sq))
         return picks
     return score
 

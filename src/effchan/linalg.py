@@ -8,8 +8,8 @@ zero-forcing inverse is ``precoding.zero_force``.
 The sweep's chunks and validation's sample blocks run on one thread per core
 the process may run on (the normal sampler, the BLAS products, ``einsum`` and
 ``np.linalg`` release the GIL), through ``worker_count`` and ``ordered_map``,
-and both score their drawn codebooks in slices of ``SLICE_BYTES``
-(``quantize._select_drawn``).
+and validation scores its drawn codebooks in slices of ``SLICE_BYTES``
+(``quantize._select_drawn``), which also sizes the sweep's chunks.
 """
 
 from __future__ import annotations
@@ -28,17 +28,19 @@ COND_LIMIT = 1e8
 # Stream purposes (fourth component of a stream id).  Keeping them in one
 # registry guarantees distinct draws never share a (seed, trial, user, purpose).
 PURPOSE_CHANNEL = 0
+# 1 is retired in the sweep, whose streams up to v5 drew per-block codebooks there;
+# library callers still draw codebooks from it.  Never reuse it for a sweep draw.
 PURPOSE_CODEBOOK = 1
 # 2 is retired: sweep streams up to v4 drew a Monte Carlo benchmark there.  Never reuse it.
 PURPOSE_FIXED_CODEBOOK = 3
 PURPOSE_PROBE = 4
 PURPOSE_VALIDATION = 5
+PURPOSE_LAW = 6
 
 # Cap on the bytes all workers' items hold at once (2^22 complex normals).
 IN_FLIGHT_BYTES = 2 ** 26
 # Bytes of drawn codebook normals one ``quantize._select`` call scores in a
-# per-block sweep chunk or a validation block: one trial's codebooks at M = 8,
-# B = 10, or 64 samples' at M = 4, B = 8.
+# validation block (64 samples' at M = 4, B = 8), and the trials a sweep chunk holds.
 SLICE_BYTES = 2 ** 20
 
 

@@ -6,7 +6,7 @@ stages: ``_select`` picks the codebook vector closest to each span, and
 a receive combining vector whose scalar effective channel points exactly along
 that in-span shadow.  Single-vector quantization and per-antenna selection are
 the same kernel run on one-column channels.  ``_select_drawn`` runs ``_select``
-on random codebooks as it draws them, for the sweep and validation alike.
+on random codebooks as it draws them, for validation.
 
 ``_select`` scores one Q for several widths at once: a width n quantizes the
 span of Q's first n columns, which is the span of H's first n columns when

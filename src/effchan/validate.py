@@ -8,12 +8,12 @@ max(1, _BLOCK_GAUSSIANS // g), and draws them from its own stream,
 ``RngStream(seed, b, 0, PURPOSE_VALIDATION)``: first the block's channels,
 one (2, k, M, N) draw, then each sample's codebook in sample order, each one
 (2, 2^B, M) run as ``generate_codebook`` draws it.  An effective-channel
-block is quantized by the batched kernel the sweep runs, through the same
-``quantize._select_drawn``: each codebook is scored straight from its drawn
-normals, a ``linalg.SLICE_BYTES`` slice of samples at a time, so a block
-holds one slice, and the block writes its samples straight into the pooled
-arrays.  The pool holds 24 bytes a sample, whatever M is: of each normalized
-effective channel it keeps only ``stats.isotropy_moments``, summed by block.
+block is quantized by the batched kernel through ``quantize._select_drawn``,
+which scores each codebook straight from its drawn normals, a
+``linalg.SLICE_BYTES`` slice of samples at a time, so a block holds one slice;
+the block writes its samples straight into the pooled arrays.  The pool holds
+24 bytes a sample, whatever M is: of each normalized effective channel it
+keeps only ``stats.isotropy_moments``, summed by block.
 Equivalence tests replay the blocks and pin the collector to the kernel.
 
 Blocks run on the worker rule the sweep's chunks share (``linalg.worker_count``:

@@ -13,15 +13,20 @@ serially, for the antenna-selection acceptance test.  ``whole_ks_statistic`` and
 ``perfect_csit_rates`` is the Monte Carlo perfect-CSIT benchmark, zero-forced
 through ``precoding``, and ``zf_rate_mean`` takes its mean by quadrature: both
 are references for ``formulas.zf_rate_mean``, the closed form the sweep
-reports.
+reports.  ``explicit_per_block`` is the per-block scorer that draws and scans
+every codebook (the sweep's per_block policy up to stream contract v5), the
+reference for the sweep's scorer that draws each pick from its law.
 """
 
 import numpy as np
 
 from effchan import precoding, validate
+from effchan.experiment import _BLOCK, ExperimentConfig
 from effchan.formulas import LOG2E
-from effchan.linalg import PURPOSE_PROBE, PURPOSE_VALIDATION, RngStream, complex_from_parts
-from effchan.quantize import FAULT_ORTHOGONAL, QuantizationResult, _orient, _select, raise_fault
+from effchan.linalg import (PURPOSE_CODEBOOK, PURPOSE_PROBE, PURPOSE_VALIDATION, RngStream,
+                            complex_from_parts)
+from effchan.quantize import (FAULT_ORTHOGONAL, QuantizationResult, _orient, _select,
+                              _select_drawn, raise_fault)
 from effchan.stats import _PROBE_SEED, beta_cdf
 
 
@@ -64,6 +69,22 @@ def zf_rate_mean(m, power):
     u = np.exp(s)
     integrand = u * np.exp(-u) / (m / power + u)
     return m * LOG2E * float(np.sum(integrand[1:] + integrand[:-1]) * (s[1] - s[0]) / 2)
+
+
+def explicit_per_block(config: ExperimentConfig, bits: int):
+    """Per-block scorer: a chunk's stream blocks draw their codebooks as generate_codebook
+    would, trial after trial, and ``_select_drawn`` scores each slice for every width."""
+    def score(first_block: int, q: np.ndarray, widths: list) -> list:
+        lead = q.shape[:-2]
+        picks = [(np.empty(lead, np.intp), np.empty((*lead, config.m), complex), np.empty(lead))
+                 for _ in widths]
+        for lo in range(0, len(q), _BLOCK):
+            stream = RngStream(config.seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK)
+            rows = slice(lo, lo + _BLOCK)
+            _select_drawn(stream.generator(), q[rows], bits, widths,
+                          [[p[rows] for p in pick] for pick in picks])
+        return picks
+    return score
 
 
 def vector_oracle(h, vectors):

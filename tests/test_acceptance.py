@@ -16,7 +16,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from effchan import linalg, precoding, stats, validate
+from effchan import experiment, linalg, precoding, stats, validate
 from effchan.experiment import CODEBOOK_POLICIES, BitsRule, ExperimentConfig, run_experiment
 from effchan.formulas import (InfeasibleTargetError, ScalingInputs, bits_required, delta_a,
                               rate_gap_bound, zf_rate_mean)
@@ -393,3 +393,65 @@ def test_gap_bound_fails_on_a_random_codeword(monkeypatch):
 
     monkeypatch.setitem(CODEBOOK_POLICIES, "per_block", random_codeword)
     assert gap_bound_misses("per_block") != []
+
+
+# Agreement of the per_block scorer, which draws each pick from its law, with the
+# explicit codebooks it replaced (``oracles.explicit_per_block``), at M = 4.
+LAW_N = (1, 2, 3)
+LAW_BITS = (2, 6)
+
+
+def law_agreement_misses():
+    """(N, B) cells at M = 4 where the per_block scorer's cos^2 (2000 trials of 4 users) lies
+    beyond its KS critical value of max_beta_cdf, or its rate_fb_mean at 10 dB beyond the
+    critical distance of the explicit oracle's, Bonferroni over the cells of each check."""
+    cells = len(LAW_N) * len(LAW_BITS)
+    channels = complex_normal(RngStream(2026103, purpose=PURPOSE_CHANNEL).generator(),
+                              (2000, 4, 4, max(LAW_N)))
+    q = np.linalg.qr(channels)[0]
+    misses = []
+    for bits in LAW_BITS:
+        config = ExperimentConfig(m=4, n_rx=LAW_N, snr_db_grid=(10.0,),
+                                  bits_rule=BitsRule.fixed(bits), trials=2000, seed=2026104)
+        picks = CODEBOOK_POLICIES["per_block"](config, bits)(0, q, list(LAW_N))
+        for n, (_, _, cos_sq) in zip(LAW_N, picks):
+            ks = stats.ks_statistic(cos_sq.ravel(),
+                                    lambda x: stats.max_beta_cdf(x, n, 4 - n, 2 ** bits))
+            if ks > stats._critical(cos_sq.size, 0.5, 2 * cells):
+                misses.append(("ks", bits, n, ks))
+        law = run_experiment(config).points
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(CODEBOOK_POLICIES, "per_block", oracles.explicit_per_block)
+            explicit = run_experiment(config).points
+        for p, o in zip(law, explicit):
+            if abs(p.rate_fb_mean - o.rate_fb_mean) > critical(
+                    math.hypot(p.rate_fb_ci, o.rate_fb_ci), cells):
+                misses.append(("rate", bits, p.n_rx, p.rate_fb_mean, o.rate_fb_mean))
+    return misses
+
+
+def test_law_picks_agree_with_explicit_codebooks():
+    assert law_agreement_misses() == []
+
+
+def test_law_agreement_fails_on_the_wrong_beta(monkeypatch):
+    # sin^2 from Beta(M - n + 1, n), that is cos^2 from Beta(n, M - n + 1)
+    monkeypatch.setattr(experiment, "beta_cdf", lambda x, a, b: stats.beta_cdf(x, a + 1, b))
+    assert {miss[0] for miss in law_agreement_misses()} >= {"ks"}
+
+
+def test_law_agreement_fails_without_the_out_of_span_part(monkeypatch):
+    # q_hat = Q_n a: every pick in its user's span, with no quantization error to interfere
+    law = CODEBOOK_POLICIES["per_block"]
+
+    def in_span(config, bits):
+        def score(first_block, q, widths):
+            picks = law(config, bits)(first_block, q, widths)
+            for n, (_, q_hat, _) in zip(widths, picks):
+                q_hat[:] = np.einsum("...mk,...lk,...l->...m", q[..., :n], q[..., :n].conj(), q_hat)
+                q_hat /= np.linalg.norm(q_hat, axis=-1, keepdims=True)
+            return picks
+        return score
+
+    monkeypatch.setitem(CODEBOOK_POLICIES, "per_block", in_span)
+    assert {miss[0] for miss in law_agreement_misses()} == {"rate"}

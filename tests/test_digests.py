@@ -51,18 +51,22 @@ RUNS = {
 }
 OUTPUTS = {"sweep": ("sweep.csv", "manifest.json"), "validate": ("validation.json",)}
 
+# Re-pinned at sweep stream contract v6, whose per_block scorer draws each pick
+# from its law instead of drawing and scanning codebooks: both per_block runs'
+# outputs changed; sweep_fixed_b2's CSV is v5's byte for byte, and its manifest
+# changed only in its stream_version.
 DIGESTS = {
     "sweep_fixed_b2": {
         "sweep.csv": "36b3ea48a1666ec388ed598856fafe754c7d47bed69dafd1ab7412ccd962be7c",
-        "manifest.json": "95efa466f19bd1fcd6890bb0fca5483f746d04093e6f9f09c959f2cab9436e16",
+        "manifest.json": "b9ecbadc27ab06007abbec512ce2a3b277b65c4494d1e2d806542a7bcd8e91f6",
     },
     "sweep_block_b10": {
-        "sweep.csv": "b3156e82c24fc32971cbec3f69d6b8e94b4eba0df0fece127fb88041161e3e2b",
-        "manifest.json": "801f427bfeef639ff2b0f56445c0d9764e18c22e9be223b64a4b5b3f54987add",
+        "sweep.csv": "ab31020a05e5fc31988ed9e6f926794a3bfc7282102ba077a789028274284bf8",
+        "manifest.json": "2f94a0d44b74daa70e0dd06ebe9efd46a9baf586f53c4ffea1be98a8bb4b17d8",
     },
     "readme_sweep": {
-        "sweep.csv": "fd6a56a5e3f3d1a1ef711a2540b889cd4b2680bf8a7ce32ee94e4d28be832ba8",
-        "manifest.json": "a549d5294d8914a7986df0c6f86685bb635d88951346106a16bfff3ec8405847",
+        "sweep.csv": "c1731e8e6d1efc48473fc012f947fce2f423e73ae6cb29e96a1173a69dea9379",
+        "manifest.json": "3871f931a0af322ebcef0b704164c1265d217cdeb5fdd65bb69695a1cd7810f5",
     },
     "validate": {
         "validation.json": "c14bd6debf5ebafee105a878a2eb52dab105cef9d05fdd3ef7364b14a6ee5db1",

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.special
 
 import effchan.experiment as experiment
 import effchan.linalg as linalg
@@ -25,12 +26,13 @@ from effchan.linalg import (
     PURPOSE_CHANNEL,
     PURPOSE_CODEBOOK,
     PURPOSE_FIXED_CODEBOOK,
+    PURPOSE_LAW,
     RngStream,
     complex_from_parts,
 )
 from effchan.quantize import _orient, _select, generate_codebook
 from effchan.stats import mean_ci
-from oracles import Replay, perfect_csit_rates
+from oracles import complex_normal, explicit_per_block, perfect_csit_rates
 
 
 def small_config(**overrides):
@@ -51,6 +53,16 @@ def block_channels(config, block, trials):
     [n], m = config.n_rx, config.m
     parts = block_draw(config.seed, block, PURPOSE_CHANNEL, (trials, config.users, 2, m, m))
     return np.ascontiguousarray(complex_from_parts(np.moveaxis(parts, 2, 0))[..., :n])
+
+
+def law_draws(config, block, trials):
+    """Stream block ``block``'s law draws for its first ``trials`` trials: u = 1 - random((64,
+    users)), then g and w, each standard normals (2, 64, users, M), drawn in full and cut."""
+    gen = RngStream(config.seed, block, 0, PURPOSE_LAW).generator()
+    shape = (2, experiment._BLOCK, config.users, config.m)
+    u = 1.0 - gen.random((experiment._BLOCK, config.users))
+    g, w = gen.standard_normal(shape), gen.standard_normal(shape)
+    return u[:trials], g[:, :trials], w[:, :trials]
 
 
 def policy_score(config, bits):
@@ -279,57 +291,50 @@ def test_trial_drops_parallel_reported_directions():
 @pytest.mark.parametrize("seed", [5, 2 ** 40 + 9])
 def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
     # a chunk of two stream blocks, the second cut short: every draw must be
-    # the block stream's own, drawn from its start with the block's shapes,
-    # and per-block codebooks drawn in slices of 5 trials must be the block
-    # stream's codebook draw in trial order
+    # the block stream's own, drawn from its start with the block's shapes
     config = ExperimentConfig(m=3, n_rx=(2,), snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(3),
                               trials=200, seed=seed, codebook_policy=policy)
-    seen = {"books": [], "picks": []}
+    seen = {"books": []}
 
-    def spy_select(q, books, widths):  # every per-block codebook slice's, or the fixed chunk's one
-        seen["q"] = q  # the last call's
+    def spy_select(q, books, widths):  # the fixed chunk's one scan
+        seen["q"] = q
         seen["books"].append(books)
-        picks = _select(q, books, widths)
-        seen["picks"].append(picks[0])  # the config's one N
-        return picks
+        return _select(q, books, widths)
 
-    def spy_orient(channels, *args):  # the chunk's one call
-        seen["channels"] = channels
-        return _orient(channels, *args)
+    def spy_orient(channels, q, r, *picks):  # the chunk's one call
+        seen["channels"], seen["q"], seen["picks"] = channels, q, picks
+        return _orient(channels, q, r, *picks)
 
-    # the per-block slices call quantize's _select, the fixed scorer experiment's
-    monkeypatch.setattr(quantize, "_select", spy_select)
     monkeypatch.setattr(experiment, "_select", spy_select)
     monkeypatch.setattr(experiment, "_orient", spy_orient)
-    monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 2 * 8)
     trials = range(64, 134)
     records = _run_chunk(config, 3, [(2, 10.0)], trials, policy_score(config, 3))
     monkeypatch.undo()
 
     channels = np.concatenate([block_channels(config, 1, 64), block_channels(config, 2, 6)])
+    # the whole chunk is scored on its one QR factor and oriented at once
+    assert seen["q"].tobytes() == np.linalg.qr(channels)[0].tobytes()
+    assert seen["channels"].tobytes() == channels.tobytes()
     if policy == "per_block":
-        # the kernel gets the codebooks' normal parts; each winning row is
-        # the row generate_codebook forms from them
-        assert [len(re) for re, _ in seen["books"]] == [5] * 12 + [4, 5, 1]
-        # each slice is scored on its rows of the chunk's one QR factor, and
-        # the whole chunk is oriented at once
-        assert seen["q"].tobytes() == np.linalg.qr(channels[-1:])[0].tobytes()
-        assert seen["channels"].tobytes() == channels.tobytes()
-        normals = np.concatenate([block_draw(seed, b, PURPOSE_CODEBOOK, (k, 3, 2, 2 ** 3, 3))
-                                  for b, k in ((1, 64), (2, 6))])
-        assert np.concatenate([re for re, _ in seen["books"]]).tobytes() == (
-            normals[:, :, 0].tobytes())
-        assert np.concatenate([im for _, im in seen["books"]]).tobytes() == (
-            normals[:, :, 1].tobytes())
-        index, q_hat, _ = map(np.concatenate, zip(*seen["picks"]))
-        for i, u in itertools.product(range(70), range(3)):
-            book = generate_codebook(Replay(normals[i, u]), 3, 3)
-            assert q_hat[i, u].tobytes() == book[index[i, u]].tobytes()
+        # no codebook is drawn or scanned: each block draws the law's u, g and w
+        # in full, and the cut block's first 6 trials are used
+        assert seen["books"] == []
+        index, q_hat, cos_sq = seen["picks"]
+        u, g, w = (np.concatenate(parts, axis=axis) for parts, axis in zip(
+            zip(*(law_draws(config, block, k) for block, k in ((1, 64), (2, 6)))), (0, 1, 1)))
+        q = np.linalg.qr(channels)[0]
+        sin_sq = experiment._law_sin_sq(u, 3, 2, 3)
+        a = complex_from_parts(g)[..., :2]
+        z = complex_from_parts(w)
+        z = z - np.einsum("...mk,...lk,...l->...m", q, q.conj(), z)
+        expected = (np.sqrt(1 - sin_sq)[..., None] * np.einsum(
+            "...mk,...k->...m", q, a / np.linalg.norm(a, axis=-1, keepdims=True))
+            + np.sqrt(sin_sq)[..., None] * z / np.linalg.norm(z, axis=-1, keepdims=True))
+        assert (index == -1).all()
+        assert cos_sq.tobytes() == (1.0 - sin_sq).tobytes()
+        np.testing.assert_allclose(q_hat, expected, rtol=0, atol=1e-14)
     else:
-        # the whole chunk is scored on its one QR factor and oriented at once
         [books] = seen["books"]
-        assert seen["q"].tobytes() == np.linalg.qr(channels)[0].tobytes()
-        assert seen["channels"].tobytes() == channels.tobytes()
         for u in range(config.users):
             book = generate_codebook(RngStream(seed, 0, u, PURPOSE_FIXED_CODEBOOK), 3, 3)
             assert books[u].tobytes() == book.tobytes()
@@ -386,12 +391,76 @@ def test_more_feedback_bits_raise_mean_rate():
     assert mean_rate(6) > mean_rate(1) + 1.0
 
 
+# ------------------------------------------------------ per-block law picks
+
+
+@pytest.mark.parametrize("m, n", [(8, 1), (4, 3)])
+@pytest.mark.parametrize("bits", [1, 10, 24])
+def test_law_sin_sq_matches_scipys_inverse(m, n, bits):
+    # sin^2 = G^-1(1 - u^(1/2^B)) for G the Beta(M - n, n) CDF, exact in the complement form
+    # down to u = 1 - 2^-53, where 1 - cos^2 would have lost every digit at B = 24
+    u = np.concatenate([1.0 - np.array([2.0 ** -53, 2.0 ** -40, 1e-9]),
+                        np.linspace(0.001, 0.999, 50), [1e-6, 2.0 ** -53]])
+    expected = scipy.special.betaincinv(m - n, n, -np.expm1(np.log(u) / 2 ** bits))
+    np.testing.assert_allclose(experiment._law_sin_sq(u, m, n, bits), expected, rtol=1e-11)
+    # u = 1, the draw that random() = 0 gives, is the best pick: sin^2 is the least normal
+    assert 0 < experiment._law_sin_sq(np.ones(1), m, n, bits)[0] < 2 * np.finfo(float).tiny
+
+
+def law_picks(m, widths, bits=4, trials=200, seed=3):
+    """The Q of drawn channels, and the per_block scorer's picks on it for every width."""
+    config = small_config(m=m, n_rx=widths, bits_rule=BitsRule.fixed(bits), trials=trials,
+                          seed=seed)
+    channels = complex_normal(RngStream(seed, purpose=PURPOSE_CHANNEL).generator(),
+                              (trials, m, m, max(widths)))
+    q = np.linalg.qr(channels)[0]
+    return q, policy_score(config, bits)(0, q, list(widths))
+
+
+def test_law_cos_sq_is_nondecreasing_in_n():
+    # one u serves every width, and Beta(n, M - n) grows stochastically in n, so
+    # a trial and user's cos^2 never falls as antennas are added; at N = M it is 1
+    q, picks = law_picks(4, (1, 2, 3, 4))
+    cos_sq = np.stack([pick[2] for pick in picks])
+    assert (np.diff(cos_sq, axis=0) >= 0).all()
+    assert (cos_sq[-1] == 1.0).all() and (cos_sq[:-1] < 1.0).all()
+    for n, (index, q_hat, c) in zip((1, 2, 3, 4), picks):
+        assert (index == -1).all()
+        np.testing.assert_allclose(np.linalg.norm(q_hat, axis=-1), 1.0, rtol=0, atol=1e-13)
+        # cos^2 is q_hat's own squared cosine to the span of Q's first n columns
+        in_span = np.einsum("...mk,...m->...k", q[..., :n].conj(), q_hat)
+        np.testing.assert_allclose(np.linalg.norm(in_span, axis=-1) ** 2, c, rtol=0, atol=1e-13)
+
+
+def test_law_full_width_quantizes_without_error_or_drop():
+    config = small_config(m=3, n_rx=(3,), snr_db_grid=(0.0, 10.0), trials=130)
+    assert all(p.dropped == 0 for p in run_experiment(config).points)
+    _, [(_, _, cos_sq)] = law_picks(3, (3,))
+    assert (cos_sq == 1.0).all()
+
+
+def test_law_draw_of_zero_is_the_best_pick_not_an_orthogonal_one(monkeypatch):
+    # a random() word of 0 is u = 1 - 0 = 1, the codeword in the span; were it
+    # u = 0, sin^2 would be 1 and every user's pick orthogonal to its span, a drop
+    class ZeroStream(RngStream):
+        def generator(self):
+            gen = super().generator()
+            return SimpleNamespace(random=lambda shape: np.zeros(shape),
+                                   standard_normal=gen.standard_normal)
+
+    monkeypatch.setattr(experiment, "RngStream", ZeroStream)
+    config = small_config(m=3, n_rx=(1, 2), snr_db_grid=(10.0,), trials=70)
+    assert all(p.dropped == 0 for p in run_experiment(config).points)
+    _, picks = law_picks(3, (1, 2))
+    assert all((cos_sq == 1.0).all() for _, _, cos_sq in picks)
+
+
 # ----------------------------------------------------------- fixed codebooks
 
 
 def test_fixed_codebooks_policy():
     # the fixed scorer draws each user's codebook once, from the user's own
-    # stream, and scores every chunk against it; per-block codebooks are fresh
+    # stream, and scores every chunk against it; per-block picks are fresh each block
     fixed = small_config(codebook_policy="fixed")
     books = [generate_codebook(RngStream(fixed.seed, 0, u, PURPOSE_FIXED_CODEBOOK), 2, fixed.m)
              for u in range(fixed.users)]
@@ -515,9 +584,12 @@ def test_run_experiment_worker_count_with_many_chunks(monkeypatch, pools):
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_run_experiment_worker_count_with_multi_block_chunks(monkeypatch, pools, policy):
-    # two-block chunks (M = 2, B = 2: 256 codebook bytes a trial): 128, 128, 44
-    monkeypatch.setattr(linalg, "SLICE_BYTES", 128 * 256)
+    # two-block chunks, 128, 128 and 44 trials: at M = 2, B = 2 a fixed chunk
+    # counts 256 codebook bytes a trial, a per-block chunk its own bytes
     config = small_config(trials=300, codebook_policy=policy)
+    per_trial = 256 if policy == "fixed" else experiment._chunk_bytes(config, 2, 1)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 128 * per_trial)
+    assert [len(chunk) for chunk in experiment._plan(config, 2)[0]] == [128, 128, 44]
     serial, two, three = run_on_cores(monkeypatch, config, (1, 2, 3))
     assert pools == [2, 3]
     assert serial.points == two.points
@@ -526,8 +598,8 @@ def test_run_experiment_worker_count_with_multi_block_chunks(monkeypatch, pools,
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_run_experiment_does_not_depend_on_chunk_bytes(monkeypatch, policy):
-    # M = 4, B = 7: 32 KiB of codebook a trial, so at the default budget
-    # per-block codebooks are drawn in two slices a block, at 1 byte in 64
+    # M = 4, B = 7, 150 trials: one per-block chunk or three fixed ones at the
+    # default budget, one-block chunks at 1 byte, and one chunk at 2^30
     config = ExperimentConfig(m=4, n_rx=(2,), snr_db_grid=(0.0, 10.0), bits_rule=BitsRule.fixed(7),
                               trials=150, seed=77, codebook_policy=policy)
     points = run_experiment(config).points
@@ -536,21 +608,22 @@ def test_run_experiment_does_not_depend_on_chunk_bytes(monkeypatch, policy):
         assert run_experiment(config).points == points
 
 
-@pytest.mark.parametrize("policy, m, n_rx, bits, trials, scanned", [
-    ("per_block", 8, (2,), 10, 64, 1),  # sweep_block_b10's chunk: one-trial slices
-    ("fixed", 4, (1, 2, 3), 2, 200, 200),  # sweep_fixed_b2's one chunk, scored at once
+@pytest.mark.parametrize("policy, m, n_rx, bits, trials", [
+    ("per_block", 8, (2,), 10, 64),  # sweep_block_b10's chunk
+    ("fixed", 4, (1, 2, 3), 2, 200),  # sweep_fixed_b2's one chunk, scored at once
+    ("per_block", 8, tuple(range(1, 9)), 10, 64),  # every width's law temporaries
+    ("per_block", 4, (1, 2), 4, 192),  # README sweep.cfg's chunk
 ])
-def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, bits, trials,
-                                                 scanned):
+def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, bits, trials):
     config = ExperimentConfig(m=m, n_rx=n_rx, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(bits),
                               trials=trials, seed=1, codebook_policy=policy)
     cells, score = [(n, 10.0) for n in n_rx], policy_score(config, bits)
     _run_chunk(config, bits, cells, range(1), score)  # numpy's one-time set-up
     peak = traced_peak(_run_chunk, config, bits, cells, range(trials), score)
-    assert 0.75 * peak <= experiment._chunk_bytes(config, bits, trials, scanned) <= 1.25 * peak
+    assert 0.75 * peak <= experiment._chunk_bytes(config, bits, trials) <= 1.25 * peak
 
 
-def test_chunk_holds_no_real_normals_once_scoring_starts(monkeypatch):
+def test_chunk_holds_no_real_normals_once_scoring_starts():
     # channels dominate at M = 8, N = 1..8, B = 1: keeping their real normals
     # past the complex channels adds about 24%
     m, n_rx, bits, trials = 8, tuple(range(1, 9)), 1, 64
@@ -558,26 +631,22 @@ def test_chunk_holds_no_real_normals_once_scoring_starts(monkeypatch):
                               trials=trials, seed=1, codebook_policy="per_block")
     cells, held = [(n, 10.0) for n in n_rx], []
 
-    def spy_select_drawn(*args):
+    def spy_score(*args):
         held.append(tracemalloc.get_traced_memory()[0])
-        return select_drawn(*args)
+        return score(*args)
 
-    select_drawn = experiment._select_drawn
-    monkeypatch.setattr(experiment, "_select_drawn", spy_select_drawn)
     score = policy_score(config, bits)
     _run_chunk(config, bits, cells, range(1), score)  # numpy's one-time set-up
-    held.clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _run_chunk(config, bits, cells, range(trials), score)
+        _run_chunk(config, bits, cells, range(trials), spy_score)
     finally:
         tracemalloc.stop()
-    # a trial and user holds its complex (M, M) channel, the QR factors of the
-    # largest N and every N's (index, q_hat, cos_sq) picks
+    # a trial and user holds its complex (M, M) channel and the QR factors of
+    # the largest N when the scorer is called
     top = max(n_rx)
-    count = trials * config.users * (
-        16 * (m * m + m * top + top * top) + len(n_rx) * (16 * m + 16))
+    count = trials * config.users * 16 * (m * m + m * top + top * top)
     assert 0.9 * count <= held[0] - start <= 1.1 * count
 
 
@@ -617,27 +686,34 @@ def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
 # an N's channels their first N columns) when it replaced v3's M x N_max draw;
 # v5 leaves it byte-identical.  rate_zf_mean is the exact benchmark since v5,
 # checked against scipy's exp1, and gap is rate_zf_mean - rate_fb_mean:
-# (N, policy, SNR) -> (rate_fb_mean, rate_zf_mean, gap, dropped) at M = 3,
-# B = 3, 50 trials, seed 2024.
+# (N, scorer, SNR) -> (rate_fb_mean, rate_zf_mean, gap, dropped) at M = 3,
+# B = 3, 50 trials, seed 2024.  The "explicit" rows are v5's per_block rows,
+# reproduced by ``oracles.explicit_per_block`` in the per_block scorer's place;
+# the "per_block" rows are v6's, whose scorer draws each pick from its law.
 RECORDED_POINTS = {
-    (1, "per_block", 0.0): (0.9058193019900481, 1.1343207370919375, 0.22850143510188936, 0),
-    (1, "per_block", 10.0): (2.490153634598315, 5.291238164279847, 2.8010845296815323, 0),
+    (1, "explicit", 0.0): (0.9058193019900481, 1.1343207370919375, 0.22850143510188936, 0),
+    (1, "explicit", 10.0): (2.490153634598315, 5.291238164279847, 2.8010845296815323, 0),
+    (1, "per_block", 0.0): (0.9128695760325334, 1.1343207370919375, 0.2214511610594041, 0),
+    (1, "per_block", 10.0): (2.6232069253783252, 5.291238164279847, 2.668031238901522, 0),
     (1, "fixed", 0.0): (0.7629923539298932, 1.1343207370919375, 0.3713283831620443, 0),
     (1, "fixed", 10.0): (2.287053015065227, 5.291238164279847, 3.0041851492146203, 0),
-    (2, "per_block", 0.0): (0.7846283193622979, 1.1343207370919375, 0.34969241772963955, 0),
-    (2, "per_block", 10.0): (3.561731238404753, 5.291238164279847, 1.7295069258750946, 0),
+    (2, "explicit", 0.0): (0.7846283193622979, 1.1343207370919375, 0.34969241772963955, 0),
+    (2, "explicit", 10.0): (3.561731238404753, 5.291238164279847, 1.7295069258750946, 0),
+    (2, "per_block", 0.0): (0.7372195754308501, 1.1343207370919375, 0.39710116166108733, 0),
+    (2, "per_block", 10.0): (3.41785679179724, 5.291238164279847, 1.8733813724826076, 0),
     (2, "fixed", 0.0): (0.8585801071354492, 1.1343207370919375, 0.2757406299564883, 0),
     (2, "fixed", 10.0): (3.817623662848248, 5.291238164279847, 1.4736145014315993, 0),
 }
 
 
-def test_run_experiment_matches_recorded_values():
-    for n, policy in itertools.product((1, 2), ("per_block", "fixed")):
+def test_run_experiment_matches_recorded_values(monkeypatch):
+    monkeypatch.setitem(CODEBOOK_POLICIES, "explicit", explicit_per_block)
+    for n, scorer in itertools.product((1, 2), ("explicit", "per_block", "fixed")):
         config = ExperimentConfig(m=3, n_rx=(n,), snr_db_grid=(0.0, 10.0),
                                   bits_rule=BitsRule.fixed(3), trials=50, seed=2024,
-                                  codebook_policy=policy)
+                                  codebook_policy=scorer)
         for point in run_experiment(config).points:
-            fb, zf, gap, dropped = RECORDED_POINTS[(n, policy, point.snr_db)]
+            fb, zf, gap, dropped = RECORDED_POINTS[(n, scorer, point.snr_db)]
             assert point.rate_fb_mean == pytest.approx(fb, rel=1e-12)
             assert point.rate_zf_mean == pytest.approx(zf, rel=1e-12)
             assert point.gap == pytest.approx(gap, rel=1e-12)
@@ -697,8 +773,8 @@ def test_grid_equals_its_cells_when_trials_drop(monkeypatch):
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, policy):
-    # 5-trial codebook slices and 64-trial chunks at M = 3, B = 3: 200
-    # trials are chunks of 64, 64, 64 and 8 trials and 3 x 13 + 2 slices
+    # one-block chunks at M = 3, B = 3 under either policy: 200 trials are
+    # chunks of 64, 64, 64 and 8 trials
     monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 16)
 
     def work(n_rx, snr_db_grid):
@@ -715,6 +791,7 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
             def generator(self):
                 gen = super().generator()
                 return SimpleNamespace(
+                    random=spy(("random", self.purpose), gen.random),
                     standard_normal=spy(("draw", self.purpose), gen.standard_normal))
 
         with monkeypatch.context() as patch:
@@ -722,13 +799,14 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
             patch.setattr(experiment, "_run_chunk", spy("chunk", experiment._run_chunk))
             patch.setattr(experiment, "RngStream", SpyStream)
             # the kernel's stages: the chunk's QR factor (zero_force's QR is mode "r"),
-            # the per-block slices' or the fixed scorer's _select, and _orient
+            # the fixed scorer's _select or the law's sin^2, and _orient
             qr, reduced_qr = np.linalg.qr, spy("QR", np.linalg.qr)
             patch.setattr(np.linalg, "qr", lambda a, mode="reduced": (
                 reduced_qr if mode == "reduced" else qr)(a, mode=mode))
             for module, name in ((experiment, "_orient"), (quantize, "_select"),
                                  (experiment, "_select"), (quantize, "_orient"),
-                                 (quantize, "quantize_stack")):
+                                 (quantize, "quantize_stack"), (quantize, "_select_drawn"),
+                                 (experiment, "_law_sin_sq")):
                 patch.setattr(module, name, spy(name, getattr(module, name)))
             run_experiment(ExperimentConfig(m=3, n_rx=n_rx, snr_db_grid=snr_db_grid,
                                             bits_rule=BitsRule.fixed(3), trials=200, seed=3,
@@ -737,30 +815,36 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
 
     grid, cell = work((1, 2), (0.0, 5.0, 10.0)), work((1,), (0.0,))
     assert grid["chunk"] == cell["chunk"] == 4
-    # each codebook slice drawn once a chunk, the fixed codebooks once a run
+    # the law's u, g and w drawn once a block for every N, the fixed codebooks
+    # once a run, and no per-block codebook
     per_block = policy == "per_block"
-    assert grid["draw", PURPOSE_CODEBOOK] == cell["draw", PURPOSE_CODEBOOK] == 41 * per_block
+    assert grid["random", PURPOSE_LAW] == cell["random", PURPOSE_LAW] == 4 * per_block
+    assert grid["draw", PURPOSE_LAW] == cell["draw", PURPOSE_LAW] == 2 * 4 * per_block
     assert grid["draw", PURPOSE_FIXED_CODEBOOK] == cell["draw", PURPOSE_FIXED_CODEBOOK] == (
         3 * (not per_block))
+    assert grid["draw", PURPOSE_CODEBOOK] == grid["_select_drawn"] == 0
     # one channel draw a block for every N; each N's feedback once a chunk
     assert grid["draw", PURPOSE_CHANNEL] == cell["draw", PURPOSE_CHANNEL] == 4
     assert grid["feedback ZF"] == 2 * 4
     # the largest N QR-factored once a chunk and each N's picks oriented once a
-    # chunk, under either policy, and never through quantize_stack; a per-block
-    # codebook slice selected on once for every N, the fixed codebooks once a chunk
+    # chunk, under either policy, and never through quantize_stack; the fixed
+    # codebooks selected on once a chunk for every N, and the law's sin^2 taken
+    # once a chunk for each N < M
     assert grid["QR"] == cell["QR"] == 4
     assert grid["_orient"] == 2 * cell["_orient"] == 2 * 4
-    assert grid["_select"] == cell["_select"] == (41 if per_block else 4)
+    assert grid["_select"] == cell["_select"] == 4 * (not per_block)
+    assert grid["_law_sin_sq"] == 2 * cell["_law_sin_sq"] == 2 * 4 * per_block
     assert grid["quantize_stack"] == cell["quantize_stack"] == 0
     assert not hasattr(experiment, "quantize_stack")
 
 
-@pytest.mark.parametrize("policy, codebook", [("per_block", PURPOSE_CODEBOOK),
+@pytest.mark.parametrize("policy, codebook", [("per_block", PURPOSE_LAW),
                                               ("fixed", PURPOSE_FIXED_CODEBOOK)])
 def test_sweep_draws_no_benchmark_stream(monkeypatch, policy, codebook):
-    # the benchmark is exact, so a sweep opens only its channel and codebook
-    # streams; purpose 2, which drew the Monte Carlo benchmark up to stream
-    # contract v4, stays out of the registry so that no purpose reuses its draws
+    # the benchmark is exact, so a sweep opens only its channel and codebook or
+    # law streams; purpose 2, which drew the Monte Carlo benchmark up to stream
+    # contract v4, stays out of the registry so that no purpose reuses its draws,
+    # and purpose 1, which drew per-block codebooks up to v5, is not opened
     purposes = set()
 
     class SpyStream(RngStream):

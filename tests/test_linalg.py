@@ -12,6 +12,7 @@ from effchan.linalg import (
     PURPOSE_CHANNEL,
     PURPOSE_CODEBOOK,
     PURPOSE_FIXED_CODEBOOK,
+    PURPOSE_LAW,
     RngStream,
     ordered_map,
 )
@@ -74,13 +75,13 @@ def test_stream_is_sfc64_keyed_by_its_id():
 
 def test_block_streams_share_no_word():
     # SFC64 streams have no disjoint-key guarantee: check that the channel,
-    # codebook and fixed-codebook streams of blocks 0 and 1 (a fixed codebook's
-    # stream is keyed by user in place of block) share no 64-bit word in their
-    # first 2^16 outputs
+    # codebook, fixed-codebook and law streams of blocks 0 and 1 (a fixed
+    # codebook's stream is keyed by user in place of block) share no 64-bit word
+    # in their first 2^16 outputs
     words = np.concatenate([
         RngStream(1, block, 0, purpose).generator().bit_generator.random_raw(2 ** 16)
         for block in (0, 1)
-        for purpose in (PURPOSE_CHANNEL, PURPOSE_CODEBOOK, PURPOSE_FIXED_CODEBOOK)])
+        for purpose in (PURPOSE_CHANNEL, PURPOSE_CODEBOOK, PURPOSE_FIXED_CODEBOOK, PURPOSE_LAW)])
     assert np.unique(words).size == words.size
 
 
@@ -164,7 +165,7 @@ def test_gaussian_real_imag_covariance():
 def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pools):
     # the plans come from shapes alone: nothing is drawn
     monkeypatch.setattr(linalg, "_cores", lambda: 2)
-    # sweep_block_b10's shape: chunks of 64 and 56 trials, each scanning 1 MiB slices
+    # sweep_block_b10's shape: chunks of 64 and 56 trials, one stream block each
     block_b10 = ExperimentConfig(m=8, n_rx=(2,), snr_db_grid=(10.0,),
                                  bits_rule=BitsRule.fixed(10), trials=120, seed=1)
     chunks, workers = experiment._plan(block_b10, 10)
@@ -178,12 +179,12 @@ def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pool
     # a fixed chunk at M = 8, B = 10 scores its 64-trial block at once, and
     # its overlap and metric (about 37 MiB) allow one worker however many
     # cores and chunks there are; a per-block chunk of the same sweep holds
-    # about 2.4 MiB (a 1 MiB slice of normals, its overlap and metric, and the
-    # chunk's M x M channels, QR factors and picks), so 26 fit under the 64 MiB cap
+    # about 1.25 MiB (the chunk's M x M channels, QR factors, picks and law
+    # draws, with no codebook), so 51 fit under the 64 MiB cap
     fixed_b10 = dataclasses.replace(block_b10, trials=6400, codebook_policy="fixed")
     assert experiment._plan(fixed_b10, 10)[1] == 1
     assert experiment._plan(dataclasses.replace(fixed_b10, codebook_policy="per_block"),
-                            10)[1] == 26
+                            10)[1] == 51
     # validate_b8's shape: a 508-sample block holds about 2.3 MiB (a 64-sample
     # slice of codebook normals, its overlap and metric, and the block's
     # channels and picks), so 27 fit; at B = 24 one sample is over the cap
