@@ -16,14 +16,14 @@ N once (a smaller N's factors are prefixes of it), takes every N's picks from
 one pass of the codebook policy's scorer (``CODEBOOK_POLICIES``), orients and
 zero-forces each N once, and rates every SNR point from the same beams.
 
-Determinism contract, stream version 6 (``STREAM_VERSION``, in the sweep
+Determinism contract, stream version 7 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws from one stream per purpose,
 ``RngStream(seed, b, 0, purpose)``: its channels, a (64, users, 2, M, M) run,
 and under per_block the law's u = 1 - random((64, users)), then g and w, each a
 standard_normal((2, 64, users, M)) run (``PURPOSE_LAW``); a block cut short
 still draws in full.  A normal takes a variable number of random words, so the
-block, not the trial, is the unit of replay.  Chunks are whole blocks, so no draw
-depends on the chunk size or the worker count.
+block, not the trial, is the unit of replay; chunks are whole blocks, so no draw depends on
+the chunk size or the worker count.  Version 7 inverts the law by Newton steps (``_law_sin_sq``).
 
 A bit count's chunks run on the threads of ``linalg.worker_count``, as
 validation's sample blocks do, and are joined in chunk order.
@@ -47,17 +47,18 @@ from .linalg import (
     complex_from_parts,
     is_stream_id,
     ordered_map,
+    share_items,
     slice_items,
     worker_count,
 )
 from .precoding import refused, sinr_stack, sum_rate, zero_force
 from .quantize import (MAX_CODEBOOK_BITS, _orient, _scan_bytes, _select,
                        check_bits, generate_codebook)
-from .stats import beta_cdf, mean_ci
+from .stats import _beta_coefs, mean_ci
 
 # Version of the sweep's stream contract (module docstring), and the trials
 # per stream block, the contract's unit of replay; a chunk is whole blocks (``_plan``).
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 _BLOCK = 64
 
 
@@ -199,29 +200,40 @@ def _chunk_bytes(config: ExperimentConfig, bits: int, trials: int) -> int:
 def _plan(config: ExperimentConfig, bits: int) -> tuple[list[range], int]:
     """The chunks of one bit count, and the worker threads that run them.
 
-    A chunk is as many whole stream blocks as ``linalg.SLICE_BYTES`` holds trials
-    of (``_chunk_bytes``; fixed ones as if they held per-block codebooks), but at
-    least one.  Workers are capped by the bytes a chunk holds.
+    A chunk is whole stream blocks, at least one: under fixed, as many as ``linalg.SLICE_BYTES``
+    holds trials of as if they held per-block codebooks; under per_block, a core's even share
+    (``linalg.share_items``).  Workers are capped by the bytes a chunk holds.
     """
     fixed = config.codebook_policy == "fixed"
-    step = slice_items(config.users * 2 ** bits * config.m * 16 if fixed
-                       else _chunk_bytes(config, bits, 1))
-    size = max(1, step // _BLOCK) * _BLOCK
+    blocks = (max(1, slice_items(config.users * 2 ** bits * config.m * 16) // _BLOCK) if fixed
+              else share_items(-(-config.trials // _BLOCK), _chunk_bytes(config, bits, _BLOCK)))
+    size = blocks * _BLOCK
     chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
     return chunks, worker_count(len(chunks), _chunk_bytes(config, bits, len(chunks[0])))
 
 
 def _law_sin_sq(u: np.ndarray, m: int, n: int, bits: int) -> np.ndarray:
-    """sin^2 to an n-dim span of C^M (n < M) of the best of 2^B isotropic codewords, the least
-    of 2^B iid Beta(M - n, n), at survival u in (0, 1]: G^-1(-expm1(log u / 2^B)), G the Beta
-    CDF, exact at large B where 1 - cos^2 cancels; 64 bisection steps on log sin^2 invert G."""
-    target = -np.expm1(np.log(u) / 2 ** bits)
-    lo, hi = np.full(u.shape, np.log(np.finfo(float).tiny)), np.zeros(u.shape)
-    for _ in range(64):
-        mid = (lo + hi) / 2
-        below = beta_cdf(np.exp(mid), m - n, n) < target
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return np.exp(hi)
+    """sin^2 to an n-dim span of C^M (n < M) of the best of 2^B isotropic codewords, the least of
+    2^B iid Beta(a, b) = Beta(M - n, n), at survival u in (0, 1]: G^-1(p), G the Beta CDF and
+    p = -expm1(log u / 2^B).  At p <= 1/2, log G(e^y) = a y + (b - 1) log(1 - e^y) + log S(r),
+    S(r) = sum_k C(M - 1, a + k) r^k at r = e^y / (1 - e^y) (``stats._beta_coefs``), is concave
+    of slope a S(0) / S(r): Newton steps from (log p - log S(0)) / a climb to its root; at p > 1/2
+    they solve the mirror, Beta(b, a) at 1 - p.  A fixed count keeps each sin^2 a function of u."""
+    log_q = np.log(u) / 2 ** bits
+    upper = log_q < -math.log(2)
+    with np.errstate(divide="ignore"):  # p = 0 at u = 1
+        target = np.where(upper, log_q, np.log(-np.expm1(log_q)))
+    y, floor = np.empty(u.shape), math.log(np.finfo(float).tiny)  # u = 1 gives tiny
+    for rows, a, b in ((~upper, m - n, n), (upper, n, m - n)):
+        coefs, t = _beta_coefs(a, b), target[rows]
+        z = np.clip((t - math.log(coefs[0])) / a, floor, 0.0)
+        for _ in range(6):  # within 4e-14 of SciPy at M <= 64, B <= 29
+            e = np.exp(z)
+            s = np.polyval(coefs[::-1], e / (1.0 - e))  # Horner's rule
+            z = np.clip(z - (a * z + (b - 1) * np.log1p(-e) + np.log(s) - t) * s / (a * coefs[0]),
+                        floor, 0.0)
+        y[rows] = z
+    return np.where(upper, -np.expm1(y), np.exp(y))
 
 
 def _score_per_block(config: ExperimentConfig, bits: int):

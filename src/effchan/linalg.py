@@ -9,7 +9,7 @@ The sweep's chunks and validation's sample blocks run on one thread per core
 the process may run on (the normal sampler, the BLAS products, ``einsum`` and
 ``np.linalg`` release the GIL), through ``worker_count`` and ``ordered_map``,
 and validation scores its drawn codebooks in slices of ``SLICE_BYTES``
-(``quantize._select_drawn``), which also sizes the sweep's chunks.
+(``quantize._select_drawn``), which also sizes ``fixed`` sweep chunks.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ PURPOSE_LAW = 6
 # Cap on the bytes all workers' items hold at once (2^22 complex normals).
 IN_FLIGHT_BYTES = 2 ** 26
 # Bytes of drawn codebook normals one ``quantize._select`` call scores in a
-# validation block (64 samples' at M = 4, B = 8), and the trials a sweep chunk holds.
+# validation block (64 samples' at M = 4, B = 8), and the trials a fixed sweep chunk holds.
 SLICE_BYTES = 2 ** 20
 
 
@@ -108,6 +108,11 @@ def worker_count(items: int, item_bytes: int) -> int:
     IN_FLIGHT_BYTES, or one item when an item is larger.
     """
     return min(_cores(), items, max(1, IN_FLIGHT_BYTES // item_bytes))
+
+
+def share_items(items: int, item_bytes: int) -> int:
+    """A core's even share of ``items`` items (at least one), capped to IN_FLIGHT_BYTES / cores."""
+    return max(1, min(-(-items // _cores()), IN_FLIGHT_BYTES // (_cores() * item_bytes)))
 
 
 def slice_items(item_bytes: int) -> int:

@@ -47,22 +47,25 @@ class FitReport:
     details: dict = field(default_factory=dict)
 
 
+def _beta_coefs(a: int, b: int) -> list:
+    """C(a+b-1, a+k), k < b: I_x(a, b) = sum_k C(a+b-1, a+k) x^(a+k) (1-x)^(b-1-k), exactly."""
+    return [math.comb(a + b - 1, a + k) for k in range(b)]
+
+
 def beta_cdf(x, a: int, b: int):
     """CDF of Beta(a, b) for integer a, b >= 1.
 
-    Uses the exact binomial identity I_x(a, b) = sum_{j=a}^{a+b-1} C(a+b-1, j)
-    x^j (1-x)^(a+b-1-j), so the result carries no quadrature error.  Accepts
-    scalars or arrays in [0, 1].
+    Sums the binomial identity (``_beta_coefs``), so the result carries no
+    quadrature error.  Accepts scalars or arrays in [0, 1].
     """
     if not all(is_stream_id(k) and k >= 1 for k in (a, b)):
         raise ValueError(f"beta_cdf needs integer a, b >= 1, got a={a!r}, b={b!r}")
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0) or np.any(xs > 1):
         raise ValueError("beta_cdf domain is [0, 1]")
-    n = a + b - 1
     out = np.zeros_like(xs)
-    for j in range(a, n + 1):
-        out += math.comb(n, j) * xs**j * (1.0 - xs) ** (n - j)
+    for k, c in enumerate(_beta_coefs(a, b)):
+        out += c * xs ** (a + k) * (1.0 - xs) ** (b - 1 - k)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.isscalar(x) else out
 

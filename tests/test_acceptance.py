@@ -250,8 +250,8 @@ def test_full_rank_square_channel_quantizes_exactly():
 
 
 def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatch, pools):
-    # at M = 4, B = 4 a chunk holds 256 trials, so the grid's one bit count
-    # is two chunks (256 + 44) and 3 cores really hand them to a pool
+    # a per_block sweep splits its five blocks over the cores: one chunk on 1
+    # core, and three (128 + 128 + 44 trials) that 3 cores really hand to a pool
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("m = 4\nn_rx = 1, 2\nsnr_db = 0, 10\nbits = 4\n"
                    "trials = 300\nseed = 31\n")
@@ -261,7 +261,7 @@ def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatc
     assert pools == []
     monkeypatch.setattr(linalg, "_cores", lambda: 3)
     assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert pools == [2]  # one two-worker pool per multi-chunk bit count
+    assert pools == [3]  # one pool per multi-chunk bit count
     capsys.readouterr()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
@@ -435,8 +435,11 @@ def test_law_picks_agree_with_explicit_codebooks():
 
 
 def test_law_agreement_fails_on_the_wrong_beta(monkeypatch):
-    # sin^2 from Beta(M - n + 1, n), that is cos^2 from Beta(n, M - n + 1)
-    monkeypatch.setattr(experiment, "beta_cdf", lambda x, a, b: stats.beta_cdf(x, a + 1, b))
+    # sin^2 from Beta(M - n + 1, n), that is cos^2 from Beta(n, M - n + 1), through the
+    # law sampler's own inversion run for one more transmit antenna
+    law_sin_sq = experiment._law_sin_sq
+    monkeypatch.setattr(experiment, "_law_sin_sq",
+                        lambda u, m, n, bits: law_sin_sq(u, m + 1, n, bits))
     assert {miss[0] for miss in law_agreement_misses()} >= {"ks"}
 
 

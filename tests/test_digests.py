@@ -51,22 +51,22 @@ RUNS = {
 }
 OUTPUTS = {"sweep": ("sweep.csv", "manifest.json"), "validate": ("validation.json",)}
 
-# Re-pinned at sweep stream contract v6, whose per_block scorer draws each pick
-# from its law instead of drawing and scanning codebooks: both per_block runs'
-# outputs changed; sweep_fixed_b2's CSV is v5's byte for byte, and its manifest
-# changed only in its stream_version.
+# Re-pinned at sweep stream contract v7, whose per_block scorer inverts the law
+# by Newton steps instead of bisection: both per_block manifests changed in the
+# last digits of their rates (their CSVs, printed to 10 digits, are v6's byte for
+# byte), and sweep_fixed_b2's manifest changed only in its stream_version.
 DIGESTS = {
     "sweep_fixed_b2": {
         "sweep.csv": "36b3ea48a1666ec388ed598856fafe754c7d47bed69dafd1ab7412ccd962be7c",
-        "manifest.json": "b9ecbadc27ab06007abbec512ce2a3b277b65c4494d1e2d806542a7bcd8e91f6",
+        "manifest.json": "8bb6edb32043315530e938bbd27035194f4e3600ffa46ffc8304074523862cb5",
     },
     "sweep_block_b10": {
         "sweep.csv": "ab31020a05e5fc31988ed9e6f926794a3bfc7282102ba077a789028274284bf8",
-        "manifest.json": "2f94a0d44b74daa70e0dd06ebe9efd46a9baf586f53c4ffea1be98a8bb4b17d8",
+        "manifest.json": "bd70e221931fde42055662fea723ff1a99e8e4228eaac1b698b6df3cc2a6184d",
     },
     "readme_sweep": {
         "sweep.csv": "c1731e8e6d1efc48473fc012f947fce2f423e73ae6cb29e96a1173a69dea9379",
-        "manifest.json": "3871f931a0af322ebcef0b704164c1265d217cdeb5fdd65bb69695a1cd7810f5",
+        "manifest.json": "a4faf0787a44153b325adc63bec5d0e9b942f4668223df3308a89ed3f26456e8",
     },
     "validate": {
         "validation.json": "c14bd6debf5ebafee105a878a2eb52dab105cef9d05fdd3ef7364b14a6ee5db1",

@@ -394,17 +394,50 @@ def test_more_feedback_bits_raise_mean_rate():
 # ------------------------------------------------------ per-block law picks
 
 
-@pytest.mark.parametrize("m, n", [(8, 1), (4, 3)])
-@pytest.mark.parametrize("bits", [1, 10, 24])
+@pytest.mark.parametrize("m, n", [(8, 1), (4, 3), (8, 2), (8, 7)])
+@pytest.mark.parametrize("bits", [1, 10, 24, 29])
 def test_law_sin_sq_matches_scipys_inverse(m, n, bits):
     # sin^2 = G^-1(1 - u^(1/2^B)) for G the Beta(M - n, n) CDF, exact in the complement form
-    # down to u = 1 - 2^-53, where 1 - cos^2 would have lost every digit at B = 24
+    # down to u = 1 - 2^-53, where 1 - cos^2 would have lost every digit at B = 24; (8, 2)
+    # is sweep_block_b10's cell, n = M - 1 the widest with an error, and B = 29 the most
+    # bits a 30 dB gap target asks at M = 4
     u = np.concatenate([1.0 - np.array([2.0 ** -53, 2.0 ** -40, 1e-9]),
                         np.linspace(0.001, 0.999, 50), [1e-6, 2.0 ** -53]])
-    expected = scipy.special.betaincinv(m - n, n, -np.expm1(np.log(u) / 2 ** bits))
+    log_q = np.log(u) / 2 ** bits  # log(1 - t), exact
+    t = -np.expm1(log_q)
+    # where t > 1/2, SciPy inverts the upper tail 1 - t, which keeps the digits t loses
+    expected = np.where(t > 0.5, scipy.special.betainccinv(m - n, n, np.exp(log_q)),
+                        scipy.special.betaincinv(m - n, n, t))
     np.testing.assert_allclose(experiment._law_sin_sq(u, m, n, bits), expected, rtol=1e-11)
     # u = 1, the draw that random() = 0 gives, is the best pick: sin^2 is the least normal
     assert 0 < experiment._law_sin_sq(np.ones(1), m, n, bits)[0] < 2 * np.finfo(float).tiny
+
+
+# u = 1, the least normal and subnormal floats, both sides of u = 1/4 (where t = 1/2 at
+# B = 1), and uniform draws
+MIXED_U = np.concatenate([[1.0, 2.0 ** -53, np.finfo(float).tiny, 5e-324, 0.25,
+                           np.nextafter(0.25, 0), np.nextafter(0.25, 1), 1.0 - 2.0 ** -53],
+                          1.0 - np.random.default_rng(29).random(56)])
+
+
+@pytest.mark.parametrize("m, n, bits", [(8, 2, 10), (4, 3, 1), (8, 7, 24)])
+def test_law_sin_sq_is_elementwise(m, n, bits):
+    # each sin^2 depends on its own u alone, as the chunk-size and worker-count byte
+    # identity needs: a batch-wide stopping rule would break it.  The batch takes both
+    # branches (t <= 1/2 and its mirror) at B = 1, and at B = 10 through u = 5e-324
+    batch = experiment._law_sin_sq(MIXED_U.reshape(8, 8), m, n, bits)
+    target = -np.expm1(np.log(MIXED_U) / 2 ** bits)
+    assert (target > 0.5).any() == (bits < 24) and (target <= 0.5).any()
+    singles = [experiment._law_sin_sq(MIXED_U[k:k + 1], m, n, bits) for k in range(64)]
+    assert batch.tobytes() == np.concatenate(singles).tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(8, 1), (8, 2), (4, 3), (8, 7)])
+def test_law_sin_sq_is_nonincreasing_in_bits(m, n):
+    # for a fixed u the best of 2^(B + 1) codewords is never worse than the best of 2^B,
+    # so one u may serve every B
+    sin_sq = np.stack([experiment._law_sin_sq(MIXED_U, m, n, bits) for bits in range(1, 30)])
+    assert (np.diff(sin_sq, axis=0) <= 0).all()
 
 
 def law_picks(m, widths, bits=4, trials=200, seed=3):
@@ -585,10 +618,11 @@ def test_run_experiment_worker_count_with_many_chunks(monkeypatch, pools):
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_run_experiment_worker_count_with_multi_block_chunks(monkeypatch, pools, policy):
     # two-block chunks, 128, 128 and 44 trials: at M = 2, B = 2 a fixed chunk
-    # counts 256 codebook bytes a trial, a per-block chunk its own bytes
+    # counts 256 codebook bytes a trial, and a per-block run splits its five
+    # blocks over the cores (on 2 cores in chunks of 192 and 108 trials)
     config = small_config(trials=300, codebook_policy=policy)
-    per_trial = 256 if policy == "fixed" else experiment._chunk_bytes(config, 2, 1)
-    monkeypatch.setattr(linalg, "SLICE_BYTES", 128 * per_trial)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 128 * 256)
+    monkeypatch.setattr(linalg, "_cores", lambda: 3)
     assert [len(chunk) for chunk in experiment._plan(config, 2)[0]] == [128, 128, 44]
     serial, two, three = run_on_cores(monkeypatch, config, (1, 2, 3))
     assert pools == [2, 3]
@@ -598,14 +632,21 @@ def test_run_experiment_worker_count_with_multi_block_chunks(monkeypatch, pools,
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_run_experiment_does_not_depend_on_chunk_bytes(monkeypatch, policy):
-    # M = 4, B = 7, 150 trials: one per-block chunk or three fixed ones at the
-    # default budget, one-block chunks at 1 byte, and one chunk at 2^30
+    # M = 4, B = 7, 150 trials on 2 cores: per-block chunks of two blocks and
+    # one, or three fixed one-block chunks; then one-block chunks (a 1-byte
+    # budget) and one chunk (a 2^30-byte slice budget, or one core)
     config = ExperimentConfig(m=4, n_rx=(2,), snr_db_grid=(0.0, 10.0), bits_rule=BitsRule.fixed(7),
                               trials=150, seed=77, codebook_policy=policy)
+    monkeypatch.setattr(linalg, "_cores", lambda: 2)
+    assert len(experiment._plan(config, 7)[0]) == {"fixed": 3, "per_block": 2}[policy]
     points = run_experiment(config).points
-    for chunk_bytes in (1, 2 ** 30):
-        monkeypatch.setattr(linalg, "SLICE_BYTES", chunk_bytes)
-        assert run_experiment(config).points == points
+    extremes = {"fixed": (("SLICE_BYTES", 1, 3), ("SLICE_BYTES", 2 ** 30, 1)),
+                "per_block": (("IN_FLIGHT_BYTES", 1, 3), ("_cores", lambda: 1, 1))}
+    for name, value, chunks in extremes[policy]:
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, name, value)
+            assert len(experiment._plan(config, 7)[0]) == chunks
+            assert run_experiment(config).points == points
 
 
 @pytest.mark.parametrize("policy, m, n_rx, bits, trials", [
@@ -672,7 +713,9 @@ def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
         return _run_chunk(config, bits, cells, trials, score)
 
     monkeypatch.setattr(experiment, "_run_chunk", spy_chunk)
+    # the budgets that size fixed and per-block chunks
     monkeypatch.setattr(linalg, "SLICE_BYTES", chunk_bytes)
+    monkeypatch.setattr(linalg, "IN_FLIGHT_BYTES", chunk_bytes)
     config = small_config(m=3, n_rx=(2,), snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(4),
                           trials=333, codebook_policy=policy)
     run_experiment(config)
@@ -750,7 +793,8 @@ GRIDS = {
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_grid_equals_its_cells(monkeypatch, policy, grid):
-    # 64-trial chunks at M = 3, B = 3, so the workers get whole chunks
+    # 64-trial chunks at M = 3, B = 3 (per_block's on 3 cores, one chunk on 1), so the
+    # workers get whole chunks
     monkeypatch.setattr(linalg, "SLICE_BYTES", 64 * 3 * 2 ** 3 * 3 * 16)
     config = ExperimentConfig(codebook_policy=policy, **GRIDS[grid])
     points = assert_grid_equals_its_cells(monkeypatch, config)
@@ -773,9 +817,10 @@ def test_grid_equals_its_cells_when_trials_drop(monkeypatch):
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, policy):
-    # one-block chunks at M = 3, B = 3 under either policy: 200 trials are
-    # chunks of 64, 64, 64 and 8 trials
+    # one-block chunks at M = 3, B = 3 under either policy (fixed by the slice
+    # budget, per_block on 4 cores): 200 trials are chunks of 64, 64, 64 and 8
     monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 16)
+    monkeypatch.setattr(linalg, "_cores", lambda: 4)
 
     def work(n_rx, snr_db_grid):
         seen, lock = Counter(), threading.Lock()  # chunks run on worker threads

@@ -178,9 +178,10 @@ def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pool
     monkeypatch.setattr(linalg, "_cores", lambda: 64)
     # a fixed chunk at M = 8, B = 10 scores its 64-trial block at once, and
     # its overlap and metric (about 37 MiB) allow one worker however many
-    # cores and chunks there are; a per-block chunk of the same sweep holds
-    # about 1.25 MiB (the chunk's M x M channels, QR factors, picks and law
-    # draws, with no codebook), so 51 fit under the 64 MiB cap
+    # cores and chunks there are; a 64-trial per-block chunk of the same sweep
+    # holds about 1.25 MiB (the chunk's M x M channels, QR factors, picks and
+    # law draws, with no codebook), more than a core's 1 MiB share of the cap,
+    # so chunks are one block each, and 51 fit under the 64 MiB cap
     fixed_b10 = dataclasses.replace(block_b10, trials=6400, codebook_policy="fixed")
     assert experiment._plan(fixed_b10, 10)[1] == 1
     assert experiment._plan(dataclasses.replace(fixed_b10, codebook_policy="per_block"),
