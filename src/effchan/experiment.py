@@ -7,14 +7,14 @@ reported directions, and evaluate the true SINRs.  The benchmark, the ergodic
 perfect-CSIT zero-forcing sum rate, is exact (``formulas.zf_rate_mean``), not
 simulated, so the reported gap carries the feedback rate's Monte Carlo noise alone.
 
-A sweep's whole (N, SNR) grid runs in one pass over chunks per bit count.
-No stream id carries N or SNR, so a chunk draws an M x M channel per trial
-and user, and its scorer's draws, once for the grid.  An N's channel is
-the first N columns of it, so the receive antennas nest: N + 1 antennas are
-the same mobile's N antennas and one more.  The chunk QR-factors the largest
-N once (a smaller N's factors are prefixes of it), takes every N's picks from
-one pass of the codebook policy's scorer (``CODEBOOK_POLICIES``), orients and
-zero-forces each N once, and rates every SNR point from the same beams.
+A sweep's whole (N, SNR) grid runs in one pass over chunks per chunk plan
+(``_plan``; a per_block plan never depends on B).  No stream id carries N, SNR
+or B, so a chunk draws an M x M channel per trial and user once for its cells.
+An N's channel is the first N columns of it, so the receive antennas nest: N + 1
+antennas are the same mobile's N antennas and one more.  The chunk QR-factors
+the largest N once (a smaller N's factors are prefixes of it), takes each bit
+count's picks for every N from one call of its scorer (``CODEBOOK_POLICIES``),
+orients and zero-forces each (N, B) once, and rates every SNR from the same beams.
 
 Determinism contract, stream version 7 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws from one stream per purpose,
@@ -25,7 +25,7 @@ still draws in full.  A normal takes a variable number of random words, so the
 block, not the trial, is the unit of replay; chunks are whole blocks, so no draw depends on
 the chunk size or the worker count.  Version 7 inverts the law by Newton steps (``_law_sin_sq``).
 
-A bit count's chunks run on the threads of ``linalg.worker_count``, as
+A pass's chunks run on the threads of ``linalg.worker_count``, as
 validation's sample blocks do, and are joined in chunk order.
 """
 
@@ -76,6 +76,9 @@ class BitsRule:
     target_gap: float | None = None
 
     def __post_init__(self):
+        if (self.bits is None) == (self.target_gap is None):
+            raise ValueError(f"a bits rule sets exactly one of bits and target_gap, got "
+                             f"bits={self.bits!r} and target_gap={self.target_gap!r}")
         if self.kind == "fixed":
             check_bits(self.bits, "fixed bits")
         elif self.kind == "scaling":
@@ -154,10 +157,6 @@ class ExperimentConfig:
             raise ValueError(f"codebook_policy must be one of {tuple(CODEBOOK_POLICIES)}, "
                              f"got {self.codebook_policy!r}")
 
-    @property
-    def users(self) -> int:
-        return self.m
-
 
 @dataclass(frozen=True)
 class GridPointResult:
@@ -193,22 +192,22 @@ def _chunk_bytes(config: ExperimentConfig, bits: int, trials: int) -> int:
     m, top = config.m, max(config.n_rx)
     held = 16 * (m * m + m * top + top * top) + sum(16 * (3 * m + n) + 40 for n in config.n_rx)
     if config.codebook_policy == "fixed":
-        return config.users * trials * (held + 2 ** bits * _scan_bytes(m, top, False))
-    return config.users * trials * (held + 16 * m * (4 + top))
+        return config.m * trials * (held + 2 ** bits * _scan_bytes(m, top, False))
+    return config.m * trials * (held + 16 * m * (4 + top))
 
 
-def _plan(config: ExperimentConfig, bits: int) -> tuple[list[range], int]:
-    """The chunks of one bit count, and the worker threads that run them.
+def _plan(config: ExperimentConfig, bits: int) -> tuple[tuple[range, ...], int]:
+    """The chunks of one bit count and their worker threads, hashable: equal plans share a pass.
 
     A chunk is whole stream blocks, at least one: under fixed, as many as ``linalg.SLICE_BYTES``
     holds trials of as if they held per-block codebooks; under per_block, a core's even share
-    (``linalg.share_items``).  Workers are capped by the bytes a chunk holds.
+    (``linalg.share_items``), whatever the bits.  Workers are capped by the bytes a chunk holds.
     """
     fixed = config.codebook_policy == "fixed"
-    blocks = (max(1, slice_items(config.users * 2 ** bits * config.m * 16) // _BLOCK) if fixed
+    blocks = (max(1, slice_items(config.m * 2 ** bits * config.m * 16) // _BLOCK) if fixed
               else share_items(-(-config.trials // _BLOCK), _chunk_bytes(config, bits, _BLOCK)))
     size = blocks * _BLOCK
-    chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
+    chunks = tuple(range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size))
     return chunks, worker_count(len(chunks), _chunk_bytes(config, bits, len(chunks[0])))
 
 
@@ -272,35 +271,35 @@ def _score_fixed(config: ExperimentConfig, bits: int):
     """Fixed scorer: every user's codebook (users, 2^B, M) is drawn once, and
     every chunk's trials are scored against them (``_select``)."""
     books = np.stack([generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK),
-                                        bits, config.m) for u in range(config.users)])
+                                        bits, config.m) for u in range(config.m)])
     return lambda first_block, q, widths: _select(q, books, widths)
 
 
-# Codebook policy -> scorer.  scorer(config, bits) does a bit count's set-up and
-# returns score(first_block, q, widths): the (index, q_hat, cos_sq) picks of a
-# chunk, whose first trial opens stream block first_block, for the span of each
-# width's first columns of its (trials, users, M, N) Q, as _select returns them.
+# Codebook policy -> scorer.  scorer(config, bits) does a bit count's set-up and returns
+# score(first_block, q, widths), called once a chunk on a prefix of its one Q: the (index, q_hat,
+# cos_sq) picks of a chunk whose first trial opens stream block first_block, for the span of
+# each width's first columns of its (trials, users, M, N) Q, as _select returns them.
 CODEBOOK_POLICIES = {"per_block": _score_per_block, "fixed": _score_fixed}
 
 
-def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float]],
-               trials: range, score) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate the fading blocks ``trials`` at every (N, SNR) cell of ``cells``.
+def _run_chunk(config: ExperimentConfig, cells: list[tuple[int, float, int]], trials: range,
+               scores: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate the fading blocks ``trials`` at every (N, SNR, bits) cell of ``cells``.
 
     ``trials`` starts at a stream block's first trial; a block the range ends
     inside draws a prefix of its stream.  A block draws its M x M channels from
     one stream; an N's channels are their first N columns.  The largest N is
-    QR-factored once and every N picked for by one ``score`` call (a
-    ``CODEBOOK_POLICIES`` scorer's) on its Q; each N is oriented on its
-    prefixes of the factors.  An N drops a trial at all its SNRs when a
-    quantization faults or zero-forcing refuses its stack.  Returns
-    ``(rate_fb, dropped)``, each ``(len(cells), len(trials))``; a dropped trial
-    carries a zero rate.
+    QR-factored once, and each bit count of ``cells`` picks for its Ns by one
+    call of its ``scores[bits]`` (a ``CODEBOOK_POLICIES`` scorer's) on the columns
+    of Q its largest N spans, as a pass of that count alone would; each
+    (N, bits) is oriented on its prefixes of the factors, and drops a trial at
+    all its SNRs when a quantization faults or zero-forcing refuses its stack.
+    Returns ``(rate_fb, dropped)``, each ``(len(cells), len(trials))``; a
+    dropped trial carries a zero rate.
     """
-    m, users, seed, count = config.m, config.users, config.seed, len(trials)
+    m, seed, count = config.m, config.seed, len(trials)
     first_block = trials.start // _BLOCK
-    n_rx = list(dict.fromkeys(n for n, _ in cells))
-    channel_parts = np.empty((count, users, 2, m, m))
+    channel_parts = np.empty((count, m, 2, m, m))
     for lo in range(0, count, _BLOCK):
         stream = RngStream(seed, first_block + lo // _BLOCK, 0, PURPOSE_CHANNEL)
         stream.generator().standard_normal(out=channel_parts[lo:lo + _BLOCK])
@@ -308,21 +307,23 @@ def _run_chunk(config: ExperimentConfig, bits: int, cells: list[tuple[int, float
     channels = complex_from_parts(np.moveaxis(channel_parts, 2, 0))
     del channel_parts  # the real normals; only the complex channels are used
     # QR of a column prefix is the prefix of the QR: one factorization serves every N
-    q, r = np.linalg.qr(channels[..., :max(n_rx)])
+    q, r = np.linalg.qr(channels[..., :max(n for n, *_ in cells)])
     records = {}
-    for n, picks in zip(n_rx, score(first_block, q, n_rx)):
-        # contiguous prefixes, so that each N is oriented as a chunk of that N alone is
-        fb, fault = _orient(channels[..., :n], np.ascontiguousarray(q[..., :n]),
-                            np.ascontiguousarray(r[..., :n, :n]), *picks)
-        # user stacks as (M, M) matrices with one column per user
-        beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
-        dropped = (fault != 0).any(axis=-1) | refused(cond, residual)
-        own = [snr_db for k, snr_db in cells if k == n]
-        sinrs = sinr_stack(np.swapaxes(fb.h_eff, -1, -2), beams,
-                           np.array([_power(s) for s in own]))
-        sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
-        for snr_db, rate_fb in zip(own, sum_rate(sinrs)):
-            records[n, snr_db] = rate_fb, dropped
+    for bits, score in scores.items():
+        n_rx = list(dict.fromkeys(n for n, _, b in cells if b == bits))
+        for n, picks in zip(n_rx, score(first_block, q[..., :max(n_rx)], n_rx)):
+            # contiguous prefixes, so that each N is oriented as a chunk of that N alone is
+            fb, fault = _orient(channels[..., :n], np.ascontiguousarray(q[..., :n]),
+                                np.ascontiguousarray(r[..., :n, :n]), *picks)
+            # user stacks as (M, M) matrices with one column per user
+            beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
+            dropped = (fault != 0).any(axis=-1) | refused(cond, residual)
+            own = [snr_db for k, snr_db, b in cells if (k, b) == (n, bits)]
+            sinrs = sinr_stack(np.swapaxes(fb.h_eff, -1, -2), beams,
+                               np.array([_power(s) for s in own]))
+            sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
+            for snr_db, rate_fb in zip(own, sum_rate(sinrs)):
+                records[n, snr_db, bits] = rate_fb, dropped
     return tuple(np.stack(column) for column in zip(*(records[cell] for cell in cells)))
 
 
@@ -344,28 +345,28 @@ def _aggregate(m: int, n_rx: int, snr_db: float, bits: int,
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full grid: a point for each N of n_rx, for each SNR.
 
-    Every point's bits are resolved before any trial runs; points of equal
-    bits share one pass over chunks.  Results are deterministic in (config,
-    seed): the worker count only changes wall-clock time.  Dropped trials (a
-    degenerate channel, a codeword orthogonal to the span, a combiner that
-    fails its norm identity, or a refused direction stack) are
-    excluded from the averages and counted per grid point, with a warning if
-    they exceed one percent.
+    Every point's bits are resolved before any trial runs; points whose bits
+    have equal chunk plans (``_plan``; every per_block point) share one pass
+    over chunks.  Results are deterministic in (config, seed): the worker count
+    only changes wall-clock time.  Dropped trials (a degenerate channel, a
+    codeword orthogonal to the span, a combiner that fails its norm identity,
+    or a refused direction stack) are excluded from the averages and counted
+    per grid point, with a warning if they exceed one percent.
     """
     grid = [(n, snr_db, config.bits_rule.resolve(config.m, n, snr_db))
             for n in config.n_rx for snr_db in config.snr_db_grid]
+    passes = {}  # chunk plan -> the cells it runs
+    for cell in grid:
+        passes.setdefault(_plan(config, cell[-1]), []).append(cell)
     records = {}
-    for bits in dict.fromkeys(bits for *_, bits in grid):
-        cells = list(dict.fromkeys((n, snr_db) for n, snr_db, b in grid if b == bits))
+    for (chunks, workers), cells in passes.items():
+        scores = {bits: CODEBOOK_POLICIES[config.codebook_policy](config, bits)
+                  for bits in dict.fromkeys(b for *_, b in cells)}
         # chunks are whole stream blocks and workers take whole chunks, so
         # neither the chunk size nor the worker count changes any rate or order
-        chunks, workers = _plan(config, bits)
-        run = partial(_run_chunk, config, bits, cells,
-                      score=CODEBOOK_POLICIES[config.codebook_policy](config, bits))
-        parts = ordered_map(run, chunks, workers)
+        parts = ordered_map(partial(_run_chunk, config, cells, scores=scores), chunks, workers)
         columns = (np.concatenate(column, axis=-1) for column in zip(*parts))
         records.update(zip(cells, zip(*columns)))  # cell -> (rate_fb, dropped)
     warnings: list = []
-    points = [_aggregate(config.m, n, snr_db, bits, records[n, snr_db], warnings)
-              for n, snr_db, bits in grid]
+    points = [_aggregate(config.m, *cell, records[cell], warnings) for cell in grid]
     return ExperimentResult(config=config, points=points, warnings=warnings)

@@ -3,10 +3,11 @@
 Equal (config, seed) must give byte-identical outputs, and a change that
 alters a random stream must say so by bumping the stream version
 (``experiment.STREAM_VERSION`` or ``validate.STREAM_VERSION``).  These digests
-catch a silent drift: the three sweep shapes are the benchmark's
+catch a silent drift: three sweep shapes are the benchmark's
 ``sweep_fixed_b2`` and ``sweep_block_b10`` and README's ``sweep.cfg``, with
-their trials cut, and the validation runs are a small ``validate`` config,
-plain and under ``--wrong-reference`` (whose failing suite exits 2).
+their trials cut; two are ``gap_target`` sweeps that spend several bit counts,
+under either codebook policy; and the validation runs are a small ``validate``
+config, plain and under ``--wrong-reference`` (whose failing suite exits 2).
 
 Floating-point results depend on numpy's own routines, so the digests hold
 for the numpy version they were recorded with; on any other the test skips.
@@ -46,6 +47,12 @@ RUNS = {
                                     "snr_db = 10\ntrials = 70\nseed = 1\n"),
     "readme_sweep": Run("sweep", "m = 4\nn_rx = 1, 2\nsnr_db = 0, 5, 10\nbits = 4\n"
                                  "trials = 500\nseed = 31\ncodebook_policy = per_block\n"),
+    # B = 1, 3, 6, 9, 12, 19 in one pass; B = 1, 4, 5, 7, 10 in a pass per chunk plan
+    "gap_target_block": Run("sweep", "m = 4\nn_rx = 1, 2, 3\nsnr_db = 0, 10, 20\n"
+                                     "gap_target = 1.25\ncodebook_policy = per_block\n"
+                                     "trials = 130\nseed = 7\n"),
+    "gap_target_fixed": Run("sweep", "m = 4\nn_rx = 1, 2\nsnr_db = 0, 5, 10\ngap_target = 1.0\n"
+                                     "codebook_policy = fixed\ntrials = 130\nseed = 7\n"),
     "validate": Run("validate", VALIDATE_CONFIG),
     "validate_wrong_reference": Run("validate", VALIDATE_CONFIG, ("--wrong-reference",), 2),
 }
@@ -55,6 +62,8 @@ OUTPUTS = {"sweep": ("sweep.csv", "manifest.json"), "validate": ("validation.jso
 # by Newton steps instead of bisection: both per_block manifests changed in the
 # last digits of their rates (their CSVs, printed to 10 digits, are v6's byte for
 # byte), and sweep_fixed_b2's manifest changed only in its stream_version.
+# The gap_target runs were recorded at v7 while a sweep still ran one pass per
+# bit count, so they pin that one pass per chunk plan gives the same bytes.
 DIGESTS = {
     "sweep_fixed_b2": {
         "sweep.csv": "36b3ea48a1666ec388ed598856fafe754c7d47bed69dafd1ab7412ccd962be7c",
@@ -67,6 +76,14 @@ DIGESTS = {
     "readme_sweep": {
         "sweep.csv": "c1731e8e6d1efc48473fc012f947fce2f423e73ae6cb29e96a1173a69dea9379",
         "manifest.json": "a4faf0787a44153b325adc63bec5d0e9b942f4668223df3308a89ed3f26456e8",
+    },
+    "gap_target_block": {
+        "sweep.csv": "84c8cad2f5773a3256fe1865f1398ca0ee952b5d87153a4312844c7e02f9cb74",
+        "manifest.json": "da96b211def31bd1e2f5d955550efb6f6dc2db14f0ce6e2169383b5deb52ec60",
+    },
+    "gap_target_fixed": {
+        "sweep.csv": "712668e15f86ee6824514958706e95d5a0dfec39f48b1e0e27f07e273cc82f25",
+        "manifest.json": "4a2a035243de44d282df0c10d39c39259b649af18bef4e624faaca4268fa1a26",
     },
     "validate": {
         "validation.json": "c14bd6debf5ebafee105a878a2eb52dab105cef9d05fdd3ef7364b14a6ee5db1",

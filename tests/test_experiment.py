@@ -51,7 +51,7 @@ def block_channels(config, block, trials):
     """Complex channels (trials, users, M, N) of a stream block's first trials at the
     config's one N: the first N columns of the block's (M, M) channel draw."""
     [n], m = config.n_rx, config.m
-    parts = block_draw(config.seed, block, PURPOSE_CHANNEL, (trials, config.users, 2, m, m))
+    parts = block_draw(config.seed, block, PURPOSE_CHANNEL, (trials, config.m, 2, m, m))
     return np.ascontiguousarray(complex_from_parts(np.moveaxis(parts, 2, 0))[..., :n])
 
 
@@ -59,8 +59,8 @@ def law_draws(config, block, trials):
     """Stream block ``block``'s law draws for its first ``trials`` trials: u = 1 - random((64,
     users)), then g and w, each standard normals (2, 64, users, M), drawn in full and cut."""
     gen = RngStream(config.seed, block, 0, PURPOSE_LAW).generator()
-    shape = (2, experiment._BLOCK, config.users, config.m)
-    u = 1.0 - gen.random((experiment._BLOCK, config.users))
+    shape = (2, experiment._BLOCK, config.m, config.m)
+    u = 1.0 - gen.random((experiment._BLOCK, config.m))
     g, w = gen.standard_normal(shape), gen.standard_normal(shape)
     return u[:trials], g[:, :trials], w[:, :trials]
 
@@ -81,8 +81,8 @@ def trial_record(config, snr_db, bits, t, score=None):
     of its block's prefix (scored by the config's policy unless ``score`` is given)."""
     block_start = t // experiment._BLOCK * experiment._BLOCK
     [n] = config.n_rx
-    columns = _run_chunk(config, bits, [(n, snr_db)], range(block_start, t + 1),
-                         score or policy_score(config, bits))
+    columns = _run_chunk(config, [(n, snr_db, bits)], range(block_start, t + 1),
+                         {bits: score or policy_score(config, bits)})
     return tuple(column[0, -1] for column in columns)
 
 
@@ -120,6 +120,14 @@ def test_bits_rule_scaling_guards():
     # target below the (4,3) asymptotic floor has no finite budget at all
     with pytest.raises(InfeasibleTargetError):
         BitsRule.scaling(1.0).resolve(4, 3, 10.0)
+
+
+def test_bits_rule_sets_exactly_one_of_bits_and_target_gap():
+    # a stray field would be ignored by resolve, yet recorded in the manifest's config
+    for kind, bits, gap in (("scaling", 5, 1.0), ("fixed", 3, 1.0), ("fixed", None, None),
+                            ("scaling", None, None)):
+        with pytest.raises(ValueError, match="exactly one"):
+            BitsRule(kind=kind, bits=bits, target_gap=gap)
 
 
 # ---------------------------------------------------------- ExperimentConfig
@@ -191,10 +199,6 @@ def test_bits_rule_fixed_rejects_non_integer_bits():
     assert BitsRule.fixed(np.int64(3)).resolve(4, 2, 10.0) == 3
 
 
-def test_config_users_equals_transmit_antennas():
-    assert small_config(m=4, n_rx=(2,)).users == 4
-
-
 # ---------------------------------------------------------------- _run_chunk
 
 
@@ -248,7 +252,7 @@ def test_run_chunk_returns_rate_and_drop_arrays():
     # every trial, as float64 rates and a bool drop mask
     config = small_config(seed=1234)
     trials = range(0, 5)
-    rate_fb, dropped = _run_chunk(config, 1, [(1, 10.0)], trials, orthogonal_codebooks(config))
+    rate_fb, dropped = _run_chunk(config, [(1, 10.0, 1)], trials, {1: orthogonal_codebooks(config)})
     assert [rate_fb.shape, dropped.shape] == [(1, len(trials))] * 2
     assert (rate_fb.dtype, dropped.dtype) == (np.float64, np.bool_)
     assert dropped[0, 0]
@@ -270,8 +274,8 @@ def test_refused_feedback_stack_drops_its_trial_at_every_snr(monkeypatch):
     zero_force = experiment.zero_force
     monkeypatch.setattr(experiment, "zero_force", refusing)
     config = small_config(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0), seed=1234)
-    cells = [(1, 0.0), (1, 10.0), (2, 0.0), (2, 10.0)]
-    rate_fb, dropped = _run_chunk(config, 2, cells, range(5), policy_score(config, 2))
+    cells = [(1, 0.0, 2), (1, 10.0, 2), (2, 0.0, 2), (2, 10.0, 2)]
+    rate_fb, dropped = _run_chunk(config, cells, range(5), {2: policy_score(config, 2)})
     assert dropped.tolist() == [[False, True, False, False, False]] * 2 + [[False] * 5] * 2
     assert (rate_fb[:2, 1] == 0.0).all()
     assert (rate_fb[:2, [0, 2, 3, 4]] > 0.0).all() and (rate_fb[2:] > 0.0).all()
@@ -308,7 +312,7 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
     monkeypatch.setattr(experiment, "_select", spy_select)
     monkeypatch.setattr(experiment, "_orient", spy_orient)
     trials = range(64, 134)
-    records = _run_chunk(config, 3, [(2, 10.0)], trials, policy_score(config, 3))
+    records = _run_chunk(config, [(2, 10.0, 3)], trials, {3: policy_score(config, 3)})
     monkeypatch.undo()
 
     channels = np.concatenate([block_channels(config, 1, 64), block_channels(config, 2, 6)])
@@ -335,7 +339,7 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
         np.testing.assert_allclose(q_hat, expected, rtol=0, atol=1e-14)
     else:
         [books] = seen["books"]
-        for u in range(config.users):
+        for u in range(config.m):
             book = generate_codebook(RngStream(seed, 0, u, PURPOSE_FIXED_CODEBOOK), 3, 3)
             assert books[u].tobytes() == book.tobytes()
     singles = [trial_record(config, 10.0, 3, t) for t in trials]
@@ -358,8 +362,8 @@ def test_each_n_quantizes_its_own_block_channel_draw(monkeypatch):
     config = ExperimentConfig(m=4, n_rx=(2, 1, 3), snr_db_grid=(10.0,),
                               bits_rule=BitsRule.fixed(2), trials=200, seed=11,
                               codebook_policy="fixed")
-    _run_chunk(config, 2, [(2, 10.0), (1, 10.0), (3, 10.0)], range(64, 134),
-               policy_score(config, 2))
+    _run_chunk(config, [(2, 10.0, 2), (1, 10.0, 2), (3, 10.0, 2)], range(64, 134),
+               {2: policy_score(config, 2)})
     parts = np.concatenate([block_draw(config.seed, b, PURPOSE_CHANNEL, (k, 4, 2, 4, 4))
                             for b, k in ((1, 64), (2, 6))])
     full = complex_from_parts(np.moveaxis(parts, 2, 0))  # (70, users, M, M)
@@ -496,7 +500,7 @@ def test_fixed_codebooks_policy():
     # stream, and scores every chunk against it; per-block picks are fresh each block
     fixed = small_config(codebook_policy="fixed")
     books = [generate_codebook(RngStream(fixed.seed, 0, u, PURPOSE_FIXED_CODEBOOK), 2, fixed.m)
-             for u in range(fixed.users)]
+             for u in range(fixed.m)]
     # per-user books differ from each other
     assert not np.array_equal(books[0], books[1])
     q = np.linalg.qr(block_channels(fixed, 0, 5))[0]
@@ -572,7 +576,8 @@ def test_aggregate_all_dropped_yields_nan_row():
 def test_run_experiment_matches_manual_loop():
     config = small_config(trials=50, snr_db_grid=(5.0,))
     result = run_experiment(config)
-    [rate_fb], [dropped] = _run_chunk(config, 2, [(1, 5.0)], range(50), policy_score(config, 2))
+    [rate_fb], [dropped] = _run_chunk(config, [(1, 5.0, 2)], range(50),
+                                      {2: policy_score(config, 2)})
     fb_mean, fb_ci = mean_ci(rate_fb[~dropped])
     point = result.points[0]
     assert point.rate_fb_mean == fb_mean and point.rate_fb_ci == fb_ci
@@ -649,6 +654,24 @@ def test_run_experiment_does_not_depend_on_chunk_bytes(monkeypatch, policy):
             assert run_experiment(config).points == points
 
 
+def assert_chunk_bytes_count_traced_peak(traced_peak, config):
+    """A chunk of the config's trials at all its cells, which must share a pass, peaks within
+    25% of ``_chunk_bytes`` of its heaviest bit count, each counted at the Ns that spend it:
+    a bit count's scorer is handed only their columns of Q, and a finished count's arrays
+    are not held while the next one is scored."""
+    cells = [(n, snr_db, config.bits_rule.resolve(config.m, n, snr_db))
+             for n in config.n_rx for snr_db in config.snr_db_grid]
+    # bits -> the Ns that spend them
+    widths = {b: tuple(dict.fromkeys(n for n, _, c in cells if c == b)) for *_, b in cells}
+    assert len({experiment._plan(config, b) for b in widths}) == 1
+    scores = {b: policy_score(config, b) for b in widths}
+    _run_chunk(config, cells, range(1), scores)  # numpy's one-time set-up
+    peak = traced_peak(_run_chunk, config, cells, range(config.trials), scores)
+    counted = max(experiment._chunk_bytes(dataclasses.replace(config, n_rx=ns), b, config.trials)
+                  for b, ns in widths.items())
+    assert 0.75 * peak <= counted <= 1.25 * peak
+
+
 @pytest.mark.parametrize("policy, m, n_rx, bits, trials", [
     ("per_block", 8, (2,), 10, 64),  # sweep_block_b10's chunk
     ("fixed", 4, (1, 2, 3), 2, 200),  # sweep_fixed_b2's one chunk, scored at once
@@ -656,12 +679,22 @@ def test_run_experiment_does_not_depend_on_chunk_bytes(monkeypatch, policy):
     ("per_block", 4, (1, 2), 4, 192),  # README sweep.cfg's chunk
 ])
 def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, bits, trials):
-    config = ExperimentConfig(m=m, n_rx=n_rx, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(bits),
-                              trials=trials, seed=1, codebook_policy=policy)
-    cells, score = [(n, 10.0) for n in n_rx], policy_score(config, bits)
-    _run_chunk(config, bits, cells, range(1), score)  # numpy's one-time set-up
-    peak = traced_peak(_run_chunk, config, bits, cells, range(trials), score)
-    assert 0.75 * peak <= experiment._chunk_bytes(config, bits, trials) <= 1.25 * peak
+    assert_chunk_bytes_count_traced_peak(traced_peak, ExperimentConfig(
+        m=m, n_rx=n_rx, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(bits), trials=trials,
+        seed=1, codebook_policy=policy))
+
+
+@pytest.mark.parametrize("policy, m, n_rx, snr_db_grid, target_gap, trials", [
+    ("per_block", 4, (1, 2, 3), (0.0, 10.0, 20.0), 1.25, 128),  # B = 1, 3, 6, 9, 12, 19
+    ("per_block", 8, (1, 2, 3, 4), (0.0, 10.0), 2.0, 64),  # B = 1, 4, 6, 9, 13
+    # B = 1, 4, 5, 7, 10, scanned in turn; B = 10 at N = 1 alone, so at one column of Q
+    ("fixed", 4, (1, 2), (0.0, 5.0, 10.0), 1.0, 64),
+])
+def test_chunk_bytes_counts_a_multi_bit_chunks_traced_peak(traced_peak, policy, m, n_rx,
+                                                           snr_db_grid, target_gap, trials):
+    assert_chunk_bytes_count_traced_peak(traced_peak, ExperimentConfig(
+        m=m, n_rx=n_rx, snr_db_grid=snr_db_grid, bits_rule=BitsRule.scaling(target_gap),
+        trials=trials, seed=1, codebook_policy=policy))
 
 
 def test_chunk_holds_no_real_normals_once_scoring_starts():
@@ -670,24 +703,24 @@ def test_chunk_holds_no_real_normals_once_scoring_starts():
     m, n_rx, bits, trials = 8, tuple(range(1, 9)), 1, 64
     config = ExperimentConfig(m=m, n_rx=n_rx, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(bits),
                               trials=trials, seed=1, codebook_policy="per_block")
-    cells, held = [(n, 10.0) for n in n_rx], []
+    cells, held = [(n, 10.0, bits) for n in n_rx], []
 
     def spy_score(*args):
         held.append(tracemalloc.get_traced_memory()[0])
         return score(*args)
 
     score = policy_score(config, bits)
-    _run_chunk(config, bits, cells, range(1), score)  # numpy's one-time set-up
+    _run_chunk(config, cells, range(1), {bits: score})  # numpy's one-time set-up
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _run_chunk(config, bits, cells, range(trials), spy_score)
+        _run_chunk(config, cells, range(trials), {bits: spy_score})
     finally:
         tracemalloc.stop()
     # a trial and user holds its complex (M, M) channel and the QR factors of
     # the largest N when the scorer is called
     top = max(n_rx)
-    count = trials * config.users * 16 * (m * m + m * top + top * top)
+    count = trials * config.m * 16 * (m * m + m * top + top * top)
     assert 0.9 * count <= held[0] - start <= 1.1 * count
 
 
@@ -697,10 +730,10 @@ def test_records_of_fewer_trials_are_a_prefix(policy):
     config = ExperimentConfig(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0),
                               bits_rule=BitsRule.fixed(3), trials=130, seed=8,
                               codebook_policy=policy)
-    cells, score = [(1, 10.0), (2, 0.0), (2, 10.0)], policy_score(config, 3)
-    assert_same_records(_run_chunk(config, 3, cells, range(70), score),
+    cells, scores = [(1, 10.0, 3), (2, 0.0, 3), (2, 10.0, 3)], {3: policy_score(config, 3)}
+    assert_same_records(_run_chunk(config, cells, range(70), scores),
                         [column[:, :70] for column in
-                         _run_chunk(config, 3, cells, range(130), score)])
+                         _run_chunk(config, cells, range(130), scores)])
 
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
@@ -708,9 +741,9 @@ def test_records_of_fewer_trials_are_a_prefix(policy):
 def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
     chunks = []
 
-    def spy_chunk(config, bits, cells, trials, score):
+    def spy_chunk(config, cells, trials, scores):
         chunks.append(trials)
-        return _run_chunk(config, bits, cells, trials, score)
+        return _run_chunk(config, cells, trials, scores)
 
     monkeypatch.setattr(experiment, "_run_chunk", spy_chunk)
     # the budgets that size fixed and per-block chunks
@@ -807,7 +840,7 @@ def test_grid_equals_its_cells_when_trials_drop(monkeypatch):
     # direction and zero-forcing refuses the stack, at every (N, SNR)
     book = np.vstack([np.eye(3), np.ones((1, 3)) / np.sqrt(3)]).astype(complex)
     monkeypatch.setitem(experiment.CODEBOOK_POLICIES, "fixed",
-                        lambda config, bits: planted([book] * config.users))
+                        lambda config, bits: planted([book] * config.m))
     config = ExperimentConfig(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0),
                               bits_rule=BitsRule.fixed(2), trials=150, seed=43,
                               codebook_policy="fixed")
@@ -817,12 +850,9 @@ def test_grid_equals_its_cells_when_trials_drop(monkeypatch):
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, policy):
-    # one-block chunks at M = 3, B = 3 under either policy (fixed by the slice
-    # budget, per_block on 4 cores): 200 trials are chunks of 64, 64, 64 and 8
-    monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 16)
     monkeypatch.setattr(linalg, "_cores", lambda: 4)
 
-    def work(n_rx, snr_db_grid):
+    def work(config):
         seen, lock = Counter(), threading.Lock()  # chunks run on worker threads
 
         def spy(name, fn):
@@ -853,12 +883,32 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
                                  (quantize, "quantize_stack"), (quantize, "_select_drawn"),
                                  (experiment, "_law_sin_sq")):
                 patch.setattr(module, name, spy(name, getattr(module, name)))
-            run_experiment(ExperimentConfig(m=3, n_rx=n_rx, snr_db_grid=snr_db_grid,
-                                            bits_rule=BitsRule.fixed(3), trials=200, seed=3,
-                                            codebook_policy=policy))
+            run_experiment(config)
         return seen
 
-    grid, cell = work((1, 2), (0.0, 5.0, 10.0)), work((1,), (0.0,))
+    # the gap-target grid's B = 1, 4, 5, 7, 10 in one pass of two one-block chunks under
+    # per_block; under fixed, a pass for each distinct chunk plan: B = 1, 4, 5 in one
+    # 70-trial chunk, and B = 7, 10 in two one-block chunks
+    config = ExperimentConfig(codebook_policy=policy, **GRIDS["gap_target"])
+    bits = [config.bits_rule.resolve(config.m, n, snr_db)
+            for n in config.n_rx for snr_db in config.snr_db_grid]
+    plans = {experiment._plan(config, b) for b in bits}
+    chunks = sum(len(plan[0]) for plan in plans)
+    assert (len(plans), chunks) == {"per_block": (1, 2), "fixed": (2, 3)}[policy]
+    gap = work(config)
+    assert gap["chunk"] == gap["QR"] == chunks
+    assert gap["draw", PURPOSE_CHANNEL] == 2 * len(plans)  # a pass draws the 70 trials' 2 blocks
+    # each (N, B) zero-forced once a chunk of its pass; the law drawn once a chunk for each B
+    assert gap["feedback ZF"] == {"per_block": 6 * 2, "fixed": 4 + 2 * 2}[policy]
+    assert gap["random", PURPOSE_LAW] == 5 * 2 * (policy == "per_block")
+
+    # one-block chunks at M = 3, B = 3 under either policy (fixed by the slice
+    # budget, per_block on 4 cores): 200 trials are chunks of 64, 64, 64 and 8
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 16)
+    grid, cell = (work(ExperimentConfig(m=3, n_rx=n_rx, snr_db_grid=snr_db_grid,
+                                        bits_rule=BitsRule.fixed(3), trials=200, seed=3,
+                                        codebook_policy=policy))
+                  for n_rx, snr_db_grid in (((1, 2), (0.0, 5.0, 10.0)), ((1,), (0.0,))))
     assert grid["chunk"] == cell["chunk"] == 4
     # the law's u, g and w drawn once a block for every N, the fixed codebooks
     # once a run, and no per-block codebook

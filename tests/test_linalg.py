@@ -174,7 +174,7 @@ def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pool
     fixed_b2 = ExperimentConfig(m=4, n_rx=(1, 2, 3), snr_db_grid=(10.0,),
                                 bits_rule=BitsRule.fixed(2), trials=200, seed=1,
                                 codebook_policy="fixed")
-    assert experiment._plan(fixed_b2, 2) == ([range(200)], 1)
+    assert experiment._plan(fixed_b2, 2) == ((range(200),), 1)
     monkeypatch.setattr(linalg, "_cores", lambda: 64)
     # a fixed chunk at M = 8, B = 10 scores its 64-trial block at once, and
     # its overlap and metric (about 37 MiB) allow one worker however many
