@@ -7,9 +7,10 @@ reported directions, and evaluate the true SINRs.  The benchmark, the ergodic
 perfect-CSIT zero-forcing sum rate, is exact (``formulas.zf_rate_mean``), not
 simulated, so the reported gap carries the feedback rate's Monte Carlo noise alone.
 
-A sweep's whole (N, SNR) grid runs in one pass over chunks per chunk plan
-(``_plan``; a per_block plan never depends on B).  No stream id carries N, SNR
-or B, so a chunk draws an M x M channel per trial and user once for its cells.
+A sweep's whole (N, SNR) grid, whatever bits its cells spend, runs in one pass
+over chunks (``_plan``) on the threads of ``linalg.worker_count``, as validation's
+sample blocks do, joined in chunk order.  No stream id carries N, SNR or B, so
+a chunk draws an M x M channel per trial and user once for its cells.
 An N's channel is the first N columns of it, so the receive antennas nest: N + 1
 antennas are the same mobile's N antennas and one more.  The chunk QR-factors
 the largest N once (a smaller N's factors are prefixes of it), takes each bit
@@ -24,9 +25,6 @@ standard_normal((2, 64, users, M)) run (``PURPOSE_LAW``); a block cut short
 still draws in full.  A normal takes a variable number of random words, so the
 block, not the trial, is the unit of replay; chunks are whole blocks, so no draw depends on
 the chunk size or the worker count.  Version 7 inverts the law by Newton steps (``_law_sin_sq``).
-
-A pass's chunks run on the threads of ``linalg.worker_count``, as
-validation's sample blocks do, and are joined in chunk order.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from numbers import Real
 
 import numpy as np
 
+from . import linalg
 from .formulas import ScalingInputs, bits_required, zf_rate_mean
 from .linalg import (
     PURPOSE_CHANNEL,
@@ -47,12 +46,11 @@ from .linalg import (
     complex_from_parts,
     is_stream_id,
     ordered_map,
-    share_items,
     slice_items,
     worker_count,
 )
 from .precoding import refused, sinr_stack, sum_rate, zero_force
-from .quantize import (MAX_CODEBOOK_BITS, _orient, _scan_bytes, _select,
+from .quantize import (MAX_CODEBOOK_BITS, _orient, _scan_bytes, _select_slices,
                        check_bits, generate_codebook)
 from .stats import _beta_coefs, mean_ci
 
@@ -60,6 +58,8 @@ from .stats import _beta_coefs, mean_ci
 # per stream block, the contract's unit of replay; a chunk is whole blocks (``_plan``).
 STREAM_VERSION = 7
 _BLOCK = 64
+# Fewest stream blocks in a chunk of a split sweep (``_plan``): fewer run faster unsplit.
+_SPLIT_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -181,34 +181,33 @@ class ExperimentResult:
     warnings: list
 
 
-def _chunk_bytes(config: ExperimentConfig, bits: int, trials: int) -> int:
-    """Bytes a chunk of ``trials`` trials holds at its peak, from shapes alone.
+def _chunk_bytes(config: ExperimentConfig, cells: list, trials: int) -> int:
+    """Bytes a chunk of ``trials`` trials at the (N, SNR, bits) ``cells`` holds at its peak:
+    per trial and user, its complex (M, M) channel (its normals are freed once it is formed),
+    the QR factors of the largest N and one bit count's picks, and under per_block the law's
+    draws and one width's temporaries; under fixed also the largest scan slice, a bit count's
+    at the largest N that spends it (``_score_fixed``)."""
+    m, top = config.m, max(n for n, *_ in cells)
+    widths = {b: {n for n, _, c in cells if c == b} for *_, b in cells}  # bits -> their Ns
+    held = 16 * (m * m + m * top + top * top) + max(
+        sum(16 * (3 * m + n) + 40 for n in ns) for ns in widths.values())
+    if config.codebook_policy == "per_block":
+        return m * trials * (held + 16 * m * (4 + top))
+    scans = [m * 2 ** b * _scan_bytes(m, max(ns), False) for b, ns in widths.items()]  # a trial's
+    return m * trials * held + max(min(trials, slice_items(scan)) * scan for scan in scans)
 
-    A trial and user holds its complex (M, M) channel (its normals are freed
-    once it is formed), the QR factors of the largest N and every N's picks;
-    under per_block also the law's draws and one width's temporaries, and under
-    fixed ``_scan_bytes`` a codeword for the largest N (a chunk is scored at once).
-    """
-    m, top = config.m, max(config.n_rx)
-    held = 16 * (m * m + m * top + top * top) + sum(16 * (3 * m + n) + 40 for n in config.n_rx)
-    if config.codebook_policy == "fixed":
-        return config.m * trials * (held + 2 ** bits * _scan_bytes(m, top, False))
-    return config.m * trials * (held + 16 * m * (4 + top))
 
-
-def _plan(config: ExperimentConfig, bits: int) -> tuple[tuple[range, ...], int]:
-    """The chunks of one bit count and their worker threads, hashable: equal plans share a pass.
-
-    A chunk is whole stream blocks, at least one: under fixed, as many as ``linalg.SLICE_BYTES``
-    holds trials of as if they held per-block codebooks; under per_block, a core's even share
-    (``linalg.share_items``), whatever the bits.  Workers are capped by the bytes a chunk holds.
-    """
-    fixed = config.codebook_policy == "fixed"
-    blocks = (max(1, slice_items(config.m * 2 ** bits * config.m * 16) // _BLOCK) if fixed
-              else share_items(-(-config.trials // _BLOCK), _chunk_bytes(config, bits, _BLOCK)))
-    size = blocks * _BLOCK
+def _plan(config: ExperimentConfig, cells: list) -> tuple[tuple[range, ...], int]:
+    """The chunks of a sweep's one pass over its (N, SNR, bits) ``cells``, and their workers:
+    whole stream blocks, split evenly over min(cores, blocks // _SPLIT_BLOCKS) chunks, at least
+    one, each capped so that a chunk a core holds at most IN_FLIGHT_BYTES in all.  Workers are
+    capped by the bytes a chunk holds (``linalg.worker_count``)."""
+    blocks, cores = -(-config.trials // _BLOCK), linalg._cores()
+    share = -(-blocks // max(1, min(cores, blocks // _SPLIT_BLOCKS)))
+    cap = linalg.IN_FLIGHT_BYTES // (cores * _chunk_bytes(config, cells, _BLOCK))
+    size = max(1, min(share, cap)) * _BLOCK
     chunks = tuple(range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size))
-    return chunks, worker_count(len(chunks), _chunk_bytes(config, bits, len(chunks[0])))
+    return chunks, worker_count(len(chunks), _chunk_bytes(config, cells, len(chunks[0])))
 
 
 def _law_sin_sq(u: np.ndarray, m: int, n: int, bits: int) -> np.ndarray:
@@ -268,11 +267,19 @@ def _score_per_block(config: ExperimentConfig, bits: int):
 
 
 def _score_fixed(config: ExperimentConfig, bits: int):
-    """Fixed scorer: every user's codebook (users, 2^B, M) is drawn once, and
-    every chunk's trials are scored against them (``_select``)."""
+    """Fixed scorer: every user's codebook (users, 2^B, M) is drawn once, and a chunk's
+    trials are scored against them in slices whose scans fit SLICE_BYTES (``_select_slices``)."""
     books = np.stack([generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK),
                                         bits, config.m) for u in range(config.m)])
-    return lambda first_block, q, widths: _select(q, books, widths)
+
+    def score(first_block: int, q: np.ndarray, widths: list) -> list:
+        count, users, m, top = q.shape
+        picks = [(np.empty((count, users), np.intp), np.empty((count, users, m), complex),
+                  np.empty((count, users))) for _ in widths]
+        step = slice_items(users * 2 ** bits * _scan_bytes(m, top, False))
+        _select_slices(q, lambda take: books, widths, step, picks)
+        return picks
+    return score
 
 
 # Codebook policy -> scorer.  scorer(config, bits) does a bit count's set-up and returns
@@ -286,16 +293,14 @@ def _run_chunk(config: ExperimentConfig, cells: list[tuple[int, float, int]], tr
                scores: dict) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the fading blocks ``trials`` at every (N, SNR, bits) cell of ``cells``.
 
-    ``trials`` starts at a stream block's first trial; a block the range ends
-    inside draws a prefix of its stream.  A block draws its M x M channels from
-    one stream; an N's channels are their first N columns.  The largest N is
-    QR-factored once, and each bit count of ``cells`` picks for its Ns by one
-    call of its ``scores[bits]`` (a ``CODEBOOK_POLICIES`` scorer's) on the columns
-    of Q its largest N spans, as a pass of that count alone would; each
-    (N, bits) is oriented on its prefixes of the factors, and drops a trial at
-    all its SNRs when a quantization faults or zero-forcing refuses its stack.
-    Returns ``(rate_fb, dropped)``, each ``(len(cells), len(trials))``; a
-    dropped trial carries a zero rate.
+    ``trials`` starts at a stream block's first trial; a block the range ends inside draws a
+    prefix of its stream.  A block draws its M x M channels from one stream; an N's channels
+    are their first N columns.  The largest N is QR-factored once, and each bit count of
+    ``cells`` picks for its Ns by one call of its ``scores[bits]`` (a ``CODEBOOK_POLICIES``
+    scorer's) on the columns of Q its largest N spans; each (N, bits) is oriented on its
+    prefixes of the factors, and drops a trial at all its SNRs when a quantization faults or
+    zero-forcing refuses its stack.  Returns ``(rate_fb, dropped)``, each ``(len(cells),
+    len(trials))``; a dropped trial carries a zero rate.
     """
     m, seed, count = config.m, config.seed, len(trials)
     first_block = trials.start // _BLOCK
@@ -345,28 +350,23 @@ def _aggregate(m: int, n_rx: int, snr_db: float, bits: int,
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full grid: a point for each N of n_rx, for each SNR.
 
-    Every point's bits are resolved before any trial runs; points whose bits
-    have equal chunk plans (``_plan``; every per_block point) share one pass
-    over chunks.  Results are deterministic in (config, seed): the worker count
-    only changes wall-clock time.  Dropped trials (a degenerate channel, a
-    codeword orthogonal to the span, a combiner that fails its norm identity,
-    or a refused direction stack) are excluded from the averages and counted
-    per grid point, with a warning if they exceed one percent.
+    Every point's bits are resolved before any trial runs, and every point shares one
+    pass over the chunks of ``_plan``.  Results are deterministic in (config, seed): the
+    worker count only changes wall-clock time.  Dropped trials (a degenerate channel, a
+    codeword orthogonal to the span, a combiner that fails its norm identity, or a refused
+    direction stack) are excluded from the averages and counted per grid point, with a
+    warning if they exceed one percent.
     """
     grid = [(n, snr_db, config.bits_rule.resolve(config.m, n, snr_db))
             for n in config.n_rx for snr_db in config.snr_db_grid]
-    passes = {}  # chunk plan -> the cells it runs
-    for cell in grid:
-        passes.setdefault(_plan(config, cell[-1]), []).append(cell)
-    records = {}
-    for (chunks, workers), cells in passes.items():
-        scores = {bits: CODEBOOK_POLICIES[config.codebook_policy](config, bits)
-                  for bits in dict.fromkeys(b for *_, b in cells)}
-        # chunks are whole stream blocks and workers take whole chunks, so
-        # neither the chunk size nor the worker count changes any rate or order
-        parts = ordered_map(partial(_run_chunk, config, cells, scores=scores), chunks, workers)
-        columns = (np.concatenate(column, axis=-1) for column in zip(*parts))
-        records.update(zip(cells, zip(*columns)))  # cell -> (rate_fb, dropped)
+    chunks, workers = _plan(config, grid)
+    scores = {bits: CODEBOOK_POLICIES[config.codebook_policy](config, bits)
+              for bits in dict.fromkeys(b for *_, b in grid)}
+    # chunks are whole stream blocks and workers take whole chunks, so
+    # neither the chunk size nor the worker count changes any rate or order
+    parts = ordered_map(partial(_run_chunk, config, grid, scores=scores), chunks, workers)
+    columns = (np.concatenate(column, axis=-1) for column in zip(*parts))
     warnings: list = []
-    points = [_aggregate(config.m, *cell, records[cell], warnings) for cell in grid]
+    points = [_aggregate(config.m, *cell, records, warnings)
+              for cell, records in zip(grid, zip(*columns))]  # records: (rate_fb, dropped)
     return ExperimentResult(config=config, points=points, warnings=warnings)

@@ -8,8 +8,7 @@ zero-forcing inverse is ``precoding.zero_force``.
 The sweep's chunks and validation's sample blocks run on one thread per core
 the process may run on (the normal sampler, the BLAS products, ``einsum`` and
 ``np.linalg`` release the GIL), through ``worker_count`` and ``ordered_map``,
-and validation scores its drawn codebooks in slices of ``SLICE_BYTES``
-(``quantize._select_drawn``), which also sizes ``fixed`` sweep chunks.
+and codebooks are scanned in slices of ``SLICE_BYTES`` (``quantize._select_slices``).
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ PURPOSE_LAW = 6
 
 # Cap on the bytes all workers' items hold at once (2^22 complex normals).
 IN_FLIGHT_BYTES = 2 ** 26
-# Bytes of drawn codebook normals one ``quantize._select`` call scores in a
-# validation block (64 samples' at M = 4, B = 8), and the trials a fixed sweep chunk holds.
+# Bytes of codebook one ``quantize._select`` call scans, or one entry's if more: a validation
+# slice's drawn normals (64 samples' at M = 4, B = 8), or a fixed sweep slice's overlap and metric.
 SLICE_BYTES = 2 ** 20
 
 
@@ -108,11 +107,6 @@ def worker_count(items: int, item_bytes: int) -> int:
     IN_FLIGHT_BYTES, or one item when an item is larger.
     """
     return min(_cores(), items, max(1, IN_FLIGHT_BYTES // item_bytes))
-
-
-def share_items(items: int, item_bytes: int) -> int:
-    """A core's even share of ``items`` items (at least one), capped to IN_FLIGHT_BYTES / cores."""
-    return max(1, min(-(-items // _cores()), IN_FLIGHT_BYTES // (_cores() * item_bytes)))
 
 
 def slice_items(item_bytes: int) -> int:

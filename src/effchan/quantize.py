@@ -5,8 +5,9 @@ stages: ``_select`` picks the codebook vector closest to each span, and
 ``_orient`` reports its projection onto the span as the direction and computes
 a receive combining vector whose scalar effective channel points exactly along
 that in-span shadow.  Single-vector quantization and per-antenna selection are
-the same kernel run on one-column channels.  ``_select_drawn`` runs ``_select``
-on random codebooks as it draws them, for validation.
+the same kernel run on one-column channels.  ``_select_slices`` runs ``_select``
+on a stack a slice at a time; ``_select_drawn`` so scores random codebooks as it
+draws them, for validation.
 
 ``_select`` scores one Q for several widths at once: a width n quantizes the
 span of Q's first n columns, which is the span of H's first n columns when
@@ -153,23 +154,27 @@ def _select(q: np.ndarray, books, widths) -> list:
     return picks
 
 
+def _select_slices(q: np.ndarray, books, widths, step: int, picks: list) -> None:
+    """_select on ``step``-entry slices of the stack ``q`` in turn, each scored against
+    ``books(its entry count)`` into the ``picks`` (index, q_hat, cos_sq) arrays of every width;
+    a slice's books and scan are freed before the next is scored."""
+    for lo in range(0, len(q), step):
+        part = slice(lo, lo + step)
+        for (index, q_hat, cos_sq), pick in zip(picks, _select(q[part], books(len(q[part])),
+                                                               widths)):
+            index[part], q_hat[part], cos_sq[part] = pick
+
+
 def _select_drawn(gen: np.random.Generator, q: np.ndarray, bits: int, widths,
                   picks: list) -> None:
-    """_select on a random codebook per entry of the (k, *lead, M, N) stack ``q``.
+    """_select on a random codebook per entry of the (k, *lead, M, N) stack ``q``: a (2, 2^B, M)
+    run of ``gen``'s normals, in entry order, as generate_codebook draws it, drawn a
+    SLICE_BYTES slice of k at a time."""
+    _, *lead, m, _ = q.shape
 
-    Each entry's codebook is a (2, 2^B, M) run of ``gen``'s normals, in entry
-    order, as generate_codebook draws it.  A SLICE_BYTES slice of k is drawn,
-    scored for every width into its ``picks`` (index, q_hat, cos_sq) arrays,
-    and dropped before the next.
-    """
-    k, *lead, m, _ = q.shape
-    step = slice_items(int(np.prod(lead)) * 2 ** bits * m * 16)
-    for lo in range(0, k, step):
-        normals = gen.standard_normal((min(step, k - lo), *lead, 2, 2 ** bits, m))
-        books, part = (normals[..., 0, :, :], normals[..., 1, :, :]), slice(lo, lo + len(normals))
-        for (index, q_hat, cos_sq), pick in zip(picks, _select(q[part], books, widths)):
-            index[part], q_hat[part], cos_sq[part] = pick
-        del normals, books  # a chunk or block holds one slice at a time
+    def books(take):  # (re, im): views of a slice's (take, *lead, 2, 2^B, M) normals
+        return tuple(np.moveaxis(gen.standard_normal((take, *lead, 2, 2 ** bits, m)), -3, 0))
+    _select_slices(q, books, widths, slice_items(int(np.prod(lead)) * 2 ** bits * m * 16), picks)
 
 
 def _scan_bytes(m: int, n: int, drawn: bool) -> int:

@@ -250,8 +250,10 @@ def test_full_rank_square_channel_quantizes_exactly():
 
 
 def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatch, pools):
-    # a per_block sweep splits its five blocks over the cores: one chunk on 1
-    # core, and three (128 + 128 + 44 trials) that 3 cores really hand to a pool
+    # a per_block sweep splits its five blocks over the cores, at least one block a
+    # chunk: one chunk on 1 core, and three (128 + 128 + 44 trials) that 3 cores
+    # really hand to a pool
+    monkeypatch.setattr(experiment, "_SPLIT_BLOCKS", 1)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("m = 4\nn_rx = 1, 2\nsnr_db = 0, 10\nbits = 4\n"
                    "trials = 300\nseed = 31\n")
@@ -261,7 +263,7 @@ def test_cli_outputs_identical_across_worker_counts(tmp_path, capsys, monkeypatc
     assert pools == []
     monkeypatch.setattr(linalg, "_cores", lambda: 3)
     assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert pools == [3]  # one pool per multi-chunk bit count
+    assert pools == [3]  # the sweep's one pass
     capsys.readouterr()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()

@@ -47,7 +47,7 @@ RUNS = {
                                     "snr_db = 10\ntrials = 70\nseed = 1\n"),
     "readme_sweep": Run("sweep", "m = 4\nn_rx = 1, 2\nsnr_db = 0, 5, 10\nbits = 4\n"
                                  "trials = 500\nseed = 31\ncodebook_policy = per_block\n"),
-    # B = 1, 3, 6, 9, 12, 19 in one pass; B = 1, 4, 5, 7, 10 in a pass per chunk plan
+    # B = 1, 3, 6, 9, 12, 19 in one pass, and B = 1, 4, 5, 7, 10 in one pass
     "gap_target_block": Run("sweep", "m = 4\nn_rx = 1, 2, 3\nsnr_db = 0, 10, 20\n"
                                      "gap_target = 1.25\ncodebook_policy = per_block\n"
                                      "trials = 130\nseed = 7\n"),
@@ -63,7 +63,7 @@ OUTPUTS = {"sweep": ("sweep.csv", "manifest.json"), "validate": ("validation.jso
 # last digits of their rates (their CSVs, printed to 10 digits, are v6's byte for
 # byte), and sweep_fixed_b2's manifest changed only in its stream_version.
 # The gap_target runs were recorded at v7 while a sweep still ran one pass per
-# bit count, so they pin that one pass per chunk plan gives the same bytes.
+# bit count, and still pass with every sweep in one pass, its fixed scan sliced.
 DIGESTS = {
     "sweep_fixed_b2": {
         "sweep.csv": "36b3ea48a1666ec388ed598856fafe754c7d47bed69dafd1ab7412ccd962be7c",

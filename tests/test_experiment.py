@@ -300,7 +300,7 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
                               trials=200, seed=seed, codebook_policy=policy)
     seen = {"books": []}
 
-    def spy_select(q, books, widths):  # the fixed chunk's one scan
+    def spy_select(q, books, widths):  # the fixed chunk's one scan slice
         seen["q"] = q
         seen["books"].append(books)
         return _select(q, books, widths)
@@ -309,7 +309,7 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
         seen["channels"], seen["q"], seen["picks"] = channels, q, picks
         return _orient(channels, q, r, *picks)
 
-    monkeypatch.setattr(experiment, "_select", spy_select)
+    monkeypatch.setattr(quantize, "_select", spy_select)
     monkeypatch.setattr(experiment, "_orient", spy_orient)
     trials = range(64, 134)
     records = _run_chunk(config, [(2, 10.0, 3)], trials, {3: policy_score(config, 3)})
@@ -592,6 +592,17 @@ def test_run_experiment_resolves_bits_per_grid_point():
     assert [p.bits for p in result.points] == [1, 7]
 
 
+def grid_cells(config):
+    """The config's (N, SNR, bits) cells, in run_experiment's order."""
+    return [(n, snr_db, config.bits_rule.resolve(config.m, n, snr_db))
+            for n in config.n_rx for snr_db in config.snr_db_grid]
+
+
+def chunk_lengths(config):
+    """The trials of each chunk of the config's one pass."""
+    return [len(chunk) for chunk in experiment._plan(config, grid_cells(config))[0]]
+
+
 def run_on_cores(monkeypatch, config, cores):
     """run_experiment(config) once for each core count the process may run on."""
     results = []
@@ -610,10 +621,14 @@ def test_run_experiment_thread_count_does_not_change_results(monkeypatch, pools)
 
 
 def test_run_experiment_worker_count_with_many_chunks(monkeypatch, pools):
-    # a tiny chunk budget splits the trials into one-block chunks (the last
-    # cut short), so the workers share the chunks unevenly
-    monkeypatch.setattr(linalg, "SLICE_BYTES", 1)
+    # a cap of three one-block chunks' bytes splits the trials into one-block
+    # chunks (the last cut short) on 2 and 3 cores, and lets every core work, so
+    # the workers share the chunks unevenly
     config = small_config(trials=200, codebook_policy="fixed")
+    block_bytes = experiment._chunk_bytes(config, grid_cells(config), experiment._BLOCK)
+    monkeypatch.setattr(linalg, "IN_FLIGHT_BYTES", 3 * block_bytes)
+    monkeypatch.setattr(linalg, "_cores", lambda: 3)
+    assert chunk_lengths(config) == [64, 64, 64, 8]
     serial, two, three = run_on_cores(monkeypatch, config, (1, 2, 3))
     assert pools == [2, 3]
     assert serial.points == two.points
@@ -622,13 +637,13 @@ def test_run_experiment_worker_count_with_many_chunks(monkeypatch, pools):
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_run_experiment_worker_count_with_multi_block_chunks(monkeypatch, pools, policy):
-    # two-block chunks, 128, 128 and 44 trials: at M = 2, B = 2 a fixed chunk
-    # counts 256 codebook bytes a trial, and a per-block run splits its five
-    # blocks over the cores (on 2 cores in chunks of 192 and 108 trials)
+    # with a floor of one block a chunk, a run splits its five blocks over the
+    # cores: on 3 cores in two-block chunks, 128, 128 and 44 trials, and on 2
+    # cores in chunks of 192 and 108 trials
     config = small_config(trials=300, codebook_policy=policy)
-    monkeypatch.setattr(linalg, "SLICE_BYTES", 128 * 256)
+    monkeypatch.setattr(experiment, "_SPLIT_BLOCKS", 1)
     monkeypatch.setattr(linalg, "_cores", lambda: 3)
-    assert [len(chunk) for chunk in experiment._plan(config, 2)[0]] == [128, 128, 44]
+    assert chunk_lengths(config) == [128, 128, 44]
     serial, two, three = run_on_cores(monkeypatch, config, (1, 2, 3))
     assert pools == [2, 3]
     assert serial.points == two.points
@@ -637,51 +652,56 @@ def test_run_experiment_worker_count_with_multi_block_chunks(monkeypatch, pools,
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_run_experiment_does_not_depend_on_chunk_bytes(monkeypatch, policy):
-    # M = 4, B = 7, 150 trials on 2 cores: per-block chunks of two blocks and
-    # one, or three fixed one-block chunks; then one-block chunks (a 1-byte
-    # budget) and one chunk (a 2^30-byte slice budget, or one core)
+    # M = 4, B = 7, 150 trials on 2 cores with a floor of one block a chunk:
+    # chunks of two blocks and one; then one-block chunks (a 1-byte budget) and
+    # one chunk (one core); under fixed also one-trial scan slices (a 1-byte
+    # slice budget) and one slice a chunk (a 2^30-byte one), on the same chunks
     config = ExperimentConfig(m=4, n_rx=(2,), snr_db_grid=(0.0, 10.0), bits_rule=BitsRule.fixed(7),
                               trials=150, seed=77, codebook_policy=policy)
+    monkeypatch.setattr(experiment, "_SPLIT_BLOCKS", 1)
     monkeypatch.setattr(linalg, "_cores", lambda: 2)
-    assert len(experiment._plan(config, 7)[0]) == {"fixed": 3, "per_block": 2}[policy]
+    assert chunk_lengths(config) == [128, 22]
     points = run_experiment(config).points
-    extremes = {"fixed": (("SLICE_BYTES", 1, 3), ("SLICE_BYTES", 2 ** 30, 1)),
-                "per_block": (("IN_FLIGHT_BYTES", 1, 3), ("_cores", lambda: 1, 1))}
-    for name, value, chunks in extremes[policy]:
+    for name, value, chunks in (("IN_FLIGHT_BYTES", 1, 3), ("_cores", lambda: 1, 1)):
         with monkeypatch.context() as patch:
             patch.setattr(linalg, name, value)
-            assert len(experiment._plan(config, 7)[0]) == chunks
+            assert len(chunk_lengths(config)) == chunks
             assert run_experiment(config).points == points
+    if policy == "fixed":
+        select, scans = quantize._select, []
+        monkeypatch.setattr(quantize, "_select", lambda *args: scans.append(1) or select(*args))
+        for slice_bytes, slices in ((1, 150), (2 ** 30, 2)):
+            scans.clear()
+            monkeypatch.setattr(linalg, "SLICE_BYTES", slice_bytes)
+            assert run_experiment(config).points == points
+            assert len(scans) == slices
 
 
-def assert_chunk_bytes_count_traced_peak(traced_peak, config):
-    """A chunk of the config's trials at all its cells, which must share a pass, peaks within
-    25% of ``_chunk_bytes`` of its heaviest bit count, each counted at the Ns that spend it:
-    a bit count's scorer is handed only their columns of Q, and a finished count's arrays
-    are not held while the next one is scored."""
-    cells = [(n, snr_db, config.bits_rule.resolve(config.m, n, snr_db))
-             for n in config.n_rx for snr_db in config.snr_db_grid]
-    # bits -> the Ns that spend them
-    widths = {b: tuple(dict.fromkeys(n for n, _, c in cells if c == b)) for *_, b in cells}
-    assert len({experiment._plan(config, b) for b in widths}) == 1
-    scores = {b: policy_score(config, b) for b in widths}
+def assert_chunk_bytes_count_traced_peak(traced_peak, config) -> int:
+    """A chunk of the config's trials at all its cells peaks within 25% of ``_chunk_bytes``:
+    a bit count's scorer is handed only the columns of Q its Ns span, and a finished count's
+    arrays are not held while the next one is scored.  Returns the traced peak."""
+    cells = grid_cells(config)
+    scores = {b: policy_score(config, b) for b in dict.fromkeys(b for *_, b in cells)}
     _run_chunk(config, cells, range(1), scores)  # numpy's one-time set-up
     peak = traced_peak(_run_chunk, config, cells, range(config.trials), scores)
-    counted = max(experiment._chunk_bytes(dataclasses.replace(config, n_rx=ns), b, config.trials)
-                  for b, ns in widths.items())
+    counted = experiment._chunk_bytes(config, cells, config.trials)
     assert 0.75 * peak <= counted <= 1.25 * peak
+    return peak
 
 
 @pytest.mark.parametrize("policy, m, n_rx, bits, trials", [
-    ("per_block", 8, (2,), 10, 64),  # sweep_block_b10's chunk
-    ("fixed", 4, (1, 2, 3), 2, 200),  # sweep_fixed_b2's one chunk, scored at once
+    ("per_block", 8, (2,), 10, 64),  # sweep_block_b10's shape
+    ("fixed", 4, (1, 2, 3), 2, 200),  # sweep_fixed_b2's one chunk, scanned in one slice
     ("per_block", 8, tuple(range(1, 9)), 10, 64),  # every width's law temporaries
     ("per_block", 4, (1, 2), 4, 192),  # README sweep.cfg's chunk
+    ("fixed", 4, (1,), 14, 64),  # a block scanned a trial at a time, not ~130 MiB at once
 ])
 def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, bits, trials):
-    assert_chunk_bytes_count_traced_peak(traced_peak, ExperimentConfig(
+    peak = assert_chunk_bytes_count_traced_peak(traced_peak, ExperimentConfig(
         m=m, n_rx=n_rx, snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(bits), trials=trials,
         seed=1, codebook_policy=policy))
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("policy, m, n_rx, snr_db_grid, target_gap, trials", [
@@ -746,7 +766,8 @@ def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
         return _run_chunk(config, cells, trials, scores)
 
     monkeypatch.setattr(experiment, "_run_chunk", spy_chunk)
-    # the budgets that size fixed and per-block chunks
+    # the budgets that size chunks and fixed scan slices, with a floor of one block a chunk
+    monkeypatch.setattr(experiment, "_SPLIT_BLOCKS", 1)
     monkeypatch.setattr(linalg, "SLICE_BYTES", chunk_bytes)
     monkeypatch.setattr(linalg, "IN_FLIGHT_BYTES", chunk_bytes)
     config = small_config(m=3, n_rx=(2,), snr_db_grid=(10.0,), bits_rule=BitsRule.fixed(4),
@@ -826,9 +847,9 @@ GRIDS = {
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_grid_equals_its_cells(monkeypatch, policy, grid):
-    # 64-trial chunks at M = 3, B = 3 (per_block's on 3 cores, one chunk on 1), so the
-    # workers get whole chunks
-    monkeypatch.setattr(linalg, "SLICE_BYTES", 64 * 3 * 2 ** 3 * 3 * 16)
+    # 64-trial chunks on 3 cores with a floor of one block a chunk (one chunk on 1),
+    # so the workers get whole chunks
+    monkeypatch.setattr(experiment, "_SPLIT_BLOCKS", 1)
     config = ExperimentConfig(codebook_policy=policy, **GRIDS[grid])
     points = assert_grid_equals_its_cells(monkeypatch, config)
     if grid == "gap_target":
@@ -850,6 +871,8 @@ def test_grid_equals_its_cells_when_trials_drop(monkeypatch):
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
 def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, policy):
+    # one-block chunks on 4 cores with a floor of one block a chunk
+    monkeypatch.setattr(experiment, "_SPLIT_BLOCKS", 1)
     monkeypatch.setattr(linalg, "_cores", lambda: 4)
 
     def work(config):
@@ -879,32 +902,25 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
             patch.setattr(np.linalg, "qr", lambda a, mode="reduced": (
                 reduced_qr if mode == "reduced" else qr)(a, mode=mode))
             for module, name in ((experiment, "_orient"), (quantize, "_select"),
-                                 (experiment, "_select"), (quantize, "_orient"),
+                                 (quantize, "_orient"),
                                  (quantize, "quantize_stack"), (quantize, "_select_drawn"),
                                  (experiment, "_law_sin_sq")):
                 patch.setattr(module, name, spy(name, getattr(module, name)))
             run_experiment(config)
         return seen
 
-    # the gap-target grid's B = 1, 4, 5, 7, 10 in one pass of two one-block chunks under
-    # per_block; under fixed, a pass for each distinct chunk plan: B = 1, 4, 5 in one
-    # 70-trial chunk, and B = 7, 10 in two one-block chunks
+    # the gap-target grid's B = 1, 4, 5, 7, 10 in one pass of two one-block chunks
     config = ExperimentConfig(codebook_policy=policy, **GRIDS["gap_target"])
-    bits = [config.bits_rule.resolve(config.m, n, snr_db)
-            for n in config.n_rx for snr_db in config.snr_db_grid]
-    plans = {experiment._plan(config, b) for b in bits}
-    chunks = sum(len(plan[0]) for plan in plans)
-    assert (len(plans), chunks) == {"per_block": (1, 2), "fixed": (2, 3)}[policy]
+    assert chunk_lengths(config) == [64, 6]
     gap = work(config)
-    assert gap["chunk"] == gap["QR"] == chunks
-    assert gap["draw", PURPOSE_CHANNEL] == 2 * len(plans)  # a pass draws the 70 trials' 2 blocks
-    # each (N, B) zero-forced once a chunk of its pass; the law drawn once a chunk for each B
-    assert gap["feedback ZF"] == {"per_block": 6 * 2, "fixed": 4 + 2 * 2}[policy]
+    assert gap["chunk"] == gap["QR"] == 2
+    assert gap["draw", PURPOSE_CHANNEL] == 2  # the pass draws the 70 trials' 2 blocks
+    # each (N, B) zero-forced once a chunk; the law drawn once a chunk for each B
+    assert gap["feedback ZF"] == 6 * 2
     assert gap["random", PURPOSE_LAW] == 5 * 2 * (policy == "per_block")
 
-    # one-block chunks at M = 3, B = 3 under either policy (fixed by the slice
-    # budget, per_block on 4 cores): 200 trials are chunks of 64, 64, 64 and 8
-    monkeypatch.setattr(linalg, "SLICE_BYTES", 5 * 3 * 2 ** 3 * 3 * 16)
+    # one-block chunks at M = 3, B = 3: 200 trials are chunks of 64, 64, 64 and 8,
+    # each scanned in one slice under fixed
     grid, cell = (work(ExperimentConfig(m=3, n_rx=n_rx, snr_db_grid=snr_db_grid,
                                         bits_rule=BitsRule.fixed(3), trials=200, seed=3,
                                         codebook_policy=policy))

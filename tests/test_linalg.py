@@ -165,27 +165,34 @@ def test_gaussian_real_imag_covariance():
 def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pools):
     # the plans come from shapes alone: nothing is drawn
     monkeypatch.setattr(linalg, "_cores", lambda: 2)
-    # sweep_block_b10's shape: chunks of 64 and 56 trials, one stream block each
+    # sweep_block_b10's shape: two stream blocks, below the floor of four a chunk, so
+    # one chunk that runs serially
     block_b10 = ExperimentConfig(m=8, n_rx=(2,), snr_db_grid=(10.0,),
                                  bits_rule=BitsRule.fixed(10), trials=120, seed=1)
-    chunks, workers = experiment._plan(block_b10, 10)
-    assert [len(chunk) for chunk in chunks] == [64, 56] and workers == 2
-    # sweep_fixed_b2's shape is one chunk, so it runs serially
+    assert experiment._plan(block_b10, [(2, 10.0, 10)]) == ((range(120),), 1)
+    # sweep_fixed_b2's shape: four blocks, one chunk
     fixed_b2 = ExperimentConfig(m=4, n_rx=(1, 2, 3), snr_db_grid=(10.0,),
                                 bits_rule=BitsRule.fixed(2), trials=200, seed=1,
                                 codebook_policy="fixed")
-    assert experiment._plan(fixed_b2, 2) == ((range(200),), 1)
+    assert experiment._plan(fixed_b2, [(n, 10.0, 2) for n in (1, 2, 3)]) == ((range(200),), 1)
+    # README sweep.cfg's shape: 32 blocks split over the 2 cores
+    readme = ExperimentConfig(m=4, n_rx=(1, 2), snr_db_grid=(0.0, 5.0, 10.0),
+                              bits_rule=BitsRule.fixed(4), trials=2000, seed=31)
+    chunks, workers = experiment._plan(readme, [(n, s, 4) for n in (1, 2) for s in (0, 5, 10)])
+    assert [len(chunk) for chunk in chunks] == [1024, 976] and workers == 2
     monkeypatch.setattr(linalg, "_cores", lambda: 64)
-    # a fixed chunk at M = 8, B = 10 scores its 64-trial block at once, and
-    # its overlap and metric (about 37 MiB) allow one worker however many
-    # cores and chunks there are; a 64-trial per-block chunk of the same sweep
-    # holds about 1.25 MiB (the chunk's M x M channels, QR factors, picks and
-    # law draws, with no codebook), more than a core's 1 MiB share of the cap,
-    # so chunks are one block each, and 51 fit under the 64 MiB cap
+    # 6400 trials at M = 8, N = 2, B = 10 are 100 blocks, split over min(64, 25)
+    # chunks of four blocks, but a 64-trial chunk holds more than a core's 1 MiB
+    # share of the cap, so chunks are one block each.  Under per_block a chunk
+    # holds about 1.25 MiB (the chunk's M x M channels, QR factors, picks and law
+    # draws, with no codebook), so 51 fit under the 64 MiB cap; under fixed about
+    # 1.44 MiB (the same but the law's draws, and a one-trial slice of its scan:
+    # 2^10 codewords' overlap and metric a user), so 44 fit
     fixed_b10 = dataclasses.replace(block_b10, trials=6400, codebook_policy="fixed")
-    assert experiment._plan(fixed_b10, 10)[1] == 1
-    assert experiment._plan(dataclasses.replace(fixed_b10, codebook_policy="per_block"),
-                            10)[1] == 51
+    for policy, workers in (("fixed", 44), ("per_block", 51)):
+        chunks, count = experiment._plan(dataclasses.replace(fixed_b10, codebook_policy=policy),
+                                         [(2, 10.0, 10)])
+        assert (len(chunks), len(chunks[0]), count) == (100, 64, workers)
     # validate_b8's shape: a 508-sample block holds about 2.3 MiB (a 64-sample
     # slice of codebook normals, its overlap and metric, and the block's
     # channels and picks), so 27 fit; at B = 24 one sample is over the cap
