@@ -183,7 +183,7 @@ def cmd_sweep(args) -> int:
     start = time.perf_counter()
     # run_experiment refuses an unreachable or over-limit bit budget before any trial
     with _as_config_error():
-        rule = BitsRule(kind="fixed" if gap is None else "scaling", bits=bits, target_gap=gap)
+        rule = BitsRule(bits=bits, target_gap=gap)
         result = run_experiment(
             ExperimentConfig(m=m, n_rx=tuple(n_list), snr_db_grid=tuple(snr_db), bits_rule=rule,
                              trials=trials, seed=seed, codebook_policy=policy))

@@ -13,9 +13,9 @@ sample blocks do, joined in chunk order.  No stream id carries N, SNR or B, so
 a chunk draws an M x M channel per trial and user once for its cells.
 An N's channel is the first N columns of it, so the receive antennas nest: N + 1
 antennas are the same mobile's N antennas and one more.  The chunk QR-factors
-the largest N once (a smaller N's factors are prefixes of it), takes each bit
-count's picks for every N from one call of its scorer (``CODEBOOK_POLICIES``),
-orients and zero-forces each (N, B) once, and rates every SNR from the same beams.
+the largest N once (a smaller N's factors are prefixes of it), takes every (N, B)
+pair's picks from one call of the policy's scorer (``CODEBOOK_POLICIES``), orients
+and zero-forces each (N, B) once, and rates every SNR from the same beams.
 
 Determinism contract, stream version 7 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws from one stream per purpose,
@@ -66,12 +66,11 @@ _SPLIT_BLOCKS = 4
 class BitsRule:
     """How many feedback bits each user spends per block.
 
-    Either a fixed bit count, or the gap-target scaling rule which picks
-    B = ceil(bits_required) at each SNR grid point (clamped to at least one
-    bit, since a codebook needs two entries).
+    Exactly one of ``bits``, a fixed count, and ``target_gap`` is set: the
+    gap-target rule picks B = ceil(bits_required) at each SNR grid point
+    (clamped to at least one bit, since a codebook needs two entries).
     """
 
-    kind: str
     bits: int | None = None
     target_gap: float | None = None
 
@@ -79,26 +78,23 @@ class BitsRule:
         if (self.bits is None) == (self.target_gap is None):
             raise ValueError(f"a bits rule sets exactly one of bits and target_gap, got "
                              f"bits={self.bits!r} and target_gap={self.target_gap!r}")
-        if self.kind == "fixed":
+        if self.bits is not None:
             check_bits(self.bits, "fixed bits")
-        elif self.kind == "scaling":
-            if self.target_gap is None or not 0 < self.target_gap < math.inf:  # NaN fails too
-                raise ValueError(
-                    f"scaling rule needs a positive finite target gap, got {self.target_gap}")
-        else:
-            raise ValueError(f"unknown bits rule kind {self.kind!r}")
+        elif not 0 < self.target_gap < math.inf:  # NaN fails too
+            raise ValueError(
+                f"scaling rule needs a positive finite target gap, got {self.target_gap}")
 
     @classmethod
     def fixed(cls, bits: int) -> "BitsRule":
-        return cls(kind="fixed", bits=bits)
+        return cls(bits=bits)
 
     @classmethod
     def scaling(cls, target_gap: float) -> "BitsRule":
-        return cls(kind="scaling", target_gap=target_gap)
+        return cls(target_gap=target_gap)
 
     def resolve(self, m: int, n: int, snr_db: float) -> int:
         """Integer bit count for one grid point (may raise InfeasibleTargetError)."""
-        if self.kind == "fixed":
+        if self.bits is not None:
             return int(self.bits)
         exact = bits_required(ScalingInputs(m=m, n=n, p_db=snr_db, target_gap=self.target_gap))
         bits = max(1, math.ceil(exact))
@@ -234,13 +230,13 @@ def _law_sin_sq(u: np.ndarray, m: int, n: int, bits: int) -> np.ndarray:
     return np.where(upper, -np.expm1(y), np.exp(y))
 
 
-def _score_per_block(config: ExperimentConfig, bits: int):
+def _score_per_block(config: ExperimentConfig, pairs: list):
     """Per-block scorer: each pick on a fresh isotropic codebook drawn from its law, with no
-    codebook (the span metric is invariant under unitaries that keep span(Q_n)).  Per trial
-    and user, u sets sin^2 (``_law_sin_sq``), a = g[:n] / |g[:n]| is uniform on the sphere of
-    C^n, z = (I - Q_n Q_n^H) w / |.| on the span's complement, and q_hat = cos Q_n a + sin z;
-    one u, g and w serve every width n.  index is -1, as there is no codebook row."""
-    def score(first_block: int, q: np.ndarray, widths: list) -> list:
+    codebook row, so index -1 (the span metric is invariant under unitaries that keep
+    span(Q_n)).  Per trial and user, u sets sin^2 (``_law_sin_sq``), a = g[:n] / |g[:n]| is
+    uniform on the sphere of C^n, z = (I - Q_n Q_n^H) w / |.| on the span's complement, and
+    q_hat = cos Q_n a + sin z; one u, g and w serve every pair, and one Q_n a and z every B."""
+    def score(first_block: int, q: np.ndarray):
         count, users, m = *q.shape[:2], config.m
         u, (g, w) = np.empty((count, users)), np.empty((2, 2, count, users, m))
         for lo in range(0, count, _BLOCK):
@@ -250,57 +246,61 @@ def _score_per_block(config: ExperimentConfig, bits: int):
             g[:, rows] = gen.standard_normal((2, _BLOCK, users, m))[:, :k]
             w[:, rows] = gen.standard_normal((2, _BLOCK, users, m))[:, :k]
         g, w = complex_from_parts(g), complex_from_parts(w)  # frees the real normals
-        picks = []
-        for n in widths:
+        for n in dict.fromkeys(n for n, _ in pairs):
             q_n, a = q[..., :n], g[..., :n]
-            q_hat = np.einsum("...mk,...k->...m", q_n, a / np.linalg.norm(a, axis=-1)[..., None])
-            sin_sq = np.zeros(u.shape)  # n = M: every codeword lies in the span
+            q_a = np.einsum("...mk,...k->...m", q_n, a / np.linalg.norm(a, axis=-1)[..., None])
+            sin_sq, q_hat = np.zeros(u.shape), q_a  # n = M: every codeword lies in the span
             if n < m:
-                sin_sq = _law_sin_sq(u, m, n, bits)
                 z = w - np.einsum("...mk,...k->...m", q_n,
                                   np.einsum("...mk,...m->...k", q_n.conj(), w))
                 z /= np.linalg.norm(z, axis=-1)[..., None]
-                q_hat = np.sqrt(1.0 - sin_sq)[..., None] * q_hat + np.sqrt(sin_sq)[..., None] * z
-            picks.append((np.full(u.shape, -1, np.intp), q_hat, 1.0 - sin_sq))
-        return picks
+            for bits in (b for width, b in pairs if width == n):
+                if n < m:
+                    sin_sq = _law_sin_sq(u, m, n, bits)
+                    q_hat = np.sqrt(1.0 - sin_sq)[..., None] * q_a + np.sqrt(sin_sq)[..., None] * z
+                yield (n, bits), (np.full(u.shape, -1, np.intp), q_hat, 1.0 - sin_sq)
     return score
 
 
-def _score_fixed(config: ExperimentConfig, bits: int):
-    """Fixed scorer: every user's codebook (users, 2^B, M) is drawn once, and a chunk's
-    trials are scored against them in slices whose scans fit SLICE_BYTES (``_select_slices``)."""
-    books = np.stack([generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK),
-                                        bits, config.m) for u in range(config.m)])
+def _score_fixed(config: ExperimentConfig, pairs: list):
+    """Fixed scorer: every user's codebook (users, 2^B, M) is drawn once a run, and a chunk's
+    trials are scored against them in slices whose scans fit SLICE_BYTES (``_select_slices``),
+    on the columns of Q that the largest N spending B spans."""
+    books = {bits: np.stack([generate_codebook(RngStream(config.seed, 0, u, PURPOSE_FIXED_CODEBOOK),
+                                               bits, config.m) for u in range(config.m)])
+             for bits in dict.fromkeys(b for _, b in pairs)}
 
-    def score(first_block: int, q: np.ndarray, widths: list) -> list:
-        count, users, m, top = q.shape
-        picks = [(np.empty((count, users), np.intp), np.empty((count, users, m), complex),
-                  np.empty((count, users))) for _ in widths]
-        step = slice_items(users * 2 ** bits * _scan_bytes(m, top, False))
-        _select_slices(q, lambda take: books, widths, step, picks)
-        return picks
+    def score(first_block: int, q: np.ndarray):
+        count, users, m, _ = q.shape
+        for bits, book in books.items():
+            ns = [n for n, b in pairs if b == bits]
+            picks = [(np.empty((count, users), np.intp), np.empty((count, users, m), complex),
+                      np.empty((count, users))) for _ in ns]
+            step = slice_items(users * 2 ** bits * _scan_bytes(m, max(ns), False))
+            _select_slices(q[..., :max(ns)], lambda take: book, ns, step, picks)
+            yield from zip(((n, bits) for n in ns), picks)
     return score
 
 
-# Codebook policy -> scorer.  scorer(config, bits) does a bit count's set-up and returns
-# score(first_block, q, widths), called once a chunk on a prefix of its one Q: the (index, q_hat,
-# cos_sq) picks of a chunk whose first trial opens stream block first_block, for the span of
-# each width's first columns of its (trials, users, M, N) Q, as _select returns them.
+# Codebook policy -> scorer.  scorer(config, pairs) does a run's set-up for its grid's distinct
+# (N, B) pairs and returns score(first_block, q), called once a chunk whose first trial opens
+# stream block first_block: a generator of ((n, bits), (index, q_hat, cos_sq)), one pair at a
+# time in an order the policy picks, the picks (as _select returns them) for the span of the
+# first n columns of the chunk's (trials, users, M, N) Q.
 CODEBOOK_POLICIES = {"per_block": _score_per_block, "fixed": _score_fixed}
 
 
 def _run_chunk(config: ExperimentConfig, cells: list[tuple[int, float, int]], trials: range,
-               scores: dict) -> tuple[np.ndarray, np.ndarray]:
+               score) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the fading blocks ``trials`` at every (N, SNR, bits) cell of ``cells``.
 
     ``trials`` starts at a stream block's first trial; a block the range ends inside draws a
     prefix of its stream.  A block draws its M x M channels from one stream; an N's channels
-    are their first N columns.  The largest N is QR-factored once, and each bit count of
-    ``cells`` picks for its Ns by one call of its ``scores[bits]`` (a ``CODEBOOK_POLICIES``
-    scorer's) on the columns of Q its largest N spans; each (N, bits) is oriented on its
-    prefixes of the factors, and drops a trial at all its SNRs when a quantization faults or
-    zero-forcing refuses its stack.  Returns ``(rate_fb, dropped)``, each ``(len(cells),
-    len(trials))``; a dropped trial carries a zero rate.
+    are their first N columns.  The largest N is QR-factored once, and one call of ``score``
+    (a ``CODEBOOK_POLICIES`` scorer's) yields the picks of every (N, bits) pair of ``cells``;
+    each pair is oriented on its prefixes of the factors, and drops a trial at all its SNRs
+    when a quantization faults or zero-forcing refuses its stack.  Returns ``(rate_fb,
+    dropped)``, each ``(len(cells), len(trials))``; a dropped trial carries a zero rate.
     """
     m, seed, count = config.m, config.seed, len(trials)
     first_block = trials.start // _BLOCK
@@ -314,21 +314,19 @@ def _run_chunk(config: ExperimentConfig, cells: list[tuple[int, float, int]], tr
     # QR of a column prefix is the prefix of the QR: one factorization serves every N
     q, r = np.linalg.qr(channels[..., :max(n for n, *_ in cells)])
     records = {}
-    for bits, score in scores.items():
-        n_rx = list(dict.fromkeys(n for n, _, b in cells if b == bits))
-        for n, picks in zip(n_rx, score(first_block, q[..., :max(n_rx)], n_rx)):
-            # contiguous prefixes, so that each N is oriented as a chunk of that N alone is
-            fb, fault = _orient(channels[..., :n], np.ascontiguousarray(q[..., :n]),
-                                np.ascontiguousarray(r[..., :n, :n]), *picks)
-            # user stacks as (M, M) matrices with one column per user
-            beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
-            dropped = (fault != 0).any(axis=-1) | refused(cond, residual)
-            own = [snr_db for k, snr_db, b in cells if (k, b) == (n, bits)]
-            sinrs = sinr_stack(np.swapaxes(fb.h_eff, -1, -2), beams,
-                               np.array([_power(s) for s in own]))
-            sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
-            for snr_db, rate_fb in zip(own, sum_rate(sinrs)):
-                records[n, snr_db, bits] = rate_fb, dropped
+    for (n, bits), picks in score(first_block, q):
+        # contiguous prefixes, so that each N is oriented as a chunk of that N alone is
+        fb, fault = _orient(channels[..., :n], np.ascontiguousarray(q[..., :n]),
+                            np.ascontiguousarray(r[..., :n, :n]), *picks)
+        # user stacks as (M, M) matrices with one column per user
+        beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
+        dropped = (fault != 0).any(axis=-1) | refused(cond, residual)
+        own = [snr_db for k, snr_db, b in cells if (k, b) == (n, bits)]
+        sinrs = sinr_stack(np.swapaxes(fb.h_eff, -1, -2), beams,
+                           np.array([_power(s) for s in own]))
+        sinrs = np.where(dropped[:, None], 0.0, sinrs)  # dropped trials carry zero rates
+        for snr_db, rate_fb in zip(own, sum_rate(sinrs)):
+            records[n, snr_db, bits] = rate_fb, dropped
     return tuple(np.stack(column) for column in zip(*(records[cell] for cell in cells)))
 
 
@@ -360,11 +358,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     grid = [(n, snr_db, config.bits_rule.resolve(config.m, n, snr_db))
             for n in config.n_rx for snr_db in config.snr_db_grid]
     chunks, workers = _plan(config, grid)
-    scores = {bits: CODEBOOK_POLICIES[config.codebook_policy](config, bits)
-              for bits in dict.fromkeys(b for *_, b in grid)}
+    pairs = list(dict.fromkeys((n, b) for n, _, b in grid))
+    score = CODEBOOK_POLICIES[config.codebook_policy](config, pairs)
     # chunks are whole stream blocks and workers take whole chunks, so
     # neither the chunk size nor the worker count changes any rate or order
-    parts = ordered_map(partial(_run_chunk, config, grid, scores=scores), chunks, workers)
+    parts = ordered_map(partial(_run_chunk, config, grid, score=score), chunks, workers)
     columns = (np.concatenate(column, axis=-1) for column in zip(*parts))
     warnings: list = []
     points = [_aggregate(config.m, *cell, records, warnings)

@@ -71,19 +71,25 @@ def zf_rate_mean(m, power):
     return m * LOG2E * float(np.sum(integrand[1:] + integrand[:-1]) * (s[1] - s[0]) / 2)
 
 
-def explicit_per_block(config: ExperimentConfig, bits: int):
-    """Per-block scorer: a chunk's stream blocks draw their codebooks as generate_codebook
-    would, trial after trial, and ``_select_drawn`` scores each slice for every width."""
-    def score(first_block: int, q: np.ndarray, widths: list) -> list:
+def explicit_per_block(config: ExperimentConfig, pairs: list):
+    """Per-block scorer: for each bit count of ``pairs``, a chunk's stream blocks draw their
+    codebooks as generate_codebook would, trial after trial, and ``_select_drawn`` scores each
+    slice for every N that spends it, on the columns of Q the largest of them spans."""
+    widths = {}  # bits -> the Ns that spend it
+    for n, bits in pairs:
+        widths.setdefault(bits, []).append(n)
+
+    def score(first_block: int, q: np.ndarray):
         lead = q.shape[:-2]
-        picks = [(np.empty(lead, np.intp), np.empty((*lead, config.m), complex), np.empty(lead))
-                 for _ in widths]
-        for lo in range(0, len(q), _BLOCK):
-            stream = RngStream(config.seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK)
-            rows = slice(lo, lo + _BLOCK)
-            _select_drawn(stream.generator(), q[rows], bits, widths,
-                          [[p[rows] for p in pick] for pick in picks])
-        return picks
+        for bits, ns in widths.items():
+            picks = [(np.empty(lead, np.intp), np.empty((*lead, config.m), complex),
+                      np.empty(lead)) for _ in ns]
+            for lo in range(0, len(q), _BLOCK):
+                stream = RngStream(config.seed, first_block + lo // _BLOCK, 0, PURPOSE_CODEBOOK)
+                rows = slice(lo, lo + _BLOCK)
+                _select_drawn(stream.generator(), q[rows, ..., :max(ns)], bits, ns,
+                              [[p[rows] for p in pick] for pick in picks])
+            yield from zip(((n, bits) for n in ns), picks)
     return score
 
 

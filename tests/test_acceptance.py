@@ -386,11 +386,13 @@ def test_gap_stays_under_the_papers_bound(policy):
 
 
 def test_gap_bound_fails_on_a_random_codeword(monkeypatch):
-    def random_codeword(config, bits):  # scores one fresh random row per trial and user
-        def score(first_block, q, widths):
+    def random_codeword(config, pairs):  # scores one fresh random row per trial and user
+        def score(first_block, q):
             gen = RngStream(config.seed, first_block, 0, PURPOSE_CODEBOOK).generator()
             normals = gen.standard_normal((2, *q.shape[:-2], 1, config.m))
-            return _select(q, (normals[0], normals[1]), widths)
+            for n, bits in pairs:
+                [picks] = _select(q[..., :n], (normals[0], normals[1]), (n,))
+                yield (n, bits), picks
         return score
 
     monkeypatch.setitem(CODEBOOK_POLICIES, "per_block", random_codeword)
@@ -415,8 +417,8 @@ def law_agreement_misses():
     for bits in LAW_BITS:
         config = ExperimentConfig(m=4, n_rx=LAW_N, snr_db_grid=(10.0,),
                                   bits_rule=BitsRule.fixed(bits), trials=2000, seed=2026104)
-        picks = CODEBOOK_POLICIES["per_block"](config, bits)(0, q, list(LAW_N))
-        for n, (_, _, cos_sq) in zip(LAW_N, picks):
+        score = CODEBOOK_POLICIES["per_block"](config, [(n, bits) for n in LAW_N])
+        for (n, _), (_, _, cos_sq) in score(0, q):
             ks = stats.ks_statistic(cos_sq.ravel(),
                                     lambda x: stats.max_beta_cdf(x, n, 4 - n, 2 ** bits))
             if ks > stats._critical(cos_sq.size, 0.5, 2 * cells):
@@ -449,13 +451,12 @@ def test_law_agreement_fails_without_the_out_of_span_part(monkeypatch):
     # q_hat = Q_n a: every pick in its user's span, with no quantization error to interfere
     law = CODEBOOK_POLICIES["per_block"]
 
-    def in_span(config, bits):
-        def score(first_block, q, widths):
-            picks = law(config, bits)(first_block, q, widths)
-            for n, (_, q_hat, _) in zip(widths, picks):
-                q_hat[:] = np.einsum("...mk,...lk,...l->...m", q[..., :n], q[..., :n].conj(), q_hat)
+    def in_span(config, pairs):
+        def score(first_block, q):
+            for (n, bits), (index, q_hat, cos_sq) in law(config, pairs)(first_block, q):
+                q_hat = np.einsum("...mk,...lk,...l->...m", q[..., :n], q[..., :n].conj(), q_hat)
                 q_hat /= np.linalg.norm(q_hat, axis=-1, keepdims=True)
-            return picks
+                yield (n, bits), (index, q_hat, cos_sq)
         return score
 
     monkeypatch.setitem(CODEBOOK_POLICIES, "per_block", in_span)

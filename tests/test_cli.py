@@ -84,8 +84,7 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert manifest["config"]["m"] == 2
     assert manifest["config"]["seed"] == 7
     assert manifest["config"]["snr_db"] == [0.0, 5.0]
-    assert manifest["config"]["bits_rule"] == {"kind": "fixed", "bits": 2,
-                                               "target_gap": None}
+    assert manifest["config"]["bits_rule"] == {"bits": 2, "target_gap": None}
     assert len(manifest["rows"]) == 2
     assert manifest["rows"][0]["rate_zf_mean"] > 0
     assert "outputs" in manifest and "warnings" in manifest

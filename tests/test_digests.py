@@ -64,26 +64,29 @@ OUTPUTS = {"sweep": ("sweep.csv", "manifest.json"), "validate": ("validation.jso
 # byte), and sweep_fixed_b2's manifest changed only in its stream_version.
 # The gap_target runs were recorded at v7 while a sweep still ran one pass per
 # bit count, and still pass with every sweep in one pass, its fixed scan sliced.
+# The five sweep manifests were re-pinned when BitsRule lost its redundant kind
+# field: each is its predecessor with config.bits_rule.kind deleted, byte for
+# byte, and no CSV or validation digest moved.
 DIGESTS = {
     "sweep_fixed_b2": {
         "sweep.csv": "36b3ea48a1666ec388ed598856fafe754c7d47bed69dafd1ab7412ccd962be7c",
-        "manifest.json": "8bb6edb32043315530e938bbd27035194f4e3600ffa46ffc8304074523862cb5",
+        "manifest.json": "cea44f6f18cbc99ef7f5c8ffe8dd2b8976f4e49efdd9752a68766c2c6131ee31",
     },
     "sweep_block_b10": {
         "sweep.csv": "ab31020a05e5fc31988ed9e6f926794a3bfc7282102ba077a789028274284bf8",
-        "manifest.json": "bd70e221931fde42055662fea723ff1a99e8e4228eaac1b698b6df3cc2a6184d",
+        "manifest.json": "74d3b1c00f08c95ab6e98095a9817cdfe78932d54730c455933e4e4f61608dc7",
     },
     "readme_sweep": {
         "sweep.csv": "c1731e8e6d1efc48473fc012f947fce2f423e73ae6cb29e96a1173a69dea9379",
-        "manifest.json": "a4faf0787a44153b325adc63bec5d0e9b942f4668223df3308a89ed3f26456e8",
+        "manifest.json": "dc2f75a9383fe9028c7fd5cf9b544dd762d1c71dcb7fbc2de17fdaa25601f278",
     },
     "gap_target_block": {
         "sweep.csv": "84c8cad2f5773a3256fe1865f1398ca0ee952b5d87153a4312844c7e02f9cb74",
-        "manifest.json": "da96b211def31bd1e2f5d955550efb6f6dc2db14f0ce6e2169383b5deb52ec60",
+        "manifest.json": "db43d83c8f33b9f73cce07dd161dd8f0b2fb30a9491aaa5885d33aa99dc7719b",
     },
     "gap_target_fixed": {
         "sweep.csv": "712668e15f86ee6824514958706e95d5a0dfec39f48b1e0e27f07e273cc82f25",
-        "manifest.json": "4a2a035243de44d282df0c10d39c39259b649af18bef4e624faaca4268fa1a26",
+        "manifest.json": "e702423519249b2e8ed0822c851b370dd91e82cd92c25a8f48e23ba32bb8403c",
     },
     "validate": {
         "validation.json": "c14bd6debf5ebafee105a878a2eb52dab105cef9d05fdd3ef7364b14a6ee5db1",

@@ -65,24 +65,37 @@ def law_draws(config, block, trials):
     return u[:trials], g[:, :trials], w[:, :trials]
 
 
-def policy_score(config, bits):
-    """The chunk scorer that run_experiment hands _run_chunk for the config's policy."""
-    return CODEBOOK_POLICIES[config.codebook_policy](config, bits)
+def grid_pairs(cells):
+    """The distinct (N, bits) pairs of (N, SNR, bits) cells, as run_experiment lists them."""
+    return list(dict.fromkeys((n, b) for n, _, b in cells))
+
+
+def policy_score(config, pairs):
+    """The chunk scorer that run_experiment hands _run_chunk for the config's policy, for its
+    (N, bits) ``pairs``."""
+    return CODEBOOK_POLICIES[config.codebook_policy](config, pairs)
 
 
 def planted(codebooks):
-    """A chunk scorer that scores every trial against the per-user (2^B, M) codebooks."""
+    """A codebook policy that scores every trial against the per-user (2^B, M) codebooks."""
     books = np.stack(codebooks)
-    return lambda first_block, q, widths: _select(q, books, widths)
+
+    def policy(config, pairs):
+        def score(first_block, q):
+            for n, bits in pairs:
+                [picks] = _select(q[..., :n], books, (n,))
+                yield (n, bits), picks
+        return score
+    return policy
 
 
-def trial_record(config, snr_db, bits, t, score=None):
+def trial_record(config, snr_db, bits, t, policy=None):
     """Trial t's (rate_fb, dropped) at the config's one N: the last entry
-    of its block's prefix (scored by the config's policy unless ``score`` is given)."""
+    of its block's prefix (scored by the config's policy unless ``policy`` is given)."""
     block_start = t // experiment._BLOCK * experiment._BLOCK
     [n] = config.n_rx
-    columns = _run_chunk(config, [(n, snr_db, bits)], range(block_start, t + 1),
-                         {bits: score or policy_score(config, bits)})
+    score = (policy or CODEBOOK_POLICIES[config.codebook_policy])(config, [(n, bits)])
+    columns = _run_chunk(config, [(n, snr_db, bits)], range(block_start, t + 1), score)
     return tuple(column[0, -1] for column in columns)
 
 
@@ -112,8 +125,6 @@ def test_bits_rule_scaling_guards():
     for gap in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             BitsRule.scaling(gap)
-    with pytest.raises(ValueError):
-        BitsRule(kind="other")
     # a 50-bit budget is beyond the codebook limit
     with pytest.raises(ValueError):
         BitsRule.scaling(1.0).resolve(6, 1, 30.0)
@@ -124,10 +135,9 @@ def test_bits_rule_scaling_guards():
 
 def test_bits_rule_sets_exactly_one_of_bits_and_target_gap():
     # a stray field would be ignored by resolve, yet recorded in the manifest's config
-    for kind, bits, gap in (("scaling", 5, 1.0), ("fixed", 3, 1.0), ("fixed", None, None),
-                            ("scaling", None, None)):
+    for bits, gap in ((5, 1.0), (None, None)):
         with pytest.raises(ValueError, match="exactly one"):
-            BitsRule(kind=kind, bits=bits, target_gap=gap)
+            BitsRule(bits=bits, target_gap=gap)
 
 
 # ---------------------------------------------------------- ExperimentConfig
@@ -229,7 +239,7 @@ def test_trial_with_planted_directions_matches_perfect_zf():
 
 
 def orthogonal_codebooks(config):
-    """A scorer of per-user codebooks whose every codeword is orthogonal to trial 0's channel."""
+    """A policy of per-user codebooks whose every codeword is orthogonal to trial 0's channel."""
     codebooks = []
     for h in block_channels(config, 0, 1)[0, :, :, 0]:
         direction = h / np.linalg.norm(h)
@@ -252,7 +262,8 @@ def test_run_chunk_returns_rate_and_drop_arrays():
     # every trial, as float64 rates and a bool drop mask
     config = small_config(seed=1234)
     trials = range(0, 5)
-    rate_fb, dropped = _run_chunk(config, [(1, 10.0, 1)], trials, {1: orthogonal_codebooks(config)})
+    rate_fb, dropped = _run_chunk(config, [(1, 10.0, 1)], trials,
+                                  orthogonal_codebooks(config)(config, [(1, 1)]))
     assert [rate_fb.shape, dropped.shape] == [(1, len(trials))] * 2
     assert (rate_fb.dtype, dropped.dtype) == (np.float64, np.bool_)
     assert dropped[0, 0]
@@ -275,7 +286,7 @@ def test_refused_feedback_stack_drops_its_trial_at_every_snr(monkeypatch):
     monkeypatch.setattr(experiment, "zero_force", refusing)
     config = small_config(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0), seed=1234)
     cells = [(1, 0.0, 2), (1, 10.0, 2), (2, 0.0, 2), (2, 10.0, 2)]
-    rate_fb, dropped = _run_chunk(config, cells, range(5), {2: policy_score(config, 2)})
+    rate_fb, dropped = _run_chunk(config, cells, range(5), policy_score(config, grid_pairs(cells)))
     assert dropped.tolist() == [[False, True, False, False, False]] * 2 + [[False] * 5] * 2
     assert (rate_fb[:2, 1] == 0.0).all()
     assert (rate_fb[:2, [0, 2, 3, 4]] > 0.0).all() and (rate_fb[2:] > 0.0).all()
@@ -312,7 +323,7 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
     monkeypatch.setattr(quantize, "_select", spy_select)
     monkeypatch.setattr(experiment, "_orient", spy_orient)
     trials = range(64, 134)
-    records = _run_chunk(config, [(2, 10.0, 3)], trials, {3: policy_score(config, 3)})
+    records = _run_chunk(config, [(2, 10.0, 3)], trials, policy_score(config, [(2, 3)]))
     monkeypatch.undo()
 
     channels = np.concatenate([block_channels(config, 1, 64), block_channels(config, 2, 6)])
@@ -362,8 +373,8 @@ def test_each_n_quantizes_its_own_block_channel_draw(monkeypatch):
     config = ExperimentConfig(m=4, n_rx=(2, 1, 3), snr_db_grid=(10.0,),
                               bits_rule=BitsRule.fixed(2), trials=200, seed=11,
                               codebook_policy="fixed")
-    _run_chunk(config, [(2, 10.0, 2), (1, 10.0, 2), (3, 10.0, 2)], range(64, 134),
-               {2: policy_score(config, 2)})
+    cells = [(2, 10.0, 2), (1, 10.0, 2), (3, 10.0, 2)]
+    _run_chunk(config, cells, range(64, 134), policy_score(config, grid_pairs(cells)))
     parts = np.concatenate([block_draw(config.seed, b, PURPOSE_CHANNEL, (k, 4, 2, 4, 4))
                             for b, k in ((1, 64), (2, 6))])
     full = complex_from_parts(np.moveaxis(parts, 2, 0))  # (70, users, M, M)
@@ -451,7 +462,8 @@ def law_picks(m, widths, bits=4, trials=200, seed=3):
     channels = complex_normal(RngStream(seed, purpose=PURPOSE_CHANNEL).generator(),
                               (trials, m, m, max(widths)))
     q = np.linalg.qr(channels)[0]
-    return q, policy_score(config, bits)(0, q, list(widths))
+    picks = dict(policy_score(config, [(n, bits) for n in widths])(0, q))
+    return q, [picks[n, bits] for n in widths]
 
 
 def test_law_cos_sq_is_nondecreasing_in_n():
@@ -504,13 +516,13 @@ def test_fixed_codebooks_policy():
     # per-user books differ from each other
     assert not np.array_equal(books[0], books[1])
     q = np.linalg.qr(block_channels(fixed, 0, 5))[0]
-    [expected] = planted(books)(0, q, (1,))
-    for score in (policy_score(fixed, 2), policy_score(fixed, 2)):
+    [(_, expected)] = planted(books)(fixed, [(1, 2)])(0, q)
+    for score in (policy_score(fixed, [(1, 2)]), policy_score(fixed, [(1, 2)])):
         for first_block in (0, 3):
-            [picks] = score(first_block, q, (1,))
+            [(_, picks)] = score(first_block, q)
             assert_same_records(picks, expected)
-    per_block = policy_score(small_config(), 2)
-    [first], [later] = per_block(0, q, (1,)), per_block(3, q, (1,))
+    per_block = policy_score(small_config(), [(1, 2)])
+    [(_, first)], [(_, later)] = per_block(0, q), per_block(3, q)
     assert not np.array_equal(first[1], later[1])
 
 
@@ -522,6 +534,23 @@ def test_fixed_policy_changes_results_but_stays_deterministic():
     assert fixed_1.points[0].rate_fb_mean != per_block.points[0].rate_fb_mean
     # the exact benchmark does not depend on the codebook policy
     assert fixed_1.points[0].rate_zf_mean == per_block.points[0].rate_zf_mean
+
+
+@pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
+def test_sharing_work_across_pairs_moves_no_pick(policy):
+    # one chunk score over pairs that share an N (2, at B = 3 and 5), a B (3, at N = 2, 1
+    # and 4) and the full width N = M: each pair's picks must be byte for byte those of a
+    # score of that pair alone, on the Q a chunk of its N alone would factor
+    config = small_config(m=4, n_rx=(1, 2, 4), trials=200, seed=17, codebook_policy=policy)
+    pairs = [(2, 3), (1, 3), (2, 5), (4, 5), (4, 3)]
+    parts = np.concatenate([block_draw(config.seed, b, PURPOSE_CHANNEL, (k, 4, 2, 4, 4))
+                            for b, k in ((1, 64), (2, 6))])
+    q = np.linalg.qr(complex_from_parts(np.moveaxis(parts, 2, 0)))[0]
+    shared = list(policy_score(config, pairs)(1, q))
+    assert sorted(pair for pair, _ in shared) == sorted(pairs)
+    for (n, bits), picks in shared:
+        [(_, alone)] = policy_score(config, [(n, bits)])(1, np.ascontiguousarray(q[..., :n]))
+        assert_same_records(picks, alone)
 
 
 # ------------------------------------------------------------------ _aggregate
@@ -577,7 +606,7 @@ def test_run_experiment_matches_manual_loop():
     config = small_config(trials=50, snr_db_grid=(5.0,))
     result = run_experiment(config)
     [rate_fb], [dropped] = _run_chunk(config, [(1, 5.0, 2)], range(50),
-                                      {2: policy_score(config, 2)})
+                                      policy_score(config, [(1, 2)]))
     fb_mean, fb_ci = mean_ci(rate_fb[~dropped])
     point = result.points[0]
     assert point.rate_fb_mean == fb_mean and point.rate_fb_ci == fb_ci
@@ -682,9 +711,9 @@ def assert_chunk_bytes_count_traced_peak(traced_peak, config) -> int:
     a bit count's scorer is handed only the columns of Q its Ns span, and a finished count's
     arrays are not held while the next one is scored.  Returns the traced peak."""
     cells = grid_cells(config)
-    scores = {b: policy_score(config, b) for b in dict.fromkeys(b for *_, b in cells)}
-    _run_chunk(config, cells, range(1), scores)  # numpy's one-time set-up
-    peak = traced_peak(_run_chunk, config, cells, range(config.trials), scores)
+    score = policy_score(config, grid_pairs(cells))
+    _run_chunk(config, cells, range(1), score)  # numpy's one-time set-up
+    peak = traced_peak(_run_chunk, config, cells, range(config.trials), score)
     counted = experiment._chunk_bytes(config, cells, config.trials)
     assert 0.75 * peak <= counted <= 1.25 * peak
     return peak
@@ -729,12 +758,12 @@ def test_chunk_holds_no_real_normals_once_scoring_starts():
         held.append(tracemalloc.get_traced_memory()[0])
         return score(*args)
 
-    score = policy_score(config, bits)
-    _run_chunk(config, cells, range(1), {bits: score})  # numpy's one-time set-up
+    score = policy_score(config, grid_pairs(cells))
+    _run_chunk(config, cells, range(1), score)  # numpy's one-time set-up
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _run_chunk(config, cells, range(trials), {bits: spy_score})
+        _run_chunk(config, cells, range(trials), spy_score)
     finally:
         tracemalloc.stop()
     # a trial and user holds its complex (M, M) channel and the QR factors of
@@ -750,10 +779,11 @@ def test_records_of_fewer_trials_are_a_prefix(policy):
     config = ExperimentConfig(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0),
                               bits_rule=BitsRule.fixed(3), trials=130, seed=8,
                               codebook_policy=policy)
-    cells, scores = [(1, 10.0, 3), (2, 0.0, 3), (2, 10.0, 3)], {3: policy_score(config, 3)}
-    assert_same_records(_run_chunk(config, cells, range(70), scores),
+    cells = [(1, 10.0, 3), (2, 0.0, 3), (2, 10.0, 3)]
+    score = policy_score(config, grid_pairs(cells))
+    assert_same_records(_run_chunk(config, cells, range(70), score),
                         [column[:, :70] for column in
-                         _run_chunk(config, cells, range(130), scores)])
+                         _run_chunk(config, cells, range(130), score)])
 
 
 @pytest.mark.parametrize("policy", CODEBOOK_POLICIES)
@@ -761,9 +791,9 @@ def test_records_of_fewer_trials_are_a_prefix(policy):
 def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
     chunks = []
 
-    def spy_chunk(config, cells, trials, scores):
+    def spy_chunk(config, cells, trials, score):
         chunks.append(trials)
-        return _run_chunk(config, cells, trials, scores)
+        return _run_chunk(config, cells, trials, score)
 
     monkeypatch.setattr(experiment, "_run_chunk", spy_chunk)
     # the budgets that size chunks and fixed scan slices, with a floor of one block a chunk
@@ -861,7 +891,7 @@ def test_grid_equals_its_cells_when_trials_drop(monkeypatch):
     # direction and zero-forcing refuses the stack, at every (N, SNR)
     book = np.vstack([np.eye(3), np.ones((1, 3)) / np.sqrt(3)]).astype(complex)
     monkeypatch.setitem(experiment.CODEBOOK_POLICIES, "fixed",
-                        lambda config, bits: planted([book] * config.m))
+                        planted([book] * 3))
     config = ExperimentConfig(m=3, n_rx=(1, 2), snr_db_grid=(0.0, 10.0),
                               bits_rule=BitsRule.fixed(2), trials=150, seed=43,
                               codebook_policy="fixed")
@@ -915,9 +945,9 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
     gap = work(config)
     assert gap["chunk"] == gap["QR"] == 2
     assert gap["draw", PURPOSE_CHANNEL] == 2  # the pass draws the 70 trials' 2 blocks
-    # each (N, B) zero-forced once a chunk; the law drawn once a chunk for each B
+    # each (N, B) zero-forced once a chunk; the law drawn once a chunk, whatever its B
     assert gap["feedback ZF"] == 6 * 2
-    assert gap["random", PURPOSE_LAW] == 5 * 2 * (policy == "per_block")
+    assert gap["random", PURPOSE_LAW] == 2 * (policy == "per_block")
 
     # one-block chunks at M = 3, B = 3: 200 trials are chunks of 64, 64, 64 and 8,
     # each scanned in one slice under fixed
