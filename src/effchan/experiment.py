@@ -9,22 +9,23 @@ simulated, so the reported gap carries the feedback rate's Monte Carlo noise alo
 
 A sweep's whole (N, SNR) grid, whatever bits its cells spend, runs in one pass
 over chunks (``_plan``) on the threads of ``linalg.worker_count``, as validation's
-sample blocks do, joined in chunk order.  No stream id carries N, SNR or B, so
-a chunk draws an M x M channel per trial and user once for its cells.
-An N's channel is the first N columns of it, so the receive antennas nest: N + 1
-antennas are the same mobile's N antennas and one more.  The chunk QR-factors
-the largest N once (a smaller N's factors are prefixes of it), takes every (N, B)
-pair's picks from one call of the policy's scorer (``CODEBOOK_POLICIES``), orients
-and zero-forces each (N, B) once, and rates every SNR from the same beams.
+sample blocks do, joined in chunk order.  No stream id carries N, SNR or B, so a
+chunk draws an M x top channel per trial and user once for its cells, top the
+largest N.  An N's channel is its first N columns, as in a run of that N alone, so
+the receive antennas nest: N + 1 antennas are the same mobile's N and one more.
+The chunk QR-factors the channels once (a smaller N's factors are prefixes), takes
+every (N, B) pair's picks from one call of the policy's scorer (``CODEBOOK_POLICIES``),
+orients and zero-forces each (N, B) once, and rates every SNR from the same beams.
 
-Determinism contract, stream version 7 (``STREAM_VERSION``, in the sweep
+Determinism contract, stream version 8 (``STREAM_VERSION``, in the sweep
 manifest): block b, trials [64 b, 64 b + 64), draws from one stream per purpose,
-``RngStream(seed, b, 0, purpose)``: its channels, a (64, users, 2, M, M) run,
-and under per_block the law's u = 1 - random((64, users)), then g and w, each a
-standard_normal((2, 64, users, M)) run (``PURPOSE_LAW``); a block cut short
-still draws in full.  A normal takes a variable number of random words, so the
-block, not the trial, is the unit of replay; chunks are whole blocks, so no draw depends on
-the chunk size or the worker count.  Version 7 inverts the law by Newton steps (``_law_sin_sq``).
+``RngStream(seed, b, 0, purpose)``: its channels, a (top, 64, users, 2, M) run,
+and under per_block the law's u = 1 - random((64, users)), then w and g, the
+standard_normal runs (2, 64, users, M) and (top, 2, 64, users) (``PURPOSE_LAW``).
+The sampler fills in order, so a narrower run's draws are a prefix of a wider
+run's; a block cut short still draws in full.  A normal takes a variable number
+of random words, so the block, not the trial, is the unit of replay; chunks are
+whole blocks, so no draw depends on the chunk size or the worker count.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .stats import _beta_coefs, mean_ci
 
 # Version of the sweep's stream contract (module docstring), and the trials
 # per stream block, the contract's unit of replay; a chunk is whole blocks (``_plan``).
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 _BLOCK = 64
 # Fewest stream blocks in a chunk of a split sweep (``_plan``): fewer run faster unsplit.
 _SPLIT_BLOCKS = 4
@@ -179,18 +180,19 @@ class ExperimentResult:
 
 def _chunk_bytes(config: ExperimentConfig, cells: list, trials: int) -> int:
     """Bytes a chunk of ``trials`` trials at the (N, SNR, bits) ``cells`` holds at its peak:
-    per trial and user, its complex (M, M) channel (its normals are freed once it is formed),
-    the QR factors of the largest N and one bit count's picks, and under per_block the law's
-    draws and one width's temporaries; under fixed also the largest scan slice, a bit count's
-    at the largest N that spends it (``_score_fixed``)."""
+    per trial and user, its complex (M, top) channel, top the largest N (its normals are freed
+    once it is formed), its QR factors, one bit count's picks and zero_force's temporaries; under
+    per_block also the law's u, w and g and one width's Q_n a and z; under fixed the larger of
+    those temporaries and the largest scan slice, a bit count's at the largest N that spends it."""
     m, top = config.m, max(n for n, *_ in cells)
     widths = {b: {n for n, _, c in cells if c == b} for *_, b in cells}  # bits -> their Ns
-    held = 16 * (m * m + m * top + top * top) + max(
+    held = 16 * (2 * m * top + top * top) + max(
         sum(16 * (3 * m + n) + 40 for n in ns) for ns in widths.values())
+    zf = m * trials * 64 * m  # zero_force's rows, their masked copy, inverse and beams
     if config.codebook_policy == "per_block":
-        return m * trials * (held + 16 * m * (4 + top))
+        return m * trials * (held + 16 * (3 * m + top) + 8) + zf
     scans = [m * 2 ** b * _scan_bytes(m, max(ns), False) for b, ns in widths.items()]  # a trial's
-    return m * trials * held + max(min(trials, slice_items(scan)) * scan for scan in scans)
+    return m * trials * held + max([zf] + [min(trials, slice_items(s)) * s for s in scans])
 
 
 def _plan(config: ExperimentConfig, cells: list) -> tuple[tuple[range, ...], int]:
@@ -235,17 +237,18 @@ def _score_per_block(config: ExperimentConfig, pairs: list):
     codebook row, so index -1 (the span metric is invariant under unitaries that keep
     span(Q_n)).  Per trial and user, u sets sin^2 (``_law_sin_sq``), a = g[:n] / |g[:n]| is
     uniform on the sphere of C^n, z = (I - Q_n Q_n^H) w / |.| on the span's complement, and
-    q_hat = cos Q_n a + sin z; one u, g and w serve every pair, and one Q_n a and z every B."""
+    q_hat = cos Q_n a + sin z; one u, w and g serve every pair, and one Q_n a and z every B."""
     def score(first_block: int, q: np.ndarray):
-        count, users, m = *q.shape[:2], config.m
-        u, (g, w) = np.empty((count, users)), np.empty((2, 2, count, users, m))
+        count, users, m, top = q.shape  # top: the chunk's largest N
+        u, w, g = (np.empty(shape) for shape in ((count, users), (2, count, users, m),
+                                                 (top, 2, count, users)))
         for lo in range(0, count, _BLOCK):
             gen = RngStream(config.seed, first_block + lo // _BLOCK, 0, PURPOSE_LAW).generator()
             rows, k = slice(lo, lo + _BLOCK), min(_BLOCK, count - lo)  # a cut block draws in full
             u[rows] = 1.0 - gen.random((_BLOCK, users))[:k]  # never 0, which would make sin^2 1
-            g[:, rows] = gen.standard_normal((2, _BLOCK, users, m))[:, :k]
             w[:, rows] = gen.standard_normal((2, _BLOCK, users, m))[:, :k]
-        g, w = complex_from_parts(g), complex_from_parts(w)  # frees the real normals
+            g[:, :, rows] = gen.standard_normal((top, 2, _BLOCK, users))[:, :, :k]  # g[:n] nest
+        g, w = complex_from_parts(np.moveaxis(g, 0, -1)), complex_from_parts(w)  # frees normals
         for n in dict.fromkeys(n for n, _ in pairs):
             q_n, a = q[..., :n], g[..., :n]
             q_a = np.einsum("...mk,...k->...m", q_n, a / np.linalg.norm(a, axis=-1)[..., None])
@@ -294,30 +297,32 @@ def _run_chunk(config: ExperimentConfig, cells: list[tuple[int, float, int]], tr
                score) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the fading blocks ``trials`` at every (N, SNR, bits) cell of ``cells``.
 
-    ``trials`` starts at a stream block's first trial; a block the range ends inside draws a
-    prefix of its stream.  A block draws its M x M channels from one stream; an N's channels
-    are their first N columns.  The largest N is QR-factored once, and one call of ``score``
+    ``trials`` starts at a stream block's first trial; a block the range ends inside still
+    draws all its trials.  A block draws its M x top channels, top the largest N, from one
+    stream, column outermost; an N's channels are their first N columns, and a narrower run's
+    draw is a prefix of this one.  They are QR-factored once, and one call of ``score``
     (a ``CODEBOOK_POLICIES`` scorer's) yields the picks of every (N, bits) pair of ``cells``;
     each pair is oriented on its prefixes of the factors, and drops a trial at all its SNRs
     when a quantization faults or zero-forcing refuses its stack.  Returns ``(rate_fb,
     dropped)``, each ``(len(cells), len(trials))``; a dropped trial carries a zero rate.
     """
-    m, seed, count = config.m, config.seed, len(trials)
+    m, count, top = config.m, len(trials), max(n for n, *_ in cells)
     first_block = trials.start // _BLOCK
-    channel_parts = np.empty((count, m, 2, m, m))
-    for lo in range(0, count, _BLOCK):
-        stream = RngStream(seed, first_block + lo // _BLOCK, 0, PURPOSE_CHANNEL)
-        stream.generator().standard_normal(out=channel_parts[lo:lo + _BLOCK])
-    # (trials, users, M, M): an N's channels are the first N columns
-    channels = complex_from_parts(np.moveaxis(channel_parts, 2, 0))
-    del channel_parts  # the real normals; only the complex channels are used
+    # per block, column outermost: a narrower run's draw is a prefix of this one
+    parts = np.empty((-(-count // _BLOCK), top, _BLOCK, m, 2, m))
+    for b in range(len(parts)):
+        RngStream(config.seed, first_block + b, 0, PURPOSE_CHANNEL).generator().standard_normal(
+            out=parts[b])
+    # (trials, users, M, top): an N's channels are the first N columns
+    channels = complex_from_parts(parts.transpose(4, 0, 2, 3, 5, 1)).reshape(-1, m, m, top)[:count]
+    del parts  # the real normals; only the complex channels are used
     # QR of a column prefix is the prefix of the QR: one factorization serves every N
-    q, r = np.linalg.qr(channels[..., :max(n for n, *_ in cells)])
+    q, r = np.linalg.qr(channels)
     records = {}
     for (n, bits), picks in score(first_block, q):
         # contiguous prefixes, so that each N is oriented as a chunk of that N alone is
-        fb, fault = _orient(channels[..., :n], np.ascontiguousarray(q[..., :n]),
-                            np.ascontiguousarray(r[..., :n, :n]), *picks)
+        fb, fault = _orient(*(np.ascontiguousarray(x) for x in (
+            channels[..., :n], q[..., :n], r[..., :n, :n])), *picks)
         # user stacks as (M, M) matrices with one column per user
         beams, cond, residual = zero_force(np.swapaxes(fb.q_hat, -1, -2))
         dropped = (fault != 0).any(axis=-1) | refused(cond, residual)

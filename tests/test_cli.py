@@ -88,7 +88,7 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert len(manifest["rows"]) == 2
     assert manifest["rows"][0]["rate_zf_mean"] > 0
     assert "outputs" in manifest and "warnings" in manifest
-    assert manifest["stream_version"] == 7
+    assert manifest["stream_version"] == 8
 
 
 def test_sweep_reports_default_seed(tmp_path, capsys):

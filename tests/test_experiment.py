@@ -42,26 +42,26 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def block_draw(seed, block, purpose, shape):
-    """Stream block ``block``'s standard normals for ``purpose``, drawn from its start."""
-    return RngStream(seed, block, 0, purpose).generator().standard_normal(shape)
-
-
 def block_channels(config, block, trials):
-    """Complex channels (trials, users, M, N) of a stream block's first trials at the
-    config's one N: the first N columns of the block's (M, M) channel draw."""
-    [n], m = config.n_rx, config.m
-    parts = block_draw(config.seed, block, PURPOSE_CHANNEL, (trials, config.m, 2, m, m))
-    return np.ascontiguousarray(complex_from_parts(np.moveaxis(parts, 2, 0))[..., :n])
+    """Complex channels (trials, users, M, top) of a stream block's first trials, top the
+    config's largest N: the block's (top, 64, users, 2, M) draw from its stream's start,
+    column outermost, drawn in full and cut."""
+    m, top = config.m, max(config.n_rx)
+    gen = RngStream(config.seed, block, 0, PURPOSE_CHANNEL).generator()
+    parts = gen.standard_normal((top, experiment._BLOCK, m, 2, m))
+    return np.ascontiguousarray(complex_from_parts(parts.transpose(3, 1, 2, 4, 0))[:trials])
 
 
 def law_draws(config, block, trials):
     """Stream block ``block``'s law draws for its first ``trials`` trials: u = 1 - random((64,
-    users)), then g and w, each standard normals (2, 64, users, M), drawn in full and cut."""
+    users)), then w, standard normals (2, 64, users, M), then g, standard normals (top, 2, 64,
+    users) at the config's largest N, drawn in full and cut; g is returned as (2, trials,
+    users, top)."""
     gen = RngStream(config.seed, block, 0, PURPOSE_LAW).generator()
-    shape = (2, experiment._BLOCK, config.m, config.m)
-    u = 1.0 - gen.random((experiment._BLOCK, config.m))
-    g, w = gen.standard_normal(shape), gen.standard_normal(shape)
+    users, top = config.m, max(config.n_rx)
+    u = 1.0 - gen.random((experiment._BLOCK, users))
+    w = gen.standard_normal((2, experiment._BLOCK, users, config.m))
+    g = np.moveaxis(gen.standard_normal((top, 2, experiment._BLOCK, users)), 0, -1)
     return u[:trials], g[:, :trials], w[:, :trials]
 
 
@@ -360,9 +360,9 @@ def test_chunk_draws_equal_per_stream_draws(monkeypatch, policy, seed):
 
 def test_each_n_quantizes_its_own_block_channel_draw(monkeypatch):
     # one draw a block serves every N: each N's channels must be the first N
-    # columns of the block stream's (trials, users, 2, M, M) draw from its
-    # start, over a full block and one cut short, and each N's (Q, R) the
-    # prefixes of the chunk's one QR, of the largest N (here N < M)
+    # columns of the block stream's (top, 64, users, 2, M) draw from its start,
+    # top the largest N, over a full block and one cut short, and each N's (Q, R)
+    # the prefixes of the chunk's one QR, of the largest N (here N < M)
     seen = {}
 
     def spy_orient(channels, q, r, *picks):
@@ -375,15 +375,57 @@ def test_each_n_quantizes_its_own_block_channel_draw(monkeypatch):
                               codebook_policy="fixed")
     cells = [(2, 10.0, 2), (1, 10.0, 2), (3, 10.0, 2)]
     _run_chunk(config, cells, range(64, 134), policy_score(config, grid_pairs(cells)))
-    parts = np.concatenate([block_draw(config.seed, b, PURPOSE_CHANNEL, (k, 4, 2, 4, 4))
-                            for b, k in ((1, 64), (2, 6))])
-    full = complex_from_parts(np.moveaxis(parts, 2, 0))  # (70, users, M, M)
-    q, r = np.linalg.qr(full[..., :3])
+    full = np.concatenate([block_channels(config, b, k) for b, k in ((1, 64), (2, 6))])
+    assert full.shape == (70, 4, 4, 3)  # (trials, users, M, top)
+    q, r = np.linalg.qr(full)
     assert sorted(seen) == [1, 2, 3]
     for n, (channels, q_n, r_n) in seen.items():
         assert channels.tobytes() == full[..., :n].tobytes()
         assert q_n.tobytes() == q[..., :n].tobytes()
         assert r_n.tobytes() == r[..., :n, :n].tobytes()
+
+
+@pytest.mark.parametrize("policy, n, wider", [("per_block", 1, (3, 1)), ("per_block", 2, (2, 4)),
+                                             ("fixed", 2, (1, 2, 3))])
+def test_a_runs_draws_for_n_are_a_wider_runs_first_n_columns(monkeypatch, policy, n, wider):
+    # a run draws each block's channels, and the law's g, only max(n_rx) columns wide, column
+    # outermost: N's channels, QR factors and picks, and the law's u, w and g[:N], must be
+    # byte for byte those of a run of N alone, over a full block and one cut short
+    def run(n_rx):
+        draws, oriented = [], {}
+
+        class SpyStream(RngStream):
+            def generator(self):
+                gen = super().generator()
+
+                def spy(name):
+                    def draw(*args, **kwargs):
+                        out = getattr(gen, name)(*args, **kwargs)
+                        draws.append((self.purpose, self.trial, out.copy()))
+                        return out
+                    return draw
+                return SimpleNamespace(random=spy("random"), standard_normal=spy("standard_normal"))
+
+        def spy_orient(channels, q, r, *picks):
+            oriented[channels.shape[-1]] = channels, q, r, *picks
+            return _orient(channels, q, r, *picks)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "RngStream", SpyStream)
+            patch.setattr(experiment, "_orient", spy_orient)
+            run_experiment(small_config(m=4, n_rx=n_rx, bits_rule=BitsRule.fixed(3), trials=70,
+                                        seed=23, codebook_policy=policy))
+        return draws, oriented[n]
+
+    (draws, alone), (wide_draws, wide) = run((n,)), run(wider)
+    for got, want in zip(alone, wide, strict=True):
+        assert got.tobytes() == want.tobytes()
+    # the same streams in the same order; only channels and g are drawn max(n_rx) wide
+    assert [key[:2] for key in draws] == [key[:2] for key in wide_draws]
+    law = [(d, w) for (purpose, _, d), (*_, w) in zip(draws, wide_draws) if purpose == PURPOSE_LAW]
+    assert len(law) == 3 * 2 * (policy == "per_block")  # u, w and g of each of two blocks
+    for k, (drawn, wide_drawn) in enumerate(law):
+        assert drawn.tobytes() == (wide_drawn[:n] if k % 3 == 2 else wide_drawn).tobytes()
 
 
 def test_trial_feedback_loses_to_perfect_knowledge_on_average():
@@ -543,9 +585,8 @@ def test_sharing_work_across_pairs_moves_no_pick(policy):
     # score of that pair alone, on the Q a chunk of its N alone would factor
     config = small_config(m=4, n_rx=(1, 2, 4), trials=200, seed=17, codebook_policy=policy)
     pairs = [(2, 3), (1, 3), (2, 5), (4, 5), (4, 3)]
-    parts = np.concatenate([block_draw(config.seed, b, PURPOSE_CHANNEL, (k, 4, 2, 4, 4))
-                            for b, k in ((1, 64), (2, 6))])
-    q = np.linalg.qr(complex_from_parts(np.moveaxis(parts, 2, 0)))[0]
+    q = np.linalg.qr(np.concatenate([block_channels(config, b, k)
+                                     for b, k in ((1, 64), (2, 6))]))[0]
     shared = list(policy_score(config, pairs)(1, q))
     assert sorted(pair for pair, _ in shared) == sorted(pairs)
     for (n, bits), picks in shared:
@@ -725,6 +766,7 @@ def assert_chunk_bytes_count_traced_peak(traced_peak, config) -> int:
     ("per_block", 8, tuple(range(1, 9)), 10, 64),  # every width's law temporaries
     ("per_block", 4, (1, 2), 4, 192),  # README sweep.cfg's chunk
     ("fixed", 4, (1,), 14, 64),  # a block scanned a trial at a time, not ~130 MiB at once
+    ("per_block", 8, (1,), 10, 256),  # one column drawn of eight: zero_force's stacks lead
 ])
 def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, bits, trials):
     peak = assert_chunk_bytes_count_traced_peak(traced_peak, ExperimentConfig(
@@ -766,10 +808,10 @@ def test_chunk_holds_no_real_normals_once_scoring_starts():
         _run_chunk(config, cells, range(trials), spy_score)
     finally:
         tracemalloc.stop()
-    # a trial and user holds its complex (M, M) channel and the QR factors of
-    # the largest N when the scorer is called
+    # a trial and user holds its complex (M, top) channel, top the largest N,
+    # and their QR factors when the scorer is called
     top = max(n_rx)
-    count = trials * config.m * 16 * (m * m + m * top + top * top)
+    count = trials * config.m * 16 * (m * top + m * top + top * top)
     assert 0.9 * count <= held[0] - start <= 1.1 * count
 
 
@@ -809,27 +851,28 @@ def test_chunks_start_on_stream_blocks(monkeypatch, policy, chunk_bytes):
     assert [t for chunk in chunks for t in chunk] == list(range(333))
 
 
-# rate_fb_mean recorded on stream contract v4 (each block's channels drawn M x M,
-# an N's channels their first N columns) when it replaced v3's M x N_max draw;
-# v5 leaves it byte-identical.  rate_zf_mean is the exact benchmark since v5,
-# checked against scipy's exp1, and gap is rate_zf_mean - rate_fb_mean:
-# (N, scorer, SNR) -> (rate_fb_mean, rate_zf_mean, gap, dropped) at M = 3,
-# B = 3, 50 trials, seed 2024.  The "explicit" rows are v5's per_block rows,
-# reproduced by ``oracles.explicit_per_block`` in the per_block scorer's place;
-# the "per_block" rows are v6's, whose scorer draws each pick from its law.
+# rate_fb_mean re-pinned on stream contract v8, which draws each block's channels
+# and the law's g only max(n_rx) columns wide, column outermost (v4 to v7 drew
+# both M wide, the channels trials outermost), so every row moved; the v7-vs-v8
+# rate_fb_mean check over 20,000 trials is in CHANGES.md.  rate_zf_mean is the
+# exact benchmark since v5, checked against scipy's exp1, and gap is rate_zf_mean -
+# rate_fb_mean: (N, scorer, SNR) -> (rate_fb_mean, rate_zf_mean, gap, dropped) at
+# M = 3, B = 3, 50 trials, seed 2024.  The "explicit" rows are reproduced by
+# ``oracles.explicit_per_block``, which draws and scans every codebook, in the
+# per_block scorer's place; the "per_block" rows draw each pick from its law.
 RECORDED_POINTS = {
-    (1, "explicit", 0.0): (0.9058193019900481, 1.1343207370919375, 0.22850143510188936, 0),
-    (1, "explicit", 10.0): (2.490153634598315, 5.291238164279847, 2.8010845296815323, 0),
-    (1, "per_block", 0.0): (0.9128695760325334, 1.1343207370919375, 0.2214511610594041, 0),
-    (1, "per_block", 10.0): (2.6232069253783252, 5.291238164279847, 2.668031238901522, 0),
-    (1, "fixed", 0.0): (0.7629923539298932, 1.1343207370919375, 0.3713283831620443, 0),
-    (1, "fixed", 10.0): (2.287053015065227, 5.291238164279847, 3.0041851492146203, 0),
-    (2, "explicit", 0.0): (0.7846283193622979, 1.1343207370919375, 0.34969241772963955, 0),
-    (2, "explicit", 10.0): (3.561731238404753, 5.291238164279847, 1.7295069258750946, 0),
-    (2, "per_block", 0.0): (0.7372195754308501, 1.1343207370919375, 0.39710116166108733, 0),
-    (2, "per_block", 10.0): (3.41785679179724, 5.291238164279847, 1.8733813724826076, 0),
-    (2, "fixed", 0.0): (0.8585801071354492, 1.1343207370919375, 0.2757406299564883, 0),
-    (2, "fixed", 10.0): (3.817623662848248, 5.291238164279847, 1.4736145014315993, 0),
+    (1, "explicit", 0.0): (0.9804258522928905, 1.1343207370919375, 0.153894884799047, 0),
+    (1, "explicit", 10.0): (2.793311377430515, 5.291238164279847, 2.4979267868493324, 0),
+    (1, "per_block", 0.0): (0.9993438191822134, 1.1343207370919375, 0.1349769179097241, 0),
+    (1, "per_block", 10.0): (2.8354387131618353, 5.291238164279847, 2.455799451118012, 0),
+    (1, "fixed", 0.0): (0.9582381889853783, 1.1343207370919375, 0.1760825481065592, 0),
+    (1, "fixed", 10.0): (2.652791394519146, 5.291238164279847, 2.6384467697607015, 0),
+    (2, "explicit", 0.0): (0.7863639263265116, 1.1343207370919375, 0.34795681076542584, 0),
+    (2, "explicit", 10.0): (3.5281022173709635, 5.291238164279847, 1.7631359469088839, 0),
+    (2, "per_block", 0.0): (0.8043555490447498, 1.1343207370919375, 0.32996518804718766, 0),
+    (2, "per_block", 10.0): (3.6138928879927503, 5.291238164279847, 1.677345276287097, 0),
+    (2, "fixed", 0.0): (0.7684604874571646, 1.1343207370919375, 0.3658602496347729, 0),
+    (2, "fixed", 10.0): (3.5946756815789396, 5.291238164279847, 1.6965624827009078, 0),
 }
 
 

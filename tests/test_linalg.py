@@ -182,14 +182,18 @@ def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pool
     assert [len(chunk) for chunk in chunks] == [1024, 976] and workers == 2
     monkeypatch.setattr(linalg, "_cores", lambda: 64)
     # 6400 trials at M = 8, N = 2, B = 10 are 100 blocks, split over min(64, 25)
-    # chunks of four blocks, but a 64-trial chunk holds more than a core's 1 MiB
-    # share of the cap, so chunks are one block each.  Under per_block a chunk
-    # holds about 1.25 MiB (the chunk's M x M channels, QR factors, picks and law
-    # draws, with no codebook), so 51 fit under the 64 MiB cap; under fixed about
-    # 1.44 MiB (the same but the law's draws, and a one-trial slice of its scan:
-    # 2^10 codewords' overlap and metric a user), so 44 fit
+    # chunks of four blocks, but two blocks' chunk holds more than a core's 1 MiB
+    # share of the cap, so chunks are one block each.  A 64-trial chunk holds, per
+    # trial and user, 1032 bytes: its (M, 2) channels and QR factors, 16 (2·8·2 +
+    # 2²), and one bit count's picks, 16 (3·8 + 2) + 40.  Under per_block it also
+    # holds the law's u, w and g and one width's Q_n a and z, 16 (3·8 + 2) + 8,
+    # and zero_force's four (M, M) stacks, 64·8: 512 (1032 + 424) + 262144 =
+    # 1007616 bytes, so 66 fit under the 64 MiB cap and the 64 cores bind.  Under
+    # fixed the larger of those stacks and a one-trial slice of its scan (2^10
+    # codewords' overlap and metric a user) comes on top of 512·1032: 1118208
+    # bytes, so 60 fit
     fixed_b10 = dataclasses.replace(block_b10, trials=6400, codebook_policy="fixed")
-    for policy, workers in (("fixed", 44), ("per_block", 51)):
+    for policy, workers in (("fixed", 60), ("per_block", 64)):
         chunks, count = experiment._plan(dataclasses.replace(fixed_b10, codebook_policy=policy),
                                          [(2, 10.0, 10)])
         assert (len(chunks), len(chunks[0]), count) == (100, 64, workers)

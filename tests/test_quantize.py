@@ -541,7 +541,7 @@ def test_select_drawn_holds_one_slice_at_a_time(monkeypatch, traced_peak):
 
 
 # ------------------------------------------------- nested receive antennas
-# A sweep draws each trial's channel M x M, and an N's channel is its first N
+# A sweep draws each trial's channel max(n_rx) columns wide, and an N's channel is its first N
 # columns, so one QR and one _select pass serve every N.  Both facts below are
 # bitwise: a BLAS or numpy that broke either fails here, by name, rather than
 # as a disagreement between a sweep's grid and its one-N cells.
