@@ -181,18 +181,21 @@ class ExperimentResult:
 def _chunk_bytes(config: ExperimentConfig, cells: list, trials: int) -> int:
     """Bytes a chunk of ``trials`` trials at the (N, SNR, bits) ``cells`` holds at its peak:
     per trial and user, its complex (M, top) channel, top the largest N (its normals are freed
-    once it is formed), its QR factors, one bit count's picks and zero_force's temporaries; under
-    per_block also the law's u, w and g and one width's Q_n a and z; under fixed the larger of
-    those temporaries and the largest scan slice, a bit count's at the largest N that spends it."""
+    once it is formed), its QR factors, one bit count's picks and what orienting them makes, and
+    zero_force's temporaries; under per_block also the law's u, w and g and one width's Q_n a and
+    z.  Under fixed a scan slice, a bit count's at the largest N that spends it, overlaps only the
+    channels, factors and that bit count's picks, so the larger of the two peaks is counted."""
     m, top = config.m, max(n for n, *_ in cells)
     widths = {b: {n for n, _, c in cells if c == b} for *_, b in cells}  # bits -> their Ns
-    held = 16 * (2 * m * top + top * top) + max(
-        sum(16 * (3 * m + n) + 40 for n in ns) for ns in widths.values())
-    zf = m * trials * 64 * m  # zero_force's rows, their masked copy, inverse and beams
+    factored = 16 * (2 * m * top + top * top)
+    held = factored + max(sum(16 * (3 * m + n) + 40 for n in ns) for ns in widths.values())
+    zf = m * trials * 64 * m  # zero_force's rows and inverse, and two temporaries of a norm
     if config.codebook_policy == "per_block":
         return m * trials * (held + 16 * (3 * m + top) + 8) + zf
-    scans = [m * 2 ** b * _scan_bytes(m, max(ns), False) for b, ns in widths.items()]  # a trial's
-    return m * trials * held + max([zf] + [min(trials, slice_items(s)) * s for s in scans])
+    scans = [(m * trials * (factored + 16 * (m + 1) * len(ns)),  # (what a scan overlaps, a trial's)
+              m * 2 ** b * _scan_bytes(m, max(ns), False)) for b, ns in widths.items()]
+    return max([m * trials * held + zf] + [beside + min(trials, slice_items(s)) * s
+                                           for beside, s in scans])
 
 
 def _plan(config: ExperimentConfig, cells: list) -> tuple[tuple[range, ...], int]:

@@ -21,7 +21,10 @@ import numpy as np
 
 # A QR pivot |R_kk| below this is treated as a rank drop.
 RANK_TOL = 1e-12
-# A max/min QR pivot ratio above this refuses inversion.
+# A Frobenius condition number ||D||_F ||D^-1||_F above this refuses zero-forcing
+# (``precoding.zero_force``).  It is at least the max/min QR pivot ratio (a median 2x, 4x
+# and 9x it on near-parallel stacks at M = 2, 4, 8), so a stack whose pivot ratio is just
+# under this may be refused.
 COND_LIMIT = 1e8
 
 # Stream purposes (fourth component of a stream id).  Keeping them in one

@@ -15,38 +15,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import COND_LIMIT, RANK_TOL
+from .linalg import COND_LIMIT
 
-# Post-inversion residual cross-gain above this means the inverse was not
-# trustworthy; treat like an ill-conditioned stack.
+# A cross gain left above this after the inverse means it is not trustworthy: refuse the stack.
 _ORTHO_TOL = 1e-8
 
 
 def zero_force(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit-norm zero-forcing beams for a stack of (..., M, M) direction matrices.
 
-    Column i is user i's direction d_i; beam v_j is orthogonal to every
-    d_i, i != j.  Returns (vectors, cond, residual): the max/min ratio of
-    the QR pivots |R_kk| of the rows d_i^H (inf below RANK_TOL), and the
-    largest cross gain |<d_i, v_j>| left after the inverse.  See ``refused``.
+    Column i is user i's direction d_i; beam v_j is orthogonal to every d_i, i != j.  Returns
+    (vectors, cond, residual): ||D||_F ||D^-1||_F of the rows D = (d_i^H), inf if exactly singular,
+    which is at least their QR pivot ratio (so a ratio just under COND_LIMIT may be refused), and
+    the largest cross gain |<d_i, v_j>| left after the inverse.  See ``refused``.
     """
     rows = np.swapaxes(directions, -1, -2).conj()  # row i = d_i^H
-    m = rows.shape[-1]
-    pivots = np.abs(np.diagonal(np.linalg.qr(rows, mode="r"), axis1=-2, axis2=-1))
-    low, high = pivots.min(axis=-1), pivots.max(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(low < RANK_TOL, np.inf, high / low)
-    # a refused stack is inverted as the identity, so that no singular
-    # stack can stop the inverse of the others
-    rows = np.where((cond <= COND_LIMIT)[..., None, None], rows, np.eye(m))
-    inverse = np.linalg.inv(rows)
-    vectors = inverse / np.linalg.norm(inverse, axis=-2, keepdims=True)
+    m, singular = rows.shape[-1], np.zeros(rows.shape[:-2], dtype=bool)
+    try:
+        inverse = np.linalg.inv(rows)
+    except np.linalg.LinAlgError:  # an exactly singular stack stops the whole batch
+        singular = np.linalg.slogdet(rows)[0] == 0
+        rows = np.where(singular[..., None, None], np.eye(m), rows)
+        inverse = np.linalg.inv(rows)
+    norms = np.linalg.norm(inverse, axis=-2, keepdims=True)
+    cond = np.linalg.norm(rows, axis=(-2, -1)) * np.linalg.norm(norms, axis=(-2, -1))
+    vectors = np.divide(inverse, norms, out=inverse)  # beam j: column j of the inverse
     cross = np.where(np.eye(m, dtype=bool), 0.0, np.abs(rows @ vectors))
-    return vectors, cond, cross.max(axis=(-2, -1))
+    return vectors, np.where(singular, np.inf, cond), cross.max(axis=(-2, -1))
 
 
 def refused(cond: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Stacks to refuse: cond above COND_LIMIT or residual above _ORTHO_TOL (or NaN)."""
+    """Stacks to refuse: cond above COND_LIMIT, which a pivot ratio just under it may read,
+    or residual above _ORTHO_TOL (or NaN)."""
     return ~((cond <= COND_LIMIT) & (residual <= _ORTHO_TOL))
 
 

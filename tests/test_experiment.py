@@ -767,6 +767,7 @@ def assert_chunk_bytes_count_traced_peak(traced_peak, config) -> int:
     ("per_block", 4, (1, 2), 4, 192),  # README sweep.cfg's chunk
     ("fixed", 4, (1,), 14, 64),  # a block scanned a trial at a time, not ~130 MiB at once
     ("per_block", 8, (1,), 10, 256),  # one column drawn of eight: zero_force's stacks lead
+    ("fixed", 8, (2,), 10, 64),  # a trial's 576 KiB scan slice leads, over the chunk's picks
 ])
 def test_chunk_bytes_counts_a_chunks_traced_peak(traced_peak, policy, m, n_rx, bits, trials):
     peak = assert_chunk_bytes_count_traced_peak(traced_peak, ExperimentConfig(
@@ -969,11 +970,9 @@ def test_grid_draws_and_zero_forces_shared_work_once_per_chunk(monkeypatch, poli
             patch.setattr(experiment, "zero_force", spy("feedback ZF", experiment.zero_force))
             patch.setattr(experiment, "_run_chunk", spy("chunk", experiment._run_chunk))
             patch.setattr(experiment, "RngStream", SpyStream)
-            # the kernel's stages: the chunk's QR factor (zero_force's QR is mode "r"),
-            # the fixed scorer's _select or the law's sin^2, and _orient
-            qr, reduced_qr = np.linalg.qr, spy("QR", np.linalg.qr)
-            patch.setattr(np.linalg, "qr", lambda a, mode="reduced": (
-                reduced_qr if mode == "reduced" else qr)(a, mode=mode))
+            # the kernel's stages: the chunk's QR factor (the only QR; zero_force
+            # runs none), the fixed scorer's _select or the law's sin^2, and _orient
+            patch.setattr(np.linalg, "qr", spy("QR", np.linalg.qr))
             for module, name in ((experiment, "_orient"), (quantize, "_select"),
                                  (quantize, "_orient"),
                                  (quantize, "quantize_stack"), (quantize, "_select_drawn"),

@@ -106,13 +106,15 @@ def test_complex_normal_matches_two_draw_formula(shape):
 
 
 def test_invert_identity_and_diagonal():
+    # cond is ||D||_F ||D^-1||_F: sqrt(3) sqrt(3) = 3 for the identity of order 3
     vectors, cond, residual = zero_force(np.eye(3, dtype=complex))
     assert np.allclose(vectors, np.eye(3), rtol=0, atol=1e-14)
-    assert cond == pytest.approx(1.0) and residual == 0.0
-    # the inverse of diag(2, 4) is diag(1/2, 1/4): unit beams e1, e2, ratio 2
+    assert cond == pytest.approx(3.0, rel=1e-14) and residual == 0.0
+    # the inverse of diag(2, 4) is diag(1/2, 1/4): unit beams e1, e2, and
+    # cond sqrt(4 + 16) sqrt(1/4 + 1/16) = sqrt(20 * 5 / 16) = 2.5
     vectors, cond, residual = zero_force(np.diag([2.0, 4.0]).astype(complex))
     assert np.allclose(vectors, np.eye(2), rtol=0, atol=1e-14)
-    assert cond == pytest.approx(2.0, rel=1e-14) and residual == 0.0
+    assert cond == pytest.approx(2.5, rel=1e-14) and residual == 0.0
 
 
 def test_invert_random_multiply_back():
@@ -189,11 +191,12 @@ def test_worker_rule_serves_sweep_chunks_and_validation_blocks(monkeypatch, pool
     # holds the law's u, w and g and one width's Q_n a and z, 16 (3·8 + 2) + 8,
     # and zero_force's four (M, M) stacks, 64·8: 512 (1032 + 424) + 262144 =
     # 1007616 bytes, so 66 fit under the 64 MiB cap and the 64 cores bind.  Under
-    # fixed the larger of those stacks and a one-trial slice of its scan (2^10
-    # codewords' overlap and metric a user) comes on top of 512·1032: 1118208
-    # bytes, so 60 fit
+    # fixed a one-trial slice of its scan (2^10 codewords' overlap and metric a
+    # user, 589824 bytes) overlaps only the channels, factors and picks, 512 (576
+    # + 144): 958464 bytes, above zero-forcing's 512·1032 + 262144, so 70 fit and
+    # the 64 cores bind too
     fixed_b10 = dataclasses.replace(block_b10, trials=6400, codebook_policy="fixed")
-    for policy, workers in (("fixed", 60), ("per_block", 64)):
+    for policy, workers in (("fixed", 64), ("per_block", 64)):
         chunks, count = experiment._plan(dataclasses.replace(fixed_b10, codebook_policy=policy),
                                          [(2, 10.0, 10)])
         assert (len(chunks), len(chunks[0]), count) == (100, 64, workers)

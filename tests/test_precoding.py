@@ -61,14 +61,55 @@ def test_zfbf_rejects_near_parallel_directions():
     assert refused(cond, residual)
 
 
-def test_zfbf_refusal_reports_the_pivot_ratio():
-    # rows d_i^H = (1, 0) and (1, eps): QR pivots sqrt(2) and eps / sqrt(2),
-    # a pivot ratio of 2 / eps
+def test_zfbf_refusal_reports_the_frobenius_condition_number():
+    # rows d_i^H = (1, 0) and (1, eps), inverse rows (1, 0) and (-1/eps, 1/eps):
+    # ||D||_F^2 = 2 + eps^2 and ||D^-1||_F^2 = 1 + 2 / eps^2, a product of
+    # (2 + eps^2) / eps, next to the QR pivot ratio 2 / eps
     for eps, refuse in ((1e-9, True), (1e-6, False)):
         d = np.array([[1.0, 1.0], [0.0, eps]], dtype=complex)
         _, cond, residual = zero_force(d)
-        assert cond == pytest.approx(2.0 / eps, rel=1e-9)
+        assert cond == pytest.approx((2.0 + eps ** 2) / eps, rel=1e-12)
         assert bool(refused(cond, residual)) is refuse
+
+
+def pivot_ratio(d):
+    """Max/min |R_kk| of the QR factor of the rows d_i^H of each stack."""
+    rows = np.swapaxes(d, -1, -2).conj()
+    pivots = np.abs(np.diagonal(np.linalg.qr(rows, mode="r"), axis1=-2, axis2=-1))
+    return pivots.max(axis=-1) / pivots.min(axis=-1)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_zfbf_refuses_every_stack_the_pivot_ratio_refuses(m):
+    # near-parallel stacks: d_M = d_1 + eps z, at pivot ratios from about 1e3 to 1e13
+    gen = RngStream(97, trial=m).generator()
+    epsilons = np.repeat(10.0 ** -np.arange(4, 13), 20)
+    d = complex_normal(gen, (epsilons.size, m, m))
+    d[:, :, -1] = d[:, :, 0] + epsilons[:, None] * complex_normal(gen, (epsilons.size, m))
+    d /= np.linalg.norm(d, axis=-2, keepdims=True)
+    ratio = pivot_ratio(d)
+    assert ratio.min() < 1e5 and ratio.max() > 1e11
+    assert (ratio < COND_LIMIT).any() and (ratio > COND_LIMIT).any()
+    _, cond, residual = zero_force(d)
+    assert (cond >= ratio).all()  # ||D||_F ||D^-1||_F >= cond_2 >= the pivot ratio
+    assert refused(cond, residual)[ratio > COND_LIMIT].all()
+
+
+def test_zfbf_exactly_singular_stack_is_refused_without_stopping_the_batch():
+    # an identity with a duplicated column makes LAPACK's inverse raise for
+    # the whole batch; the stack is refused at cond inf and the others keep
+    # the beams of their own calls
+    d = complex_normal(RngStream(99).generator(), (4, 4, 4))
+    d[2] = np.eye(4)
+    d[2, :, 3] = d[2, :, 1]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(d)
+    vectors, cond, residual = zero_force(d)
+    assert list(refused(cond, residual)) == [False, False, True, False]
+    assert cond[2] == np.inf
+    for i in (0, 1, 3):
+        assert np.array_equal(vectors[i], zero_force(d[i])[0])
+    assert zero_force(d[2])[1] == np.inf
 
 
 def test_zero_force_stack_matches_views_and_masks_refusals():
